@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import axioms, lab, saturation, spectrum, stone, suites, tight
-from .core import P0Set, dump_structure, load_structure, order_predicates
+from .core import P0Set, bit_list, dump_structure, load_structure, order_predicates
 from .errors import (
     CapExceeded,
     FormatError,
@@ -87,21 +87,12 @@ def cmd_stone(args) -> int:
     else:
         print("not a basic lattice; duality verification skipped", file=sys.stderr)
     if args.format == "json":
-        doc = {"points": X.points, "ultrafilters": [list(_bits(u)) for u in ults]}
+        doc = {"points": X.points, "ultrafilters": [bit_list(u) for u in ults]}
         doc.update(json.loads(reports_to_json(reports)))
         print(json.dumps(doc, indent=2))
     else:
         _emit(reports, args.format)
     return code
-
-
-def _bits(mask: int):
-    x = 0
-    while mask:
-        if mask & 1:
-            yield x
-        mask >>= 1
-        x += 1
 
 
 def cmd_spectrum(args) -> int:

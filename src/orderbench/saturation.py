@@ -27,7 +27,7 @@ from .core import (
     prec_down,
     submasks,
 )
-from .errors import CapExceeded, PreconditionFailed
+from .errors import CapExceeded, OrderbenchError, PreconditionFailed
 from .report import Check, Report, report
 
 SUBSET_CAP = 12
@@ -116,18 +116,29 @@ def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
     return out
 
 
-def wedge_mask(B: P0Set, C: SubsetMask, D: SubsetMask) -> SubsetMask:
-    """{c meet d : c in C, d in D}; requires a meet semilattice."""
+def _wedge_table(B: P0Set) -> list[list[SubsetMask]]:
+    """W[C][D] = {c meet d : c in C, d in D}; requires a meet semilattice.
+
+    Built by the lowest-bit fold twice: first the row of each element c
+    over every D, then the union of those rows over the members of C.
+    """
     mt, _ = lattice_tables(B)
-    out = 0
-    for c in bits(C):
-        row = mt[c]
-        for d in bits(D):
-            m = row[d]
-            if m is None:
-                raise PreconditionFailed("pairwise meets must exist")
-            out |= 1 << m
-    return out
+    if any(m is None for row in mt for m in row):
+        raise PreconditionFailed("pairwise meets must exist")
+    nsub = 1 << B.size
+    single = []
+    for row in mt:
+        w = [0] * nsub
+        for d in range(1, nsub):
+            low = d & -d
+            w[d] = w[d ^ low] | 1 << row[low.bit_length() - 1]
+        single.append(w)
+    table = [[0] * nsub]
+    for c in range(1, nsub):
+        low = c & -c
+        rest = table[c ^ low]
+        table.append([a | b for a, b in zip(rest, single[low.bit_length() - 1])])
+    return table
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,120 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
     return SaturatedFamily(B, sets, jt, mt)
 
 
+# ---------------------------------------------------------------------------
+# quantified laws on relation rows
+#
+# rows[C] is the bitset {D : C rel D} over the subsets D of the carrier.
+# Each helper decides one universally quantified law and returns its first
+# witness in ascending quantifier order, the one the literal clause loops
+# (kept as oracles in tests/oracles.py) return, or None when the law holds.
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _transitive_witness(rows):
+    """First (C, D, E) with C rel D and D rel E but not C rel E, walking
+    the middle subset D first."""
+    nsub = len(rows)
+    cols = [0] * nsub
+    for C in range(nsub):
+        for D in bits(rows[C]):
+            cols[D] |= 1 << C
+    for D in range(nsub):
+        rd = rows[D]
+        for C in bits(cols[D]):
+            if rd & ~rows[C]:
+                return (C, D, _low_bit(rd & ~rows[C]))
+    return None
+
+
+def _inclusion_witness(a_rows, b_rows):
+    """First (C, D) with C a D but not C b D."""
+    for C, a in enumerate(a_rows):
+        bad = a & ~b_rows[C]
+        if bad:
+            return (C, _low_bit(bad))
+    return None
+
+
+def _mismatch_witness(a_rows, b_rows):
+    """First (C, D) where exactly one of C a D and C b D holds."""
+    for C, (a, b) in enumerate(zip(a_rows, b_rows)):
+        if a != b:
+            return (C, _low_bit(a ^ b))
+    return None
+
+
+def _composition_witness(r1_rows, r2_rows, rows):
+    """First (C, G, D) with C r1 G and G r2 D but not C rel D."""
+    for C, r1 in enumerate(r1_rows):
+        for G in bits(r1):
+            bad = r2_rows[G] & ~rows[C]
+            if bad:
+                return (C, G, _low_bit(bad))
+    return None
+
+
+def _interpolant_witness(wayb_rows, prec_rows):
+    """First (C, D) with C wayb D but no G with C wayb G and G prec D."""
+    reach = []
+    for row in wayb_rows:
+        acc = 0
+        for G in bits(row):
+            acc |= prec_rows[G]
+        reach.append(acc)
+    return _inclusion_witness(wayb_rows, reach)
+
+
+def _left_union_witness(rows):
+    """First (C, D) where C rel D differs from: every {c} in C has {c} rel D.
+
+    The right side is the intersection of the singleton rows, folded over
+    the subsets by their lowest bit (the empty intersection is every D).
+    """
+    nsub = len(rows)
+    parts = [(1 << nsub) - 1] * nsub
+    for C in range(1, nsub):
+        low = C & -C
+        parts[C] = parts[C ^ low] & rows[low]
+    return _mismatch_witness(rows, parts)
+
+
+def _right_monotone_witness(rows):
+    """First (C, D, b) with C rel D, b not in D, but not C rel D + {b}.
+
+    Shifting the members of a row that lack bit b up by 2**b lands on
+    their one-bit successors D + {b}; a successor missing from the row is
+    a failure, and the least (D, b) over all b is the first witness.
+    """
+    nsub = len(rows)
+    lacks = [
+        sum(1 << D for D in range(nsub) if not D >> b & 1)
+        for b in range(nsub.bit_length() - 1)
+    ]
+    for C, r in enumerate(rows):
+        fails = [
+            (_low_bit(bad) - (1 << b), b)
+            for b, mask in enumerate(lacks)
+            if (bad := (r & mask) << (1 << b) & ~r)
+        ]
+        if fails:
+            return (C,) + min(fails)
+    return None
+
+
+def _multiplicative_witness(rows, wedge, dc):
+    """First (C, D) where wedge(dc C, dc D) rel wedge(C, D) fails."""
+    for C, wc in enumerate(wedge):
+        big = wedge[dc[C]]
+        for D, w in enumerate(wc):
+            if not rows[big[dc[D]]] >> w & 1:
+                return (C, D)
+    return None
+
+
 def verify_subset_laws(B: P0Set) -> Report:
     """Clause-by-clause laws of the subset relations and saturation.
 
@@ -212,6 +337,11 @@ def verify_subset_laws(B: P0Set) -> Report:
     in the left argument and are monotone in the right one, and the
     pointwise wedge is monotone in both, so the extreme instance implies
     the rest (each reduction is itself among the checks).
+
+    The three relations are tabulated once as rows over all subsets, and
+    every clause quantifying over subsets is decided by bitset operations
+    on those rows (the helpers above), walking its quantifiers in the same
+    ascending order as a literal loop, so it reports the same witness.
 
     Saturation is deliberately not asserted to be extensive: sets need
     not be contained in their saturations.
@@ -259,52 +389,13 @@ def verify_subset_laws(B: P0Set) -> Report:
 
     sat = {A: saturate(B, A) for A in range(nsub)}
 
+    def in_sat(F, A):
+        return F & ~sat[A] == 0
+
     def rows_of(rel):
         return [
             sum(1 << D for D in range(nsub) if rel(C, D)) for C in range(nsub)
         ]
-
-    def transitive(rows):
-        cols = [0] * nsub
-        for C in range(nsub):
-            rc = rows[C]
-            for D in bits(rc):
-                cols[D] |= 1 << C
-        for D in range(nsub):
-            rd = rows[D]
-            for C in bits(cols[D]):
-                if rd & ~rows[C]:
-                    return (C, D, next(bits(rd & ~rows[C])))
-        return None
-
-    def left_decomposes(rel):
-        for C in range(nsub):
-            for D in range(nsub):
-                whole = rel(C, D)
-                parts = all(rel(1 << c, D) for c in bits(C))
-                if whole != parts:
-                    return (C, D)
-        return None
-
-    def right_monotone(rel):
-        for C in range(nsub):
-            for D in range(nsub):
-                if rel(C, D):
-                    for b in bits(full_mask(n) & ~D):
-                        if not rel(C, D | 1 << b):
-                            return (C, D, b)
-        return None
-
-    def multiplicative(rel):
-        # extreme-instance reduction: the wedge of the full down-closures
-        # is the largest left side, and rel shrinks as its left grows
-        for C2 in range(nsub):
-            lc = dc[C2]
-            for D2 in range(nsub):
-                big = wedge_mask(B, lc, dc[D2])
-                if not rel(big, wedge_mask(B, C2, D2)):
-                    return (C2, D2)
-        return None
 
     checks = []
 
@@ -318,100 +409,71 @@ def verify_subset_laws(B: P0Set) -> Report:
     prec_rows = rows_of(prec)
     sim_rows = rows_of(sim)
     wayb_rows = rows_of(wayb)
+    wedge = None
 
-    clause("prec_transitive", True, lambda: transitive(prec_rows))
-    clause("precsim_transitive", g2, lambda: transitive(sim_rows))
-    clause("prec_left_union", True, lambda: left_decomposes(prec))
-    clause("precsim_left_union", True, lambda: left_decomposes(sim))
-    clause("wayb_left_union", True, lambda: left_decomposes(wayb))
-    clause("prec_right_monotone", True, lambda: right_monotone(prec))
-    clause("precsim_right_monotone", True, lambda: right_monotone(sim))
-    clause("wayb_right_monotone", True, lambda: right_monotone(wayb))
-    clause("prec_multiplicative", g2, lambda: multiplicative(prec))
-    clause("precsim_multiplicative", g2, lambda: multiplicative(sim))
-    clause("wayb_multiplicative", g2, lambda: multiplicative(wayb))
+    def multiplicative(rows):
+        # extreme-instance reduction: the wedge of the full down-closures
+        # is the largest left side, and rel shrinks as its left grows
+        nonlocal wedge
+        if wedge is None:
+            wedge = _wedge_table(B)
+        return _multiplicative_witness(rows, wedge, dc)
 
-    def below_implies_sim():
-        for C in range(nsub):
-            for D in range(nsub):
-                if below(C, D) and not sim(C, D):
-                    return (C, D)
-        return None
+    clause("prec_transitive", True, lambda: _transitive_witness(prec_rows))
+    clause("precsim_transitive", g2, lambda: _transitive_witness(sim_rows))
+    clause("prec_left_union", True, lambda: _left_union_witness(prec_rows))
+    clause("precsim_left_union", True, lambda: _left_union_witness(sim_rows))
+    clause("wayb_left_union", True, lambda: _left_union_witness(wayb_rows))
+    clause("prec_right_monotone", True, lambda: _right_monotone_witness(prec_rows))
+    clause("precsim_right_monotone", True, lambda: _right_monotone_witness(sim_rows))
+    clause("wayb_right_monotone", True, lambda: _right_monotone_witness(wayb_rows))
+    clause("prec_multiplicative", g2, lambda: multiplicative(prec_rows))
+    clause("precsim_multiplicative", g2, lambda: multiplicative(sim_rows))
+    clause("wayb_multiplicative", g2, lambda: multiplicative(wayb_rows))
 
-    clause("below_implies_precsim", g1, below_implies_sim)
+    clause(
+        "below_implies_precsim",
+        g1,
+        lambda: _inclusion_witness(rows_of(below), sim_rows),
+    )
+    clause(
+        "precsim_reflexivized_form",
+        g1,
+        lambda: _mismatch_witness(sim_rows, rows_of(sim_refl)),
+    )
 
-    def sim_iff_refl():
-        for C in range(nsub):
-            for D in range(nsub):
-                if sim(C, D) != sim_refl(C, D):
-                    return (C, D)
-        return None
+    clause("wayb_transitive", g2, lambda: _transitive_witness(wayb_rows))
+    clause(
+        "finite_prec_implies_wayb",
+        g1,
+        lambda: _inclusion_witness(prec_rows, wayb_rows),
+    )
+    clause(
+        "wayb_through_interpolant_back",
+        True,
+        lambda: _composition_witness(wayb_rows, prec_rows, wayb_rows),
+    )
+    clause(
+        "wayb_through_interpolant",
+        g3,
+        lambda: _interpolant_witness(wayb_rows, prec_rows),
+    )
+    clause(
+        "precsim_wayb_absorb",
+        g2,
+        lambda: _composition_witness(sim_rows, wayb_rows, wayb_rows),
+    )
+    clause(
+        "wayb_implies_precsim",
+        g2,
+        lambda: _inclusion_witness(wayb_rows, sim_rows),
+    )
 
-    clause("precsim_reflexivized_form", g1, sim_iff_refl)
-
-    clause("wayb_transitive", g2, lambda: transitive(wayb_rows))
-
-    def finite_prec_wayb():
-        for F in range(nsub):
-            for D in range(nsub):
-                if prec(F, D) and not wayb(F, D):
-                    return (F, D)
-        return None
-
-    clause("finite_prec_implies_wayb", g1, finite_prec_wayb)
-
-    def cppd_back():
-        for C in range(nsub):
-            for G in range(nsub):
-                if not wayb(C, G):
-                    continue
-                for D in range(nsub):
-                    if prec(G, D) and not wayb(C, D):
-                        return (C, G, D)
-        return None
-
-    clause("wayb_through_interpolant_back", True, cppd_back)
-
-    def cppd_forward():
-        for C in range(nsub):
-            for D in range(nsub):
-                if wayb(C, D) and not any(
-                    wayb(C, G) and prec(G, D) for G in range(nsub)
-                ):
-                    return (C, D)
-        return None
-
-    clause("wayb_through_interpolant", g3, cppd_forward)
-
-    def sim_then_wayb():
-        for C in range(nsub):
-            for E in range(nsub):
-                if not sim(C, E):
-                    continue
-                for D in range(nsub):
-                    if wayb(E, D) and not wayb(C, D):
-                        return (C, E, D)
-        return None
-
-    clause("precsim_wayb_absorb", g2, sim_then_wayb)
-
-    def wayb_implies_sim():
-        for C in range(nsub):
-            for D in range(nsub):
-                if wayb(C, D) and not sim(C, D):
-                    return (C, D)
-        return None
-
-    clause("wayb_implies_precsim", g2, wayb_implies_sim)
-
-    def fppa():
-        for F in range(nsub):
-            for A in range(nsub):
-                if (F & ~sat[A] == 0) != wayb(F, A):
-                    return (F, A)
-        return None
-
-    clause("saturation_members", True, fppa)
+    clause(
+        "saturation_members",
+        True,
+        lambda: _mismatch_witness(rows_of(in_sat), wayb_rows),
+    )
 
     def strict_down_in_sat():
         for A in range(nsub):
@@ -529,10 +591,11 @@ def verify_frame(B: P0Set) -> Report:
     sup_ok = sup_w is None
 
     # meet rule: saturation of the pointwise meets is the intersection
+    wedge = _wedge_table(B)
     meet_w = None
     for A in range(1 << n):
         for C in range(1 << n):
-            if sat[wedge_mask(B, A, C)] != sat[A] & sat[C]:
+            if sat[wedge[A][C]] != sat[A] & sat[C]:
                 meet_w = (A, C)
                 break
         if meet_w:
@@ -600,7 +663,7 @@ def verify_frame(B: P0Set) -> Report:
     try:
         fam_struct = p0set(len(sets), index[sat[0]], prec_pairs)
         fbl_ok = is_basic_lattice(fam_struct)
-    except Exception:
+    except OrderbenchError:  # e.g. NotTransitive: the family is no structure
         fbl_ok = False
 
     dense_w = None

@@ -6,6 +6,10 @@ a point count plus the explicit family of open sets as bitmasks, with a
 designated basis whose index i records provenance (basis[i] was generated
 by carrier element i when the space came from a structure).
 
+Finite filters are principal: each nonempty one is the strict up-set
+prec[z] of an element z with z < z, so filters and ultrafilters are read
+off the relation rows instead of found by a scan over all subsets.
+
 Closure of a set is computed inside the stored topology as the complement
 of the union of opens disjoint from it.  Compactness is automatic in
 finite spaces and never computed.
@@ -194,10 +198,21 @@ def is_filter(B: P0Set, U: SubsetMask) -> bool:
 
 
 def enumerate_filters(B: P0Set) -> list[SubsetMask]:
-    """All filters, the empty set and the full carrier included."""
+    """All filters, the empty set and the full carrier included, sorted.
+
+    Every nonempty filter is principal: U = prec[z] for some z with z < z.
+    Downward directedness of a finite U gives, by induction over its
+    members and transitivity, one z in U strictly below every member, z
+    itself included; up-closure then gives prec[z] within U, and z below
+    all of U gives U within prec[z].  Conversely prec[z] with z < z is
+    up-closed by transitivity and directed through z.  So the filters are
+    the empty set and the rows prec[z] with z < z, found in O(n) instead
+    of testing all 2**n subsets (`tests/oracles.naive_filters` keeps that
+    route).
+    """
     if B.size > FILTER_CAP:
         raise CapExceeded(f"filter enumeration capped at {FILTER_CAP}")
-    return [U for U in range(1 << B.size) if is_filter(B, U)]
+    return sorted({0} | {B.prec[z] for z in range(B.size) if B.has(z, z)})
 
 
 def enumerate_ultrafilters(B: P0Set) -> list[SubsetMask]:

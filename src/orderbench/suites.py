@@ -20,7 +20,7 @@ from itertools import product
 
 from . import axioms, lab, saturation, spectrum, stone, tight
 from .core import P0Set, full_mask, order_predicates
-from .errors import UnknownSuite
+from .errors import PreconditionFailed, UnknownSuite
 
 
 @dataclass
@@ -259,7 +259,6 @@ def suite_ultrafilter_characterizations(seed: int = 0) -> SuiteResult:
     lats = _basic_lattices_upto5()
     checked = 0
     bad = 0
-    fm_cache = {}
     for B in lats:
         fm = full_mask(B.size)
         for U in stone.enumerate_filters(B):
@@ -305,7 +304,7 @@ def suite_alternate_axioms(seed: int = 0) -> SuiteResult:
             continue
         try:
             rep = axioms.check_alternate_axioms(B)
-        except Exception:
+        except PreconditionFailed:
             continue  # cofinality precondition failed
         checked += 1
         if not rep.holds("equivalent"):

@@ -175,3 +175,110 @@ def naive_regularize(B, Y):
     cl, _ = naive_alexandroff(B, Y)
     _, inte = naive_alexandroff(B, cl)
     return inte
+
+
+def naive_meet(B, x, y):
+    """Greatest lower bound under the reflexivization, or None."""
+    lower = [z for z in range(B.size) if le(B, z, x) and le(B, z, y)]
+    top = [m for m in lower if all(le(B, z, m) for z in lower)]
+    return top[0] if len(top) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# subset-law clauses, quantified literally
+#
+# Subsets are bitmasks 0..nsub-1 and rel(C, D) decides a relation on them.
+# Each function walks its quantifiers in ascending order and returns the
+# first failing instance, or None when the law holds.
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def transitive_witness(rel, nsub):
+    for D in range(nsub):
+        for C in range(nsub):
+            if not rel(C, D):
+                continue
+            for E in range(nsub):
+                if rel(D, E) and not rel(C, E):
+                    return (C, D, E)
+    return None
+
+
+def inclusion_witness(rel_a, rel_b, nsub):
+    for C in range(nsub):
+        for D in range(nsub):
+            if rel_a(C, D) and not rel_b(C, D):
+                return (C, D)
+    return None
+
+
+def mismatch_witness(rel_a, rel_b, nsub):
+    for C in range(nsub):
+        for D in range(nsub):
+            if rel_a(C, D) != rel_b(C, D):
+                return (C, D)
+    return None
+
+
+def left_union_witness(rel, nsub):
+    for C in range(nsub):
+        for D in range(nsub):
+            whole = rel(C, D)
+            parts = all(rel(1 << c, D) for c in _members(C))
+            if whole != parts:
+                return (C, D)
+    return None
+
+
+def right_monotone_witness(rel, nsub):
+    n = nsub.bit_length() - 1
+    for C in range(nsub):
+        for D in range(nsub):
+            if rel(C, D):
+                for b in range(n):
+                    if not D >> b & 1 and not rel(C, D | 1 << b):
+                        return (C, D, b)
+    return None
+
+
+def multiplicative_witness(rel, wedge, dc, nsub):
+    for C in range(nsub):
+        for D in range(nsub):
+            if not rel(wedge(dc[C], dc[D]), wedge(C, D)):
+                return (C, D)
+    return None
+
+
+def interpolant_back_witness(wayb, prec, nsub):
+    for C in range(nsub):
+        for G in range(nsub):
+            if not wayb(C, G):
+                continue
+            for D in range(nsub):
+                if prec(G, D) and not wayb(C, D):
+                    return (C, G, D)
+    return None
+
+
+def interpolant_witness(wayb, prec, nsub):
+    for C in range(nsub):
+        for D in range(nsub):
+            if wayb(C, D) and not any(
+                wayb(C, G) and prec(G, D) for G in range(nsub)
+            ):
+                return (C, D)
+    return None
+
+
+def absorb_witness(sim, wayb, nsub):
+    for C in range(nsub):
+        for E in range(nsub):
+            if not sim(C, E):
+                continue
+            for D in range(nsub):
+                if wayb(E, D) and not wayb(C, D):
+                    return (C, E, D)
+    return None

@@ -86,6 +86,17 @@ class TestAlternateAxioms:
                 continue
             assert rep.holds("equivalent"), B.pairs()
 
+    def test_suite_lets_bugs_through(self, monkeypatch):
+        # the suite skips failed preconditions only; any other error fails it
+        from orderbench import suites
+
+        def broken(B):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(axioms, "check_alternate_axioms", broken)
+        with pytest.raises(RuntimeError):
+            suites.suite_alternate_axioms()
+
 
 class TestRecoverPrec:
     def test_powerset_recovers_containment(self, p2):

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 import oracles
 from conftest import small_structures
-from orderbench import axioms, saturation as sa
+from orderbench import axioms, lab, saturation as sa
 from orderbench.core import bits, mask_from, p0set
 from orderbench.errors import CapExceeded, PreconditionFailed
 
@@ -128,6 +130,15 @@ class TestFrame:
         assert axioms.is_basic_semilattice(d3)
         assert sa.verify_frame(d3).passed
 
+    def test_bug_in_family_check_propagates(self, e0, monkeypatch):
+        # only the library's own errors may become a False verdict
+        def broken(B):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(axioms, "is_basic_lattice", broken)
+        with pytest.raises(RuntimeError):
+            sa.verify_frame(e0)
+
     def test_needs_meets(self):
         # two atoms under two incomparable tops: no greatest lower bound of
         # the tops, so no meet semilattice and no frame verification
@@ -188,3 +199,187 @@ class TestSubsetLaws:
         )
         rep = sa.verify_subset_laws(C)
         assert rep.passed
+
+
+def _literal_clauses(B):
+    """The row-decided clauses of verify_subset_laws as literal loops over
+    the subset relations, each a thunk giving the expected witness."""
+    nsub = 1 << B.size
+    rels = {
+        "prec": lambda C, D: sa.subset_prec(B, C, D),
+        "precsim": lambda C, D: sa.subset_precsim(B, C, D),
+        "wayb": lambda C, D: sa.subset_wayb(B, C, D),
+    }
+    prec, sim, wayb = rels["prec"], rels["precsim"], rels["wayb"]
+    meet = {
+        (x, y): oracles.naive_meet(B, x, y)
+        for x in range(B.size)
+        for y in range(B.size)
+    }
+
+    def wedge(C, D):
+        return mask_from({meet[c, d] for c in bits(C) for d in bits(D)})
+
+    dc = [
+        mask_from({z for d in bits(D) for z in oracles.down(B, d)})
+        for D in range(nsub)
+    ]
+    dcp = [
+        mask_from({z for z in range(B.size) for d in bits(D) if oracles.le(B, z, d)})
+        for D in range(nsub)
+    ]
+    mu = [
+        mask_from({z for z in range(B.size) for d in bits(D) if oracles.meets(B, z, d)})
+        for D in range(nsub)
+    ]
+    sat = [sa.saturate(B, A) for A in range(nsub)]
+
+    def below(C, D):
+        return C & ~dcp[D] == 0
+
+    def sim_refl(C, D):
+        return dcp[C] & ~(mu[D] | 1 << B.zero) == 0
+
+    def in_sat(F, A):
+        return F & ~sat[A] == 0
+
+    out = {
+        "below_implies_precsim": lambda: oracles.inclusion_witness(below, sim, nsub),
+        "precsim_reflexivized_form": lambda: oracles.mismatch_witness(
+            sim, sim_refl, nsub
+        ),
+        "saturation_members": lambda: oracles.mismatch_witness(in_sat, wayb, nsub),
+        "finite_prec_implies_wayb": lambda: oracles.inclusion_witness(prec, wayb, nsub),
+        "wayb_implies_precsim": lambda: oracles.inclusion_witness(wayb, sim, nsub),
+        "wayb_through_interpolant_back": lambda: oracles.interpolant_back_witness(
+            wayb, prec, nsub
+        ),
+        "wayb_through_interpolant": lambda: oracles.interpolant_witness(wayb, prec, nsub),
+        "precsim_wayb_absorb": lambda: oracles.absorb_witness(sim, wayb, nsub),
+    }
+    for name, rel in rels.items():
+        out[f"{name}_transitive"] = lambda rel=rel: oracles.transitive_witness(rel, nsub)
+        out[f"{name}_left_union"] = lambda rel=rel: oracles.left_union_witness(rel, nsub)
+        out[f"{name}_right_monotone"] = lambda rel=rel: oracles.right_monotone_witness(
+            rel, nsub
+        )
+        out[f"{name}_multiplicative"] = lambda rel=rel: oracles.multiplicative_witness(
+            rel, wedge, dc, nsub
+        )
+    return out
+
+
+class TestSubsetLawRows:
+    """verify_subset_laws decides its quantified clauses on relation rows;
+    the literal loops in oracles must give the same verdicts and witnesses."""
+
+    def _compare(self, B):
+        rep = sa.verify_subset_laws(B)
+        ran = set()
+        for name, literal in _literal_clauses(B).items():
+            check = rep[name]
+            if check.holds is None:  # gated off; the gates are unchanged
+                continue
+            w = literal()
+            assert (check.holds, check.witness) == (w is None, w), (B.pairs(), name)
+            ran.add(name)
+        return ran
+
+    def test_catalog_up_to_four(self):
+        ran = set()
+        for B in small_structures(4):
+            ran |= self._compare(B)
+        assert len(ran) == 20  # every row-decided clause ran somewhere
+
+    def test_random_sizes_five_and_six(self):
+        ran = set()
+        for n in (5, 6):
+            for reflexive in (False, True):
+                B = lab.random_p0set(n, 3, reflexive, density=0.4)
+                ran |= self._compare(B)
+        assert "wayb_multiplicative" in ran
+
+    def test_helpers_return_first_witness_on_failing_tables(self):
+        # on real structures the laws hold, so witnesses are compared here,
+        # on random row tables seeded to fail somewhere in the middle
+        rng = random.Random(7)
+        failures = dict.fromkeys(
+            ["transitive", "inclusion", "mismatch", "composition", "absorb",
+             "interpolant", "left_union", "right_monotone", "multiplicative"], 0
+        )
+
+        def table(nsub, p):
+            return [
+                sum(1 << D for D in range(nsub) if rng.random() < p)
+                for _ in range(nsub)
+            ]
+
+        def rel(rows):
+            return lambda C, D: rows[C] >> D & 1 == 1
+
+        def flip(rows):
+            C = rng.randrange(len(rows))
+            rows[C] ^= 1 << rng.randrange(len(rows))
+            return rows
+
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            nsub = 1 << n
+            p = rng.choice([0.3, 0.9, 0.99])
+            a, b = table(nsub, p), table(nsub, p)
+            # left unions hold on intersections of singleton rows, and right
+            # monotonicity on up-sets; one flipped bit breaks each somewhere
+            single = table(nsub, p)
+            unions = [(1 << nsub) - 1] * nsub
+            for C in range(1, nsub):
+                unions[C] = unions[C & C - 1] & single[C & -C]
+            ups = [
+                sum(1 << D for D in range(nsub) if S & ~D == 0)
+                for S in (rng.randrange(nsub) for _ in range(nsub))
+            ]
+            wedge = [[rng.randrange(nsub) for _ in range(nsub)] for _ in range(nsub)]
+            dc = [rng.randrange(nsub) for _ in range(nsub)]
+            pairs = {
+                "transitive": (
+                    sa._transitive_witness(a),
+                    oracles.transitive_witness(rel(a), nsub),
+                ),
+                "inclusion": (
+                    sa._inclusion_witness(a, b),
+                    oracles.inclusion_witness(rel(a), rel(b), nsub),
+                ),
+                "mismatch": (
+                    sa._mismatch_witness(a, b),
+                    oracles.mismatch_witness(rel(a), rel(b), nsub),
+                ),
+                "composition": (
+                    sa._composition_witness(a, b, a),
+                    oracles.interpolant_back_witness(rel(a), rel(b), nsub),
+                ),
+                "absorb": (
+                    sa._composition_witness(a, b, b),
+                    oracles.absorb_witness(rel(a), rel(b), nsub),
+                ),
+                "interpolant": (
+                    sa._interpolant_witness(a, b),
+                    oracles.interpolant_witness(rel(a), rel(b), nsub),
+                ),
+                "left_union": (
+                    sa._left_union_witness(flip(unions)),
+                    oracles.left_union_witness(rel(unions), nsub),
+                ),
+                "right_monotone": (
+                    sa._right_monotone_witness(flip(ups)),
+                    oracles.right_monotone_witness(rel(ups), nsub),
+                ),
+                "multiplicative": (
+                    sa._multiplicative_witness(a, wedge, dc),
+                    oracles.multiplicative_witness(
+                        rel(a), lambda C, D: wedge[C][D], dc, nsub
+                    ),
+                ),
+            }
+            for name, (got, want) in pairs.items():
+                assert got == want, (name, got, want)
+                failures[name] += want is not None
+        assert min(failures.values()) >= 20, failures

@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 from conftest import small_structures
-from orderbench import axioms, stone
+from orderbench import axioms, lab, stone
 from orderbench.core import bits, full_mask, p0set
 from orderbench.errors import (
     CapExceeded,
@@ -52,6 +52,21 @@ class TestFilters:
             assert sorted(got, key=sorted) == sorted(
                 oracles.naive_ultrafilters(B), key=sorted
             )
+
+    def test_random_structures_match_oracle(self):
+        # the closed form against the subset scan beyond the catalog sizes
+        for n in range(5, 11):
+            for reflexive in (False, True):
+                for seed in (0, 1):
+                    B = lab.random_p0set(n, seed, reflexive, density=0.2 + 0.1 * seed)
+                    got = masks_to_sets(stone.enumerate_filters(B))
+                    assert sorted(got, key=sorted) == sorted(
+                        oracles.naive_filters(B), key=sorted
+                    ), B.pairs()
+                    got = masks_to_sets(stone.enumerate_ultrafilters(B))
+                    assert sorted(got, key=sorted) == sorted(
+                        oracles.naive_ultrafilters(B), key=sorted
+                    ), B.pairs()
 
     def test_cap(self):
         big = p0set(21, 0, [(0, j) for j in range(21)] + [(i, i) for i in range(21)])
