@@ -20,7 +20,7 @@ from itertools import product
 
 from . import axioms, lab, saturation, spectrum, stone, tight
 from .core import P0Set, full_mask, order_predicates
-from .errors import PreconditionFailed, UnknownSuite
+from .errors import ConstructionIncomplete, PreconditionFailed, UnknownSuite
 
 
 @dataclass
@@ -459,7 +459,7 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
                     S = tight.enveloping_algebra(B)
                 try:
                     pi = tight.factor_tight(beta)
-                except Exception as exc:
+                except ConstructionIncomplete as exc:
                     bad.append((B, beta, f"factoring raised {exc!r}"))
                     continue
                 factored += 1

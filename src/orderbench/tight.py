@@ -167,64 +167,115 @@ def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
     return struct_map(source, target, doc["map"])
 
 
-def _image_table(beta: StructMapTotal) -> tuple[int, ...]:
-    table = [0] * (1 << beta.source.size)
-    for f in range(1, 1 << beta.source.size):
-        low = f & -f
-        table[f] = table[f ^ low] | 1 << beta.assignment[low.bit_length() - 1]
-    return tuple(table)
+@lru_cache(maxsize=1024)
+def _minimal_covers(B: P0Set):
+    """The source's minimal covering pairs, one row (F, members, entries)
+    per F in ascending order, entries being (G, members) ascending.
+
+    Covering is upward closed in F and in G, so a covering pair is minimal
+    exactly when dropping any one member of F or of G breaks it.  Row 0
+    holds the minimal G covered by F = 0; a nonzero row holds the G for
+    which (F, G) is minimal among the covering pairs with F nonzero: G is
+    minimal in F's row, and no nonzero F minus one member still covers G.
+    A row's minimal Gs depend only on the nonzero lower bounds of F, so
+    they are computed once per distinct bound set.
+    """
+    lbt, mut = _lb_table(B), _meets_up_table(B)
+    zb = 1 << B.zero
+    nsub = 1 << B.size
+    by_need: dict[int, tuple[int, ...]] = {}
+
+    def minimal_gs(need: int) -> tuple[int, ...]:
+        gs = by_need.get(need)
+        if gs is None:
+            covered = [need & ~m == 0 for m in mut]
+            gs = by_need[need] = tuple(
+                G
+                for G in range(nsub)
+                if covered[G] and not any(covered[G ^ 1 << g] for g in bits(G))
+            )
+        return gs
+
+    rows = []
+    for F in range(nsub):
+        smaller = [lbt[F ^ 1 << x] for x in bits(F) if F ^ 1 << x]
+        entries = tuple(
+            (G, tuple(bits(G)))
+            for G in minimal_gs(lbt[F] & ~zb)
+            if all(lb & ~(mut[G] | zb) for lb in smaller)
+        )
+        if entries:
+            rows.append((F, tuple(bits(F)), entries))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=1024)
+def _target_rows(A: P0Set):
+    """What map classification reads of a target, in one lookup:
+    (preceq_down, meets_preceq, carrier minus zero, algebra flag)."""
+    return (
+        derived_relations(A).preceq_down,
+        meets_preceq(A),
+        full_mask(A.size) & ~(1 << A.zero),
+        order_predicates(A).holds("generalized_boolean"),
+    )
+
+
 def map_properties(beta: StructMapTotal) -> Report:
     """Tight / tightish / coinitial / representation / character flags.
 
-    The source sweep runs over all subset pairs, so the source carrier is
-    capped; the target only answers per-pair cover queries and may be as
-    large as structures go (cover tables are used when it is small enough,
-    direct evaluation otherwise).
+    A source pair (F, G) fails when F covers G in the source but beta[F]
+    does not cover beta[G] in the target.  Covering is upward closed in
+    both arguments on either side, so every failing pair lies above a
+    failing minimal covering pair, and only the source's minimal covering
+    pairs (`_minimal_covers`, one table per source) get a target test.
+    The witnesses are those of the sweep over all pairs in ascending
+    (F, G) order: a subset of F is a smaller integer, so the first failing
+    pair with F nonzero is itself minimal, and tight's witness is the
+    first failing G of row 0, or else tightish's.  The target side is a
+    fold over the assignment, so its cost does not depend on the target's
+    size; the source carrier is capped.
     """
     B, A = beta.source, beta.target
-    if beta.assignment[B.zero] != A.zero:
-        raise ZeroNotPreserved(f"zero maps to {beta.assignment[B.zero]}")
+    img = beta.assignment
+    if img[B.zero] != A.zero:
+        raise ZeroNotPreserved(f"zero maps to {img[B.zero]}")
     if B.size > MAP_CAP:
         raise CapExceeded(f"map classification capped at source carrier {MAP_CAP}")
-    fast_s = _covers_fast(B)
-    if A.size <= 12:
-        fast_t = _covers_fast(A)
-    else:
-        fast_t = lambda C, D: covers(A, C, D)
-    img = _image_table(beta)
+    downA, mpA, primeA, rep = _target_rows(A)
 
-    tight_w = None
-    tightish_w = None
-    for F in range(1 << B.size):
-        for G in range(1 << B.size):
-            if fast_s(F, G) and not fast_t(img[F], img[G]):
-                if F == 0:
-                    if tight_w is None:
-                        tight_w = (F, G)
-                else:
+    tight_w = tightish_w = None
+    for F, fs, entries in _minimal_covers(B):
+        low = primeA
+        for x in fs:
+            low &= downA[img[x]]
+        if not low:
+            continue
+        for G, gs in entries:
+            up = 0
+            for g in gs:
+                up |= mpA[img[g]]
+            if low & ~up:
+                if F:
                     tightish_w = (F, G)
-                    break
+                else:
+                    tight_w = (F, G)
+                break
         if tightish_w:
             break
-    if tightish_w and tight_w is None:
+    if tight_w is None:
         tight_w = tightish_w
 
-    derA = derived_relations(A)
     nonzero_img = 0
-    for x in range(B.size):
-        t = beta.assignment[x]
+    for t in img:
         if t != A.zero:
             nonzero_img |= 1 << t
     coin_w = None
     for a in range(A.size):
-        if a != A.zero and derA.preceq_down[a] & nonzero_img == 0:
+        if a != A.zero and downA[a] & nonzero_img == 0:
             coin_w = (a,)
             break
 
-    rep = order_predicates(A).holds("generalized_boolean")
     character = rep and A.size == 2
 
     checks = [
@@ -270,18 +321,16 @@ def verify_tight_equivalences(beta: StructMapTotal) -> Report:
     tight = props.holds("tight")
     tightish = props.holds("tightish")
     fast_s = _covers_fast(B)
-    if A.size <= 12:
-        fast_t = _covers_fast(A)
-    else:
-        fast_t = lambda C, D: covers(A, C, D)
-    img = _image_table(beta)
     predsB = order_predicates(B)
     predsA = order_predicates(A)
 
-    # (a)
-    matched = any(
-        fast_s(0, G) and fast_t(0, img[G]) for G in range(1 << B.size)
-    )
+    # (a) covering the empty set is upward closed in G on both sides, so
+    # some G is a matched total cover iff the whole carrier is one
+    _, mpA, primeA, _ = _target_rows(A)
+    up = 0
+    for t in beta.assignment:
+        up |= mpA[t]
+    matched = fast_s(0, full_mask(B.size)) and primeA & ~up == 0
     a_holds = not (tightish and matched) or tight
     a_check = Check("tightish_matched_cover_tight", a_holds)
 

@@ -5,6 +5,7 @@ bitmasks and no shared code with the package, so agreement is a real
 cross-check rather than a tautology.
 """
 
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 
@@ -281,4 +282,78 @@ def absorb_witness(sim, wayb, nsub):
             for D in range(nsub):
                 if wayb(E, D) and not wayb(C, D):
                     return (C, E, D)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# map classification, by the sweep over all source subset pairs
+#
+# Subsets of the source are bitmasks again.  For each side, a subset's
+# nonzero lower bounds and the elements meeting one of its members are
+# tabulated as masks over that side's carrier (the target side through the
+# map), and every pair (F, G) is tested.
+
+
+@lru_cache(maxsize=None)
+def _order_matrices(S):
+    """le(S, z, c) and meets_refl(S, z, d) as nested lists."""
+    return (
+        [[le(S, z, c) for c in range(S.size)] for z in range(S.size)],
+        [[meets_refl(S, z, d) for d in range(S.size)] for z in range(S.size)],
+    )
+
+
+def _cover_masks(S, images, nsub):
+    """(lower[C], meeting[D]) over source subsets C, D whose members are
+    sent to `images` in S: the nonzero common lower bounds of the image of
+    C, and the elements meeting some member of the image of D."""
+    le_, mr = _order_matrices(S)
+    lower, meeting = [], []
+    for C in range(nsub):
+        img = [images[c] for c in _members(C)]
+        lower.append(sum(
+            1 << z for z in range(S.size)
+            if z != S.zero and all(le_[z][c] for c in img)
+        ))
+        meeting.append(sum(
+            1 << z for z in range(S.size) if any(mr[z][d] for d in img)
+        ))
+    return lower, meeting
+
+
+def sweep_map_witnesses(beta):
+    """(tight witness, tightish witness) of a map, or None for each.
+
+    A pair (F, G) fails when F covers G in the source but the image of F
+    does not cover the image of G in the target.  The tightish witness is
+    the first failing pair with F nonzero, in ascending (F, G) order; the
+    tight witness is the first failing pair with F = 0, or else the
+    tightish one.
+    """
+    B, A = beta.source, beta.target
+    nsub = 1 << B.size
+    lowB, meetB = _cover_masks(B, range(B.size), nsub)
+    lowA, meetA = _cover_masks(A, beta.assignment, nsub)
+    tight_w = tightish_w = None
+    for F in range(nsub):
+        for G in range(nsub):
+            if lowB[F] & ~meetB[G] == 0 and lowA[F] & ~meetA[G]:
+                if F == 0:
+                    if tight_w is None:
+                        tight_w = (F, G)
+                else:
+                    tightish_w = (F, G)
+                    break
+        if tightish_w:
+            break
+    return tight_w or tightish_w, tightish_w
+
+
+def coinitial_witness(beta):
+    """The first nonzero target element with no nonzero image below it."""
+    A = beta.target
+    image = {t for t in beta.assignment if t != A.zero}
+    for a in range(A.size):
+        if a != A.zero and not any(le(A, t, a) for t in image):
+            return (a,)
     return None

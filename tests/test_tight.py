@@ -6,12 +6,14 @@ import pytest
 import oracles
 from conftest import small_structures
 from orderbench import lab, tight as ti
-from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set
+from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
 from orderbench.errors import (
+    ConstructionIncomplete,
     NotTightish,
     PreconditionFailed,
     ZeroNotPreserved,
 )
+from orderbench.report import Check, Report
 
 
 class TestCovers:
@@ -164,6 +166,127 @@ class TestMapProperties:
                         assert rep.holds("tightish")
 
 
+def _oracle_report(beta, rep):
+    """The report the sweep oracles give for beta, taking the algebra flag
+    of the target from rep."""
+    tight_w, tightish_w = oracles.sweep_map_witnesses(beta)
+    coin_w = oracles.coinitial_witness(beta)
+    algebra = rep.holds("representation")
+    checks = (
+        Check("tight", tight_w is None, tight_w),
+        Check("tightish", tightish_w is None, tightish_w),
+        Check("coinitial", coin_w is None, coin_w),
+        Check("representation", algebra),
+        Check("character", algebra and beta.target.size == 2),
+    )
+    return Report("map_properties", checks, passed=tight_w is None)
+
+
+def _zero_preserving(B, A):
+    for assign in product(range(A.size), repeat=B.size - 1):
+        full = list(assign)
+        full.insert(B.zero, A.zero)
+        yield ti.struct_map(B, A, full)
+
+
+class TestMinimalCoverPairs:
+    """map_properties tests only the source's minimal covering pairs; the
+    reports must equal those of the sweep over all pairs."""
+
+    def test_all_small_maps_match_sweep(self):
+        objs = small_structures(3) + [
+            lab.make_family("powerset", 2),
+            lab.make_family("diamond", 2),
+            lab.make_family("chain", 3),
+            lab.make_family("antichain", 3),
+        ]
+        count = 0
+        for B in objs:
+            for A in objs:
+                for beta in _zero_preserving(B, A):
+                    rep = ti.map_properties(beta)
+                    assert rep == _oracle_report(beta, rep), beta
+                    count += 1
+        assert count == 7627
+
+    def test_random_maps_match_sweep(self):
+        import random
+
+        rng = random.Random(5)
+        wide = lab.make_family("antichain", 13)
+        two = lab.make_family("powerset", 1)
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randint(5, 8)
+            B = lab.random_p0set(n, rng.getrandbits(32), rng.random() < 0.6,
+                                 rng.uniform(0.1, 0.5))
+            A = lab.random_p0set(rng.randint(2, 12), rng.getrandbits(32),
+                                 rng.random() < 0.6, rng.uniform(0.1, 0.5))
+            for T in (A, wide, two):
+                assign = [rng.randrange(T.size) for _ in range(n)]
+                assign[B.zero] = T.zero
+                beta = ti.struct_map(B, T, assign)
+                rep = ti.map_properties(beta)
+                assert rep == _oracle_report(beta, rep), beta
+                outcomes.add((rep.holds("tight"), rep.holds("tightish")))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_ten_element_sources_match_sweep(self, p3):
+        for name, k in (("antichain", 9), ("chain", 9), ("diamond", 8)):
+            B = lab.make_family(name, k)
+            for T, assign in (
+                (p3, [0] + [7] * (B.size - 1)),
+                (p3, [0] + [1 + x % 7 for x in range(B.size - 1)]),
+                (B, range(B.size)),
+            ):
+                beta = ti.struct_map(B, T, assign)
+                rep = ti.map_properties(beta)
+                assert rep == _oracle_report(beta, rep), beta
+
+    def test_table_is_the_minimal_covering_pairs(self):
+        # minimal elements of the naive covering pairs, by literal
+        # comparison with every pair below
+        def minimal(pairs):
+            return sorted(
+                (F, G)
+                for F, G in pairs
+                if not any(
+                    (f, g) in pairs and (f, g) != (F, G)
+                    for f in submasks(F)
+                    for g in submasks(G)
+                )
+            )
+
+        for B in small_structures(4):
+            nsub = 1 << B.size
+            cov = {
+                (F, G)
+                for F in range(nsub)
+                for G in range(nsub)
+                if oracles.naive_covers(B, set(bits(F)), set(bits(G)))
+            }
+            rows = ti._minimal_covers(B)
+            assert [(F, G) for F, _, entries in rows for G, _ in entries] == (
+                minimal({p for p in cov if p[0] == 0})
+                + minimal({p for p in cov if p[0] != 0})
+            )
+            for F, members, entries in rows:
+                assert members == tuple(bits(F))
+                for G, gs in entries:
+                    assert gs == tuple(bits(G))
+
+    def test_one_table_per_source(self, p3):
+        # every map out of one source reuses one table: a count, not a time
+        B = lab.make_family("diamond", 2)
+        ti._minimal_covers.cache_clear()
+        maps = list(_zero_preserving(B, p3))
+        for beta in maps:
+            ti.map_properties(beta)
+        info = ti._minimal_covers.cache_info()
+        assert len(maps) == 512
+        assert (info.misses, info.hits) == (1, 511)
+
+
 class TestTightEquivalences:
     def test_atoms_clause_a(self, e0, p2):
         rep = ti.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
@@ -192,6 +315,25 @@ class TestTightEquivalences:
                     rep = ti.verify_tight_equivalences(beta)
                     assert rep.passed, (B.names, A.names, assign,
                                         [c.name for c in rep.failures()])
+
+
+class TestMatchedTotalCover:
+    def test_planted_tightish_not_tight(self, e0, p2, p3, monkeypatch):
+        # clause (a) holds on every real map, so its matched-cover test is
+        # only visible against a planted report: tightish but not tight
+        planted = Report("map_properties", (
+            Check("tight", False, (0, 0)),
+            Check("tightish", True),
+            Check("coinitial", True),
+            Check("representation", True),
+            Check("character", False),
+        ), passed=False)
+        monkeypatch.setattr(ti, "map_properties", lambda beta: planted)
+        # the atoms cover the top of p2 but not the third atom of p3
+        matched = ti.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
+        unmatched = ti.verify_tight_equivalences(ti.struct_map(e0, p3, (0, 1, 2)))
+        assert matched.holds("tightish_matched_cover_tight") is False
+        assert unmatched.holds("tightish_matched_cover_tight") is True
 
 
 class TestAlexandroff:
@@ -476,3 +618,28 @@ class TestMapFormat:
         beta = ti.load_struct_map(doc, tmp_path)
         assert beta.assignment == (0, 1, 2)
         assert beta.source.prec == e0.prec
+
+
+class TestFactoringSuite:
+    def test_bug_in_factoring_propagates(self, monkeypatch):
+        # the factoring theorem rules out ConstructionIncomplete only; any
+        # other error is a bug and must not become a failure line
+        from orderbench import suites
+
+        def broken(beta, extension_order="asc"):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(ti, "factor_tight", broken)
+        with pytest.raises(RuntimeError):
+            suites.suite_universal_factoring()
+
+    def test_construction_failure_is_reported(self, monkeypatch):
+        from orderbench import suites
+
+        def clash(beta, extension_order="asc"):
+            raise ConstructionIncomplete("planted clash")
+
+        monkeypatch.setattr(ti, "factor_tight", clash)
+        result = suites.suite_universal_factoring()
+        assert not result.passed
+        assert result.details[0].startswith("0 tightish maps factored")
