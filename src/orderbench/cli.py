@@ -198,57 +198,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def verb(name, help, fn):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(fn=fn)
+        return p
+
+    def structure_verb(name, help, fn):
+        p = verb(name, help, fn)
+        p.add_argument("structure")
         p.add_argument("--max-size", type=int, default=None, help="override size caps downward")
+        return p
 
-    p = sub.add_parser("check", help="classify a structure file")
-    p.add_argument("structure")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("stone", help="Stone space and duality verification")
-    p.add_argument("structure")
-    common(p)
-    p.set_defaults(fn=cmd_stone)
-
-    p = sub.add_parser("spectrum", help="tight characters and separativity chain")
-    p.add_argument("structure")
-    common(p)
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("envelope", help="enveloping algebra and universality")
-    p.add_argument("structure")
+    structure_verb("check", "classify a structure file", cmd_check)
+    structure_verb("stone", "Stone space and duality verification", cmd_stone)
+    structure_verb("spectrum", "tight characters and separativity chain", cmd_spectrum)
+    p = structure_verb("envelope", "enveloping algebra and universality", cmd_envelope)
     p.add_argument("--map", help="map file to factor through the embedding")
-    common(p)
-    p.set_defaults(fn=cmd_envelope)
+    structure_verb("saturate", "saturated families and frame laws", cmd_saturate)
 
-    p = sub.add_parser("saturate", help="saturated families and frame laws")
-    p.add_argument("structure")
-    common(p)
-    p.set_defaults(fn=cmd_saturate)
-
-    p = sub.add_parser("verify", help="run a named acceptance suite")
+    p = verb("verify", "run a named acceptance suite", cmd_verify)
     p.add_argument("suite", choices=suites.CRITERIA + ["all"])
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gen", help="emit a structure file")
+    p = verb("gen", "emit a structure file", cmd_gen)
     p.add_argument("family", choices=lab.FAMILY_NAMES + ("random",))
     p.add_argument("n", type=int)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--reflexive", action="store_true")
     p.add_argument("--out")
-    common(p)
-    p.set_defaults(fn=cmd_gen)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("search", help="search for a counterexample")
+    p = verb("search", "search for a counterexample", cmd_search)
     p.add_argument("suite")
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--budget", type=int, default=1000)
-    common(p)
-    p.set_defaults(fn=cmd_search)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

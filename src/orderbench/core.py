@@ -5,7 +5,8 @@ carrier are plain ints used as bitmasks (element x is bit ``1 << x``);
 this is the universal currency for filters, opens, covers and saturated
 sets throughout the package.  The strict relation is primary; the
 reflexivization and the meet/disjointness relations are always derived
-from it.
+from it.  The subset tables, one relation's rows folded over every subset
+of the carrier by `subset_fold`, are cached here for every module.
 
 Structures are immutable and every function here is pure, so values can
 be shared freely between threads.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import and_, or_
 
 from .errors import (
     FormatError,
@@ -70,6 +73,20 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def subset_fold(rows, op, init) -> tuple:
+    """table[S] = init combined by `op` with rows[s] for every s in S, for
+    every subset S of range(len(rows)) (bitmask indices).
+
+    Built by doubling: the subsets holding row k are those without it,
+    shifted up by 2**k, each combined once more with rows[k].  `op` must be
+    commutative and associative.
+    """
+    table = [init]
+    for r in rows:
+        table += list(map(op, table, repeat(r)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +266,41 @@ def meets_preceq(B: P0Set) -> tuple[int, ...]:
                 row |= 1 << y
         rows[x] = row
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# subset tables: each folds one row table over every subset of the carrier
+
+
+@lru_cache(maxsize=1024)
+def prec_down_table(B: P0Set) -> tuple[int, ...]:
+    """[D] = union of the strict down-sets of the members of D."""
+    return subset_fold(prec_down(B), or_, 0)
+
+
+@lru_cache(maxsize=1024)
+def meets_table(B: P0Set) -> tuple[int, ...]:
+    """[D] = union of the meet-relation rows of the members of D."""
+    return subset_fold(derived_relations(B).meets, or_, 0)
+
+
+@lru_cache(maxsize=1024)
+def preceq_down_table(B: P0Set) -> tuple[int, ...]:
+    """[C] = down-closure of C under the reflexivization."""
+    return subset_fold(derived_relations(B).preceq_down, or_, 0)
+
+
+@lru_cache(maxsize=1024)
+def lower_bound_table(B: P0Set) -> tuple[int, ...]:
+    """[C] = common lower bounds of C under the reflexivization; the empty
+    set's bounds are the whole carrier."""
+    return subset_fold(derived_relations(B).preceq_down, and_, full_mask(B.size))
+
+
+@lru_cache(maxsize=1024)
+def meets_preceq_table(B: P0Set) -> tuple[int, ...]:
+    """[D] = union of the `meets_preceq` rows of the members of D."""
+    return subset_fold(meets_preceq(B), or_, 0)
 
 
 def matrix(rows: tuple[int, ...], n: int) -> list[list[bool]]:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import P0Set, bits, derived_relations, full_mask, lattice_tables
+from .core import P0Set, bits, derived_relations, full_mask, lattice_tables, prec_down
 from .errors import (
     DimensionMismatch,
     FormatError,
@@ -64,14 +64,7 @@ def is_interpolator(R: Interpolator) -> Report:
     B, C, rel = R.source, R.target, R.rel
     derB = derived_relations(B)
     derC = derived_relations(C)
-    downC = [0] * C.size
-    for x in range(C.size):
-        for y in bits(C.prec[x]):
-            downC[y] |= 1 << x
-    downB = [0] * B.size
-    for x in range(B.size):
-        for y in bits(B.prec[x]):
-            downB[y] |= 1 << x
+    downC = prec_down(C)
     mtB, jtB = lattice_tables(B)
     mtC, jtC = lattice_tables(C)
 

@@ -16,16 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, or_
 
 from .core import (
     P0Set,
     SubsetMask,
     bits,
-    derived_relations,
     full_mask,
     lattice_tables,
+    meets_table,
     prec_down,
+    prec_down_table,
+    preceq_down_table,
     submasks,
+    subset_fold,
 )
 from .errors import CapExceeded, OrderbenchError, PreconditionFailed
 from .report import Check, Report, report
@@ -42,48 +46,26 @@ class SubsetRels:
     wayb: bool
 
 
-@lru_cache(maxsize=512)
-def _dc_table(B: P0Set) -> tuple[int, ...]:
-    """dc[D] = union of the strict down-sets of the members of D."""
-    down = prec_down(B)
-    table = [0] * (1 << B.size)
-    for d in range(1, 1 << B.size):
-        low = d & -d
-        table[d] = table[d ^ low] | down[low.bit_length() - 1]
-    return tuple(table)
-
-
-@lru_cache(maxsize=512)
-def _mu_table(B: P0Set) -> tuple[int, ...]:
-    """mu[D] = union of the meet-relation rows of the members of D."""
-    der = derived_relations(B)
-    table = [0] * (1 << B.size)
-    for d in range(1, 1 << B.size):
-        low = d & -d
-        table[d] = table[d ^ low] | der.meets[low.bit_length() - 1]
-    return tuple(table)
-
-
 def _check_cap(B: P0Set):
     if B.size > SUBSET_CAP:
         raise CapExceeded(f"subset relations capped at carrier {SUBSET_CAP}")
 
 
 def subset_prec(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
-    return C & ~_dc_table(B)[D] == 0
+    return C & ~prec_down_table(B)[D] == 0
 
 
 def subset_precsim(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
-    dc = _dc_table(B)
-    return dc[C] & ~(_mu_table(B)[D] | 1 << B.zero) == 0
+    dc = prec_down_table(B)
+    return dc[C] & ~(meets_table(B)[D] | 1 << B.zero) == 0
 
 
 def subset_wayb(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     """Way-below via the maximal interpolant: the down-closure of D always
     dominates D pointwise, and the cover-like relation is monotone in its
     interpolant, so it suffices as the witness."""
-    dc = _dc_table(B)
-    return dc[C] & ~(_mu_table(B)[dc[D]] | 1 << B.zero) == 0
+    dc = prec_down_table(B)
+    return dc[C] & ~(meets_table(B)[dc[D]] | 1 << B.zero) == 0
 
 
 def wayb_exhaustive(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
@@ -108,7 +90,7 @@ def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
     """Elements whose singleton is way below A."""
     _check_cap(B)
     down = prec_down(B)
-    target = _mu_table(B)[_dc_table(B)[A]] | 1 << B.zero
+    target = meets_table(B)[prec_down_table(B)[A]] | 1 << B.zero
     out = 0
     for y in range(B.size):
         if down[y] & ~target == 0:
@@ -116,29 +98,23 @@ def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
     return out
 
 
-def _wedge_table(B: P0Set) -> list[list[SubsetMask]]:
+@lru_cache(maxsize=512)
+def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
+    """[A] = the saturation of A, for every subset A of the carrier."""
+    return tuple(saturate(B, A) for A in range(1 << B.size))
+
+
+def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
     """W[C][D] = {c meet d : c in C, d in D}; requires a meet semilattice.
 
-    Built by the lowest-bit fold twice: first the row of each element c
-    over every D, then the union of those rows over the members of C.
+    Two subset folds: first the row of each element c over every D, then
+    the union of those rows over the members of C.
     """
     mt, _ = lattice_tables(B)
     if any(m is None for row in mt for m in row):
         raise PreconditionFailed("pairwise meets must exist")
-    nsub = 1 << B.size
-    single = []
-    for row in mt:
-        w = [0] * nsub
-        for d in range(1, nsub):
-            low = d & -d
-            w[d] = w[d ^ low] | 1 << row[low.bit_length() - 1]
-        single.append(w)
-    table = [[0] * nsub]
-    for c in range(1, nsub):
-        low = c & -c
-        rest = table[c ^ low]
-        table.append([a | b for a, b in zip(rest, single[low.bit_length() - 1])])
-    return table
+    single = [subset_fold([1 << m for m in row], or_, 0) for row in mt]
+    return subset_fold(single, lambda a, b: [*map(or_, a, b)], [0] * (1 << B.size))
 
 
 @dataclass(frozen=True)
@@ -176,7 +152,7 @@ def _sos_saturations(B: P0Set) -> dict[int, int]:
     """Saturation of every subset via the union-over-finite-parts formula,
     an independent route used to cross-check the direct sweep."""
     n = B.size
-    sat = {A: saturate(B, A) for A in range(1 << n)}
+    sat = saturation_table(B)
     out = {}
     for A in range(1 << n):
         acc = 0
@@ -199,7 +175,7 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
     if generators == "singletons":
         raw = {saturate(B, 1 << x) for x in range(B.size)}
     elif generators == "finite":
-        raw = {saturate(B, A) for A in range(1 << B.size)}
+        raw = set(saturation_table(B))
     elif generators == "all":
         raw = set(_sos_saturations(B).values())
     else:
@@ -280,14 +256,11 @@ def _left_union_witness(rows):
     """First (C, D) where C rel D differs from: every {c} in C has {c} rel D.
 
     The right side is the intersection of the singleton rows, folded over
-    the subsets by their lowest bit (the empty intersection is every D).
+    the subsets (the empty intersection is every D).
     """
     nsub = len(rows)
-    parts = [(1 << nsub) - 1] * nsub
-    for C in range(1, nsub):
-        low = C & -C
-        parts[C] = parts[C ^ low] & rows[low]
-    return _mismatch_witness(rows, parts)
+    singles = [rows[1 << c] for c in range(nsub.bit_length() - 1)]
+    return _mismatch_witness(rows, subset_fold(singles, and_, (1 << nsub) - 1))
 
 
 def _right_monotone_witness(rows):
@@ -351,21 +324,16 @@ def verify_subset_laws(B: P0Set) -> Report:
         _sweep_multiplicativity,
         is_basic_semilattice,
     )
-    from .core import derived_relations, order_predicates
+    from .core import order_predicates
 
     if B.size > FRAME_CAP:
         raise CapExceeded(f"subset-law verification capped at carrier {FRAME_CAP}")
     n = B.size
     nsub = 1 << n
     zb = 1 << B.zero
-    der = derived_relations(B)
-    dc = _dc_table(B)
-    mu = _mu_table(B)
-    # down-closures under the reflexivization
-    dcp = [0] * nsub
-    for c in range(1, nsub):
-        low = c & -c
-        dcp[c] = dcp[c ^ low] | der.preceq_down[low.bit_length() - 1]
+    dc = prec_down_table(B)
+    mu = meets_table(B)
+    dcp = preceq_down_table(B)
 
     g1 = bool(_sweep_coinitiality(B).holds)
     msl = bool(order_predicates(B).holds("meet_semilattice"))
@@ -387,7 +355,7 @@ def verify_subset_laws(B: P0Set) -> Report:
     def below(C, D):
         return C & ~dcp[D] == 0
 
-    sat = {A: saturate(B, A) for A in range(nsub)}
+    sat = saturation_table(B)
 
     def in_sat(F, A):
         return F & ~sat[A] == 0
@@ -572,7 +540,7 @@ def verify_frame(B: P0Set) -> Report:
 
     sets = famF.sets
     index = {s: i for i, s in enumerate(sets)}
-    sat = {A: saturate(B, A) for A in range(1 << n)}
+    sat = saturation_table(B)
 
     # join rule: the saturated union is the least family member above both
     sup_w = None

@@ -22,6 +22,8 @@ from .core import (
     bits,
     derived_relations,
     full_mask,
+    lower_bound_table,
+    meets_preceq_table,
     submasks,
 )
 from .errors import (
@@ -33,12 +35,7 @@ from .errors import (
 )
 from .report import Check, Report, report
 from .stone import FiniteTopology, discrete_topology, point_filter
-from .tight import (
-    _lb_table,
-    _meets_up_table,
-    enveloping_algebra,
-    rho,
-)
+from .tight import enveloping_algebra, rho
 
 CHARACTER_CAP = 10
 CENTRED_CAP = 12
@@ -62,8 +59,8 @@ def _char_masks(B: P0Set, require_empty_cover: bool) -> list[SubsetMask]:
     `require_empty_cover` includes the empty left side (tight) or not
     (tightish).
     """
-    lbt = _lb_table(B)
-    mut = _meets_up_table(B)
+    lbt = lower_bound_table(B)
+    mut = meets_preceq_table(B)
     zb = 1 << B.zero
     fm = full_mask(B.size)
     out = []
@@ -110,7 +107,7 @@ def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
     """
     if B.size > CENTRED_CAP:
         raise CapExceeded(f"centred-set enumeration capped at carrier {CENTRED_CAP}")
-    lbt = _lb_table(B)
+    lbt = lower_bound_table(B)
     zb = 1 << B.zero
     centred = [C for C in range(1 << B.size) if lbt[C] & ~zb]
     return tuple(

@@ -441,17 +441,7 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
     for B in structures:
         S = None
         for A in targets:
-            values = list(range(A.size))
-            for assign in product(values, repeat=B.size - 1):
-                full_assign = []
-                ai = 0
-                for x in range(B.size):
-                    if x == B.zero:
-                        full_assign.append(A.zero)
-                    else:
-                        full_assign.append(assign[ai])
-                        ai += 1
-                beta = tight.StructMapTotal(B, A, tuple(full_assign))
+            for beta in tight.zero_preserving_maps(B, A):
                 props = tight.map_properties(beta)
                 if not props.holds("tightish"):
                     continue
@@ -501,20 +491,11 @@ def suite_naturality(seed: int = 0) -> SuiteResult:
     tight_maps = {}
     for B in objs:
         for A in objs:
-            maps = []
-            for assign in product(range(A.size), repeat=B.size - 1):
-                full_assign = []
-                ai = 0
-                for x in range(B.size):
-                    if x == B.zero:
-                        full_assign.append(A.zero)
-                    else:
-                        full_assign.append(assign[ai])
-                        ai += 1
-                beta = tight.StructMapTotal(B, A, tuple(full_assign))
-                if tight.map_properties(beta).holds("tight"):
-                    maps.append(beta)
-            tight_maps[(id(B), id(A))] = maps
+            tight_maps[(id(B), id(A))] = [
+                beta
+                for beta in tight.zero_preserving_maps(B, A)
+                if tight.map_properties(beta).holds("tight")
+            ]
     ok = True
     squares = 0
     laws = 0

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import and_, or_
 from pathlib import Path
 
 from .core import (
@@ -27,10 +29,14 @@ from .core import (
     derived_relations,
     full_mask,
     lattice_tables,
+    lower_bound_table,
     meets_preceq,
+    meets_preceq_table,
     order_predicates,
     p0set,
+    preceq_down_table,
     relative_complement,
+    subset_fold,
 )
 from .errors import (
     CapExceeded,
@@ -61,36 +67,6 @@ def lower_bounds(B: P0Set, C: SubsetMask) -> SubsetMask:
     return acc
 
 
-@lru_cache(maxsize=1024)
-def _lb_table(B: P0Set) -> tuple[int, ...]:
-    der = derived_relations(B)
-    table = [full_mask(B.size)] * (1 << B.size)
-    for c in range(1, 1 << B.size):
-        low = c & -c
-        table[c] = table[c ^ low] & der.preceq_down[low.bit_length() - 1]
-    return tuple(table)
-
-
-@lru_cache(maxsize=1024)
-def _meets_up_table(B: P0Set) -> tuple[int, ...]:
-    mp = meets_preceq(B)
-    table = [0] * (1 << B.size)
-    for d in range(1, 1 << B.size):
-        low = d & -d
-        table[d] = table[d ^ low] | mp[low.bit_length() - 1]
-    return tuple(table)
-
-
-@lru_cache(maxsize=1024)
-def _down_closure_table(B: P0Set) -> tuple[int, ...]:
-    der = derived_relations(B)
-    table = [0] * (1 << B.size)
-    for c in range(1, 1 << B.size):
-        low = c & -c
-        table[c] = table[c ^ low] | der.preceq_down[low.bit_length() - 1]
-    return tuple(table)
-
-
 def covers(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     """Every common lower bound of C is zero or meets a member of D."""
     mp = meets_preceq(B)
@@ -101,7 +77,7 @@ def covers(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
 
 
 def _covers_fast(B: P0Set):
-    lbt, mut = _lb_table(B), _meets_up_table(B)
+    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
     zb = 1 << B.zero
 
     def fast(C: int, D: int) -> bool:
@@ -133,6 +109,14 @@ def struct_map(source: P0Set, target: P0Set, assignment) -> StructMapTotal:
     ):
         raise FormatError("assignment has wrong shape")
     return StructMapTotal(source, target, assignment)
+
+
+def zero_preserving_maps(B: P0Set, A: P0Set):
+    """Every map from B to A that sends zero to zero, in lexicographic
+    order of the values on the other elements."""
+    z = B.zero
+    for vals in product(range(A.size), repeat=B.size - 1):
+        yield StructMapTotal(B, A, vals[:z] + (A.zero,) + vals[z:])
 
 
 def identity_map(B: P0Set) -> StructMapTotal:
@@ -180,7 +164,7 @@ def _minimal_covers(B: P0Set):
     A row's minimal Gs depend only on the nonzero lower bounds of F, so
     they are computed once per distinct bound set.
     """
-    lbt, mut = _lb_table(B), _meets_up_table(B)
+    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
     zb = 1 << B.zero
     nsub = 1 << B.size
     by_need: dict[int, tuple[int, ...]] = {}
@@ -404,16 +388,11 @@ def verify_tight_equivalences(beta: StructMapTotal) -> Report:
     if B.size > 8:
         d_check = Check("bounded_cover_form", None)
     else:
-        lbt = _lb_table(B)
-        mut = _meets_up_table(B)
-        dct = _down_closure_table(B)
-        mp = meets_preceq(B)
+        lbt = lower_bound_table(B)
+        mut = meets_preceq_table(B)
+        dct = preceq_down_table(B)
         fm = full_mask(B.size)
-        perp_rows = tuple(fm & ~mp[g] for g in range(B.size))
-        pt = [fm] * (1 << B.size)
-        for G in range(1, 1 << B.size):
-            low = G & -G
-            pt[G] = pt[G ^ low] & perp_rows[low.bit_length() - 1]
+        pt = subset_fold([fm & ~m for m in meets_preceq(B)], and_, fm)
         zb = 1 << B.zero
         d_w = None
         for F in range(1 << B.size):
@@ -594,14 +573,8 @@ def verify_fgrho(B: P0Set) -> Report:
     n = B.size
     prime = _prime_mask(B)
     rhos = [rho(B, x) for x in range(n)]
-    cap = [prime] * (1 << n)
-    cup = [0] * (1 << n)
-    for F in range(1, 1 << n):
-        low = F & -F
-        x = low.bit_length() - 1
-        cap[F] = cap[F ^ low] & rhos[x]
-        cup[F] = cup[F ^ low] | rhos[x]
-    vee = [_regularize(B, c) for c in cup]
+    cap = subset_fold(rhos, and_, prime)
+    vee = [_regularize(B, c) for c in subset_fold(rhos, or_, 0)]
     fast = _covers_fast(B)
     w = None
     for F in range(1 << n):

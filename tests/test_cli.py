@@ -68,6 +68,12 @@ class TestExitCodes:
         assert cli.run(["check", files["p2"], "--max-size", "3"]) == 2
         assert cli.run(["check", files["p2"], "--max-size", "4"]) == 0
 
+    def test_flags_only_where_read(self, files):
+        # --seed is read only by gen, verify and search, --max-size only by
+        # the verbs that load a structure file
+        assert cli.run(["check", files["e0"], "--seed", "1"]) == 2
+        assert cli.run(["verify", "all", "--max-size", "3"]) == 2
+
     def test_search_found_is_one(self, capsys):
         assert cli.run(["search", "decomposition_holds", "--bound", "0",
                         "--budget", "1"]) == 1

@@ -1,7 +1,12 @@
+import random
+from functools import reduce
+from operator import and_, or_
+
 import pytest
 
 import oracles
 from conftest import small_structures
+from orderbench import lab
 from orderbench.core import (
     bits,
     derived_relations,
@@ -9,11 +14,17 @@ from orderbench.core import (
     full_mask,
     join,
     load_structure,
+    lower_bound_table,
     mask_from,
     meet,
+    meets_preceq_table,
+    meets_table,
     order_predicates,
     p0set,
+    prec_down_table,
+    preceq_down_table,
     relative_complement,
+    subset_fold,
 )
 from orderbench.errors import (
     FormatError,
@@ -216,3 +227,80 @@ def test_mask_helpers():
     assert mask_from([0, 2]) == 0b101
     assert list(bits(0b1011)) == [0, 1, 3]
     assert full_mask(3) == 7
+
+
+def _members(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _per_subset(rows, op, init):
+    """The fold written out: one reduction per subset."""
+    return [
+        reduce(op, [rows[s] for s in _members(S)], init)
+        for S in range(1 << len(rows))
+    ]
+
+
+class TestSubsetFold:
+    def test_empty_rows(self):
+        assert subset_fold([], or_, 5) == (5,)
+        assert subset_fold((), and_, 0) == (0,)
+
+    @pytest.mark.parametrize("op, init", [(or_, 0), (and_, (1 << 12) - 1)])
+    def test_matches_per_subset_reduction(self, op, init):
+        rng = random.Random(11)
+        for n in range(9):
+            for _ in range(3):
+                rows = [rng.getrandbits(12) for _ in range(n)]
+                table = subset_fold(rows, op, init)
+                assert len(table) == 1 << n
+                assert list(table) == _per_subset(rows, op, init)
+
+    def test_list_valued_rows(self):
+        # shaped like the wedge table: each row is itself a subset table
+        rng = random.Random(12)
+        width = 8
+
+        def op(a, b):
+            return [*map(or_, a, b)]
+
+        for n in range(6):
+            rows = [[rng.getrandbits(6) for _ in range(width)] for _ in range(n)]
+            table = subset_fold(rows, op, [0] * width)
+            assert [list(t) for t in table] == _per_subset(rows, op, [0] * width)
+
+
+def _table_oracles(B):
+    """The five subset tables from their literal definitions."""
+    n = B.size
+    le = [[oracles.le(B, z, c) for c in range(n)] for z in range(n)]
+
+    def union(C, related):
+        return mask_from(z for z in range(n) if any(related(z, c) for c in _members(C)))
+
+    return {
+        prec_down_table: lambda C: union(C, B.has),
+        meets_table: lambda C: union(C, lambda z, c: oracles.meets(B, z, c)),
+        preceq_down_table: lambda C: union(C, lambda z, c: le[z][c]),
+        lower_bound_table: lambda C: mask_from(oracles.naive_lower_bounds(B, _members(C))),
+        meets_preceq_table: lambda C: union(C, lambda z, c: oracles.meets_refl(B, z, c)),
+    }
+
+
+class TestSubsetTables:
+    def _check(self, B):
+        for table, literal in _table_oracles(B).items():
+            got = table(B)
+            assert len(got) == 1 << B.size
+            for C in range(1 << B.size):
+                assert got[C] == literal(C), (table.__name__, B.pairs(), C)
+
+    def test_all_small_structures(self):
+        for B in small_structures(4):
+            self._check(B)
+
+    def test_random_structures(self):
+        rng = random.Random(13)
+        for i in range(8):
+            n = 5 + i % 4
+            self._check(lab.random_p0set(n, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.2, 0.5)))

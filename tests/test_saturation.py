@@ -56,9 +56,11 @@ class TestSaturate:
 
     def test_matches_oracle(self, e0, c2, w5):
         for B in (e0, c2, w5):
+            table = sa.saturation_table(B)
             for A in range(1 << B.size):
                 expected = mask_from(oracles.naive_saturate(B, set(bits(A))))
                 assert sa.saturate(B, A) == expected
+                assert table[A] == expected
 
     def test_idempotent_on_two_atoms(self, e0):
         for A in range(8):

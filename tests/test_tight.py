@@ -189,6 +189,19 @@ def _zero_preserving(B, A):
         yield ti.struct_map(B, A, full)
 
 
+def test_zero_preserving_maps():
+    for B, A in (
+        (lab.make_family("chain", 3), lab.make_family("powerset", 2)),
+        (p0set(3, 2, [(2, 0), (2, 1), (2, 2)]), lab.make_family("antichain", 2)),
+        (lab.make_family("chain", 0), lab.make_family("powerset", 3)),
+    ):
+        maps = list(ti.zero_preserving_maps(B, A))
+        assert len(maps) == A.size ** (B.size - 1)
+        assert all(m.source is B and m.target is A for m in maps)
+        assert all(m.assignment[B.zero] == A.zero for m in maps)
+        assert [m.assignment for m in maps] == [m.assignment for m in _zero_preserving(B, A)]
+
+
 class TestMinimalCoverPairs:
     """map_properties tests only the source's minimal covering pairs; the
     reports must equal those of the sweep over all pairs."""
