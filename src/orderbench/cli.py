@@ -42,7 +42,8 @@ INPUT_ERRORS = (
     UnknownFamily,
     UnknownSuite,
     CapExceeded,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -109,7 +110,7 @@ def cmd_envelope(args) -> int:
     B = _load(args.structure, args.max_size)
     S = tight.enveloping_algebra(B)
     print(
-        f"enveloping algebra: {len(S.elements)} elements, {len(S.atoms())} atoms",
+        f"enveloping algebra: {1 << len(S.signatures)} elements, {len(S.signatures)} atoms",
         file=sys.stderr,
     )
     reports = [tight.verify_fgrho(B)] if B.size <= tight.FGRHO_CAP else []

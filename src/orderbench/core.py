@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import and_, or_
+from pathlib import Path
 
 from .errors import (
     FormatError,
@@ -178,6 +179,23 @@ def load_structure(text: str) -> P0Set:
     if names is not None and not isinstance(names, list):
         raise FormatError("names must be a list of strings")
     return p0set(doc["size"], doc["zero"], [tuple(p) for p in doc["prec"]], names)
+
+
+def load_linked(text: str, base_dir, payload: str):
+    """Parse {"from": path, "to": path, <payload>: ...}, the two paths
+    relative to base_dir; return (source, target, payload value)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or set(doc) != {"from", "to", payload}:
+        raise FormatError(f"document needs exactly from/to/{payload}")
+    if not (isinstance(doc["from"], str) and isinstance(doc["to"], str)):
+        raise FormatError("from and to must be file paths")
+    base = Path(base_dir)
+    source = load_structure((base / doc["from"]).read_text())
+    target = load_structure((base / doc["to"]).read_text())
+    return source, target, doc[payload]
 
 
 def dump_structure(B: P0Set) -> str:

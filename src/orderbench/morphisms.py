@@ -9,11 +9,18 @@ stored as bitmask rows over the target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import P0Set, bits, derived_relations, full_mask, lattice_tables, prec_down
+from .core import (
+    P0Set,
+    bits,
+    derived_relations,
+    full_mask,
+    lattice_tables,
+    load_linked,
+    prec_down,
+)
 from .errors import (
     DimensionMismatch,
     FormatError,
@@ -297,19 +304,9 @@ def interpolator_from_map(
 
 def load_interpolator(text: str, base_dir: str | Path = ".") -> Interpolator:
     """Parse {"from": path, "to": path, "pairs": [[int, int], ...]}."""
-    from .core import load_structure
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"from", "to", "pairs"}:
-        raise FormatError("interpolator document needs exactly from/to/pairs")
-    base = Path(base_dir)
-    source = load_structure((base / doc["from"]).read_text())
-    target = load_structure((base / doc["to"]).read_text())
-    if not isinstance(doc["pairs"], list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in doc["pairs"]
+    source, target, pairs = load_linked(text, base_dir, "pairs")
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in pairs
     ):
         raise FormatError("pairs must be a list of [int, int]")
-    return interpolator(source, target, [tuple(p) for p in doc["pairs"]])
+    return interpolator(source, target, [tuple(p) for p in pairs])

@@ -2,9 +2,11 @@
 separativity characterization.
 
 Characters are represented by their one-sets as bitmasks, unifying them
-with the filter machinery.  A zero-preserving two-valued map is tight
-exactly when no subset of its one-set covers into the complement, which
-reduces the classification of all candidates to a single subset sweep.
+with the filter machinery.  On a finite structure they are the up-sets
+of the minimal nonzero elements, which are also the maximal centred sets,
+unless a nonzero element lies below zero, when there are none.  The
+identification with the enveloping algebra keeps a scan of every subset
+on one side.
 
 The spectrum of a finite structure is discrete; it is stored with the
 principal opens as the designated pseudobasis.
@@ -23,8 +25,8 @@ from .core import (
     derived_relations,
     full_mask,
     lower_bound_table,
+    mask_from,
     meets_preceq_table,
-    submasks,
 )
 from .errors import (
     CapExceeded,
@@ -37,8 +39,6 @@ from .report import Check, Report, report
 from .stone import FiniteTopology, discrete_topology, point_filter
 from .tight import enveloping_algebra, rho
 
-CHARACTER_CAP = 10
-CENTRED_CAP = 12
 VS_STONE_CAP = 8
 
 
@@ -51,72 +51,29 @@ class CharacterSet:
         return len(self.chars)
 
 
-def _char_masks(B: P0Set, require_empty_cover: bool) -> list[SubsetMask]:
-    """One-sets M of zero-preserving two-valued maps violating no cover.
-
-    A violation needs a cover from inside M into its complement; covers
-    grow with the right argument, so only the full complement is tested.
-    `require_empty_cover` includes the empty left side (tight) or not
-    (tightish).
-    """
-    lbt = lower_bound_table(B)
-    mut = meets_preceq_table(B)
-    zb = 1 << B.zero
-    fm = full_mask(B.size)
-    out = []
-    for M in range(1, 1 << B.size):
-        if M & zb:
-            continue
-        comp = fm & ~M
-        target = mut[comp] | zb
-        ok = True
-        for F in submasks(M):
-            if F == 0 and not require_empty_cover:
-                continue
-            if lbt[F] & ~target == 0:
-                ok = False
-                break
-        if ok:
-            out.append(M)
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def tight_characters(B: P0Set) -> CharacterSet:
-    """All nonzero tight characters, as sorted one-set masks."""
-    if B.size > CHARACTER_CAP:
-        raise CapExceeded(f"character enumeration capped at carrier {CHARACTER_CAP}")
-    return CharacterSet(B, tuple(_char_masks(B, require_empty_cover=True)))
+    """All nonzero tight characters, as sorted one-set masks.
 
-
-def tightish_characters(B: P0Set) -> CharacterSet:
-    """Nonzero tightish characters; equal to the tight ones on finite
-    structures since every nonzero tightish character is coinitial."""
-    if B.size > CHARACTER_CAP:
-        raise CapExceeded(f"character enumeration capped at carrier {CHARACTER_CAP}")
-    return CharacterSet(B, tuple(_char_masks(B, require_empty_cover=False)))
+    A nonzero element below zero meets every element, so the empty set
+    covers any complement and there are none.  Otherwise they are the
+    maximal centred sets, the up-sets of the minimal nonzero elements.
+    """
+    if derived_relations(B).preceq_down[B.zero] & ~(1 << B.zero):
+        return CharacterSet(B, ())
+    return CharacterSet(B, maximal_centred_sets(B))
 
 
 @lru_cache(maxsize=None)
 def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
     """Maximal subsets whose every finite part has a nonzero lower bound.
 
-    Bounds shrink as the set grows, so a set is centred exactly when it
-    has a nonzero common lower bound itself (the empty part asks only
-    that the carrier is not zero alone).
+    Bounds shrink as the set grows, so a set is centred exactly when some
+    nonzero z lies below all of it, that is when it is contained in the
+    up-set of z.  The maximal centred sets are the maximal such up-sets.
     """
-    if B.size > CENTRED_CAP:
-        raise CapExceeded(f"centred-set enumeration capped at carrier {CENTRED_CAP}")
-    lbt = lower_bound_table(B)
-    zb = 1 << B.zero
-    centred = [C for C in range(1 << B.size) if lbt[C] & ~zb]
-    return tuple(
-        sorted(
-            C
-            for C in centred
-            if not any(D != C and D & C == C for D in centred)
-        )
-    )
+    rows = {derived_relations(B).preceq[z] for z in range(B.size) if z != B.zero}
+    return tuple(sorted(r for r in rows if not any(r != s and r & ~s == 0 for s in rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +141,13 @@ def spectrum_space(B: P0Set) -> FiniteTopology:
     designated pseudobasis.
 
     When the reflexivization is a partial order, the pseudobasis
-    conditions and the density of the maximal-centred indicators are
-    theorems; they are re-verified here and a failure signals a bug.
-    Outside that scope (elements order-equivalent to zero, say) the
-    identities genuinely fail and the space is built without the asserts.
+    conditions are a theorem; they are re-verified here and a failure
+    signals a bug.  Outside that scope (elements order-equivalent to zero,
+    say) they genuinely fail and the space is built without the assert.
     """
     from .core import antisymmetry_violation
 
     chars = tight_characters(B).chars
-    if len(chars) > 16:
-        raise CapExceeded("spectrum beyond 16 characters")
     basis = []
     for x in range(B.size):
         o = 0
@@ -206,8 +160,6 @@ def spectrum_space(B: P0Set) -> FiniteTopology:
         pb = is_pseudobasis(X, basis)
         if not pb.passed:
             raise InternalCheckFailed("principal opens failed the pseudobasis conditions")
-        if tuple(chars) != maximal_centred_sets(B):
-            raise InternalCheckFailed("maximal centred indicators are not the characters")
     return X
 
 
@@ -285,8 +237,6 @@ def verify_pseudochar(B: P0Set) -> Report:
     """
     from .core import order_predicates
 
-    if B.size > CHARACTER_CAP:
-        raise CapExceeded(f"capped at carrier {CHARACTER_CAP}")
     sep = order_predicates(B).holds("separative")
     X = spectrum_space(B)
     basis = X.basis
@@ -348,71 +298,95 @@ def separativity_chain(B: P0Set) -> Report:
     )
 
 
+def _scan_characters(B: P0Set) -> tuple[SubsetMask, ...]:
+    """Tight characters by a scan of every candidate one-set M.
+
+    M fails when some F inside M covers into the complement of M; lower
+    bounds shrink as F grows, so F = M alone decides it.
+    """
+    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
+    zb = 1 << B.zero
+    fm = full_mask(B.size)
+    return tuple(
+        M
+        for M in range(1, 1 << B.size)
+        if not M & zb and lbt[M] & ~(mut[fm & ~M] | zb)
+    )
+
+
+def _scan_centred(B: P0Set) -> tuple[SubsetMask, ...]:
+    """Maximal centred sets by a scan of every subset.
+
+    A subset of a centred set is centred, so a centred set is maximal
+    when adding any one element breaks it.
+    """
+    lbt = lower_bound_table(B)
+    zb = 1 << B.zero
+    centred = [lb & ~zb != 0 for lb in lbt]
+    return tuple(
+        C
+        for C in range(1 << B.size)
+        if centred[C]
+        and not any(centred[C | 1 << b] for b in range(B.size) if not C >> b & 1)
+    )
+
+
 def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
     """Identify the tight characters with the ultrafilters of the
     enveloping algebra.
 
-    Ultrafilters of the finite algebra are computed as principal up-sets
-    of its atoms; each candidate is verified to be a proper filter that
-    decides every complement pair, which characterizes ultrafilters in a
-    finite Boolean algebra.  With `cross_check` (default: on for algebras
-    of at most 10 elements) the ultrafilters and characters of the algebra
-    are re-derived by the brute-force scans and compared.
+    Ultrafilter i of the algebra is the set of atom masks holding atom i;
+    each is verified to be a proper filter that decides every complement
+    pair, which characterizes ultrafilters in a finite Boolean algebra.
+    Their pullbacks along the principal embedding, the closed-form
+    characters and the closed-form maximal centred sets are compared with
+    scans of every subset of the carrier.  With `cross_check` (on by
+    default) an algebra of at most three atoms also has its ultrafilters
+    and characters re-derived from its order alone.
     """
     if B.size > VS_STONE_CAP:
         raise CapExceeded(f"capped at carrier {VS_STONE_CAP}")
     S = enveloping_algebra(B)
-    k = len(S.elements)
-    atoms = S.atoms()
-    top = S.top_index()
-
-    ults = []
-    for a in atoms:
-        U = 0
-        for i, m in enumerate(S.elements):
-            if S.elements[a] & ~m == 0:
-                U |= 1 << i
-        ults.append(U)
+    k = len(S.signatures)
+    size = 1 << k
+    top = size - 1
+    ults = [mask_from(T for T in range(size) if T >> i & 1) for i in range(k)]
 
     filter_w = None
-    for a, U in zip(atoms, ults):
+    for i, U in enumerate(ults):
         members = bit_list(U)
-        up_ok = all(
-            not (S.elements[i] & ~S.elements[j] == 0) or U >> j & 1
-            for i in members
-            for j in range(k)
-        )
-        directed = all(U >> S.meet_t[i][j] & 1 for i in members for j in members)
-        proper = not U >> 0 & 1
-        decides = all((U >> i & 1) != (U >> S.diff_t[top][i] & 1) for i in range(k))
+        up_ok = all(T & ~V or U >> V & 1 for T in members for V in range(size))
+        directed = all(U >> (T & V) & 1 for T in members for V in members)
+        proper = not U & 1
+        decides = all((U >> T & 1) != (U >> (top & ~T) & 1) for T in range(size))
         if not (up_ok and directed and proper and decides):
-            filter_w = (a,)
+            filter_w = (i,)
             break
     ultra_ok = filter_w is None
 
-    pullbacks = []
-    for U in ults:
-        m = 0
-        for x in range(B.size):
-            if U >> S.rho_index[x] & 1:
-                m |= 1 << x
-        pullbacks.append(m)
-    chars = tight_characters(B).chars
-    bij = len(set(pullbacks)) == len(pullbacks) and sorted(pullbacks) == list(chars)
+    pullbacks = [
+        mask_from(x for x in range(B.size) if U >> S.rho_index[x] & 1) for U in ults
+    ]
+    chars = _scan_characters(B)
+    bij = (
+        len(set(pullbacks)) == len(pullbacks)
+        and sorted(pullbacks) == list(chars)
+        and tight_characters(B).chars == chars
+    )
 
-    centred_match = maximal_centred_sets(B) == chars
+    centred_match = maximal_centred_sets(B) == _scan_centred(B) == chars
 
     if cross_check is None:
-        cross_check = k <= 10
-    if cross_check and k <= 12:
+        cross_check = True
+    if cross_check and k <= 3:
         from .stone import enumerate_ultrafilters
 
         sp = S.as_p0set()
-        brute_ults = enumerate_ultrafilters(sp)
-        scan_ok = sorted(ults) == list(brute_ults)
-        if k <= CHARACTER_CAP:
-            s_chars = tight_characters(sp).chars
-            scan_ok = scan_ok and sorted(ults) == list(s_chars)
+        scan_ok = (
+            sorted(ults)
+            == list(enumerate_ultrafilters(sp))
+            == list(tight_characters(sp).chars)
+        )
         scan_check = Check("brute_force_agreement", scan_ok)
     else:
         scan_check = Check("brute_force_agreement", None)

@@ -9,17 +9,16 @@ versions.
 The carrier minus zero carries the topology whose closed sets are the
 up-closed sets; regular opens of that space form a Boolean algebra, and
 the subalgebra generated by the principal regularizations is the
-enveloping generalized Boolean algebra.  Element identity in the algebra
-is mask equality.
+enveloping generalized Boolean algebra.  On a finite carrier that
+algebra is the powerset of its atoms, and its elements are atom masks.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from operator import and_, or_
+from operator import and_
 from pathlib import Path
 
 from .core import (
@@ -29,13 +28,16 @@ from .core import (
     derived_relations,
     full_mask,
     lattice_tables,
+    load_linked,
     lower_bound_table,
+    mask_from,
     meets_preceq,
     meets_preceq_table,
     order_predicates,
     p0set,
     preceq_down_table,
     relative_complement,
+    submasks,
     subset_fold,
 )
 from .errors import (
@@ -48,7 +50,6 @@ from .errors import (
 )
 from .report import Check, Report, report
 
-ENVELOPE_CAP = 14
 MAP_CAP = 10
 FGRHO_CAP = 8
 
@@ -135,20 +136,10 @@ def compose_maps(first: StructMapTotal, then: StructMapTotal) -> StructMapTotal:
 
 def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
     """Parse {"from": path, "to": path, "map": [int, ...]}."""
-    from .core import load_structure
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"from", "to", "map"}:
-        raise FormatError("map document needs exactly from/to/map")
-    base = Path(base_dir)
-    source = load_structure((base / doc["from"]).read_text())
-    target = load_structure((base / doc["to"]).read_text())
-    if not isinstance(doc["map"], list) or not all(isinstance(t, int) for t in doc["map"]):
+    source, target, assignment = load_linked(text, base_dir, "map")
+    if not isinstance(assignment, list) or not all(isinstance(t, int) for t in assignment):
         raise FormatError("map must be a list of target indices")
-    return struct_map(source, target, doc["map"])
+    return struct_map(source, target, assignment)
 
 
 @lru_cache(maxsize=1024)
@@ -422,29 +413,13 @@ def verify_tight_equivalences(beta: StructMapTotal) -> Report:
 # the punctured carrier and its regular opens
 
 
-@dataclass(frozen=True)
-class AlexandroffOps:
-    closure: SubsetMask
-    interior: SubsetMask
-    regularize: SubsetMask
-
-
 def _prime_mask(B: P0Set) -> int:
     return full_mask(B.size) & ~(1 << B.zero)
 
 
-def alexandroff_ops(B: P0Set, Y: SubsetMask) -> AlexandroffOps:
-    """Closure, interior and regularization of Y inside the punctured
-    carrier whose closed sets are the up-closed sets."""
-    prime = _prime_mask(B)
-    if Y & ~prime:
-        raise PreconditionFailed("subset must avoid the zero element")
-    cl = _alex_closure(B, Y)
-    inte = _alex_interior(B, Y)
-    return AlexandroffOps(cl, inte, _alex_interior(B, cl))
-
-
 def _alex_closure(B: P0Set, Y: SubsetMask) -> SubsetMask:
+    """Closure of Y in the punctured carrier whose closed sets are the
+    up-closed sets."""
     der = derived_relations(B)
     acc = 0
     for y in bits(Y):
@@ -476,113 +451,113 @@ def rho(B: P0Set, x: int) -> SubsetMask:
 @dataclass(frozen=True)
 class RegularOpenAlgebra:
     """The generalized Boolean subalgebra of the regular opens generated by
-    the principal regularizations, with explicit operation tables.
+    the principal regularizations, as the powerset of its k atoms.
 
-    `elements` is sorted by mask; entry 0 is the empty set.  The op tables
-    are total: meets are intersections, joins regularized unions, diff the
-    relative complement a minus b.  `rho_index[x]` locates the image of
-    carrier element x.
+    An element T is an atom mask in range(2**k): meet is T & U, join
+    T | U, relative complement T & ~U, the top 2**k - 1, and ultrafilter
+    i is {T : bit i of T is set}.  Atom i has the carrier mask
+    `signatures[i]` = {x : atom i lies in rho(x)} and the open points
+    `opens[i]`; atoms are sorted by signature.  `rho_index[x]` is the atom
+    mask of rho(x).
     """
 
     base: P0Set
-    elements: tuple[SubsetMask, ...]
-    meet_t: tuple[tuple[int, ...], ...]
-    join_t: tuple[tuple[int, ...], ...]
-    diff_t: tuple[tuple[int, ...], ...]
+    signatures: tuple[SubsetMask, ...]
+    opens: tuple[SubsetMask, ...]
     rho_index: tuple[int, ...]
 
-    def index(self, mask: SubsetMask) -> int:
-        return self.elements.index(mask)
-
-    def atoms(self) -> list[int]:
-        nonzero = [i for i in range(len(self.elements)) if i != 0]
-        return [
-            i
-            for i in nonzero
-            if not any(
-                j != i and self.elements[j] and self.elements[j] & ~self.elements[i] == 0
-                for j in nonzero
-            )
-        ]
-
-    def top_index(self) -> int:
+    def mask(self, T: int) -> SubsetMask:
+        """The regular open of T: the regularized union of its atoms."""
         acc = 0
-        for i in range(len(self.elements)):
-            acc = self.join_t[acc][i]
-        return acc
+        for i in bits(T):
+            acc |= self.opens[i]
+        return _regularize(self.base, acc)
 
     def as_p0set(self) -> P0Set:
-        els = self.elements
-        pairs = [
-            (i, j)
-            for i in range(len(els))
-            for j in range(len(els))
-            if els[i] & ~els[j] == 0
-        ]
-        return p0set(len(els), 0, pairs)
+        """The algebra indexed by T and ordered by inclusion of atom masks."""
+        size = 1 << len(self.signatures)
+        return p0set(size, 0, ((T, U) for U in range(size) for T in submasks(U)))
 
 
 @lru_cache(maxsize=None)
 def enveloping_algebra(B: P0Set) -> RegularOpenAlgebra:
-    """Worklist closure of the principal regularizations and the empty set
-    under intersection, regularized union, and relative complement."""
-    if B.size > ENVELOPE_CAP:
-        raise CapExceeded(f"enveloping algebra capped at carrier {ENVELOPE_CAP}")
+    """The regular opens generated by the rho(x), from their atoms.
+
+    A point v of the punctured carrier is a minimal open when its
+    punctured down-set is its own class.  Minimal opens are dense, so a
+    regular open is fixed by the minimal opens it contains, and the
+    regular opens are the powerset of the minimal opens.  The subalgebra
+    generated by the rho(x) is then the powerset of the classes of
+    minimal opens with the same signature {x : v in rho(x)}.
+
+    For a minimal open v the signature is {x : v meets x}: v lies in the
+    regularization of the punctured down-set of x exactly when it lies in
+    its closure, since every point below v is equivalent to v, that is
+    when some nonzero d lies below both x and v.  It holds v itself, so it
+    is never empty.
+    """
+    der = derived_relations(B)
     prime = _prime_mask(B)
-    rhos = [rho(B, x) for x in range(B.size)]
-    elements = {0} | set(rhos)
-    frontier = set(elements)
-    while frontier:
-        new = set()
-        current = list(elements)
-        for a in frontier:
-            nega = _alex_interior(B, prime & ~a)
-            for b in current:
-                for c in (a & b, _regularize(B, a | b), a & _alex_interior(B, prime & ~b), b & nega):
-                    if c not in elements and c not in new:
-                        new.add(c)
-        elements |= new
-        frontier = new
-    els = tuple(sorted(elements))
-    index = {m: i for i, m in enumerate(els)}
-    k = len(els)
-    meet_t = [[0] * k for _ in range(k)]
-    join_t = [[0] * k for _ in range(k)]
-    diff_t = [[0] * k for _ in range(k)]
-    negs = [_alex_interior(B, prime & ~m) for m in els]
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            meet_t[i][j] = index[a & b]
-            join_t[i][j] = index[_regularize(B, a | b)]
-            diff_t[i][j] = index[a & negs[j]]
+    mp = meets_preceq(B)
+    atoms: dict[int, int] = {}
+    for v in bits(prime):
+        if der.preceq_down[v] & prime & ~der.preceq[v] == 0:
+            atoms[mp[v]] = atoms.get(mp[v], 0) | 1 << v
+    sigs = tuple(sorted(atoms))
     return RegularOpenAlgebra(
         B,
-        els,
-        tuple(tuple(r) for r in meet_t),
-        tuple(tuple(r) for r in join_t),
-        tuple(tuple(r) for r in diff_t),
-        tuple(index[r] for r in rhos),
+        sigs,
+        tuple(atoms[s] for s in sigs),
+        tuple(mask_from(i for i, s in enumerate(sigs) if s >> x & 1) for x in range(B.size)),
     )
 
 
+@lru_cache(maxsize=None)
+def _meeting(R: SubsetMask, n: int) -> int:
+    """The subsets of range(n) that meet R, as a bitset indexed by subset.
+    The cache is bounded: verify_fgrho calls it with n <= FGRHO_CAP."""
+    avoiding = 1
+    for b in range(n):
+        if not R >> b & 1:
+            avoiding |= avoiding << (1 << b)
+    return full_mask(1 << n) & ~avoiding
+
+
 def verify_fgrho(B: P0Set) -> Report:
-    """Exhaustive check that covering between finite subsets matches meet
-    versus regularized-join containment of their principal images."""
+    """Check that F covers G exactly when the meet of the rho(x) over F
+    lies below the join of the rho(x) over G, for all finite F, G.
+
+    For each F, both sides are bitsets over every G.  F covers G when G
+    meets, for each nonzero lower bound e of F, the elements meeting e.
+    On atom masks the meet over F lies below the join over G when G
+    meets the signature of each atom of the meet.  The witness is the
+    first mismatching (F, G) in ascending order.
+    """
     if B.size > FGRHO_CAP:
         raise CapExceeded(f"image cover equivalence capped at carrier {FGRHO_CAP}")
     n = B.size
-    prime = _prime_mask(B)
-    rhos = [rho(B, x) for x in range(n)]
-    cap = subset_fold(rhos, and_, prime)
-    vee = [_regularize(B, c) for c in subset_fold(rhos, or_, 0)]
-    fast = _covers_fast(B)
+    S = enveloping_algebra(B)
+    cap = subset_fold(S.rho_index, and_, full_mask(len(S.signatures)))
+    lbt, mp = lower_bound_table(B), meets_preceq(B)
+    zb = 1 << B.zero
+
+    def meeting_all(rows) -> int:
+        acc = full_mask(1 << n)
+        for r in rows:
+            acc &= _meeting(r, n)
+        return acc
+
+    # both sides depend on F only through (lbt[F], cap[F]); the distinct
+    # pairs, in order of first occurrence, keep the ascending witness
+    keys = list(zip(lbt, cap))
     w = None
-    for F in range(1 << n):
-        for G in range(1 << n):
-            if fast(F, G) != (cap[F] & ~vee[G] == 0):
-                w = (F, G)
-                break
-        if w:
+    for lb, c in dict.fromkeys(keys):
+        # meets_preceq is symmetric: its row e is {g : e meets g}
+        covered = meeting_all(mp[e] for e in bits(lb & ~zb))
+        below = meeting_all(S.signatures[i] for i in bits(c))
+        diff = covered ^ below
+        if diff:
+            w = (keys.index((lb, c)), (diff & -diff).bit_length() - 1)
             break
     return report("image_cover_equivalence", [Check("equivalence", w is None, w)])
 
@@ -591,17 +566,16 @@ def verify_fgrho(B: P0Set) -> Report:
 # universal factoring
 
 
-def factor_tight(beta: StructMapTotal, extension_order: str = "asc") -> StructMapTotal:
+def factor_tight(beta: StructMapTotal) -> StructMapTotal:
     """Factor a tightish representation through the enveloping algebra.
 
-    Values are forced in three stages: on the principal images, on their
-    finite meets, then finite joins, and finally through repeated
-    complement extensions of the current sublattice until it covers the
-    algebra.  Every forced value is consistency-checked; a clash raises
-    ConstructionIncomplete, which the factoring theorem rules out.  The
-    extension picks the lowest-index base point each round (highest with
-    extension_order="desc"; the result is order independent and the suite
-    compares both).
+    Atom i is the meet of the rho(x) with x in its signature, minus the
+    join of the other rho(x).  A homomorphism restricting to beta must
+    send it to the same expression in beta's values, and T to the join
+    of its atoms' values.  That map is a homomorphism when the atom values
+    are pairwise disjoint, and it restricts to beta when it sends each
+    rho(x) to beta(x).  The factoring theorem guarantees both; a failure
+    raises ConstructionIncomplete.
     """
     B, A = beta.source, beta.target
     props = map_properties(beta)
@@ -612,88 +586,22 @@ def factor_tight(beta: StructMapTotal, extension_order: str = "asc") -> StructMa
     S = enveloping_algebra(B)
     mtA, jtA = lattice_tables(A)
     rcA = _gba_relcomp_table(A)
-    k = len(S.elements)
-    values: dict[int, int] = {}
-
-    def assign(i: int, v: int):
-        old = values.get(i)
-        if old is None:
-            values[i] = v
-        elif old != v:
-            raise ConstructionIncomplete(
-                f"element {S.elements[i]:#b} forced to both {old} and {v}"
-            )
-
-    assign(0, A.zero)
-    for x in range(B.size):
-        assign(S.rho_index[x], beta.assignment[x])
-
-    def close(table, op):
-        changed = True
-        while changed:
-            changed = False
-            known = list(values.items())
-            for i, vi in known:
-                for j, vj in known:
-                    t = table[i][j]
-                    v = op(vi, vj)
-                    if t not in values:
-                        assign(t, v)
-                        changed = True
-                    else:
-                        assign(t, v)
-
-    close(S.meet_t, lambda a, b: mtA[a][b])
-    close(S.join_t, lambda a, b: jtA[a][b])
-
-    while len(values) < k:
-        grown = False
-        domain = sorted(values)
-        if extension_order == "desc":
-            domain = domain[::-1]
-        for x in domain:
-            adds = [
-                (S.join_t[y][S.diff_t[z][x]], y, z)
-                for y in sorted(values)
-                for z in sorted(values)
-                if S.join_t[y][S.diff_t[z][x]] not in values
-            ]
-            if not adds:
-                continue
-            vx = values[x]
-            for w, y, z in adds:
-                assign(w, jtA[values[y]][rcA[values[z]][vx]])
-            close(S.meet_t, lambda a, b: mtA[a][b])
-            close(S.join_t, lambda a, b: jtA[a][b])
-            grown = True
-            break
-        if not grown:
-            raise ConstructionIncomplete(
-                f"extension stalled with {len(values)} of {k} elements"
-            )
-    # re-derive every extension value once more for consistency
-    for x in list(values):
-        vx = values[x]
-        for y in list(values):
-            for z in list(values):
-                w = S.join_t[y][S.diff_t[z][x]]
-                assign(w, jtA[values[y]][rcA[values[z]][vx]])
-
+    img = beta.assignment
+    values = []
+    for sig in S.signatures:
+        meet = reduce(lambda a, b: mtA[a][b], (img[x] for x in bits(sig)))
+        rest = _join_fold(A, (img[x] for x in range(B.size) if not sig >> x & 1))
+        values.append(rcA[meet][rest])
+    for i, u in enumerate(values):
+        for j, v in enumerate(values[:i]):
+            if mtA[u][v] != A.zero:
+                raise ConstructionIncomplete(f"atoms {j} and {i} have overlapping values")
     pi = StructMapTotal(
-        S.as_p0set(), A, tuple(values[i] for i in range(k))
+        S.as_p0set(), A, subset_fold(values, lambda a, b: jtA[a][b], A.zero)
     )
     for x in range(B.size):
-        if pi.assignment[S.rho_index[x]] != beta.assignment[x]:
+        if pi.assignment[S.rho_index[x]] != img[x]:
             raise ConstructionIncomplete("factored map disagrees with the input")
-    # homomorphism property, forced by the construction
-    for i in range(k):
-        for j in range(k):
-            if (
-                pi.assignment[S.meet_t[i][j]] != mtA[pi.assignment[i]][pi.assignment[j]]
-                or pi.assignment[S.join_t[i][j]] != jtA[pi.assignment[i]][pi.assignment[j]]
-                or pi.assignment[S.diff_t[i][j]] != rcA[pi.assignment[i]][pi.assignment[j]]
-            ):
-                raise ConstructionIncomplete("factored map is not a homomorphism")
     return pi
 
 

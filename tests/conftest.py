@@ -53,3 +53,17 @@ def small_structures(max_n):
     for n in range(1, max_n + 1):
         out.extend(lab.enumerate_structures(n))
     return out
+
+
+def oracle_corpus():
+    """Every structure of size <= 4 and seeded random ones of size 5 to 9,
+    reflexive and not: the inputs on which closed forms meet the
+    enumeration oracles."""
+    import random
+
+    rng = random.Random(17)
+    out = small_structures(4)
+    for i in range(40):
+        out.append(lab.random_p0set(5 + i % 5, rng.getrandbits(32), i % 2 == 0,
+                                    rng.uniform(0.1, 0.6)))
+    return out

@@ -357,3 +357,148 @@ def coinitial_witness(beta):
         if a != A.zero and not any(le(A, t, a) for t in image):
             return (a,)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the tight spectrum and the enveloping algebra, by enumeration
+#
+# These are the routes the closed forms replaced: a submask scan for
+# characters, a pairwise scan for centred sets, and the worklist closure
+# of the principal regularizations.  Subsets are frozensets; the order and
+# meet relations are tabulated once per structure as plain matrices.
+
+
+@lru_cache(maxsize=None)
+def _matrices(B):
+    """le(B, z, c) and meets_refl(B, z, d) as nested lists."""
+    return (
+        [[le(B, z, c) for c in range(B.size)] for z in range(B.size)],
+        [[meets_refl(B, z, d) for d in range(B.size)] for z in range(B.size)],
+    )
+
+
+def _fast_covers(B, C, D):
+    le_, mr = _matrices(B)
+    return all(
+        z == B.zero or any(mr[z][d] for d in D)
+        for z in range(B.size)
+        if all(le_[z][c] for c in C)
+    )
+
+
+def scan_characters(B, require_empty_cover=True):
+    """One-sets M of the zero-preserving two-valued maps that violate no
+    cover: no subset F of M covers the complement of M.  The empty F is
+    skipped for tightish characters."""
+    nonzero = [x for x in range(B.size) if x != B.zero]
+    out = []
+    for M in subsets(nonzero):
+        if not M:
+            continue
+        comp = set(range(B.size)) - set(M)
+        if not any(
+            (F or require_empty_cover) and _fast_covers(B, F, comp) for F in subsets(M)
+        ):
+            out.append(frozenset(M))
+    return out
+
+
+def scan_maximal_centred(B):
+    """Maximal sets with a common nonzero lower bound, compared pairwise."""
+    le_, _ = _matrices(B)
+    centred = [
+        frozenset(C)
+        for C in subsets(range(B.size))
+        if any(z != B.zero and all(le_[z][c] for c in C) for z in range(B.size))
+    ]
+    return [C for C in centred if not any(C < D for D in centred)]
+
+
+def _regular_ops(B):
+    """(regularize, negate) on subsets of the punctured carrier."""
+    le_, _ = _matrices(B)
+    prime = [v for v in range(B.size) if v != B.zero]
+
+    def interior(Y):
+        return frozenset(v for v in prime if all(u in Y for u in prime if le_[u][v]))
+
+    def regularize(Y):
+        return interior({z for z in prime if any(le_[y][z] for y in Y)})
+
+    return regularize, lambda Y: interior(set(prime) - Y)
+
+
+@lru_cache(maxsize=None)
+def worklist_algebra(B):
+    """(elements, rho): the closure of the empty set and the principal
+    regularizations under intersection, regularized union and relative
+    complement, as a set of frozensets, and rho(x) for each x."""
+    le_, _ = _matrices(B)
+    regularize, negate = _regular_ops(B)
+    rho = [
+        regularize({v for v in range(B.size) if v != B.zero and le_[v][x]})
+        for x in range(B.size)
+    ]
+    elements = {frozenset()} | set(rho)
+    frontier = set(elements)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in list(elements):
+                for c in (a & b, regularize(a | b), a & negate(b), b & negate(a)):
+                    if c not in elements:
+                        new.add(c)
+        elements |= new
+        frontier = new
+    return elements, rho
+
+
+@lru_cache(maxsize=None)
+def _lattice_ops(A):
+    """Meet and join of the reflexivization, as dicts on index pairs."""
+    le_, _ = _matrices(A)
+
+    def extreme(cands, below):
+        return next(m for m in cands if all(le_[z][m] if below else le_[m][z] for z in cands))
+
+    pairs = [(a, b) for a in range(A.size) for b in range(A.size)]
+    meet = {
+        (a, b): extreme([z for z in range(A.size) if le_[z][a] and le_[z][b]], True)
+        for a, b in pairs
+    }
+    join = {
+        (a, b): extreme([z for z in range(A.size) if le_[a][z] and le_[b][z]], False)
+        for a, b in pairs
+    }
+    return meet, join
+
+
+def enumerate_factors(B, A, assignment):
+    """Every homomorphism from the worklist algebra of B to the algebra A
+    that sends each rho(x) to assignment[x], found by trying all values on
+    the atoms; each is a dict from element to value."""
+    elements, rho = worklist_algebra(B)
+    regularize, _ = _regular_ops(B)
+    atoms = [a for a in elements if a and not any(b and b < a for b in elements)]
+    meet, join = _lattice_ops(A)
+    below = [[i for i, a in enumerate(atoms) if a <= m] for m in rho]
+    out = []
+    for vals in product(range(A.size), repeat=len(atoms)):
+
+        def value(indices):
+            acc = A.zero
+            for i in indices:
+                acc = join[acc, vals[i]]
+            return acc
+
+        if any(value(below[x]) != assignment[x] for x in range(B.size)):
+            continue
+        pi = {m: value([i for i, a in enumerate(atoms) if a <= m]) for m in elements}
+        if all(
+            pi[m & n] == meet[pi[m], pi[n]]
+            and pi[regularize(m | n)] == join[pi[m], pi[n]]
+            for m in elements
+            for n in elements
+        ):
+            out.append(pi)
+    return out

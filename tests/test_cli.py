@@ -1,10 +1,11 @@
 import json
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from orderbench import cli
+from orderbench import cli, lab
 from orderbench.core import dump_structure
 
 
@@ -34,6 +35,19 @@ class TestExitCodes:
 
     def test_check_missing_file(self, tmp_path):
         assert cli.run(["check", str(tmp_path / "nope.json")]) == 2
+
+    def test_check_directory(self, tmp_path):
+        assert cli.run(["check", str(tmp_path)]) == 2
+
+    def test_check_binary_file(self, tmp_path):
+        junk = tmp_path / "junk.json"
+        junk.write_bytes(bytes(range(128, 256)))
+        assert cli.run(["check", str(junk)]) == 2
+
+    def test_map_with_non_path_source(self, files, tmp_path):
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps({"from": 5, "to": "p2.json", "map": [0, 1, 2]}))
+        assert cli.run(["envelope", files["e0"], "--map", str(mp)]) == 2
 
     def test_spectrum_chain_expected_failure_is_ok(self, files, capsys):
         assert cli.run(["spectrum", files["c2"]]) == 0
@@ -82,6 +96,47 @@ class TestExitCodes:
     def test_search_none_is_zero(self, capsys):
         assert cli.run(["search", "chain_respected", "--bound", "3",
                         "--budget", "50"]) == 0
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a call that runs past 20 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError("verb ran past its 20 s deadline")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+class TestWideCarriers:
+    """spectrum and envelope answer in bounded time up to the carrier cap."""
+
+    @pytest.mark.parametrize("family,n,k", [
+        ("antichain", 12, 12), ("antichain", 15, 15), ("chain", 13, 1),
+        ("diamond", 8, 8), ("powerset", 3, 3), ("powerset", 4, 4),
+        ("powerset", 5, 5),
+    ])
+    def test_answers(self, family, n, k, tmp_path, capsys, deadline):
+        path = tmp_path / "B.json"
+        path.write_text(dump_structure(lab.make_family(family, n)))
+        assert cli.run(["spectrum", str(path)]) == 0
+        assert f"tight characters: {k}" in capsys.readouterr().err
+        assert cli.run(["envelope", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert f"enveloping algebra: {2**k} elements, {k} atoms" in err
+
+    @pytest.mark.parametrize("family,n", [
+        ("antichain", 63), ("diamond", 62), ("powerset", 6),
+    ])
+    def test_at_the_cap(self, family, n, tmp_path, deadline):
+        path = tmp_path / "B.json"
+        path.write_text(dump_structure(lab.make_family(family, n)))
+        for verb in ("spectrum", "envelope"):
+            assert cli.run([verb, str(path)]) in (0, 2)
 
 
 class TestGen:

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import small_structures
+from conftest import oracle_corpus, small_structures
 from orderbench import lab, spectrum as sp, stone, tight as ti
 from orderbench.core import antisymmetry_violation, bits, p0set
 from orderbench.errors import NotClopen, NotOpen, NotPseudobasis
@@ -24,7 +24,17 @@ class TestTightCharacters:
     def test_tightish_equal_tight(self):
         # nonzero tightish characters are coinitial and hence tight
         for B in small_structures(4):
-            assert sp.tightish_characters(B).chars == sp.tight_characters(B).chars
+            got = {frozenset(bits(m)) for m in sp.tight_characters(B).chars}
+            assert got == set(oracles.scan_characters(B, require_empty_cover=False))
+
+    def test_matches_scans(self):
+        # the maximal rows against the submask and pairwise scans
+        for B in oracle_corpus():
+            chars = [frozenset(bits(m)) for m in sp.tight_characters(B).chars]
+            centred = [frozenset(bits(m)) for m in sp.maximal_centred_sets(B)]
+            assert len(set(chars)) == len(chars) and len(set(centred)) == len(centred)
+            assert set(chars) == set(oracles.scan_characters(B)), B.pairs()
+            assert set(centred) == set(oracles.scan_maximal_centred(B)), B.pairs()
 
     def test_characters_are_tight_maps(self, e0, c2, p2):
         two = lab.make_family("powerset", 1)
@@ -161,7 +171,7 @@ class TestSpectrumVsStone:
     def test_counts(self, e0, c2, w5):
         for B, k in ((e0, 2), (c2, 1), (w5, 2)):
             assert len(sp.tight_characters(B)) == k
-            assert len(ti.enveloping_algebra(B).atoms()) == k
+            assert len(ti.enveloping_algebra(B).signatures) == k
 
     def test_poset_reflexivizations_small(self):
         for B in small_structures(4):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import small_structures
+from conftest import oracle_corpus, small_structures
 from orderbench import lab, tight as ti
 from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
 from orderbench.errors import (
@@ -351,15 +351,14 @@ class TestMatchedTotalCover:
 
 class TestAlexandroff:
     def test_chain_regularization(self, c2):
-        ops = ti.alexandroff_ops(c2, 0b010)
-        assert ops.closure == 0b110
-        assert ops.regularize == 0b110
+        assert ti._alex_closure(c2, 0b010) == 0b110
+        assert ti._regularize(c2, 0b010) == 0b110
 
     def test_two_atoms_discrete(self, e0):
-        assert ti.alexandroff_ops(e0, 0b010).regularize == 0b010
+        assert ti._regularize(e0, 0b010) == 0b010
 
     def test_empty(self, p2):
-        assert ti.alexandroff_ops(p2, 0).regularize == 0
+        assert ti._regularize(p2, 0) == 0
 
     def test_matches_oracle(self, c2, p2, w5):
         for B in (c2, p2, w5):
@@ -367,17 +366,12 @@ class TestAlexandroff:
             for Y in range(1 << B.size):
                 if Y & ~prime:
                     continue
-                ops = ti.alexandroff_ops(B, Y)
                 cl, inte = oracles.naive_alexandroff(B, set(bits(Y)))
-                assert ops.closure == mask_from(cl)
-                assert ops.interior == mask_from(inte)
-                assert ops.regularize == mask_from(
+                assert ti._alex_closure(B, Y) == mask_from(cl)
+                assert ti._alex_interior(B, Y) == mask_from(inte)
+                assert ti._regularize(B, Y) == mask_from(
                     oracles.naive_regularize(B, set(bits(Y)))
                 )
-
-    def test_zero_rejected(self, c2):
-        with pytest.raises(PreconditionFailed):
-            ti.alexandroff_ops(c2, 0b001)
 
 
 class TestRho:
@@ -396,38 +390,46 @@ class TestRho:
                 assert ti.rho(B, B.zero) == 0
 
 
+def _masks(S):
+    return [S.mask(T) for T in range(1 << len(S.signatures))]
+
+
 class TestEnvelope:
     def test_two_atoms_envelope(self, e0, p2):
         S = ti.enveloping_algebra(e0)
-        assert S.elements == (0, 0b010, 0b100, 0b110)
+        assert _masks(S) == [0, 0b010, 0b100, 0b110]
         assert S.as_p0set().prec == p2.prec
 
     def test_chain_envelope(self, c2):
         S = ti.enveloping_algebra(c2)
-        assert S.elements == (0, 0b110)
+        assert _masks(S) == [0, 0b110]
 
     def test_powerset_embeds(self, p2):
         S = ti.enveloping_algebra(p2)
-        assert len(S.elements) == 4
+        assert len(_masks(S)) == 4
         assert len(set(S.rho_index)) == 4
 
     def test_tables_are_regular_closed(self):
+        # every element is a regular open, and the atom-mask operations
+        # are intersection, regularized union and relative complement
         for B in small_structures(4):
             S = ti.enveloping_algebra(B)
-            for m in S.elements:
+            masks = _masks(S)
+            prime = full_mask(B.size) & ~(1 << B.zero)
+            for T, m in enumerate(masks):
                 assert ti._regularize(B, m) == m
-            k = len(S.elements)
-            for i in range(k):
-                for j in range(k):
-                    assert S.elements[S.meet_t[i][j]] == S.elements[i] & S.elements[j]
+                for U, u in enumerate(masks):
+                    assert masks[T & U] == m & u
+                    assert masks[T | U] == ti._regularize(B, m | u)
+                    assert masks[T & ~U] == m & ti._alex_interior(B, prime & ~u)
 
     def test_finite_envelope_has_maximum(self):
         # the join of everything dominates each element, so the algebra is
         # a true Boolean algebra in the finite case
         for B in small_structures(4):
             S = ti.enveloping_algebra(B)
-            top = S.top_index()
-            assert all(m & ~S.elements[top] == 0 for m in S.elements)
+            masks = _masks(S)
+            assert all(m & ~masks[-1] == 0 for m in masks)
 
     def test_principal_map_tight_and_open_map_tight(self):
         # the two stage maps compose to the principal embedding, which is
@@ -516,6 +518,60 @@ class TestFgrho:
         assert ti.verify_fgrho(c2).passed
         assert ti.verify_fgrho(w5).passed
 
+    def test_witness_is_first_of_sweep(self, e0, p2, d3, w5, monkeypatch):
+        # the equivalence holds on every structure, so its witness shows
+        # only against a planted algebra: each rho(x) loses its lowest
+        # atom in turn (and that atom's signature loses x), and the witness
+        # must be the first mismatching pair of the sweep over all (F, G)
+        # in ascending order
+        import dataclasses
+
+        envelope = ti.enveloping_algebra
+        witnesses = 0
+        for B in (e0, p2, d3, w5):
+            S = envelope(B)
+            top = full_mask(len(S.signatures))
+            for x in range(B.size):
+                rows = list(S.rho_index)
+                rows[x] &= rows[x] - 1
+                planted = dataclasses.replace(
+                    S,
+                    signatures=tuple(
+                        mask_from(y for y, r in enumerate(rows) if r >> i & 1)
+                        for i in range(len(S.signatures))
+                    ),
+                    rho_index=tuple(rows),
+                )
+                monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=planted: p)
+
+                def cap(F):
+                    acc = top
+                    for f in bits(F):
+                        acc &= rows[f]
+                    return acc
+
+                def vee(G):
+                    acc = 0
+                    for g in bits(G):
+                        acc |= rows[g]
+                    return acc
+
+                expected = next(
+                    (
+                        (F, G)
+                        for F in range(1 << B.size)
+                        for G in range(1 << B.size)
+                        if oracles.naive_covers(B, set(bits(F)), set(bits(G)))
+                        != (cap(F) & ~vee(G) == 0)
+                    ),
+                    None,
+                )
+                rep = ti.verify_fgrho(B)
+                assert rep.passed == (expected is None)
+                assert rep["equivalence"].witness == expected, (B.pairs(), x)
+                witnesses += expected is not None
+        assert witnesses == 13
+
 
 class TestFactorTight:
     def test_atom_isomorphism(self, e0, p2):
@@ -528,7 +584,7 @@ class TestFactorTight:
         S = ti.enveloping_algebra(e0)
         rho_map = ti.struct_map(e0, S.as_p0set(), S.rho_index)
         pi = ti.factor_tight(rho_map)
-        assert pi.assignment == tuple(range(len(S.elements)))
+        assert pi.assignment == tuple(range(1 << len(S.signatures)))
 
     def test_chain_to_two_element(self, c2):
         p1 = lab.make_family("powerset", 1)
@@ -549,18 +605,8 @@ class TestFactorTight:
         with pytest.raises(PreconditionFailed):
             ti.factor_tight(beta)
 
-    def test_extension_order_independent(self, e0, p3):
-        for assign in product(range(8), repeat=2):
-            beta = ti.struct_map(e0, p3, (0,) + assign)
-            if not ti.map_properties(beta).holds("tightish"):
-                continue
-            a = ti.factor_tight(beta, extension_order="asc").assignment
-            b = ti.factor_tight(beta, extension_order="desc").assignment
-            assert a == b
-
     def test_random_medium_sources(self, p2, p3):
-        # exercise the meet/join closure and complement extensions on
-        # larger envelopes than the exhaustive sweep reaches
+        # factor through larger envelopes than the exhaustive sweep reaches
         import random
 
         from orderbench.core import antisymmetry_violation
@@ -586,9 +632,6 @@ class TestFactorTight:
                 pi.assignment[S.rho_index[x]] == beta.assignment[x]
                 for x in range(n)
             )
-            assert pi.assignment == ti.factor_tight(
-                beta, extension_order="desc"
-            ).assignment
             factored += 1
         assert factored == 40
 
@@ -596,8 +639,8 @@ class TestFactorTight:
         # seven disjoint atoms generate the full 128-element algebra
         B = lab.make_family("antichain", 7)
         S = ti.enveloping_algebra(B)
-        assert len(S.elements) == 128
-        assert len(S.atoms()) == 7
+        assert len(_masks(S)) == 128
+        assert len(S.signatures) == 7
         from orderbench import spectrum as sp
 
         assert len(sp.tight_characters(B)) == 7
@@ -639,7 +682,7 @@ class TestFactoringSuite:
         # other error is a bug and must not become a failure line
         from orderbench import suites
 
-        def broken(beta, extension_order="asc"):
+        def broken(beta):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(ti, "factor_tight", broken)
@@ -649,10 +692,66 @@ class TestFactoringSuite:
     def test_construction_failure_is_reported(self, monkeypatch):
         from orderbench import suites
 
-        def clash(beta, extension_order="asc"):
+        def clash(beta):
             raise ConstructionIncomplete("planted clash")
 
         monkeypatch.setattr(ti, "factor_tight", clash)
         result = suites.suite_universal_factoring()
         assert not result.passed
         assert result.details[0].startswith("0 tightish maps factored")
+
+
+class TestAgainstEnumeration:
+    """The closed-form algebra against the worklist closure of the
+    principal regularizations, and the factor against an enumeration of
+    the values on atoms."""
+
+    def test_algebra_matches_worklist(self):
+        for B in oracle_corpus():
+            S = ti.enveloping_algebra(B)
+            elements, rho = oracles.worklist_algebra(B)
+            masks = [frozenset(bits(m)) for m in _masks(S)]
+            assert len(set(masks)) == len(masks)
+            assert set(masks) == elements, B.pairs()
+            assert [masks[t] for t in S.rho_index] == rho, B.pairs()
+
+    def test_operations_on_masks(self):
+        # T -> mask(T) is an isomorphism onto the regular opens it reaches
+        for B in oracle_corpus():
+            S = ti.enveloping_algebra(B)
+            regularize, negate = oracles._regular_ops(B)
+            masks = [frozenset(bits(m)) for m in _masks(S)]
+            for T, m in enumerate(masks):
+                for U, u in enumerate(masks):
+                    assert masks[T & U] == m & u
+                    assert masks[T | U] == regularize(m | u)
+                    assert masks[T & ~U] == m & negate(u)
+
+    def test_atoms_are_the_characters(self):
+        # with no nonzero element below zero, atom i is the i-th character
+        from orderbench import spectrum as sp
+
+        checked = 0
+        for B in oracle_corpus():
+            if any(x != B.zero and oracles.le(B, x, B.zero) for x in range(B.size)):
+                continue
+            checked += 1
+            assert ti.enveloping_algebra(B).signatures == sp.tight_characters(B).chars
+        assert checked == 96
+
+    def test_factor_matches_enumeration(self, p2, p3):
+        count = 0
+        for B in small_structures(4):
+            S = ti.enveloping_algebra(B)
+            masks = [frozenset(bits(m)) for m in _masks(S)]
+            for A in (p2, p3):
+                for beta in ti.zero_preserving_maps(B, A):
+                    props = ti.map_properties(beta)
+                    if not (props.holds("tightish") and props.holds("representation")):
+                        continue
+                    found = oracles.enumerate_factors(B, A, beta.assignment)
+                    assert len(found) == 1, beta
+                    pi = ti.factor_tight(beta)
+                    assert pi.assignment == tuple(found[0][m] for m in masks), beta
+                    count += 1
+        assert count == 1824
