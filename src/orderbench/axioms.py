@@ -11,16 +11,19 @@ stay cheap.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, count
+from operator import or_
 
 from .core import (
     P0Set,
+    SubsetMask,
     bit_list,
     bits,
     derived_relations,
     full_mask,
     lattice_tables,
+    mask_from,
     order_predicates,
     prec_down,
 )
@@ -448,42 +451,56 @@ def type_bound(B: P0Set) -> int:
 
     A choice tuple contributes only its set of chosen pairs, and there are
     at most size**2 distinct pairs, so verdicts are constant from this
-    bound on.  The sweeps re-check stability at the bound plus one.
+    bound on.  The tests re-check stability at the bound plus one.
     """
     return B.size * B.size
 
 
-def _two_step_down(B: P0Set, y: int) -> int:
-    down = prec_down(B)
-    d2 = 0
-    for w in bits(down[y]):
-        d2 |= down[w]
-    return d2
+def _union(rows, mask: SubsetMask) -> SubsetMask:
+    return reduce(or_, (rows[i] for i in bits(mask)), 0)
+
+
+def _supports(mask: SubsetMask, n: int):
+    """The sets a level-n sentence can choose from `mask`, as masks.
+
+    Quantified variables need not be distinct, and each formula's failure
+    is monotone under enlarging the chosen set, so the n-element parts of
+    `mask` suffice, or `mask` itself once it has at most n elements.
+    """
+    if n < 1:
+        raise ValueError("type level must be >= 1")
+    if mask.bit_count() <= n:
+        return (mask,)
+    return [mask_from(vs) for vs in combinations(bit_list(mask), n)]
 
 
 def phi_holds(B: P0Set, x: int, y: int, n: int) -> bool:
     """Level-n interpolation-failure formula at (x, y).
 
     Literally: x < y and every choice of n pairs v_i < w_i < y admits a
-    nonzero x' < x disjoint from all v_i.  Only the set of chosen v_i
-    matters, and failure is monotone under enlarging that set (quantified
-    variables need not be distinct, so any choice pads out), hence the
-    sweep runs over supports of maximal admissible size.
+    nonzero x' < x disjoint from all v_i.  Only the set V of chosen v_i
+    matters: some x' works exactly when the nonzero x' < x are not all
+    among the elements meeting a member of V.
     """
-    if n < 1:
-        raise ValueError("type level must be >= 1")
+    down = prec_down(B)
+    supports = _supports(_union(down, down[y]), n)
     if not B.has(x, y):
         return False
+    meets = derived_relations(B).meets
+    lows = down[x] & ~(1 << B.zero)
+    return all(lows & ~_union(meets, V) for V in supports)
+
+
+def _psi_cover(B: P0Set, V: SubsetMask, z: int) -> SubsetMask:
+    """The elements disjoint from some nonzero z' < z disjoint from all of V."""
     der = derived_relations(B)
-    down = prec_down(B)
-    zb = 1 << B.zero
-    d2 = _two_step_down(B, y)
-    k = min(n, d2.bit_count())
-    lows = bit_list(down[x] & ~zb)
-    for vs in combinations(bit_list(d2), k):
-        if not any(all(der.perp[xp] >> v & 1 for v in vs) for xp in lows):
-            return False
-    return True
+    free = prec_down(B)[z] & ~_union(der.meets, V) & ~(1 << B.zero)
+    return _union(der.perp, free)
+
+
+def _psi_support(B: P0Set, x: int) -> SubsetMask:
+    """The v with v < w for some w disjoint from x."""
+    return _union(prec_down(B), derived_relations(B).perp[x])
 
 
 def psi_holds(B: P0Set, x: int, y: int, z: int, n: int) -> bool:
@@ -494,58 +511,91 @@ def psi_holds(B: P0Set, x: int, y: int, z: int, n: int) -> bool:
     v_i.  When nothing at all is disjoint from x the inner quantifier is
     vacuous and the formula reduces to x < y.
     """
-    if n < 1:
-        raise ValueError("type level must be >= 1")
+    supports = _supports(_psi_support(B, x), n)
     if not B.has(x, y):
         return False
+    if derived_relations(B).perp[x] == 0:
+        return True
+    dy = prec_down(B)[y]
+    return all(dy & ~_psi_cover(B, V, z) == 0 for V in supports)
+
+
+def _hits_within(rows, k: int) -> bool:
+    """Whether some set of at most k elements meets every mask in `rows`."""
+    if not rows:
+        return True
+    if k == 0:
+        return False
+    first = min(rows, key=int.bit_count)
+    return any(_hits_within([r for r in rows if not r >> w & 1], k - 1)
+               for w in bits(first))
+
+
+def _theta_failures(B: P0Set) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The pairs failing the type sentence at full support, in sweep order.
+
+    The level-n sentence fails at (x, y) when not x < y and some n-tuple
+    w_i < y leaves no nonzero v < x disjoint from all w_i, that is when at
+    most n elements of down[y] hit every row down[y] & meets[v], v a
+    nonzero element below x.  Hitting is monotone in the chosen set, so
+    the pairs failing at some level are those where W = down[y] hits every
+    row.  Each comes with its rows; the smallest hitting set is its first
+    failing level.
+    """
     der = derived_relations(B)
     down = prec_down(B)
     zb = 1 << B.zero
-    wpool = der.perp[x]
-    if wpool == 0:
-        return True
-    dpsi = 0
-    for w in bits(wpool):
-        dpsi |= down[w]
-    k = min(n, dpsi.bit_count())
-    lows = bit_list(down[z] & ~zb)
-    vsets = list(combinations(bit_list(dpsi), k))
-    for yp in bits(down[y]):
-        for vs in vsets:
-            if not any(
-                der.perp[zp] >> yp & 1 and all(der.perp[zp] >> v & 1 for v in vs)
-                for zp in lows
-            ):
-                return False
-    return True
-
-
-def theta_holds(B: P0Set, n: int) -> bool:
-    return theta_witness(B, n) is None
+    reach = [_union(der.meets, down[y]) for y in range(B.size)]
+    out = []
+    for x in range(B.size):
+        lows = down[x] & ~zb
+        for y in range(B.size):
+            if not B.has(x, y) and lows & ~reach[y] == 0:
+                out.append((x, y, tuple(down[y] & der.meets[v] for v in bits(lows))))
+    return tuple(out)
 
 
 def theta_witness(B: P0Set, n: int) -> tuple[int, int] | None:
     """First (x, y) violating the level-n sentence: whenever some n-tuple
     w_1..w_n < y leaves no nonzero v < x disjoint from all w_i, then x < y.
-    The antecedent is monotone under enlarging the w-set, so supports of
-    maximal size suffice.
     """
     if n < 1:
         raise ValueError("type level must be >= 1")
+    return _first_hit(_theta_failures(B), n)
+
+
+def _first_hit(failures, n: int) -> tuple[int, int] | None:
+    return next(((x, y) for x, y, rows in failures if _hits_within(rows, n)), None)
+
+
+def _phi_witness(B: P0Set) -> tuple[int, int] | None:
+    """First (x, y) where phi holds at the bound: x < y and a nonzero x' < x
+    is disjoint from every v < w < y."""
     der = derived_relations(B)
     down = prec_down(B)
     zb = 1 << B.zero
+    free = [~_union(der.meets, _union(down, down[y])) for y in range(B.size)]
+    return next(((x, y) for x in range(B.size) for y in bits(B.prec[x])
+                 if down[x] & ~zb & free[y]), None)
+
+
+def _psi_witness(B: P0Set) -> tuple[int, int, int] | None:
+    """First (x, y, z) where psi holds at the bound: x < y and every y' < y
+    is disjoint from some nonzero z' < z disjoint from the whole support."""
+    down = prec_down(B)
+    covers = {}
     for x in range(B.size):
-        lows = bit_list(down[x] & ~zb)
-        for y in range(B.size):
-            if B.has(x, y):
-                continue
-            k = min(n, down[y].bit_count())
-            for ws in combinations(bit_list(down[y]), k):
-                if not any(
-                    all(der.perp[v] >> w & 1 for w in ws) for v in lows
-                ):
-                    return (x, y)
+        if B.prec[x] == 0:
+            continue
+        if derived_relations(B).perp[x] == 0:
+            return (x, next(bits(B.prec[x])), 0)
+        V = _psi_support(B, x)
+        if V not in covers:
+            covers[V] = [_psi_cover(B, V, z) for z in range(B.size)]
+        for y in bits(B.prec[x]):
+            z = next((z for z, c in enumerate(covers[V]) if down[y] & ~c == 0), None)
+            if z is not None:
+                return (x, y, z)
     return None
 
 
@@ -553,6 +603,10 @@ def theta_witness(B: P0Set, n: int) -> tuple[int, int] | None:
 def check_basic_semilattice(B: P0Set) -> Report:
     """Meet semilattice + the core axioms + every type sentence up to the
     stabilization bound, with both failure types omitted.
+
+    Each type sentence is decided once, at its full support.  The theta
+    check reports the first failing level and, at that level, the first
+    failing pair; phi and psi report their first instance at the bound.
     """
     preds = order_predicates(B)
     msl = preds.holds("meet_semilattice")
@@ -567,38 +621,15 @@ def check_basic_semilattice(B: P0Set) -> Report:
     else:
         checks.append(Check("multiplicativity", None))
 
-    nstar = type_bound(B)
-    # Levels beyond the carrier size repeat supports, so verdicts are
-    # constant from there; sweep the distinct levels only.
     theta = Check("theta", True)
-    for lev in range(1, min(nstar, B.size) + 1):
-        w = theta_witness(B, lev)
-        if w is not None:
-            theta = Check("theta", False, (lev,) + w)
-            break
+    failures = _theta_failures(B)
+    if failures:
+        lev = next(lev for lev in count(1) if _first_hit(failures, lev))
+        theta = Check("theta", False, (lev,) + _first_hit(failures, lev))
     checks.append(theta)
-
-    phi_w = None
-    for x in range(B.size):
-        for y in bits(B.prec[x]):
-            if phi_holds(B, x, y, nstar):
-                phi_w = (x, y)
-                break
-        if phi_w:
-            break
+    phi_w = _phi_witness(B)
     checks.append(Check("phi_omitted", phi_w is None, phi_w))
-
-    psi_w = None
-    for x in range(B.size):
-        for y in bits(B.prec[x]):
-            for z in range(B.size):
-                if psi_holds(B, x, y, z, nstar):
-                    psi_w = (x, y, z)
-                    break
-            if psi_w:
-                break
-        if psi_w:
-            break
+    psi_w = _psi_witness(B)
     checks.append(Check("psi_omitted", psi_w is None, psi_w))
 
     passed = all(c.holds for c in checks)

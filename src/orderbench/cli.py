@@ -10,7 +10,8 @@ Exit codes: 2 for malformed input, 1 when a verified property that should
 hold fails (witnesses are in the report), 0 otherwise.  Classification
 results (a structure simply not being a basic lattice, say) are not
 failures.  Reports default to readable text; --format json emits the
-serialization with one entry per check.
+serialization with one entry per check, one object per suite for verify
+and the structure found (or null) for search.  gen always writes JSON.
 """
 
 from __future__ import annotations
@@ -165,7 +166,10 @@ def cmd_verify(args) -> int:
     for name in names:
         result = suites.run_suite(name, seed=args.seed)
         ok &= result.passed
-        print(result.render())
+        if args.format == "json":
+            print(json.dumps(result.to_json()), flush=True)
+        else:
+            print(result.render())
     return 0 if ok else 1
 
 
@@ -184,12 +188,15 @@ def cmd_gen(args) -> int:
 
 def cmd_search(args) -> int:
     found = lab.search_counterexample(args.suite, args.bound, args.budget, args.seed)
-    if found is None:
+    if args.format == "json":
+        doc = None if found is None else json.loads(dump_structure(found))
+        print(json.dumps({"counterexample": doc}))
+    elif found is None:
         print("no counterexample found")
-        return 0
-    print("counterexample:")
-    print(dump_structure(found))
-    return 1
+    else:
+        print("counterexample:")
+        print(dump_structure(found))
+    return 0 if found is None else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,12 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def verb(name, help, fn):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(fn=fn)
         return p
 
-    def structure_verb(name, help, fn):
+    def report_verb(name, help, fn):
         p = verb(name, help, fn)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
+
+    def structure_verb(name, help, fn):
+        p = report_verb(name, help, fn)
         p.add_argument("structure")
         p.add_argument("--max-size", type=int, default=None, help="override size caps downward")
         return p
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="map file to factor through the embedding")
     structure_verb("saturate", "saturated families and frame laws", cmd_saturate)
 
-    p = verb("verify", "run a named acceptance suite", cmd_verify)
+    p = report_verb("verify", "run a named acceptance suite", cmd_verify)
     p.add_argument("suite", choices=suites.CRITERIA + ["all"])
     p.add_argument("--seed", type=int, default=0)
 
@@ -230,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0)
 
-    p = verb("search", "search for a counterexample", cmd_search)
+    p = report_verb("search", "search for a counterexample", cmd_search)
     p.add_argument("suite")
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--budget", type=int, default=1000)

@@ -19,6 +19,7 @@ from .core import (
     full_mask,
     lattice_tables,
     load_linked,
+    mask_from,
     prec_down,
 )
 from .errors import (
@@ -276,13 +277,11 @@ def interpolator_from_map(
     f = tuple(f)
     if len(f) != X.points or any(not 0 <= t < Y.points for t in f):
         raise FormatError("point map has wrong shape")
-    for o in Y.opens:
-        pre = 0
-        for p, t in enumerate(f):
-            if o >> t & 1:
-                pre |= 1 << p
-        if not X.is_open(pre):
-            raise NotContinuous(f"preimage of {o:#b} is not open")
+    # opens are unions of minimal neighbourhoods and preimages keep unions,
+    # so the smallest open with a preimage that is not open is one of them
+    for u in sorted(set(Y.nbhd)):
+        if not X.is_open(mask_from(p for p, t in enumerate(f) if u >> t & 1)):
+            raise NotContinuous(f"preimage of {u:#b} is not open")
     source = basis_to_structure(X, BX)
     target = basis_to_structure(Y, BY)
     rows = []

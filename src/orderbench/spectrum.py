@@ -109,20 +109,18 @@ def is_pseudobasis(X: FiniteTopology, family) -> PseudobasisReport:
         cover |= o
     cover_ok = cover == fm
 
-    coin_w = None
-    for o in X.opens:
-        if o and not any(n and n & ~o == 0 for n in family):
-            coin_w = (o,)
-            break
+    # a nonempty open holds the minimal neighbourhood of each of its points,
+    # so the smallest open with no member inside is a minimal neighbourhood
+    coin_w = min(
+        ((u,) for u in set(X.nbhd) if not any(m and m & ~u == 0 for m in family)),
+        default=None,
+    )
 
-    t0_w = None
-    for p in range(X.points):
-        for q in range(p + 1, X.points):
-            if not any((o >> p & 1) != (o >> q & 1) for o in family):
-                t0_w = (p, q)
-                break
-        if t0_w:
-            break
+    sig = [point_filter(X, family, p) for p in range(X.points)]
+    t0_w = next(
+        ((p, q) for p in range(X.points) for q in range(p + 1, X.points) if sig[p] == sig[q]),
+        None,
+    )
 
     checks = [
         Check("minimum", minimum),
@@ -148,13 +146,7 @@ def spectrum_space(B: P0Set) -> FiniteTopology:
     from .core import antisymmetry_violation
 
     chars = tight_characters(B).chars
-    basis = []
-    for x in range(B.size):
-        o = 0
-        for i, M in enumerate(chars):
-            if M >> x & 1:
-                o |= 1 << i
-        basis.append(o)
+    basis = [mask_from(i for i, M in enumerate(chars) if M >> x & 1) for x in range(B.size)]
     X = discrete_topology(len(chars), basis)
     if antisymmetry_violation(B) is None:
         pb = is_pseudobasis(X, basis)

@@ -2,24 +2,25 @@
 
 The Stone space of a structure is its set of ultrafilters topologized by
 the basic opens O_x = {U : x in U}.  Spaces here are finite topologies:
-a point count plus the explicit family of open sets as bitmasks, with a
-designated basis whose index i records provenance (basis[i] was generated
-by carrier element i when the space came from a structure).
+a point count plus each point's minimal open neighbourhood as a bitmask,
+with a designated basis whose index i records provenance (basis[i] was
+generated by carrier element i when the space came from a structure).
 
 Finite filters are principal: each nonempty one is the strict up-set
 prec[z] of an element z with z < z, so filters and ultrafilters are read
 off the relation rows instead of found by a scan over all subsets.
 
-Closure of a set is computed inside the stored topology as the complement
-of the union of opens disjoint from it.  Compactness is automatic in
-finite spaces and never computed.
+Closure, interior and openness are read off the minimal neighbourhoods;
+the family of all opens is listed only when a topology is written out.
+Compactness is automatic in finite spaces and never computed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .core import (
     P0Set,
@@ -33,7 +34,6 @@ from .core import (
     prec_down,
 )
 from .errors import (
-    CapExceeded,
     FormatError,
     InternalCheckFailed,
     NotAFilter,
@@ -42,90 +42,70 @@ from .errors import (
 )
 from .report import Check, Report, report
 
-FILTER_CAP = 20
-
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """A finite point set with its open-set family and a designated basis.
+    """A finite point set, its topology, and a designated basis.
 
-    `opens` is sorted and closed under union and intersection, contains
-    the empty set, and every open is a union of basis members (checked at
-    construction).  `basis` is positional: entry i is the open generated
-    by element i of the originating structure, when there is one.
+    `nbhd[p]` is the minimal open neighbourhood U_p of point p, the meet
+    of the opens containing it.  Every open is the union of the U_p of its
+    points, so a set is open exactly when it contains the U_p of each of
+    its points, and the opens are never listed.  A discrete space has
+    U_p = {p}.  `basis` is positional: entry i is the open generated by
+    element i of the originating structure, when there is one.
     """
 
     points: int
-    opens: tuple[SubsetMask, ...]
+    nbhd: tuple[SubsetMask, ...]
     basis: tuple[SubsetMask, ...]
 
-    def is_open(self, mask: SubsetMask) -> bool:
-        return mask in self._open_set()
-
-    def _open_set(self) -> frozenset:
-        return _open_lookup(self)
-
     def closure(self, mask: SubsetMask) -> SubsetMask:
-        """Complement of the union of opens disjoint from `mask`."""
-        away = 0
-        for o in self.opens:
-            if o & mask == 0:
-                away |= o
-        return full_mask(self.points) & ~away
+        """The points every open neighbourhood of which meets `mask`."""
+        return mask_from(p for p, u in enumerate(self.nbhd) if u & mask)
 
     def interior(self, mask: SubsetMask) -> SubsetMask:
-        inside = 0
-        for o in self.opens:
-            if o & ~mask == 0:
-                inside |= o
-        return inside
+        return mask_from(p for p, u in enumerate(self.nbhd) if u & ~mask == 0)
 
-
-@lru_cache(maxsize=4096)
-def _open_lookup(X: FiniteTopology) -> frozenset:
-    return frozenset(X.opens)
-
-
-def _union_closure(points: int, seeds) -> tuple[int, ...]:
-    opens = {0} | set(seeds)
-    frontier = set(opens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in opens:
-                u = a | b
-                if u not in opens and u not in new:
-                    new.add(u)
-        opens |= new
-        frontier = new
-    return tuple(sorted(opens))
+    def is_open(self, mask: SubsetMask) -> bool:
+        return self.interior(mask) == mask
 
 
 def topology_from_basis(points: int, basis) -> FiniteTopology:
-    """Generate the topology whose opens are the unions of `basis`.
+    """The topology whose opens are the unions of `basis`.
 
-    The basis members must be pairwise intersection-compatible (every
-    pairwise intersection is again a union of members); otherwise the
-    family is not a basis and NotOpen is raised.
+    The members must cover the points and be intersection-compatible:
+    for a, b in the family and p in both, some member containing p lies
+    inside a & b.  Over finitely many members that holds exactly when the
+    meet of the members containing p is itself a member, which is then
+    U_p.  Otherwise the family is not a basis and NotOpen is raised.
     """
     basis = tuple(basis)
     fm = full_mask(points)
     if any(b & ~fm for b in basis):
         raise NotOpen("basis member outside the point set")
-    opens = _union_closure(points, basis)
-    X = FiniteTopology(points, opens, basis)
-    lookup = frozenset(opens)
-    for a in basis:
-        for b in basis:
-            if a & b not in lookup:
-                raise NotOpen(f"family is not a basis: {a & b:#b} not a union of members")
-    return X
+    members = set(basis)
+    nbhd = []
+    for p in range(points):
+        above = [b for b in basis if b >> p & 1]
+        if not above:
+            raise NotOpen(f"basis does not cover point {p}")
+        u = reduce(and_, above)
+        if u not in members:
+            raise NotOpen(f"family is not a basis: {u:#b} not a union of members")
+        nbhd.append(u)
+    return FiniteTopology(points, tuple(nbhd), basis)
 
 
 def discrete_topology(points: int, basis) -> FiniteTopology:
-    if points > 16:
-        raise CapExceeded("discrete open family beyond 2**16 sets")
-    return FiniteTopology(points, tuple(range(1 << points)), tuple(basis))
+    return FiniteTopology(points, tuple(1 << p for p in range(points)), tuple(basis))
+
+
+def all_opens(X: FiniteTopology) -> list[SubsetMask]:
+    """Every open set, ascending: the unions of minimal neighbourhoods."""
+    opens = {0}
+    for u in set(X.nbhd):
+        opens |= {o | u for o in opens}
+    return sorted(opens)
 
 
 def load_topology(text: str) -> FiniteTopology:
@@ -148,8 +128,8 @@ def load_topology(text: str) -> FiniteTopology:
     opens = sorted({to_mask(o) for o in doc["opens"]})
     basis = [to_mask(b) for b in doc["basis"]]
     lookup = set(opens)
-    if 0 not in lookup:
-        raise FormatError("opens must contain the empty set")
+    if 0 not in lookup or full_mask(points) not in lookup:
+        raise FormatError("opens must contain the empty set and every point")
     for a in opens:
         for b in opens:
             if a | b not in lookup or a & b not in lookup:
@@ -163,14 +143,14 @@ def load_topology(text: str) -> FiniteTopology:
                 span |= b
         if span != o:
             raise FormatError("an open is not a union of basis members")
-    return FiniteTopology(points, tuple(opens), tuple(basis))
+    return topology_from_basis(points, basis)
 
 
 def dump_topology(X: FiniteTopology) -> str:
     return json.dumps(
         {
             "points": X.points,
-            "opens": [bit_list(o) for o in X.opens],
+            "opens": [bit_list(o) for o in all_opens(X)],
             "basis": [bit_list(b) for b in X.basis],
         }
     )
@@ -210,8 +190,6 @@ def enumerate_filters(B: P0Set) -> list[SubsetMask]:
     of testing all 2**n subsets (`tests/oracles.naive_filters` keeps that
     route).
     """
-    if B.size > FILTER_CAP:
-        raise CapExceeded(f"filter enumeration capped at {FILTER_CAP}")
     return sorted({0} | {B.prec[z] for z in range(B.size) if B.has(z, z)})
 
 
@@ -306,15 +284,7 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
 def stone_space(B: P0Set) -> FiniteTopology:
     """Points are the ultrafilters; basis entry x is {U : x in U}."""
     ults = enumerate_ultrafilters(B)
-    if len(ults) > 16:
-        raise CapExceeded("Stone space beyond 16 points")
-    basis = []
-    for x in range(B.size):
-        o = 0
-        for i, U in enumerate(ults):
-            if U >> x & 1:
-                o |= 1 << i
-        basis.append(o)
+    basis = [mask_from(i for i, U in enumerate(ults) if U >> x & 1) for x in range(B.size)]
     try:
         return topology_from_basis(len(ults), basis)
     except NotOpen as exc:  # directedness of filters guarantees a basis
@@ -348,9 +318,8 @@ def verify_duality(B: P0Set) -> Report:
     w_perp = sweep_pairs(
         lambda x, y: (O[x] & O[y] == 0) == (der.perp[x] >> y & 1 == 1)
     )
-    w_sub = sweep_pairs(
-        lambda x, y: (X.closure(O[x]) & ~O[y] == 0) == B.has(x, y)
-    )
+    cl = [X.closure(o) for o in O]
+    w_sub = sweep_pairs(lambda x, y: (cl[x] & ~O[y] == 0) == B.has(x, y))
 
     fm = full_mask(X.points)
     w_cl = None
@@ -358,22 +327,16 @@ def verify_duality(B: P0Set) -> Report:
         inter = fm
         for y in bits(B.prec[x]):
             inter &= O[y]
-        if X.closure(O[x]) != inter:
+        if cl[x] != inter:
             w_cl = (x,)
             break
 
-    w_haus = None
-    for p in range(X.points):
-        for q in range(p + 1, X.points):
-            if not any(
-                a >> p & 1 and b >> q & 1 and a & b == 0
-                for a in X.opens
-                for b in X.opens
-            ):
-                w_haus = (p, q)
-                break
-        if w_haus:
-            break
+    # disjoint opens around p and q exist iff U_p and U_q are disjoint
+    U = X.nbhd
+    w_haus = next(
+        ((p, q) for p in range(X.points) for q in range(p + 1, X.points) if U[p] & U[q]),
+        None,
+    )
 
     w_iso = None
     for x in range(n):

@@ -34,6 +34,10 @@ class SuiteResult:
         head = f"[suite {self.name}] {'PASS' if self.passed else 'FAIL'} ({self.seconds:.2f}s)"
         return "\n".join([head] + [f"  {line}" for line in self.details])
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": bool(self.passed),
+                "details": list(self.details), "seconds": self.seconds}
+
 
 @lru_cache(maxsize=None)
 def catalog(max_n: int) -> tuple[P0Set, ...]:

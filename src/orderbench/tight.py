@@ -572,10 +572,14 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
     Atom i is the meet of the rho(x) with x in its signature, minus the
     join of the other rho(x).  A homomorphism restricting to beta must
     send it to the same expression in beta's values, and T to the join
-    of its atoms' values.  That map is a homomorphism when the atom values
-    are pairwise disjoint, and it restricts to beta when it sends each
-    rho(x) to beta(x).  The factoring theorem guarantees both; a failure
-    raises ConstructionIncomplete.
+    of its atoms' values.  The subtraction changes nothing: the signature
+    is the set of elements meeting a minimal open v, so an x outside it
+    does not meet v, and a tightish map sends the two to disjoint values;
+    the meet lies below beta(v), so it is already disjoint from beta(x).
+    The map is a homomorphism when the atom values are pairwise disjoint,
+    and it restricts to beta when it sends each rho(x) to beta(x).  The
+    factoring theorem guarantees both; a failure raises
+    ConstructionIncomplete.
     """
     B, A = beta.source, beta.target
     props = map_properties(beta)
@@ -585,13 +589,9 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
         raise PreconditionFailed("factoring needs an algebra target")
     S = enveloping_algebra(B)
     mtA, jtA = lattice_tables(A)
-    rcA = _gba_relcomp_table(A)
     img = beta.assignment
-    values = []
-    for sig in S.signatures:
-        meet = reduce(lambda a, b: mtA[a][b], (img[x] for x in bits(sig)))
-        rest = _join_fold(A, (img[x] for x in range(B.size) if not sig >> x & 1))
-        values.append(rcA[meet][rest])
+    values = [reduce(lambda a, b: mtA[a][b], (img[x] for x in bits(sig)))
+              for sig in S.signatures]
     for i, u in enumerate(values):
         for j, v in enumerate(values[:i]):
             if mtA[u][v] != A.zero:

@@ -67,3 +67,24 @@ def oracle_corpus():
         out.append(lab.random_p0set(5 + i % 5, rng.getrandbits(32), i % 2 == 0,
                                     rng.uniform(0.1, 0.6)))
     return out
+
+
+def topology_corpus():
+    """(points, basis) pairs: every topology on at most 4 points, with all
+    its opens as the basis, and seeded random bases on 5 to 7 points,
+    random sets closed under intersection with every point covered."""
+    import random
+
+    import oracles
+
+    out = [(k, opens) for k in range(5) for opens in oracles.every_topology(k)]
+    rng = random.Random(23)
+    for i in range(60):
+        k = 5 + i % 3
+        fam = {rng.getrandbits(k) for _ in range(rng.randint(1, 6))} | {(1 << k) - 1}
+        more = fam
+        while more:
+            more = {a & b for a in fam for b in fam} - fam
+            fam |= more
+        out.append((k, sorted(fam)))
+    return out

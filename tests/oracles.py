@@ -138,6 +138,82 @@ def naive_theta(B, n):
     return True
 
 
+# ---------------------------------------------------------------------------
+# the type sentences, by the level sweep
+#
+# The route the full-support tests replaced: every set of min(n, |pool|)
+# chosen elements is tried, and the report's theta level is found by
+# sweeping the levels upwards.
+
+
+@lru_cache(maxsize=256)
+def _type_relations(B):
+    n = B.size
+    low = [sorted(down(B, y)) for y in range(n)]
+    meet = [[meets(B, a, b) for b in range(n)] for a in range(n)]
+    return low, meet
+
+
+def sweep_theta_witness(B, n):
+    low, meet = _type_relations(B)
+    for x in range(B.size):
+        lows = [v for v in low[x] if v != B.zero]
+        for y in range(B.size):
+            if B.has(x, y):
+                continue
+            for ws in combinations(low[y], min(n, len(low[y]))):
+                if all(any(meet[v][w] for w in ws) for v in lows):
+                    return (x, y)
+    return None
+
+
+def sweep_phi(B, x, y, n):
+    if not B.has(x, y):
+        return False
+    low, meet = _type_relations(B)
+    d2 = sorted({v for w in low[y] for v in low[w]})
+    lows = [xp for xp in low[x] if xp != B.zero]
+    return all(
+        any(not any(meet[xp][v] for v in vs) for xp in lows)
+        for vs in combinations(d2, min(n, len(d2)))
+    )
+
+
+def sweep_psi(B, x, y, z, n):
+    if not B.has(x, y):
+        return False
+    low, meet = _type_relations(B)
+    wpool = [w for w in range(B.size) if not meet[x][w]]
+    if not wpool:
+        return True
+    dpsi = sorted({v for w in wpool for v in low[w]})
+    lows = [zp for zp in low[z] if zp != B.zero]
+    return all(
+        any(not meet[zp][yp] and not any(meet[zp][v] for v in vs) for zp in lows)
+        for yp in low[y]
+        for vs in combinations(dpsi, min(n, len(dpsi)))
+    )
+
+
+def sweep_type_witnesses(B):
+    """(theta, phi, psi) witnesses of the basic-semilattice report: theta
+    as (level, x, y) at the first failing level, phi and psi at the bound
+    size**2, each the first in ascending order, or None."""
+    n = B.size
+    theta = None
+    for lev in range(1, n + 1):
+        w = sweep_theta_witness(B, lev)
+        if w is not None:
+            theta = (lev,) + w
+            break
+    bound = n * n
+    phi = next(((x, y) for x in range(n) for y in range(n)
+                if sweep_phi(B, x, y, bound)), None)
+    psi = next(((x, y, z) for x in range(n) for y in range(n) if B.has(x, y)
+                for z in range(n) if sweep_psi(B, x, y, z, bound)), None)
+    return theta, phi, psi
+
+
 def naive_tight_characters(B):
     """One-sets of tight characters by the literal cover-preservation
     definition against the two-element algebra."""
@@ -502,3 +578,115 @@ def enumerate_factors(B, A, assignment):
         ):
             out.append(pi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# finite topologies as lists of opens
+#
+# The representation minimal neighbourhoods replaced: every open is stored,
+# generated from a basis by closing under unions, and closure, interior,
+# continuity, separation and coinitiality quantify over the opens.  Sets of
+# points are bitmasks.
+
+
+def opens_generated(basis):
+    """Every union of members of `basis`, the empty one included, sorted."""
+    opens = {0}
+    frontier = set(basis)
+    while frontier:
+        opens |= frontier
+        frontier = {a | b for a in frontier for b in opens} - opens
+    return sorted(opens)
+
+
+class OpensTopology:
+    def __init__(self, points, opens):
+        self.points = points
+        self.full = (1 << points) - 1
+        self.opens = sorted(opens)
+        self._lookup = set(self.opens)
+
+    def is_open(self, mask):
+        return mask in self._lookup
+
+    def closure(self, mask):
+        away = 0
+        for o in self.opens:
+            if o & mask == 0:
+                away |= o
+        return self.full & ~away
+
+    def interior(self, mask):
+        inside = 0
+        for o in self.opens:
+            if o & ~mask == 0:
+                inside |= o
+        return inside
+
+
+def every_topology(points):
+    """Every topology on `points` points as its sorted opens: the down-sets
+    of each preorder (reflexive, transitive relation) on the points."""
+    cells = [(p, q) for p in range(points) for q in range(points) if p != q]
+    out = []
+    for choice in product((False, True), repeat=len(cells)):
+        rel = {c for c, on in zip(cells, choice) if on}
+        if any((p, r) not in rel for p, q in rel for q2, r in rel if q == q2 and p != r):
+            continue
+        out.append([
+            m for m in range(1 << points)
+            if all(m >> p & 1 for p, q in rel if m >> q & 1)
+        ])
+    return out
+
+
+def sweep_continuity(X, Y, f):
+    """The first open of Y, ascending, whose preimage under f is not open."""
+    for o in Y.opens:
+        pre = sum(1 << p for p, t in enumerate(f) if o >> t & 1)
+        if not X.is_open(pre):
+            return o
+    return None
+
+
+def sweep_pseudobasis(X, family):
+    """(minimum, cover, coinitiality witness, t0 witness, clopen flags)."""
+    cover = 0
+    for o in family:
+        cover |= o
+    coin = next(
+        ((o,) for o in X.opens if o and not any(m and m & ~o == 0 for m in family)),
+        None,
+    )
+    t0 = next(
+        ((p, q) for p in range(X.points) for q in range(p + 1, X.points)
+         if all((o >> p & 1) == (o >> q & 1) for o in family)),
+        None,
+    )
+    clopen = tuple(X.is_open(X.full & ~o) for o in family)
+    return 0 in family, cover == X.full, coin, t0, clopen
+
+
+def sweep_duality_topology(B, X, basis):
+    """(sub_prec, ox_closure, hausdorff) witnesses of the duality report on
+    the space X with basic opens `basis`, or None for each."""
+    n = B.size
+    cl = [X.closure(o) for o in basis]
+    sub = next(((x, y) for x in range(n) for y in range(n)
+                if (cl[x] & ~basis[y] == 0) != B.has(x, y)), None)
+
+    def meet_above(x):
+        inter = X.full
+        for y in range(n):
+            if B.has(x, y):
+                inter &= basis[y]
+        return inter
+
+    ox = next(((x,) for x in range(n) if cl[x] != meet_above(x)), None)
+    haus = next(
+        ((p, q) for p in range(X.points) for q in range(p + 1, X.points)
+         if not any(a >> p & 1 and b >> q & 1 and a & b == 0
+                    for a in X.opens for b in X.opens)),
+        None,
+    )
+    return sub, ox, haus

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -135,10 +137,9 @@ class TestTypeFormulas:
     def test_theta_matches_tuple_oracle(self, e0, c2, p2):
         for B in (e0, c2, p2):
             for n in (1, 2):
-                assert axioms.theta_holds(B, n) == oracles.naive_theta(B, n)
+                assert (axioms.theta_witness(B, n) is None) == oracles.naive_theta(B, n)
 
     def test_chain_fails_theta_one(self, c2):
-        assert axioms.theta_holds(c2, 1) is False
         assert axioms.theta_witness(c2, 1) == (2, 1)
 
     def test_monotone_in_level(self):
@@ -154,7 +155,7 @@ class TestTypeFormulas:
                         y,
                         vals,
                     )
-            tvals = [axioms.theta_holds(B, n) for n in (1, 2, 3, 4)]
+            tvals = [axioms.theta_witness(B, n) is None for n in (1, 2, 3, 4)]
             assert all(b or not a for b, a in zip(tvals, tvals[1:]))
 
     def test_psi_monotone_small(self):
@@ -172,7 +173,8 @@ class TestTypeFormulas:
         for B in small_structures(4):
             for n in (1, 2, 3):
                 total += 1
-                if axioms.theta_holds(B, n) and not axioms.theta_holds(B, n + 1):
+                if (axioms.theta_witness(B, n) is None
+                        and axioms.theta_witness(B, n + 1) is not None):
                     flips += 1
         print(f"theta level-up flips: {flips} of {total}")
         assert total > 0
@@ -186,11 +188,49 @@ class TestTypeFormulas:
                     assert axioms.phi_holds(B, x, y, nstar) == axioms.phi_holds(
                         B, x, y, nstar + 1
                     )
-            assert axioms.theta_holds(B, nstar) == axioms.theta_holds(B, nstar + 1)
+            assert (axioms.theta_witness(B, nstar) is None) == (
+                axioms.theta_witness(B, nstar + 1) is None
+            )
 
     def test_level_validation(self, e0):
         with pytest.raises(ValueError):
             axioms.phi_holds(e0, 1, 1, 0)
+
+
+class TestLevelSweepOracle:
+    """Full-support decisions against the level sweep they replaced."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(29)
+        return small_structures(5) + [
+            lab.random_p0set(6 + i % 5, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.1, 0.6))
+            for i in range(100)
+        ]
+
+    def test_report_witnesses(self):
+        # theta fails first at levels 1, 2 and 3 in this corpus, and phi and
+        # psi are omitted in every combination
+        levels = set()
+        for B in self.corpus():
+            rep = axioms.check_basic_semilattice(B)
+            got = tuple(rep[c].witness for c in ("theta", "phi_omitted", "psi_omitted"))
+            assert got == oracles.sweep_type_witnesses(B), B.pairs()
+            levels.add(got[0] and got[0][0])
+        assert levels == {None, 1, 2, 3}
+
+    def test_each_level(self):
+        for B in self.corpus()[::13]:
+            for n in (1, 2, 3):
+                assert axioms.theta_witness(B, n) == oracles.sweep_theta_witness(B, n)
+            for x in range(min(B.size, 6)):
+                for y in range(min(B.size, 6)):
+                    for n in (1, 2):
+                        assert axioms.phi_holds(B, x, y, n) == oracles.sweep_phi(B, x, y, n)
+                        for z in range(min(B.size, 4)):
+                            assert axioms.psi_holds(B, x, y, z, n) == oracles.sweep_psi(
+                                B, x, y, z, n
+                            ), (B.pairs(), x, y, z, n)
 
 
 class TestBasicSemilattice:
@@ -209,7 +249,7 @@ class TestBasicSemilattice:
     def test_reflexive_theta_one_is_separativity(self):
         for n in range(1, 6):
             for B in lab.enumerate_structures(n, reflexive_only=True):
-                assert axioms.theta_holds(B, 1) == bool(
+                assert (axioms.theta_witness(B, 1) is None) == bool(
                     order_predicates(B).holds("separative")
                 ), B.pairs()
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from orderbench import cli, lab
-from orderbench.core import dump_structure
+from orderbench.core import dump_structure, load_structure
 
 
 @pytest.fixture()
@@ -112,31 +112,56 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-class TestWideCarriers:
-    """spectrum and envelope answer in bounded time up to the carrier cap."""
+WIDE = [
+    ("antichain", 12, 12), ("antichain", 15, 15), ("chain", 13, 1),
+    ("diamond", 8, 8), ("powerset", 3, 3), ("powerset", 4, 4),
+    ("powerset", 5, 5),
+]
 
-    @pytest.mark.parametrize("family,n,k", [
-        ("antichain", 12, 12), ("antichain", 15, 15), ("chain", 13, 1),
-        ("diamond", 8, 8), ("powerset", 3, 3), ("powerset", 4, 4),
-        ("powerset", 5, 5),
-    ])
-    def test_answers(self, family, n, k, tmp_path, capsys, deadline):
+
+class TestWideCarriers:
+    """The verbs answer in bounded time up to the carrier cap.  k is the
+    closed-form count of ultrafilters, tight characters and atoms."""
+
+    @staticmethod
+    def write(tmp_path, family, n):
         path = tmp_path / "B.json"
         path.write_text(dump_structure(lab.make_family(family, n)))
-        assert cli.run(["spectrum", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("family,n,k", WIDE)
+    def test_answers(self, family, n, k, tmp_path, capsys, deadline):
+        path = self.write(tmp_path, family, n)
+        assert cli.run(["spectrum", path]) == 0
         assert f"tight characters: {k}" in capsys.readouterr().err
-        assert cli.run(["envelope", str(path)]) == 0
+        assert cli.run(["envelope", path]) == 0
         err = capsys.readouterr().err
         assert f"enveloping algebra: {2**k} elements, {k} atoms" in err
+
+    @pytest.mark.parametrize("family,n,k", WIDE + [("powerset", 6, 6), ("antichain", 63, 63)])
+    def test_check_and_stone(self, family, n, k, tmp_path, capsys, deadline):
+        # powersets are basic lattices, and every family but the chain is a
+        # basic semilattice
+        path = self.write(tmp_path, family, n)
+        assert cli.run(["check", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        semilattice = all(c["holds"] for c in doc["basic_semilattice"])
+        assert semilattice == (family != "chain")
+        assert cli.run(["stone", path, "--format", "json"]) == 0
+        out = capsys.readouterr()
+        assert f"ultrafilters: {k}  points: {k}" in out.err
+        doc = json.loads(out.out)
+        assert len(doc["ultrafilters"]) == doc["points"] == k
+        assert ("duality" in doc) == (family == "powerset")
 
     @pytest.mark.parametrize("family,n", [
         ("antichain", 63), ("diamond", 62), ("powerset", 6),
     ])
-    def test_at_the_cap(self, family, n, tmp_path, deadline):
-        path = tmp_path / "B.json"
-        path.write_text(dump_structure(lab.make_family(family, n)))
-        for verb in ("spectrum", "envelope"):
-            assert cli.run([verb, str(path)]) in (0, 2)
+    def test_at_the_cap(self, family, n, tmp_path, capsys, deadline):
+        path = self.write(tmp_path, family, n)
+        for verb in ("spectrum", "envelope", "stone"):
+            assert cli.run([verb, path]) == 0
+        assert f"tight characters: {n}" in capsys.readouterr().err
 
 
 class TestGen:
@@ -165,6 +190,28 @@ class TestJsonFormat:
         for entries in doc.values():
             for e in entries:
                 assert set(e) == {"axiom", "holds", "witness"}
+
+    def test_verify_json(self, capsys):
+        assert cli.run(["verify", "type_witness", "--format", "json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert set(doc) == {"name", "passed", "details", "seconds"}
+        assert doc["name"] == "type_witness" and doc["passed"] is True
+        assert doc["details"] and all(isinstance(d, str) for d in doc["details"])
+
+    def test_search_json(self, capsys):
+        assert cli.run(["search", "decomposition_holds", "--bound", "0",
+                        "--budget", "1", "--format", "json"]) == 1
+        found = json.loads(capsys.readouterr().out)["counterexample"]
+        assert load_structure(json.dumps(found)).size == found["size"]
+        assert cli.run(["search", "chain_respected", "--bound", "3",
+                        "--budget", "50", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"counterexample": None}
+
+    def test_gen_takes_no_format(self):
+        # gen always writes JSON, so it refuses the flag
+        assert cli.run(["gen", "chain", "2", "--format", "json"]) == 2
 
     def test_witness_serializes_as_ints(self, files, capsys):
         cli.run(["check", files["c2"], "--format", "json"])

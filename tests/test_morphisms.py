@@ -1,7 +1,10 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
+import oracles
 from conftest import small_structures
 from orderbench import axioms, morphisms as mo, stone
 from orderbench.core import bits, dump_structure, full_mask
@@ -125,6 +128,37 @@ class TestStoneMaps:
         Y = stone.discrete_topology(2, [0, 1, 2, 3])
         with pytest.raises(NotContinuous):
             mo.interpolator_from_map(X, Y, (0, 1), [0, 0b01, 0b11], [0, 1, 2, 3])
+
+    def test_against_opens_list(self):
+        # every map between topologies on at most 2 points, and random maps
+        # between topologies on at most 3 points
+        tops = [(k, opens) for k in range(4) for opens in oracles.every_topology(k)]
+        small = [t for t in tops if t[0] <= 2]
+        cases = [(s, t, f) for s in small for t in small
+                 for f in product(range(t[0]), repeat=s[0])]
+        rng = random.Random(5)
+        while len(cases) < 600:
+            s, t = rng.choice(tops), rng.choice(tops)
+            if t[0]:
+                cases.append((s, t, tuple(rng.randrange(t[0]) for _ in range(s[0]))))
+        outcomes = set()
+        for (k, ox), (m, oy), f in cases:
+            X, Y = stone.topology_from_basis(k, ox), stone.topology_from_basis(m, oy)
+            OX, OY = oracles.OpensTopology(k, ox), oracles.OpensTopology(m, oy)
+            bad = oracles.sweep_continuity(OX, OY, f)
+            outcomes.add(bad is None)
+            if bad is not None:
+                with pytest.raises(NotContinuous, match=f"preimage of {bad:#b} "):
+                    mo.interpolator_from_map(X, Y, f, ox, oy)
+                continue
+            rows = []
+            for o in ox:
+                img = 0
+                for p in bits(OX.closure(o)):
+                    img |= 1 << f[p]
+                rows.append(sum(1 << j for j, nbh in enumerate(oy) if img & ~nbh == 0))
+            assert mo.interpolator_from_map(X, Y, f, ox, oy).rel == tuple(rows)
+        assert outcomes == {True, False}
 
     def test_invalid_rejected(self, p2):
         with pytest.raises(NotInterpolator):

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import oracle_corpus, small_structures
+from conftest import oracle_corpus, small_structures, topology_corpus
 from orderbench import lab, spectrum as sp, stone, tight as ti
 from orderbench.core import antisymmetry_violation, bits, p0set
 from orderbench.errors import NotClopen, NotOpen, NotPseudobasis
@@ -79,6 +79,20 @@ class TestPseudobasis:
         with pytest.raises(NotOpen):
             sp.is_pseudobasis(X, [0b10])
 
+    def test_against_opens_list(self):
+        # families with and without the empty set, covering or not, and
+        # with members too large to be coinitial
+        for points, basis in topology_corpus():
+            X = stone.topology_from_basis(points, basis)
+            O = oracles.OpensTopology(points, oracles.opens_generated(basis))
+            large = [o for o in O.opens if o.bit_count() >= points - 1]
+            for family in (O.opens, sorted({0, *X.nbhd}), O.opens[1::2], [0] + large):
+                rep = sp.is_pseudobasis(X, family)
+                got = (rep.report["minimum"].holds, rep.report["cover"].holds,
+                       rep.report["coinitiality"].witness, rep.report["t0"].witness,
+                       rep.clopen)
+                assert got == oracles.sweep_pseudobasis(O, family), (points, basis, family)
+
 
 class TestSpectrumSpace:
     def test_two_atoms(self, e0):
@@ -93,6 +107,10 @@ class TestSpectrumSpace:
 
     def test_one_point_empty(self, one):
         assert sp.spectrum_space(one).points == 0
+
+    def test_past_sixteen_characters(self):
+        X = sp.spectrum_space(lab.make_family("antichain", 63))
+        assert X.points == 63 and X.nbhd == tuple(1 << p for p in range(63))
 
 
 class TestSpectrumHomeomorphism:

@@ -1,11 +1,12 @@
+import json
+
 import pytest
 
 import oracles
-from conftest import small_structures
+from conftest import small_structures, topology_corpus
 from orderbench import axioms, lab, stone
-from orderbench.core import bits, full_mask, p0set
+from orderbench.core import bit_list, bits, full_mask, p0set
 from orderbench.errors import (
-    CapExceeded,
     FormatError,
     NotAFilter,
     NotOpen,
@@ -68,10 +69,18 @@ class TestFilters:
                         oracles.naive_ultrafilters(B), key=sorted
                     ), B.pairs()
 
-    def test_cap(self):
-        big = p0set(21, 0, [(0, j) for j in range(21)] + [(i, i) for i in range(21)])
-        with pytest.raises(CapExceeded):
-            stone.enumerate_filters(big)
+    def test_principal_rows_at_max_size(self):
+        # 64 elements, past any scan of all subsets: the filters are the
+        # empty set and the rows prec[z] with z < z, and a union of two
+        # atoms' rows is not one
+        atoms = p0set(64, 0, [(0, j) for j in range(64)] + [(i, i) for i in range(64)])
+        for B, ults in ((atoms, 63), (lab.make_family("powerset", 6), 6)):
+            rows = {B.prec[z] for z in range(B.size) if B.has(z, z)}
+            filters = stone.enumerate_filters(B)
+            assert filters == sorted(rows | {0})
+            assert all(stone.is_filter(B, U) for U in filters)
+            assert len(stone.enumerate_ultrafilters(B)) == ults
+        assert not stone.is_filter(atoms, atoms.prec[1] | atoms.prec[2])
 
 
 class TestFilterCharacterizations:
@@ -154,7 +163,8 @@ class TestStoneSpace:
         X = stone.stone_space(p2)
         assert X.points == 2
         assert X.basis == (0, 0b01, 0b10, 0b11)
-        assert X.opens == (0, 1, 2, 3)
+        assert X.nbhd == (0b01, 0b10)
+        assert stone.all_opens(X) == [0, 1, 2, 3]
 
     def test_two_atoms_space(self, e0):
         X = stone.stone_space(e0)
@@ -225,17 +235,76 @@ class TestBasisToStructure:
         assert S.has(1, 2)
 
 
+class TestTopologyFromBasis:
+    def test_refuses_uncovered_point(self):
+        with pytest.raises(NotOpen, match="cover point 2"):
+            stone.topology_from_basis(3, [0, 0b01, 0b11])
+
+    def test_refuses_incompatible_family(self):
+        # the members holding point 1 meet in {1}, which is no union of them
+        with pytest.raises(NotOpen):
+            stone.topology_from_basis(3, [0b011, 0b110])
+
+    def test_minimal_neighbourhoods(self):
+        X = stone.topology_from_basis(3, [0b001, 0b011, 0b111])
+        assert X.nbhd == (0b001, 0b011, 0b111)
+        assert stone.discrete_topology(3, []).nbhd == (0b001, 0b010, 0b100)
+        # no cap on the points of a discrete space
+        assert stone.discrete_topology(64, []).is_open(full_mask(64))
+
+
+class TestAgainstOpensList:
+    """Minimal neighbourhoods against the list of every open."""
+
+    def test_closure_interior_open(self):
+        for points, basis in topology_corpus():
+            X = stone.topology_from_basis(points, basis)
+            O = oracles.OpensTopology(points, oracles.opens_generated(basis))
+            assert stone.all_opens(X) == O.opens, (points, basis)
+            for m in range(1 << points):
+                assert X.closure(m) == O.closure(m), (points, basis, m)
+                assert X.interior(m) == O.interior(m), (points, basis, m)
+                assert X.is_open(m) == O.is_open(m), (points, basis, m)
+            if points <= 4:
+                doc = {"points": points, "opens": [bit_list(o) for o in O.opens],
+                       "basis": [bit_list(o) for o in basis]}
+                assert stone.load_topology(json.dumps(doc)) == X
+
+    def test_duality(self, monkeypatch):
+        # every topology on the Stone points in place of the discrete one,
+        # so the closure and separation checks fail too
+        lattices = [B for B in small_structures(4) if axioms.is_basic_lattice(B)]
+        lattices.append(lab.make_family("powerset", 3))
+        stone_space = stone.stone_space
+        for B in lattices:
+            space = stone_space(B)
+            for opens in oracles.every_topology(space.points):
+                X = stone.topology_from_basis(space.points, opens)
+                planted = stone.FiniteTopology(space.points, X.nbhd, space.basis)
+                monkeypatch.setattr(stone, "stone_space", lambda _: planted)
+                rep = stone.verify_duality(B)
+                got = tuple(rep[c].witness for c in ("sub_prec", "ox_closure", "hausdorff"))
+                want = oracles.sweep_duality_topology(
+                    B, oracles.OpensTopology(space.points, opens), space.basis
+                )
+                assert got == want, (B.pairs(), opens)
+
+
 class TestTopologyFormat:
     def test_round_trip(self, p2):
         X = stone.stone_space(p2)
         again = stone.load_topology(stone.dump_topology(X))
-        assert again.points == X.points and set(again.opens) == set(X.opens)
+        assert again == X
 
     def test_rejects_unclosed(self):
         with pytest.raises(FormatError):
             stone.load_topology(
                 '{"points": 2, "opens": [[], [0], [1]], "basis": [[0], [1]]}'
             )
+
+    def test_rejects_uncovered_points(self):
+        with pytest.raises(FormatError):
+            stone.load_topology('{"points": 2, "opens": [[], [0]], "basis": [[0]]}')
 
     def test_rejects_bad_shape(self):
         with pytest.raises(FormatError):
