@@ -460,6 +460,12 @@ def _union(rows, mask: SubsetMask) -> SubsetMask:
     return reduce(or_, (rows[i] for i in bits(mask)), 0)
 
 
+def _level(n: int) -> int:
+    if n < 1:
+        raise ValueError("type level must be >= 1")
+    return n
+
+
 def _supports(mask: SubsetMask, n: int):
     """The sets a level-n sentence can choose from `mask`, as masks.
 
@@ -467,11 +473,9 @@ def _supports(mask: SubsetMask, n: int):
     is monotone under enlarging the chosen set, so the n-element parts of
     `mask` suffice, or `mask` itself once it has at most n elements.
     """
-    if n < 1:
-        raise ValueError("type level must be >= 1")
     if mask.bit_count() <= n:
         return (mask,)
-    return [mask_from(vs) for vs in combinations(bit_list(mask), n)]
+    return (mask_from(vs) for vs in combinations(bit_list(mask), n))
 
 
 def phi_holds(B: P0Set, x: int, y: int, n: int) -> bool:
@@ -482,15 +486,16 @@ def phi_holds(B: P0Set, x: int, y: int, n: int) -> bool:
     matters: some x' works exactly when the nonzero x' < x are not all
     among the elements meeting a member of V.
     """
-    down = prec_down(B)
-    supports = _supports(_union(down, down[y]), n)
+    _level(n)
     if not B.has(x, y):
         return False
+    down = prec_down(B)
     meets = derived_relations(B).meets
     lows = down[x] & ~(1 << B.zero)
-    return all(lows & ~_union(meets, V) for V in supports)
+    return all(lows & ~_union(meets, V) for V in _supports(_union(down, down[y]), n))
 
 
+@lru_cache(maxsize=256)
 def _psi_cover(B: P0Set, V: SubsetMask, z: int) -> SubsetMask:
     """The elements disjoint from some nonzero z' < z disjoint from all of V."""
     der = derived_relations(B)
@@ -498,6 +503,7 @@ def _psi_cover(B: P0Set, V: SubsetMask, z: int) -> SubsetMask:
     return _union(der.perp, free)
 
 
+@lru_cache(maxsize=256)
 def _psi_support(B: P0Set, x: int) -> SubsetMask:
     """The v with v < w for some w disjoint from x."""
     return _union(prec_down(B), derived_relations(B).perp[x])
@@ -511,13 +517,13 @@ def psi_holds(B: P0Set, x: int, y: int, z: int, n: int) -> bool:
     v_i.  When nothing at all is disjoint from x the inner quantifier is
     vacuous and the formula reduces to x < y.
     """
-    supports = _supports(_psi_support(B, x), n)
+    _level(n)
     if not B.has(x, y):
         return False
     if derived_relations(B).perp[x] == 0:
         return True
     dy = prec_down(B)[y]
-    return all(dy & ~_psi_cover(B, V, z) == 0 for V in supports)
+    return all(dy & ~_psi_cover(B, V, z) == 0 for V in _supports(_psi_support(B, x), n))
 
 
 def _hits_within(rows, k: int) -> bool:
@@ -559,44 +565,11 @@ def theta_witness(B: P0Set, n: int) -> tuple[int, int] | None:
     """First (x, y) violating the level-n sentence: whenever some n-tuple
     w_1..w_n < y leaves no nonzero v < x disjoint from all w_i, then x < y.
     """
-    if n < 1:
-        raise ValueError("type level must be >= 1")
-    return _first_hit(_theta_failures(B), n)
+    return _first_hit(_theta_failures(B), _level(n))
 
 
 def _first_hit(failures, n: int) -> tuple[int, int] | None:
     return next(((x, y) for x, y, rows in failures if _hits_within(rows, n)), None)
-
-
-def _phi_witness(B: P0Set) -> tuple[int, int] | None:
-    """First (x, y) where phi holds at the bound: x < y and a nonzero x' < x
-    is disjoint from every v < w < y."""
-    der = derived_relations(B)
-    down = prec_down(B)
-    zb = 1 << B.zero
-    free = [~_union(der.meets, _union(down, down[y])) for y in range(B.size)]
-    return next(((x, y) for x in range(B.size) for y in bits(B.prec[x])
-                 if down[x] & ~zb & free[y]), None)
-
-
-def _psi_witness(B: P0Set) -> tuple[int, int, int] | None:
-    """First (x, y, z) where psi holds at the bound: x < y and every y' < y
-    is disjoint from some nonzero z' < z disjoint from the whole support."""
-    down = prec_down(B)
-    covers = {}
-    for x in range(B.size):
-        if B.prec[x] == 0:
-            continue
-        if derived_relations(B).perp[x] == 0:
-            return (x, next(bits(B.prec[x])), 0)
-        V = _psi_support(B, x)
-        if V not in covers:
-            covers[V] = [_psi_cover(B, V, z) for z in range(B.size)]
-        for y in bits(B.prec[x]):
-            z = next((z for z, c in enumerate(covers[V]) if down[y] & ~c == 0), None)
-            if z is not None:
-                return (x, y, z)
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -627,9 +600,12 @@ def check_basic_semilattice(B: P0Set) -> Report:
         lev = next(lev for lev in count(1) if _first_hit(failures, lev))
         theta = Check("theta", False, (lev,) + _first_hit(failures, lev))
     checks.append(theta)
-    phi_w = _phi_witness(B)
+    bound = type_bound(B)
+    pairs = B.pairs()
+    phi_w = next(((x, y) for x, y in pairs if phi_holds(B, x, y, bound)), None)
     checks.append(Check("phi_omitted", phi_w is None, phi_w))
-    psi_w = _psi_witness(B)
+    psi_w = next(((x, y, z) for x, y in pairs for z in range(B.size)
+                  if psi_holds(B, x, y, z, bound)), None)
     checks.append(Check("psi_omitted", psi_w is None, psi_w))
 
     passed = all(c.holds for c in checks)

@@ -108,6 +108,14 @@ class P0Set:
     prec: tuple[int, ...]
     names: tuple[str, ...] | None = None
 
+    def __hash__(self) -> int:
+        # every cached layer keys on the structure; hash its rows once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.size, self.zero, self.prec))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def has(self, x: int, y: int) -> bool:
         return self.prec[x] >> y & 1 == 1
 

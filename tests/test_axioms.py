@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -124,6 +125,25 @@ class TestTypeFormulas:
 
     def test_phi_requires_prec(self, w5):
         assert axioms.phi_holds(w5, 4, 3, 1) is False
+
+    def test_supports_drawn_lazily(self, monkeypatch):
+        # On powerset 6, {1} is not below {2,...,6}, whose two-step down-set
+        # has 32 elements: the verdict needs none of its 4-element parts.
+        # Below the top, phi fails on the first part drawn.
+        B = lab.make_family("powerset", 6)
+        drawn = []
+
+        def counted(pool, n):
+            for vs in combinations(pool, n):
+                drawn.append(vs)
+                yield vs
+
+        monkeypatch.setattr(axioms, "combinations", counted)
+        assert axioms.phi_holds(B, 1, 62, 4) is False
+        assert axioms.psi_holds(B, 1, 62, 0, 4) is False
+        assert drawn == []
+        assert axioms.phi_holds(B, 1, 63, 4) is False
+        assert len(drawn) == 1
 
     def test_phi_matches_tuple_oracle(self, e0, c2, w5):
         for B in (e0, c2, w5):
