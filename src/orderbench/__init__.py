@@ -6,7 +6,12 @@ regular-open enveloping algebras, and tight character spectra, all
 checked exhaustively at desk scale.
 """
 
-from . import axioms, lab, morphisms, saturation, spectrum, stone, suites, tight
+from importlib import import_module
+
+# The layers that keep caches load with the package, so that any process
+# can report the cache statistics of every layer (perfbench reads them
+# from sys.modules).  `lab`, `morphisms` and `suites` load on first use.
+from . import axioms, saturation, spectrum, stone, tight
 from .core import (
     MAX_SIZE,
     DerivedRels,
@@ -24,6 +29,15 @@ from .core import (
 from .report import Check, Report
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import `lab`, `morphisms` or `suites` on first access, so that the
+    structure verbs do not pay for them."""
+    if name in ("lab", "morphisms", "suites"):
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MAX_SIZE",

@@ -201,6 +201,9 @@ def _edges(B: P0Set) -> list[tuple[int, int]]:
     return [(x, y) for x in range(B.size) for y in bits(B.prec[x])]
 
 
+# cached: the lattice report, the semilattice report and its fast verdict
+# each ask for it
+@lru_cache(maxsize=4096)
 def _sweep_multiplicativity(B: P0Set) -> Check:
     mt, _ = lattice_tables(B)
     edges = _edges(B)

@@ -8,15 +8,25 @@ Saturating a set collects every element whose singleton is way below it.
 
 In a finite carrier the maximal admissible interpolant is the strict
 down-closure of D itself, which gives an O(1) evaluation of way-below
-after table setup; `wayb_exhaustive` keeps the literal search over all
-finite interpolants so the two routes can be cross-checked.
+after table setup; the literal search over all finite interpolants is
+kept as a test oracle so the two routes can be cross-checked.
+
+Each relation says that a set built from C lies inside a value built
+from D, so its table of rows {D : C rel D}, one per C, comes from one
+superset fold over the subset lattice (the fast zeta transform): each D
+is set at its own value and carried down to every subset of it, and row
+C is read at C's set.  The subset laws are then decided on the classes
+of subsets that share a row, and the frame laws on whole rows of the
+saturation table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import and_, or_
+from functools import lru_cache, reduce
+from itertools import product, repeat
+from operator import and_, invert, ne, or_, rshift
+from typing import NamedTuple
 
 from .core import (
     P0Set,
@@ -28,8 +38,8 @@ from .core import (
     prec_down,
     prec_down_table,
     preceq_down_table,
-    submasks,
     subset_fold,
+    superset_fold,
 )
 from .errors import CapExceeded, OrderbenchError, PreconditionFailed
 from .report import Check, Report, report
@@ -37,13 +47,6 @@ from .report import Check, Report, report
 SUBSET_CAP = 12
 FAMILY_CAP = 10
 FRAME_CAP = 8
-
-
-@dataclass(frozen=True)
-class SubsetRels:
-    prec: bool
-    precsim: bool
-    wayb: bool
 
 
 def _check_cap(B: P0Set):
@@ -66,24 +69,6 @@ def subset_wayb(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     interpolant, so it suffices as the witness."""
     dc = prec_down_table(B)
     return dc[C] & ~(meets_table(B)[dc[D]] | 1 << B.zero) == 0
-
-
-def wayb_exhaustive(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
-    """Literal search over every finite interpolant."""
-    _check_cap(B)
-    return any(
-        subset_precsim(B, C, F) and subset_prec(B, F, D)
-        for F in range(1 << B.size)
-    )
-
-
-def subset_relations(B: P0Set, C: SubsetMask, D: SubsetMask) -> SubsetRels:
-    _check_cap(B)
-    return SubsetRels(
-        prec=subset_prec(B, C, D),
-        precsim=subset_precsim(B, C, D),
-        wayb=subset_wayb(B, C, D),
-    )
 
 
 def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
@@ -119,47 +104,19 @@ def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
 
 @dataclass(frozen=True)
 class SaturatedFamily:
-    """Distinct saturated sets with the join/meet rule tables.
-
-    join_table[i][j] indexes the saturation of the union, meet_table[i][j]
-    the plain intersection; an entry is None when the rule's output leaves
-    the family (possible in singleton mode, or when the structure is not a
-    basic semilattice).
-    """
+    """The distinct saturated sets of one generator class, ascending."""
 
     base: P0Set
     sets: tuple[SubsetMask, ...]
-    join_table: tuple[tuple[int | None, ...], ...]
-    meet_table: tuple[tuple[int | None, ...], ...]
 
 
-def _family_tables(B: P0Set, sets: tuple[int, ...]) -> tuple[tuple, tuple]:
-    index = {s: i for i, s in enumerate(sets)}
-    jt = []
-    mt = []
-    for s in sets:
-        jrow = []
-        mrow = []
-        for t in sets:
-            jrow.append(index.get(saturate(B, s | t)))
-            mrow.append(index.get(s & t))
-        jt.append(tuple(jrow))
-        mt.append(tuple(mrow))
-    return tuple(jt), tuple(mt)
-
-
-def _sos_saturations(B: P0Set) -> dict[int, int]:
-    """Saturation of every subset via the union-over-finite-parts formula,
-    an independent route used to cross-check the direct sweep."""
-    n = B.size
-    sat = saturation_table(B)
-    out = {}
-    for A in range(1 << n):
-        acc = 0
-        for G in submasks(A):
-            acc |= sat[G]
-        out[A] = acc
-    return out
+def _sos_saturations(B: P0Set) -> list[SubsetMask]:
+    """[A] = the union of the saturations of the subsets of A: the
+    union-over-finite-parts formula, an independent route used to
+    cross-check the direct sweep.  Reversing the indices complements the
+    subsets, so the superset fold of the reversed table unions over
+    subsets."""
+    return superset_fold(saturation_table(B)[::-1], or_)[::-1]
 
 
 def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
@@ -177,12 +134,10 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
     elif generators == "finite":
         raw = set(saturation_table(B))
     elif generators == "all":
-        raw = set(_sos_saturations(B).values())
+        raw = set(_sos_saturations(B))
     else:
         raise ValueError(f"unknown generator class {generators!r}")
-    sets = tuple(sorted(raw))
-    jt, mt = _family_tables(B, sets)
-    return SaturatedFamily(B, sets, jt, mt)
+    return SaturatedFamily(B, tuple(sorted(raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +147,89 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
 # Each helper decides one universally quantified law and returns its first
 # witness in ascending quantifier order, the one the literal clause loops
 # (kept as oracles in tests/oracles.py) return, or None when the law holds.
+# A table has few distinct rows, so the helpers that pair rows work on the
+# classes of subsets sharing a row and look for the witness in the first
+# failing class.
+
+
+def _rows_within(values) -> list[int]:
+    """rows[S] = {D : S inside values[D]} for every subset S, as bitsets
+    over the subsets D: each D is set at its own value, and the superset
+    fold carries it down to every subset of that value."""
+    table = [0] * len(values)
+    for D, v in enumerate(values):
+        table[v] |= 1 << D
+    return superset_fold(table, or_)
+
+
+class SubsetRows(NamedTuple):
+    """The relation tables of `verify_subset_laws`, each row C the bitset
+    {D : C rel D}: C prec D, C precsim D, C wayb D, precsim read from the
+    down-closure of C under the reflexivization, C inside the down-closure
+    of D, and C inside the saturation of D."""
+
+    prec: list[int]
+    precsim: list[int]
+    wayb: list[int]
+    precsim_refl: list[int]
+    below: list[int]
+    saturated: list[int]
+
+
+def _subset_rows(B: P0Set) -> SubsetRows:
+    dc = prec_down_table(B)
+    mu = meets_table(B)
+    dcp = preceq_down_table(B)
+    zb = 1 << B.zero
+    # precsim: dc[C] inside mu[D] | zero; wayb: dc[C] inside mu[dc[D]] | zero
+    sim_within = _rows_within([m | zb for m in mu])
+    wayb_within = _rows_within([mu[S] | zb for S in dc])
+    return SubsetRows(
+        prec=_rows_within(dc),
+        precsim=[*map(sim_within.__getitem__, dc)],
+        wayb=[*map(wayb_within.__getitem__, dc)],
+        precsim_refl=[*map(sim_within.__getitem__, dcp)],
+        below=_rows_within(dcp),
+        saturated=_rows_within(saturation_table(B)),
+    )
+
+
+def _first(flags):
+    """(i,) for the first true flag, or None."""
+    return next(((i,) for i, f in enumerate(flags) if f), None)
 
 
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _classes(rows) -> dict[int, int]:
+    """{row: the bitset of the indices holding it}."""
+    out = {}
+    for i, r in enumerate(rows):
+        out[r] = out.get(r, 0) | 1 << i
+    return out
+
+
 def _transitive_witness(rows):
     """First (C, D, E) with C rel D and D rel E but not C rel E, walking
-    the middle subset D first."""
-    nsub = len(rows)
-    cols = [0] * nsub
-    for C in range(nsub):
-        for D in bits(rows[C]):
-            cols[D] |= 1 << C
-    for D in range(nsub):
-        rd = rows[D]
-        for C in bits(cols[D]):
-            if rd & ~rows[C]:
-                return (C, D, _low_bit(rd & ~rows[C]))
-    return None
+    the middle subset D first.
+
+    A D with row rd fails under each C whose row holds D but not all of
+    rd, so each pair of row classes names its failing Ds at once.
+    """
+    classes = _classes(rows).items()
+    bad = 0
+    for rd, ds in classes:
+        for rc, _ in classes:
+            if rd & ~rc:
+                bad |= ds & rc
+    if not bad:
+        return None
+    D = _low_bit(bad)
+    rd = rows[D]
+    C = min(_low_bit(cs) for rc, cs in classes if rc >> D & 1 and rd & ~rc)
+    return (C, D, _low_bit(rd & ~rows[C]))
 
 
 def _inclusion_witness(a_rows, b_rows):
@@ -232,24 +250,35 @@ def _mismatch_witness(a_rows, b_rows):
 
 
 def _composition_witness(r1_rows, r2_rows, rows):
-    """First (C, G, D) with C r1 G and G r2 D but not C rel D."""
-    for C, r1 in enumerate(r1_rows):
-        for G in bits(r1):
-            bad = r2_rows[G] & ~rows[C]
-            if bad:
-                return (C, G, _low_bit(bad))
+    """First (C, G, D) with C r1 G and G r2 D but not C rel D.
+
+    Whether G fails under C depends only on r2[G] and rows[C]: under a
+    row r the failing Gs are the r2 classes whose row is not inside r.
+    """
+    r2_classes = _classes(r2_rows).items()
+    failing = {}
+    for C, r in enumerate(rows):
+        if r not in failing:
+            failing[r] = sum(gs for s, gs in r2_classes if s & ~r)
+        bad = r1_rows[C] & failing[r]
+        if bad:
+            G = _low_bit(bad)
+            return (C, G, _low_bit(r2_rows[G] & ~r))
     return None
 
 
 def _interpolant_witness(wayb_rows, prec_rows):
-    """First (C, D) with C wayb D but no G with C wayb G and G prec D."""
-    reach = []
-    for row in wayb_rows:
-        acc = 0
-        for G in bits(row):
-            acc |= prec_rows[G]
-        reach.append(acc)
-    return _inclusion_witness(wayb_rows, reach)
+    """First (C, D) with C wayb D but no G with C wayb G and G prec D.
+
+    The Ds reached through some G depend only on the wayb row: the union
+    of the prec rows of the classes it meets.
+    """
+    prec_classes = _classes(prec_rows).items()
+    reach = {
+        r: reduce(or_, (s for s, gs in prec_classes if r & gs), 0)
+        for r in set(wayb_rows)
+    }
+    return _inclusion_witness(wayb_rows, [*map(reach.__getitem__, wayb_rows)])
 
 
 def _left_union_witness(rows):
@@ -271,8 +300,9 @@ def _right_monotone_witness(rows):
     a failure, and the least (D, b) over all b is the first witness.
     """
     nsub = len(rows)
+    # the Ds lacking bit b: the low 2**b of every 2**(b + 1) consecutive Ds
     lacks = [
-        sum(1 << D for D in range(nsub) if not D >> b & 1)
+        ((1 << nsub) - 1) // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1)
         for b in range(nsub.bit_length() - 1)
     ]
     for C, r in enumerate(rows):
@@ -287,12 +317,34 @@ def _right_monotone_witness(rows):
 
 
 def _multiplicative_witness(rows, wedge, dc):
-    """First (C, D) where wedge(dc C, dc D) rel wedge(C, D) fails."""
+    """First (C, D) where wedge(dc C, dc D) rel wedge(C, D) fails.
+
+    For each C the rows wedge(dc C, dc D) are looked up for every D at
+    once, and bit wedge(C, D) is read from each.
+    """
     for C, wc in enumerate(wedge):
-        big = wedge[dc[C]]
-        for D, w in enumerate(wc):
-            if not rows[big[dc[D]]] >> w & 1:
-                return (C, D)
+        need = map(rows.__getitem__, map(wedge[dc[C]].__getitem__, dc))
+        held = [*map(and_, map(rshift, need, wc), repeat(1))]
+        if not all(held):
+            return (C, held.index(0))
+    return None
+
+
+def _saturation_invariant_witness(wayb_rows, sat):
+    """First (C, A) where C wayb sat(A), C wayb A and sat(C) wayb A do
+    not all agree.
+
+    The As with sat(A) in a row r are the saturation classes of the
+    saturated sets r holds: one pull-back per distinct row.
+    """
+    sat_classes = _classes(sat).items()
+    pulled = {}
+    for C, r in enumerate(wayb_rows):
+        if r not in pulled:
+            pulled[r] = sum(As for t, As in sat_classes if r >> t & 1)
+        bad = r ^ pulled[r] | r ^ wayb_rows[sat[C]]
+        if bad:
+            return (C, _low_bit(bad))
     return None
 
 
@@ -311,10 +363,11 @@ def verify_subset_laws(B: P0Set) -> Report:
     pointwise wedge is monotone in both, so the extreme instance implies
     the rest (each reduction is itself among the checks).
 
-    The three relations are tabulated once as rows over all subsets, and
-    every clause quantifying over subsets is decided by bitset operations
-    on those rows (the helpers above), walking its quantifiers in the same
-    ascending order as a literal loop, so it reports the same witness.
+    The relations are tabulated once as rows over all subsets by superset
+    folds (`_subset_rows`), and every clause quantifying over subsets is
+    decided by bitset operations on those rows (the helpers above), which
+    report the witness a literal loop, walking its quantifiers in
+    ascending order, would report first.
 
     Saturation is deliberately not asserted to be extensive: sets need
     not be contained in their saturations.
@@ -329,41 +382,16 @@ def verify_subset_laws(B: P0Set) -> Report:
     if B.size > FRAME_CAP:
         raise CapExceeded(f"subset-law verification capped at carrier {FRAME_CAP}")
     n = B.size
-    nsub = 1 << n
-    zb = 1 << B.zero
     dc = prec_down_table(B)
-    mu = meets_table(B)
     dcp = preceq_down_table(B)
+    sat = saturation_table(B)
+    rows = _subset_rows(B)
+    prec_rows, sim_rows, wayb_rows = rows.prec, rows.precsim, rows.wayb
 
     g1 = bool(_sweep_coinitiality(B).holds)
     msl = bool(order_predicates(B).holds("meet_semilattice"))
     g2 = g1 and msl and bool(_sweep_multiplicativity(B).holds)
     g3 = is_basic_semilattice(B)
-
-    def prec(C, D):
-        return C & ~dc[D] == 0
-
-    def sim(C, D):
-        return dc[C] & ~(mu[D] | zb) == 0
-
-    def wayb(C, D):
-        return dc[C] & ~(mu[dc[D]] | zb) == 0
-
-    def sim_refl(C, D):
-        return dcp[C] & ~(mu[D] | zb) == 0
-
-    def below(C, D):
-        return C & ~dcp[D] == 0
-
-    sat = saturation_table(B)
-
-    def in_sat(F, A):
-        return F & ~sat[A] == 0
-
-    def rows_of(rel):
-        return [
-            sum(1 << D for D in range(nsub) if rel(C, D)) for C in range(nsub)
-        ]
 
     checks = []
 
@@ -374,9 +402,6 @@ def verify_subset_laws(B: P0Set) -> Report:
         w = fn()
         checks.append(Check(name, w is None, w))
 
-    prec_rows = rows_of(prec)
-    sim_rows = rows_of(sim)
-    wayb_rows = rows_of(wayb)
     wedge = None
 
     def multiplicative(rows):
@@ -399,120 +424,62 @@ def verify_subset_laws(B: P0Set) -> Report:
     clause("precsim_multiplicative", g2, lambda: multiplicative(sim_rows))
     clause("wayb_multiplicative", g2, lambda: multiplicative(wayb_rows))
 
-    clause(
-        "below_implies_precsim",
-        g1,
-        lambda: _inclusion_witness(rows_of(below), sim_rows),
-    )
-    clause(
-        "precsim_reflexivized_form",
-        g1,
-        lambda: _mismatch_witness(sim_rows, rows_of(sim_refl)),
-    )
+    clause("below_implies_precsim", g1, lambda: _inclusion_witness(rows.below, sim_rows))
+    clause("precsim_reflexivized_form", g1,
+           lambda: _mismatch_witness(sim_rows, rows.precsim_refl))
 
     clause("wayb_transitive", g2, lambda: _transitive_witness(wayb_rows))
-    clause(
-        "finite_prec_implies_wayb",
-        g1,
-        lambda: _inclusion_witness(prec_rows, wayb_rows),
-    )
-    clause(
-        "wayb_through_interpolant_back",
-        True,
-        lambda: _composition_witness(wayb_rows, prec_rows, wayb_rows),
-    )
-    clause(
-        "wayb_through_interpolant",
-        g3,
-        lambda: _interpolant_witness(wayb_rows, prec_rows),
-    )
-    clause(
-        "precsim_wayb_absorb",
-        g2,
-        lambda: _composition_witness(sim_rows, wayb_rows, wayb_rows),
-    )
-    clause(
-        "wayb_implies_precsim",
-        g2,
-        lambda: _inclusion_witness(wayb_rows, sim_rows),
-    )
+    clause("finite_prec_implies_wayb", g1, lambda: _inclusion_witness(prec_rows, wayb_rows))
+    clause("wayb_through_interpolant_back", True,
+           lambda: _composition_witness(wayb_rows, prec_rows, wayb_rows))
+    clause("wayb_through_interpolant", g3,
+           lambda: _interpolant_witness(wayb_rows, prec_rows))
+    clause("precsim_wayb_absorb", g2,
+           lambda: _composition_witness(sim_rows, wayb_rows, wayb_rows))
+    clause("wayb_implies_precsim", g2, lambda: _inclusion_witness(wayb_rows, sim_rows))
 
-    clause(
-        "saturation_members",
-        True,
-        lambda: _mismatch_witness(rows_of(in_sat), wayb_rows),
-    )
-
-    def strict_down_in_sat():
-        for A in range(nsub):
-            if dc[A] & ~sat[A]:
-                return (A,)
-        return None
-
-    clause("strict_down_in_saturation", g1, strict_down_in_sat)
-
-    def sat_down_closed():
-        for A in range(nsub):
-            if dcp[sat[A]] != sat[A]:
-                return (A,)
-        return None
-
-    clause("saturation_down_closed", g2, sat_down_closed)
-
-    def sat_of_down_closure():
-        for A in range(nsub):
-            if sat[dcp[A]] != sat[A]:
-                return (A,)
-        return None
-
-    clause("saturation_of_down_closure", True, sat_of_down_closure)
-
-    def sat_of_strict_down():
-        for A in range(nsub):
-            if sat[dc[A]] != sat[A]:
-                return (A,)
-        return None
-
-    clause("saturation_of_strict_down", g3, sat_of_strict_down)
-
-    def sat_idempotent():
-        for A in range(nsub):
-            if sat[sat[A]] != sat[A]:
-                return (A,)
-        return None
-
-    clause("saturation_idempotent", g3, sat_idempotent)
+    clause("saturation_members", True,
+           lambda: _mismatch_witness(rows.saturated, wayb_rows))
+    clause("strict_down_in_saturation", g1,
+           lambda: _first(map(and_, dc, map(invert, sat))))
+    # each of these compares outer[inner[A]] with sat[A] for every A
+    for name, gate, outer, inner in (
+        ("saturation_down_closed", g2, dcp, sat),
+        ("saturation_of_down_closure", True, sat, dcp),
+        ("saturation_of_strict_down", g3, sat, dc),
+        ("saturation_idempotent", g3, sat, sat),
+    ):
+        clause(name, gate,
+               lambda o=outer, i=inner: _first(map(ne, map(o.__getitem__, i), sat)))
 
     def sat_monotone():
-        for A in range(nsub):
+        for A in range(1 << n):
             for b in bits(full_mask(n) & ~A):
                 if sat[A] & ~sat[A | 1 << b]:
                     return (A, b)
         return None
 
     clause("saturation_monotone", True, sat_monotone)
-
-    def sat_covers_source():
-        for A in range(nsub):
-            if not sim(sat[A], A):
-                return (A,)
-        return None
-
-    clause("saturation_precsim_source", g2, sat_covers_source)
-
-    def cppa():
-        for C in range(nsub):
-            for A in range(nsub):
-                lhs = wayb(C, sat[A])
-                mid = wayb(C, A)
-                rhs = wayb(sat[C], A)
-                if not (lhs == mid == rhs):
-                    return (C, A)
-        return None
-
-    clause("wayb_saturation_invariant", g3, cppa)
+    clause("saturation_precsim_source", g2,
+           lambda: _first(not sim_rows[S] >> A & 1 for A, S in enumerate(sat)))
+    clause("wayb_saturation_invariant", g3,
+           lambda: _saturation_invariant_witness(wayb_rows, sat))
 
     return report("subset_laws", checks)
+
+
+def _lookup(table, op, x, ys) -> list:
+    """[table[op(x, y)] for y in ys]."""
+    return [*map(table.__getitem__, map(op, repeat(x), ys))]
+
+
+def _first_mismatch(pairs):
+    """First (i, j) such that the i-th pair of lists is the first to
+    differ, first at index j."""
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return (i, next(j for j, (x, y) in enumerate(zip(a, b)) if x != y))
+    return None
 
 
 def verify_frame(B: P0Set) -> Report:
@@ -542,68 +509,52 @@ def verify_frame(B: P0Set) -> Report:
     index = {s: i for i, s in enumerate(sets)}
     sat = saturation_table(B)
 
-    # join rule: the saturated union is the least family member above both
-    sup_w = None
-    for A in range(1 << n):
-        for C in range(1 << n):
-            j = sat[A | C]
-            sa, sc = sat[A], sat[C]
-            if sa & ~j or sc & ~j:
-                sup_w = (A, C)
-                break
-            if not all(j & ~m == 0 for m in sets if sa & ~m == 0 and sc & ~m == 0):
-                sup_w = (A, C)
-                break
-        if sup_w:
-            break
+    nsub = 1 << n
+    # lub[X] = the intersection of the members containing X, the carrier
+    # when none does: each member stands at its own index, and the
+    # superset fold meets it into every subset below
+    lub = superset_fold([S if S in index else full_mask(n) for S in range(nsub)], and_)
+
+    # join rule: the saturated union is the least member above both
+    # saturations.  It is itself a member, so it is above both and below
+    # every member above both exactly when it equals lub of their union.
+    sup_w = _first_mismatch(
+        (_lookup(sat, or_, A, range(nsub)), _lookup(lub, or_, sat[A], sat))
+        for A in range(nsub)
+    )
     sup_ok = sup_w is None
 
     # meet rule: saturation of the pointwise meets is the intersection
     wedge = _wedge_table(B)
-    meet_w = None
-    for A in range(1 << n):
-        for C in range(1 << n):
-            if sat[wedge[A][C]] != sat[A] & sat[C]:
-                meet_w = (A, C)
-                break
-        if meet_w:
-            break
+    meet_w = _first_mismatch(
+        ([*map(sat.__getitem__, wedge[A])], [*map(and_, sat, repeat(sat[A]))])
+        for A in range(nsub)
+    )
     meet_ok = meet_w is None
 
     # intersections stay in the family (meets are total)
-    closed_w = None
-    for s in sets:
-        for t in sets:
-            if s & t not in index:
-                closed_w = (s, t)
-                break
-        if closed_w:
-            break
+    closed_w = next(
+        ((s, t) for s, t in product(sets, repeat=2) if s & t not in index), None
+    )
 
-    dist_w = None
-    for s in sets:
-        for t in sets:
-            for u in sets:
-                if s & sat[t | u] != sat[(s & t) | (s & u)]:
-                    dist_w = (s, t, u)
-                    break
-            if dist_w:
-                break
-        if dist_w:
-            break
+    k = len(sets)
+    w = _first_mismatch(
+        (
+            [*map(and_, repeat(s), _lookup(sat, or_, t, sets))],
+            _lookup(sat, or_, s & t, [*map(and_, repeat(s), sets)]),
+        )
+        for s, t in product(sets, repeat=2)
+    )
+    dist_w = None if w is None else (sets[w[0] // k], sets[w[0] % k], sets[w[1]])
 
     # way-below in the finite complete lattice: every directed subfamily has
     # a greatest member, so the directed-join definition collapses to plain
     # containment; compare that against the relation computed from covers.
-    wb_w = None
-    for s in sets:
-        for t in sets:
-            order_wb = all(s & ~m == 0 for m in sets if t & ~m == 0)
-            if order_wb != subset_wayb(B, s, t):
-                wb_w = (s, t)
-                break
-        if wb_w:
-            break
+    wb_w = next(
+        ((s, t) for s, t in product(sets, repeat=2)
+         if (s & ~t == 0) != subset_wayb(B, s, t)),
+        None,
+    )
 
     sing = [sat[1 << x] for x in range(n)]
     iso_w = None
@@ -611,13 +562,11 @@ def verify_frame(B: P0Set) -> Report:
         dup = [x for x in range(n) if sing.index(sat[1 << x]) != x]
         iso_w = (dup[0],)
     else:
-        for x in range(n):
-            for y in range(n):
-                if B.has(x, y) != subset_wayb(B, sing[x], sing[y]):
-                    iso_w = (x, y)
-                    break
-            if iso_w:
-                break
+        iso_w = next(
+            ((x, y) for x, y in product(range(n), repeat=2)
+             if B.has(x, y) != subset_wayb(B, sing[x], sing[y])),
+            None,
+        )
 
     from .core import p0set
 

@@ -7,6 +7,7 @@ cross-check rather than a tautology.
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 
 def elements(B):
@@ -49,6 +50,10 @@ def meets_refl(B, x, y):
 def subsets(pool):
     pool = list(pool)
     return chain.from_iterable(combinations(pool, r) for r in range(len(pool) + 1))
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def naive_filters(B):
@@ -100,6 +105,63 @@ def naive_wayb(B, C, D):
 
 def naive_saturate(B, A):
     return {y for y in range(B.size) if naive_wayb(B, {y}, set(A))}
+
+
+# ---------------------------------------------------------------------------
+# the subset relations on bitmasks, by their definitions
+#
+# Subsets are bitmasks; the strict down-sets and the meet relation are
+# tabulated as rows from the set functions above.
+
+
+@lru_cache(maxsize=None)
+def _order_rows(B):
+    """(down rows, meet rows): down[x] masks the z < x, meet[x] the y that
+    share a nonzero strict lower bound with x."""
+    n = B.size
+    lower = [sum(1 << z for z in down(B, x)) for x in range(n)]
+    meet = [sum(1 << y for y in range(n) if meets(B, x, y)) for x in range(n)]
+    return lower, meet
+
+
+def _strict_below(B, C):
+    lower, _ = _order_rows(B)
+    acc = 0
+    for c in _members(C):
+        acc |= lower[c]
+    return acc
+
+
+def mask_prec(B, C, D):
+    """Every element of C is strictly below some element of D."""
+    return C & ~_strict_below(B, D) == 0
+
+
+def mask_precsim(B, C, D):
+    """Everything strictly below a member of C is zero or meets D."""
+    _, meet = _order_rows(B)
+    return all(z == B.zero or meet[z] & D for z in _members(_strict_below(B, C)))
+
+
+def wayb_exhaustive(B, C, D):
+    """C precsim F and F prec D for some F: the literal search over every
+    finite interpolant."""
+    _, meet = _order_rows(B)
+    below_d = _strict_below(B, D)
+    below_c = [meet[z] for z in _members(_strict_below(B, C)) if z != B.zero]
+    return any(
+        F & ~below_d == 0 and all(m & F for m in below_c) for F in range(1 << B.size)
+    )
+
+
+class SubsetRels(NamedTuple):
+    prec: bool
+    precsim: bool
+    wayb: bool
+
+
+def subset_relations(B, C, D):
+    return SubsetRels(mask_prec(B, C, D), mask_precsim(B, C, D), wayb_exhaustive(B, C, D))
 
 
 def naive_phi(B, x, y, n):
@@ -269,10 +331,6 @@ def naive_meet(B, x, y):
 # first failing instance, or None when the law holds.
 
 
-def _members(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def transitive_witness(rel, nsub):
     for D in range(nsub):
         for C in range(nsub):
@@ -329,6 +387,19 @@ def multiplicative_witness(rel, wedge, dc, nsub):
     return None
 
 
+def relation_rows(rel, nsub):
+    """rows[C] = the bitset {D : rel(C, D)}, one predicate call per pair."""
+    return [sum(1 << D for D in range(nsub) if rel(C, D)) for C in range(nsub)]
+
+
+def saturation_invariant_witness(wayb, sat, nsub):
+    for C in range(nsub):
+        for A in range(nsub):
+            if not wayb(C, sat[A]) == wayb(C, A) == wayb(sat[C], A):
+                return (C, A)
+    return None
+
+
 def interpolant_back_witness(wayb, prec, nsub):
     for C in range(nsub):
         for G in range(nsub):
@@ -359,6 +430,56 @@ def absorb_witness(sim, wayb, nsub):
                 if wayb(E, D) and not wayb(C, D):
                     return (C, E, D)
     return None
+
+
+# ---------------------------------------------------------------------------
+# frame laws of a saturated family, by literal loops
+#
+# sat is the saturation table over the subsets, sets the family (its
+# distinct values, ascending), wedge(A, C) the pointwise meet and
+# wayb(C, D) the way-below relation.
+
+
+def frame_witnesses(sat, sets, wedge, wayb, nsub):
+    """Witnesses of the join rule, meet rule, intersection closure,
+    distributivity and way-below comparison, each the first in ascending
+    order, or None."""
+    join = next(
+        ((A, C) for A in range(nsub) for C in range(nsub)
+         if sat[A] & ~sat[A | C] or sat[C] & ~sat[A | C]
+         or not all(sat[A | C] & ~m == 0 for m in sets
+                    if sat[A] & ~m == 0 and sat[C] & ~m == 0)),
+        None,
+    )
+    meet = next(
+        ((A, C) for A in range(nsub) for C in range(nsub)
+         if sat[wedge(A, C)] != sat[A] & sat[C]),
+        None,
+    )
+    closed = next(((s, t) for s in sets for t in sets if s & t not in sets), None)
+    dist = next(
+        ((s, t, u) for s in sets for t in sets for u in sets
+         if s & sat[t | u] != sat[(s & t) | (s & u)]),
+        None,
+    )
+    wb = next(
+        ((s, t) for s in sets for t in sets
+         if all(s & ~m == 0 for m in sets if t & ~m == 0) != wayb(s, t)),
+        None,
+    )
+    return {"join_rule": join, "meet_rule": meet, "intersection_closed": closed,
+            "frame_distributivity": dist, "waybelow_matches": wb}
+
+
+def family_tables(B, sets):
+    """(join, meet): join[i][j] indexes the saturation of the union of the
+    i-th and j-th sets, meet[i][j] their intersection, None when it is not
+    in `sets`."""
+    index = {s: i for i, s in enumerate(sets)}
+    join = [[index.get(sum(1 << y for y in naive_saturate(B, _members(s | t))))
+             for t in sets] for s in sets]
+    meet = [[index.get(s & t) for t in sets] for s in sets]
+    return join, meet
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,6 +165,23 @@ class TestWideCarriers:
         assert f"tight characters: {n}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("family,n", [("powerset", 3), ("diamond", 8), ("random", 10)])
+    def test_saturate(self, family, n, tmp_path, capsys, deadline):
+        B = lab.random_p0set(n, 4) if family == "random" else lab.make_family(family, n)
+        path = tmp_path / "B.json"
+        path.write_text(dump_structure(B))
+        assert cli.run(["saturate", str(path)]) == 0
+        assert "saturated sets:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,n", [("antichain", 12), ("powerset", 6)])
+    def test_saturate_refused_at_once(self, family, n, tmp_path, capsys, deadline):
+        path = self.write(tmp_path, family, n)
+        start = time.perf_counter()
+        assert cli.run(["saturate", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "saturated families capped at carrier 10" in capsys.readouterr().err
+
+
 class TestGen:
     def test_gen_to_stdout(self, capsys):
         assert cli.run(["gen", "antichain", "2"]) == 0
@@ -175,6 +193,10 @@ class TestGen:
         first = capsys.readouterr().out
         assert cli.run(["gen", "random", "4", "--seed", "42"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_unknown_family_rejected(self, capsys):
+        assert cli.run(["gen", "definitely_not_a_family", "3"]) == 2
+        assert "unknown family" in capsys.readouterr().err
 
     def test_gen_reloads(self, tmp_path, capsys):
         out = tmp_path / "d3.json"
@@ -230,6 +252,20 @@ class TestVerifyVerb:
 
     def test_unknown_suite_rejected(self):
         assert cli.run(["verify", "definitely_not_a_suite"]) == 2
+
+
+def test_structure_verbs_import_only_their_layers():
+    # lab, suites and morphisms load on first use, through the package too
+    code = (
+        "import sys, orderbench.cli\n"
+        "print(sorted(m for m in ('orderbench.lab', 'orderbench.suites',"
+        " 'orderbench.morphisms') if m in sys.modules))\n"
+        "import orderbench\n"
+        "print(orderbench.lab.FAMILY_NAMES[0])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "chain"]
 
 
 def test_console_entry_point():

@@ -25,6 +25,7 @@ from orderbench.core import (
     preceq_down_table,
     relative_complement,
     subset_fold,
+    superset_fold,
 )
 from orderbench.errors import (
     FormatError,
@@ -268,6 +269,24 @@ class TestSubsetFold:
             rows = [[rng.getrandbits(6) for _ in range(width)] for _ in range(n)]
             table = subset_fold(rows, op, [0] * width)
             assert [list(t) for t in table] == _per_subset(rows, op, [0] * width)
+
+
+class TestSupersetFold:
+    @pytest.mark.parametrize("op", [or_, and_])
+    def test_matches_per_subset_reduction(self, op):
+        rng = random.Random(13)
+        for n in range(9):
+            table = [rng.getrandbits(12) for _ in range(1 << n)]
+            expected = [
+                reduce(op, [table[T] for T in range(1 << n) if S & ~T == 0])
+                for S in range(1 << n)
+            ]
+            assert superset_fold(table, op) == expected
+
+    def test_leaves_its_input(self):
+        table = (1, 2, 4, 8)
+        assert superset_fold(table, or_) == [15, 10, 12, 8]
+        assert table == (1, 2, 4, 8)
 
 
 def _table_oracles(B):

@@ -11,7 +11,7 @@ from orderbench.errors import CapExceeded, PreconditionFailed
 
 class TestSubsetRelations:
     def test_powerset_atoms_below_top(self, p2):
-        rels = sa.subset_relations(p2, 0b0110, 0b1000)
+        rels = oracles.subset_relations(p2, 0b0110, 0b1000)
         assert rels.prec and rels.precsim and rels.wayb
 
     def test_reflexive(self, e0, c2, p2):
@@ -39,12 +39,12 @@ class TestSubsetRelations:
         for B in small_structures(4):
             for C in range(1 << B.size):
                 for D in range(1 << B.size):
-                    assert sa.subset_wayb(B, C, D) == sa.wayb_exhaustive(B, C, D)
+                    assert sa.subset_wayb(B, C, D) == oracles.wayb_exhaustive(B, C, D)
 
     def test_cap(self):
         big = p0set(13, 0, [(0, j) for j in range(13)] + [(i, i) for i in range(13)])
         with pytest.raises(CapExceeded):
-            sa.subset_relations(big, 0, 0)
+            sa.saturate(big, 0)
 
 
 class TestSaturate:
@@ -87,8 +87,9 @@ class TestSaturatedFamily:
         fam = sa.saturated_family(e0, "all")
         assert fam.sets == (0b001, 0b011, 0b101, 0b111)
         # join/meet tables are total here
-        assert all(v is not None for row in fam.join_table for v in row)
-        assert all(v is not None for row in fam.meet_table for v in row)
+        join, meet = oracles.family_tables(e0, fam.sets)
+        assert all(v is not None for row in join for v in row)
+        assert all(v is not None for row in meet for v in row)
 
     def test_one_point(self, one):
         assert sa.saturated_family(one, "all").sets == (1,)
@@ -177,6 +178,62 @@ class TestFrame:
         assert S.prec == p2.prec
 
 
+def _frame_oracle(B):
+    """The frame witnesses by the literal loops, on whatever saturation
+    table sa.saturation_table gives for B."""
+    nsub = 1 << B.size
+    sat = sa.saturation_table(B)
+    meet = {
+        (x, y): oracles.naive_meet(B, x, y)
+        for x in range(B.size)
+        for y in range(B.size)
+    }
+
+    def wedge(C, D):
+        return mask_from({meet[c, d] for c in bits(C) for d in bits(D)})
+
+    return oracles.frame_witnesses(
+        sat, tuple(sorted(set(sat))), wedge, lambda s, t: sa.subset_wayb(B, s, t), nsub
+    )
+
+
+class TestFrameWitnesses:
+    """verify_frame decides its join, meet, distributivity and way-below
+    checks on rows of the saturation table; the literal loops in oracles
+    must give the same verdicts and witnesses."""
+
+    def _compare(self, B):
+        rep = sa.verify_frame(B)
+        expected = _frame_oracle(B)
+        for name, w in expected.items():
+            assert (rep[name].holds, rep[name].witness) == (w is None, w), (B.pairs(), name)
+        return expected
+
+    def test_basic_semilattices_up_to_five(self):
+        semis = [B for B in small_structures(5) if axioms.is_basic_semilattice(B)]
+        assert len(semis) == 24
+        for B in semis:
+            self._compare(B)
+
+    def test_planted_saturation_tables(self, monkeypatch):
+        # the laws hold on real structures, so witnesses are compared on
+        # saturation tables with a few bits flipped
+        rng = random.Random(5)
+        semis = [B for B in small_structures(4) if axioms.is_basic_semilattice(B)]
+        semis += [lab.make_family("diamond", 3), lab.make_family("powerset", 2)]
+        true_table = sa.saturation_table
+        failures = dict.fromkeys(_frame_oracle(semis[0]), 0)
+        for _ in range(120):
+            B = rng.choice(semis)
+            table = list(true_table(B))
+            for _ in range(rng.randint(1, 3)):
+                table[rng.randrange(len(table))] ^= 1 << rng.randrange(B.size)
+            monkeypatch.setattr(sa, "saturation_table", lambda B, t=tuple(table): t)
+            for name, w in self._compare(B).items():
+                failures[name] += w is not None
+        assert min(failures.values()) >= 10, failures
+
+
 class TestSubsetLaws:
     def test_named(self, e0, c2, p2, w5):
         for B in (e0, c2, p2, w5):
@@ -203,15 +260,35 @@ class TestSubsetLaws:
         assert rep.passed
 
 
+def _literal_relations(B):
+    """The six relations tabulated by verify_subset_laws, as predicates on
+    subset masks: the three package predicates (checked against the naive
+    routes above), and the other three from oracle-built tables."""
+    nsub = 1 << B.size
+    dcp = [
+        mask_from({z for z in range(B.size) for d in bits(D) if oracles.le(B, z, d)})
+        for D in range(nsub)
+    ]
+    mu = [
+        mask_from({z for z in range(B.size) for d in bits(D) if oracles.meets(B, z, d)})
+        for D in range(nsub)
+    ]
+    sat = [sa.saturate(B, A) for A in range(nsub)]
+    return {
+        "prec": lambda C, D: sa.subset_prec(B, C, D),
+        "precsim": lambda C, D: sa.subset_precsim(B, C, D),
+        "wayb": lambda C, D: sa.subset_wayb(B, C, D),
+        "precsim_refl": lambda C, D: dcp[C] & ~(mu[D] | 1 << B.zero) == 0,
+        "below": lambda C, D: C & ~dcp[D] == 0,
+        "saturated": lambda F, A: F & ~sat[A] == 0,
+    }
+
+
 def _literal_clauses(B):
     """The row-decided clauses of verify_subset_laws as literal loops over
     the subset relations, each a thunk giving the expected witness."""
     nsub = 1 << B.size
-    rels = {
-        "prec": lambda C, D: sa.subset_prec(B, C, D),
-        "precsim": lambda C, D: sa.subset_precsim(B, C, D),
-        "wayb": lambda C, D: sa.subset_wayb(B, C, D),
-    }
+    rels = _literal_relations(B)
     prec, sim, wayb = rels["prec"], rels["precsim"], rels["wayb"]
     meet = {
         (x, y): oracles.naive_meet(B, x, y)
@@ -226,31 +303,17 @@ def _literal_clauses(B):
         mask_from({z for d in bits(D) for z in oracles.down(B, d)})
         for D in range(nsub)
     ]
-    dcp = [
-        mask_from({z for z in range(B.size) for d in bits(D) if oracles.le(B, z, d)})
-        for D in range(nsub)
-    ]
-    mu = [
-        mask_from({z for z in range(B.size) for d in bits(D) if oracles.meets(B, z, d)})
-        for D in range(nsub)
-    ]
     sat = [sa.saturate(B, A) for A in range(nsub)]
-
-    def below(C, D):
-        return C & ~dcp[D] == 0
-
-    def sim_refl(C, D):
-        return dcp[C] & ~(mu[D] | 1 << B.zero) == 0
-
-    def in_sat(F, A):
-        return F & ~sat[A] == 0
-
     out = {
-        "below_implies_precsim": lambda: oracles.inclusion_witness(below, sim, nsub),
-        "precsim_reflexivized_form": lambda: oracles.mismatch_witness(
-            sim, sim_refl, nsub
+        "below_implies_precsim": lambda: oracles.inclusion_witness(
+            rels["below"], sim, nsub
         ),
-        "saturation_members": lambda: oracles.mismatch_witness(in_sat, wayb, nsub),
+        "precsim_reflexivized_form": lambda: oracles.mismatch_witness(
+            sim, rels["precsim_refl"], nsub
+        ),
+        "saturation_members": lambda: oracles.mismatch_witness(
+            rels["saturated"], wayb, nsub
+        ),
         "finite_prec_implies_wayb": lambda: oracles.inclusion_witness(prec, wayb, nsub),
         "wayb_implies_precsim": lambda: oracles.inclusion_witness(wayb, sim, nsub),
         "wayb_through_interpolant_back": lambda: oracles.interpolant_back_witness(
@@ -258,8 +321,12 @@ def _literal_clauses(B):
         ),
         "wayb_through_interpolant": lambda: oracles.interpolant_witness(wayb, prec, nsub),
         "precsim_wayb_absorb": lambda: oracles.absorb_witness(sim, wayb, nsub),
+        "wayb_saturation_invariant": lambda: oracles.saturation_invariant_witness(
+            wayb, sat, nsub
+        ),
     }
-    for name, rel in rels.items():
+    for name in ("prec", "precsim", "wayb"):
+        rel = rels[name]
         out[f"{name}_transitive"] = lambda rel=rel: oracles.transitive_witness(rel, nsub)
         out[f"{name}_left_union"] = lambda rel=rel: oracles.left_union_witness(rel, nsub)
         out[f"{name}_right_monotone"] = lambda rel=rel: oracles.right_monotone_witness(
@@ -269,6 +336,28 @@ def _literal_clauses(B):
             rel, wedge, dc, nsub
         )
     return out
+
+
+class TestSubsetRelationRows:
+    """The six relation tables come from superset folds; each must equal
+    the literal table with one predicate call per pair of subsets."""
+
+    def _compare(self, B):
+        rows = sa._subset_rows(B)
+        for name, rel in _literal_relations(B).items():
+            literal = oracles.relation_rows(rel, 1 << B.size)
+            assert getattr(rows, name) == literal, (B.pairs(), name)
+
+    def test_catalog_up_to_four(self):
+        for B in small_structures(4):
+            self._compare(B)
+
+    def test_random_sizes_five_to_eight(self):
+        rng = random.Random(11)
+        for n in (5, 6, 7, 8):
+            for reflexive in (False, True):
+                self._compare(lab.random_p0set(n, rng.getrandbits(32), reflexive,
+                                               rng.uniform(0.1, 0.5)))
 
 
 class TestSubsetLawRows:
@@ -291,7 +380,7 @@ class TestSubsetLawRows:
         ran = set()
         for B in small_structures(4):
             ran |= self._compare(B)
-        assert len(ran) == 20  # every row-decided clause ran somewhere
+        assert len(ran) == 21  # every row-decided clause ran somewhere
 
     def test_random_sizes_five_and_six(self):
         ran = set()
@@ -307,7 +396,8 @@ class TestSubsetLawRows:
         rng = random.Random(7)
         failures = dict.fromkeys(
             ["transitive", "inclusion", "mismatch", "composition", "absorb",
-             "interpolant", "left_union", "right_monotone", "multiplicative"], 0
+             "interpolant", "left_union", "right_monotone", "multiplicative",
+             "saturation_invariant"], 0
         )
 
         def table(nsub, p):
@@ -341,6 +431,13 @@ class TestSubsetLawRows:
             ]
             wedge = [[rng.randrange(nsub) for _ in range(nsub)] for _ in range(nsub)]
             dc = [rng.randrange(nsub) for _ in range(nsub)]
+            # the saturation invariant holds when sat is idempotent and each
+            # row is a union of its fibres, the same along a fibre
+            reps = [A for A in range(nsub) if A == 0 or rng.random() < 0.4]
+            sat = [A if A in reps else rng.choice(reps) for A in range(nsub)]
+            fibre = {t: sum(1 << A for A in range(nsub) if sat[A] == t) for t in reps}
+            chosen = {t: sum(fibre[u] for u in reps if rng.random() < p) for t in reps}
+            invariant = [chosen[sat[C]] for C in range(nsub)]
             pairs = {
                 "transitive": (
                     sa._transitive_witness(a),
@@ -379,6 +476,10 @@ class TestSubsetLawRows:
                     oracles.multiplicative_witness(
                         rel(a), lambda C, D: wedge[C][D], dc, nsub
                     ),
+                ),
+                "saturation_invariant": (
+                    sa._saturation_invariant_witness(flip(invariant), sat),
+                    oracles.saturation_invariant_witness(rel(invariant), sat, nsub),
                 ),
             }
             for name, (got, want) in pairs.items():
