@@ -91,7 +91,7 @@ def cmd_stone(args) -> int:
         print("not a basic lattice; duality verification skipped", file=sys.stderr)
     if args.format == "json":
         doc = {"points": X.points, "ultrafilters": [bit_list(u) for u in ults]}
-        doc.update(json.loads(reports_to_json(reports)))
+        doc.update({r.name: r.to_json() for r in reports})
         print(json.dumps(doc, indent=2))
     else:
         _emit(reports, args.format)

@@ -355,45 +355,41 @@ def matrix(rows: tuple[int, ...], n: int) -> list[list[bool]]:
 # partial lattice operations
 
 
-def _extremum_candidates(bound_rows: tuple[int, ...], pool: int) -> list[int]:
-    """Elements of `pool` that dominate all of `pool` under the given rows."""
-    return [m for m in bits(pool) if pool & ~bound_rows[m] == 0]
+def _row_owners(rows: tuple[int, ...]) -> dict[int, list[int]]:
+    """The elements of each row, in ascending order."""
+    owners: dict[int, list[int]] = {}
+    for m, r in enumerate(rows):
+        owners.setdefault(r, []).append(m)
+    return owners
 
 
-def meet_candidates(B: P0Set, x: int, y: int) -> list[int]:
-    der = derived_relations(B)
-    lower = der.preceq_down[x] & der.preceq_down[y]
-    return _extremum_candidates(der.preceq_down, lower)
+def _bound(rows: tuple[int, ...], x: int, y: int) -> int | None:
+    """The extremum of rows[x] & rows[y] under `preceq_down` (meets) or
+    `preceq` (joins) rows.
 
-
-def join_candidates(B: P0Set, x: int, y: int) -> list[int]:
-    der = derived_relations(B)
-    upper = der.preceq[x] & der.preceq[y]
-    return _extremum_candidates(der.preceq, upper)
-
-
-def meet(B: P0Set, x: int, y: int) -> int | None:
-    """Greatest lower bound under the reflexivization, or None.
-
-    Raises NotAntisymmetric when several order-equivalent greatest lower
-    bounds exist, surfacing the offending pair instead of picking one.
+    L = rows[x] & rows[y] is a down-set of the derived order (an up-set
+    for `preceq` rows), so a member of L whose row holds L has a row
+    exactly equal to L: the candidates are the owners of the row L.
+    Raises NotAntisymmetric when several order-equivalent ones exist,
+    surfacing the offending pair instead of picking one.
     """
-    cands = meet_candidates(B, x, y)
+    cands = _row_owners(rows).get(rows[x] & rows[y])
     if not cands:
         return None
     if len(cands) > 1:
         raise NotAntisymmetric((cands[0], cands[1]))
     return cands[0]
+
+
+def meet(B: P0Set, x: int, y: int) -> int | None:
+    """Greatest lower bound under the reflexivization, or None; raises
+    NotAntisymmetric when several order-equivalent ones exist."""
+    return _bound(derived_relations(B).preceq_down, x, y)
 
 
 def join(B: P0Set, x: int, y: int) -> int | None:
     """Least upper bound under the reflexivization, or None."""
-    cands = join_candidates(B, x, y)
-    if not cands:
-        return None
-    if len(cands) > 1:
-        raise NotAntisymmetric((cands[0], cands[1]))
-    return cands[0]
+    return _bound(derived_relations(B).preceq, x, y)
 
 
 def antisymmetry_violation(B: P0Set) -> tuple[int, int] | None:
@@ -406,6 +402,13 @@ def antisymmetry_violation(B: P0Set) -> tuple[int, int] | None:
     return None
 
 
+def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int | None, ...], ...]:
+    """[x][y] = the owner of rows[x] & rows[y] (see `_bound`), or None when
+    the row has no owner or several."""
+    unique = {r: ms[0] if len(ms) == 1 else None for r, ms in _row_owners(rows).items()}
+    return tuple(tuple(unique.get(rx & ry) for ry in rows) for rx in rows)
+
+
 @lru_cache(maxsize=None)
 def lattice_tables(B: P0Set):
     """(meet_table, join_table) with None entries where bounds are missing.
@@ -413,16 +416,8 @@ def lattice_tables(B: P0Set):
     Entries are also None when several equivalent bounds exist; use
     antisymmetry_violation to distinguish that case.
     """
-    n = B.size
-    mt = [[None] * n for _ in range(n)]
-    jt = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            mc = meet_candidates(B, x, y)
-            jc = join_candidates(B, x, y)
-            mt[x][y] = mt[y][x] = mc[0] if len(mc) == 1 else None
-            jt[x][y] = jt[y][x] = jc[0] if len(jc) == 1 else None
-    return tuple(tuple(r) for r in mt), tuple(tuple(r) for r in jt)
+    der = derived_relations(B)
+    return _bound_table(der.preceq_down), _bound_table(der.preceq)
 
 
 @lru_cache(maxsize=None)

@@ -6,16 +6,19 @@ None for not-applicable (a prerequisite of that particular check did not
 hold).  A witness accompanies every False verdict; witnesses are tuples
 of ints, either element indices or subset bitmasks depending on the
 check (the check name makes clear which).
+
+Checks and reports are immutable named tuples: hashable, equal by value,
+and cheap to build, so that a verifier may hand the same report to every
+caller with the same verdict.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     holds: bool | None
     witness: tuple[int, ...] | None = None
@@ -28,8 +31,7 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     name: str
     checks: tuple[Check, ...]
     passed: bool | None = None
@@ -42,11 +44,6 @@ class Report:
 
     def holds(self, name: str) -> bool | None:
         return self[name].holds
-
-    @property
-    def ok(self) -> bool:
-        """True when no check is outright False (None counts as not failed)."""
-        return all(c.holds is not False for c in self.checks)
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.holds is False]

@@ -251,16 +251,25 @@ def map_properties(beta: StructMapTotal) -> Report:
             coin_w = (a,)
             break
 
-    character = rep and A.size == 2
+    return _map_report(tight_w, tightish_w, coin_w, rep, rep and A.size == 2)
 
-    checks = [
-        Check("tight", tight_w is None, tight_w),
-        Check("tightish", tightish_w is None, tightish_w),
-        Check("coinitial", coin_w is None, coin_w),
-        Check("representation", rep),
-        Check("character", character),
-    ]
-    return Report("map_properties", tuple(checks), passed=tight_w is None)
+
+@lru_cache(maxsize=4096)
+def _map_report(tight_w, tightish_w, coin_w, rep, character) -> Report:
+    """The report of a map with these witnesses and flags.  Maps share a
+    handful of verdicts, so each distinct one is built once; the key
+    holds no structure."""
+    return Report(
+        "map_properties",
+        (
+            Check("tight", tight_w is None, tight_w),
+            Check("tightish", tightish_w is None, tightish_w),
+            Check("coinitial", coin_w is None, coin_w),
+            Check("representation", rep),
+            Check("character", character),
+        ),
+        passed=tight_w is None,
+    )
 
 
 @lru_cache(maxsize=256)

@@ -323,6 +323,38 @@ def naive_meet(B, x, y):
     return top[0] if len(top) == 1 else None
 
 
+def _bound_rel(B, upper):
+    """le as a matrix, transposed for upper bounds."""
+    le_, _ = _matrices(B)
+    return [list(col) for col in zip(*le_)] if upper else le_
+
+
+def _candidates(rel, x, y):
+    pool = [z for z in range(len(rel)) if rel[z][x] and rel[z][y]]
+    return [m for m in pool if all(rel[z][m] for z in pool)]
+
+
+def bound_candidates(B, x, y, upper=False):
+    """The common lower bounds of x and y (upper bounds when `upper`) that
+    lie above (below) all the others, in ascending order."""
+    return _candidates(_bound_rel(B, upper), x, y)
+
+
+def candidate_lattice_tables(B):
+    """(meet_table, join_table) by candidate scans: an entry is the only
+    candidate of its pair, or None when there is none or several."""
+    def table(rel):
+        return tuple(
+            tuple(
+                cands[0] if len(cands := _candidates(rel, x, y)) == 1 else None
+                for y in range(B.size)
+            )
+            for x in range(B.size)
+        )
+
+    return table(_bound_rel(B, False)), table(_bound_rel(B, True))
+
+
 # ---------------------------------------------------------------------------
 # subset-law clauses, quantified literally
 #
@@ -492,11 +524,15 @@ def family_tables(B, sets):
 
 
 @lru_cache(maxsize=None)
-def _order_matrices(S):
-    """le(S, z, c) and meets_refl(S, z, d) as nested lists."""
-    return (
-        [[le(S, z, c) for c in range(S.size)] for z in range(S.size)],
-        [[meets_refl(S, z, d) for d in range(S.size)] for z in range(S.size)],
+def _element_masks(S):
+    """Per element t of S: (the nonzero elements below t, the elements
+    meeting t), read from `le` and `meets_refl`."""
+    return tuple(
+        (
+            sum(1 << z for z in range(S.size) if z != S.zero and le(S, z, t)),
+            sum(1 << z for z in range(S.size) if meets_refl(S, z, t)),
+        )
+        for t in range(S.size)
     )
 
 
@@ -504,18 +540,27 @@ def _cover_masks(S, images, nsub):
     """(lower[C], meeting[D]) over source subsets C, D whose members are
     sent to `images` in S: the nonzero common lower bounds of the image of
     C, and the elements meeting some member of the image of D."""
-    le_, mr = _order_matrices(S)
+    rows = _element_masks(S)
+    nonzero = (1 << S.size) - 1 & ~(1 << S.zero)
     lower, meeting = [], []
-    for C in range(nsub):
-        img = [images[c] for c in _members(C)]
-        lower.append(sum(
-            1 << z for z in range(S.size)
-            if z != S.zero and all(le_[z][c] for c in img)
-        ))
-        meeting.append(sum(
-            1 << z for z in range(S.size) if any(mr[z][d] for d in img)
-        ))
-    return lower, meeting
+    for members in _subset_members(nsub):
+        lo, me = nonzero, 0
+        for c in members:
+            lo &= rows[images[c]][0]
+            me |= rows[images[c]][1]
+        lower.append(lo)
+        meeting.append(me)
+    return tuple(lower), tuple(meeting)
+
+
+@lru_cache(maxsize=None)
+def _subset_members(nsub):
+    return tuple(_members(C) for C in range(nsub))
+
+
+@lru_cache(maxsize=None)
+def _source_cover_masks(B):
+    return _cover_masks(B, range(B.size), 1 << B.size)
 
 
 def sweep_map_witnesses(beta):
@@ -528,9 +573,16 @@ def sweep_map_witnesses(beta):
     tightish one.
     """
     B, A = beta.source, beta.target
-    nsub = 1 << B.size
-    lowB, meetB = _cover_masks(B, range(B.size), nsub)
-    lowA, meetA = _cover_masks(A, beta.assignment, nsub)
+    return _sweep_pairs(
+        *_source_cover_masks(B), *_cover_masks(A, beta.assignment, 1 << B.size)
+    )
+
+
+@lru_cache(maxsize=None)
+def _sweep_pairs(lowB, meetB, lowA, meetA):
+    """The sweep of `sweep_map_witnesses` over every pair, on the masks of
+    both sides; maps with the same masks share it."""
+    nsub = len(lowB)
     tight_w = tightish_w = None
     for F in range(nsub):
         for G in range(nsub):
@@ -550,8 +602,9 @@ def coinitial_witness(beta):
     """The first nonzero target element with no nonzero image below it."""
     A = beta.target
     image = {t for t in beta.assignment if t != A.zero}
+    le_, _ = _matrices(A)
     for a in range(A.size):
-        if a != A.zero and not any(le(A, t, a) for t in image):
+        if a != A.zero and not any(le_[t][a] for t in image):
             return (a,)
     return None
 
@@ -568,9 +621,13 @@ def coinitial_witness(beta):
 @lru_cache(maxsize=None)
 def _matrices(B):
     """le(B, z, c) and meets_refl(B, z, d) as nested lists."""
+    downs = [down(B, x) for x in range(B.size)]
+    le_ = [[downs[z] <= downs[c] for c in range(B.size)] for z in range(B.size)]
+    nonzero = [z for z in range(B.size) if z != B.zero]
     return (
-        [[le(B, z, c) for c in range(B.size)] for z in range(B.size)],
-        [[meets_refl(B, z, d) for d in range(B.size)] for z in range(B.size)],
+        le_,
+        [[any(le_[z][x] and le_[z][y] for z in nonzero) for y in range(B.size)]
+         for x in range(B.size)],
     )
 
 

@@ -160,6 +160,37 @@ class TestMeetJoin:
         with pytest.raises(NotAntisymmetric):
             meet(B, 1, 2)
 
+    def test_tables_match_candidate_scans(self):
+        from orderbench.core import lattice_tables
+
+        rng = random.Random(11)
+        corpus = small_structures(5) + [
+            lab.random_p0set(n, rng.getrandbits(32), rng.random() < 0.5, rng.uniform(0.1, 0.6))
+            for n in rng.choices(range(2, 13), k=200)
+        ]
+        equivalent = 0
+        for B in corpus:
+            assert lattice_tables(B) == oracles.candidate_lattice_tables(B), B.pairs()
+            equivalent += any(
+                len(oracles.bound_candidates(B, x, x)) > 1 for x in range(B.size)
+            )
+        assert equivalent > 100
+
+    def test_meet_join_match_candidate_scans(self):
+        # on structures with order-equivalent elements, the error names
+        # the first two candidates
+        for B in small_structures(4):
+            for x in range(B.size):
+                for y in range(B.size):
+                    for op, upper in ((meet, False), (join, True)):
+                        cands = oracles.bound_candidates(B, x, y, upper)
+                        if len(cands) > 1:
+                            with pytest.raises(NotAntisymmetric) as err:
+                                op(B, x, y)
+                            assert err.value.witness == (cands[0], cands[1])
+                        else:
+                            assert op(B, x, y) == (cands[0] if cands else None)
+
     def test_meet_agrees_with_meets_relation_on_basic_lattices(self):
         from orderbench.axioms import is_basic_lattice
 

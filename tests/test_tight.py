@@ -300,6 +300,48 @@ class TestMinimalCoverPairs:
         assert (info.misses, info.hits) == (1, 511)
 
 
+def _map_sweep_maps(seed):
+    """The maps of the benchmark's map_sweep groups at this seed: every
+    zero-preserving map into powerset 2 and powerset 3 from each structure
+    of size <= 3 and from 180 seeded structures of size 4 (the sample
+    `perfbench/workloads.py` draws in `map_inputs`)."""
+    import random
+
+    sources = small_structures(3)
+    sources += random.Random(f"map_sweep/{seed}").sample(lab.enumerate_structures(4), 180)
+    targets = (lab.make_family("powerset", 2), lab.make_family("powerset", 3))
+    return [beta for B in sources for A in targets for beta in ti.zero_preserving_maps(B, A)]
+
+
+class TestSharedMapReports:
+    """map_properties hands out one immutable report per verdict."""
+
+    def test_map_sweep_maps_match_sweep(self):
+        maps = _map_sweep_maps(0)
+        assert len(maps) == 105158
+        verdicts = set()
+        for beta in maps:
+            rep = ti.map_properties(beta)
+            assert rep == _oracle_report(beta, rep), beta
+            verdicts.add(rep)
+        assert len(verdicts) == 164
+
+    def test_same_verdict_same_object(self, p2):
+        B = lab.make_family("antichain", 2)
+        first, second = ti.struct_map(B, p2, (0, 1, 2)), ti.struct_map(B, p2, (0, 2, 1))
+        assert first != second
+        assert ti.map_properties(first) is ti.map_properties(second)
+        other = ti.map_properties(ti.struct_map(B, p2, (0, 1, 1)))
+        assert other != ti.map_properties(first)
+
+    def test_report_cache_is_bounded_and_keyed_on_verdicts(self, p3):
+        assert ti._map_report.cache_info().maxsize == 4096
+        rep = ti.map_properties(ti.struct_map(lab.make_family("chain", 1), p3, (0, 5)))
+        # the key is the three witnesses and two flags; it holds no structure
+        key = tuple(rep[name].witness for name in ("tight", "tightish", "coinitial"))
+        assert ti._map_report(*key, rep.holds("representation"), rep.holds("character")) is rep
+
+
 class TestTightEquivalences:
     def test_atoms_clause_a(self, e0, p2):
         rep = ti.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
