@@ -5,6 +5,10 @@ strict domination (every element of C strictly below some element of D),
 the cover-like relation (everything strictly below C meets D), and the
 way-below relation (the cover-like relation through a finite interpolant).
 Saturating a set collects every element whose singleton is way below it.
+A set enters its saturation only through the union of zero and one
+generator row per member a, the meet rows of the elements below a, so the
+saturated family is read from the unions of at most n generator rows
+instead of from all 2**n subsets.
 
 In a finite carrier the maximal admissible interpolant is the strict
 down-closure of D itself, which gives an O(1) evaluation of way-below
@@ -32,6 +36,7 @@ from .core import (
     P0Set,
     SubsetMask,
     bits,
+    derived_relations,
     full_mask,
     lattice_tables,
     meets_table,
@@ -45,22 +50,8 @@ from .errors import CapExceeded, OrderbenchError, PreconditionFailed
 from .report import Check, Report, report
 
 SUBSET_CAP = 12
-FAMILY_CAP = 10
+FAMILY_BOUND = 1 << 12
 FRAME_CAP = 8
-
-
-def _check_cap(B: P0Set):
-    if B.size > SUBSET_CAP:
-        raise CapExceeded(f"subset relations capped at carrier {SUBSET_CAP}")
-
-
-def subset_prec(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
-    return C & ~prec_down_table(B)[D] == 0
-
-
-def subset_precsim(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
-    dc = prec_down_table(B)
-    return dc[C] & ~(meets_table(B)[D] | 1 << B.zero) == 0
 
 
 def subset_wayb(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
@@ -71,22 +62,33 @@ def subset_wayb(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     return dc[C] & ~(meets_table(B)[dc[D]] | 1 << B.zero) == 0
 
 
+def _generator_rows(B: P0Set) -> list[SubsetMask]:
+    """g[a] = zero together with the meet rows of the elements below a."""
+    meets, zb = derived_relations(B).meets, 1 << B.zero
+    return [reduce(or_, map(meets.__getitem__, bits(d)), zb) for d in prec_down(B)]
+
+
+def _saturated_part(down, target: SubsetMask) -> SubsetMask:
+    """{y : down[y] inside target}."""
+    return sum(1 << y for y, d in enumerate(down) if not d & ~target)
+
+
 def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
-    """Elements whose singleton is way below A."""
-    _check_cap(B)
-    down = prec_down(B)
-    target = meets_table(B)[prec_down_table(B)[A]] | 1 << B.zero
-    out = 0
-    for y in range(B.size):
-        if down[y] & ~target == 0:
-            out |= 1 << y
-    return out
+    """Elements whose singleton is way below A: those whose strict down-set
+    lies inside the union of zero and the generator rows of A's members."""
+    target = reduce(or_, map(_generator_rows(B).__getitem__, bits(A)), 1 << B.zero)
+    return _saturated_part(prec_down(B), target)
 
 
 @lru_cache(maxsize=512)
 def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
-    """[A] = the saturation of A, for every subset A of the carrier."""
-    return tuple(saturate(B, A) for A in range(1 << B.size))
+    """[A] = the saturation of A, for every subset A of the carrier, read
+    from the subset tables: the saturated part of the union of zero and
+    the meet rows of the strict down-closure of A."""
+    if B.size > SUBSET_CAP:
+        raise CapExceeded(f"saturation tables capped at carrier {SUBSET_CAP}")
+    zb, mu, down = 1 << B.zero, meets_table(B), prec_down(B)
+    return tuple(_saturated_part(down, mu[S] | zb) for S in prec_down_table(B))
 
 
 def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
@@ -110,31 +112,33 @@ class SaturatedFamily:
     sets: tuple[SubsetMask, ...]
 
 
-def _sos_saturations(B: P0Set) -> list[SubsetMask]:
-    """[A] = the union of the saturations of the subsets of A: the
-    union-over-finite-parts formula, an independent route used to
-    cross-check the direct sweep.  Reversing the indices complements the
-    subsets, so the superset fold of the reversed table unions over
-    subsets."""
-    return superset_fold(saturation_table(B)[::-1], or_)[::-1]
-
-
 def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
     """Saturations of the chosen generator class.
 
-    singletons: one saturation per carrier element.  finite: the direct
-    saturation of every subset.  all: the same family computed through the
-    finite-parts union formula; in a finite carrier the two generator
-    classes coincide and the modes exist to cross-check each other.
+    singletons: one saturation per carrier element.  finite: the
+    saturation of every subset, which reads the subset only through the
+    union of zero and its members' generator rows, so the family is the
+    saturated parts of those unions, grown one generator at a time and
+    refused past `FAMILY_BOUND` of them.  all: the union of the
+    saturations of the finite parts of each subset, a superset fold of the
+    reversed saturation table (reversal complements the subsets); in a
+    finite carrier the two generator classes coincide and the modes exist
+    to cross-check each other.
     """
-    if B.size > FAMILY_CAP:
-        raise CapExceeded(f"saturated families capped at carrier {FAMILY_CAP}")
     if generators == "singletons":
         raw = {saturate(B, 1 << x) for x in range(B.size)}
     elif generators == "finite":
-        raw = set(saturation_table(B))
+        unions = {1 << B.zero}
+        for g in set(_generator_rows(B)):
+            unions |= {t | g for t in unions}
+            if len(unions) > FAMILY_BOUND:
+                raise CapExceeded(
+                    f"saturated families capped at {FAMILY_BOUND} unions of generator rows"
+                )
+        down = prec_down(B)
+        raw = {_saturated_part(down, t) for t in unions}
     elif generators == "all":
-        raw = set(_sos_saturations(B))
+        raw = set(superset_fold(saturation_table(B)[::-1], or_))
     else:
         raise ValueError(f"unknown generator class {generators!r}")
     return SaturatedFamily(B, tuple(sorted(raw)))
@@ -316,18 +320,34 @@ def _right_monotone_witness(rows):
     return None
 
 
-def _multiplicative_witness(rows, wedge, dc):
-    """First (C, D) where wedge(dc C, dc D) rel wedge(C, D) fails.
+def _multiplicative_witnesses(tables, wedge, dc):
+    """For each rows table, the first (C, D) where wedge(dc C, dc D) rel
+    wedge(C, D) fails, or None.
 
-    For each C the rows wedge(dc C, dc D) are looked up for every D at
-    once, and bit wedge(C, D) is read from each.
+    The tables are packed into one row per subset, table i at bit offset
+    i * 2**n, so one shift per (C, D) reads every table's bit.  The rows
+    wedge(dc C, dc D) depend on C only through dc C, so each class of
+    subsets sharing dc C looks them up once, for every D; its members,
+    ascending, test only the tables whose witness could still come first.
     """
-    for C, wc in enumerate(wedge):
-        need = map(rows.__getitem__, map(wedge[dc[C]].__getitem__, dc))
-        held = [*map(and_, map(rshift, need, wc), repeat(1))]
-        if not all(held):
-            return (C, held.index(0))
-    return None
+    nsub = len(dc)
+    out = [None] * len(tables)
+    packed = [sum(r << i * nsub for i, r in enumerate(rs)) for rs in zip(*tables)]
+    for k, cs in _classes(dc).items():
+        need = [*map(packed.__getitem__, map(wedge[k].__getitem__, dc))]
+        for C in bits(cs):
+            pending = [i for i, w in enumerate(out) if w is None or C < w[0]]
+            if not pending:
+                break
+            mask = sum(1 << i * nsub for i in pending)
+            held = [*map(and_, map(rshift, need, wedge[C]), repeat(mask))]
+            if held.count(mask) == nsub:
+                continue
+            for i in pending:
+                D = next((D for D, h in enumerate(held) if not h >> i * nsub & 1), None)
+                if D is not None:
+                    out[i] = (C, D)
+    return out
 
 
 def _saturation_invariant_witness(wayb_rows, sat):
@@ -402,15 +422,16 @@ def verify_subset_laws(B: P0Set) -> Report:
         w = fn()
         checks.append(Check(name, w is None, w))
 
-    wedge = None
+    mult = None
 
-    def multiplicative(rows):
+    def multiplicative(i):
         # extreme-instance reduction: the wedge of the full down-closures
         # is the largest left side, and rel shrinks as its left grows
-        nonlocal wedge
-        if wedge is None:
-            wedge = _wedge_table(B)
-        return _multiplicative_witness(rows, wedge, dc)
+        nonlocal mult
+        if mult is None:
+            tables = (prec_rows, sim_rows, wayb_rows)
+            mult = _multiplicative_witnesses(tables, _wedge_table(B), dc)
+        return mult[i]
 
     clause("prec_transitive", True, lambda: _transitive_witness(prec_rows))
     clause("precsim_transitive", g2, lambda: _transitive_witness(sim_rows))
@@ -420,9 +441,9 @@ def verify_subset_laws(B: P0Set) -> Report:
     clause("prec_right_monotone", True, lambda: _right_monotone_witness(prec_rows))
     clause("precsim_right_monotone", True, lambda: _right_monotone_witness(sim_rows))
     clause("wayb_right_monotone", True, lambda: _right_monotone_witness(wayb_rows))
-    clause("prec_multiplicative", g2, lambda: multiplicative(prec_rows))
-    clause("precsim_multiplicative", g2, lambda: multiplicative(sim_rows))
-    clause("wayb_multiplicative", g2, lambda: multiplicative(wayb_rows))
+    clause("prec_multiplicative", g2, lambda: multiplicative(0))
+    clause("precsim_multiplicative", g2, lambda: multiplicative(1))
+    clause("wayb_multiplicative", g2, lambda: multiplicative(2))
 
     clause("below_implies_precsim", g1, lambda: _inclusion_witness(rows.below, sim_rows))
     clause("precsim_reflexivized_form", g1,
@@ -501,13 +522,14 @@ def verify_frame(B: P0Set) -> Report:
     cbs_ok = is_basic_semilattice(B)
 
     n = B.size
-    famF = saturated_family(B, "finite")
-    famP = saturated_family(B, "all")
-    coincide = famF.sets == famP.sets
-
-    sets = famF.sets
-    index = {s: i for i, s in enumerate(sets)}
+    # the laws read the saturation table and its distinct values; the
+    # union route and the finite-parts formula must give the same family
     sat = saturation_table(B)
+    sets = tuple(sorted(set(sat)))
+    coincide = (
+        saturated_family(B, "finite").sets == sets == saturated_family(B, "all").sets
+    )
+    index = {s: i for i, s in enumerate(sets)}
 
     nsub = 1 << n
     # lub[X] = the intersection of the members containing X, the carrier

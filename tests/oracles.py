@@ -164,6 +164,19 @@ def subset_relations(B, C, D):
     return SubsetRels(mask_prec(B, C, D), mask_precsim(B, C, D), wayb_exhaustive(B, C, D))
 
 
+def table_saturated_family(B):
+    """The finite saturated family by the table route: the saturation of
+    every subset A of the carrier, each y tested for {y} precsim the strict
+    down-closure of A (its maximal interpolant), as distinct masks,
+    ascending."""
+    sat = {}
+    for A in range(1 << B.size):
+        below = _strict_below(B, A)
+        if below not in sat:
+            sat[below] = sum(1 << y for y in range(B.size) if mask_precsim(B, 1 << y, below))
+    return tuple(sorted(set(sat.values())))
+
+
 def naive_phi(B, x, y, n):
     """Literal tuple quantification; exponential, for tiny n only."""
     if not B.has(x, y):
@@ -416,6 +429,18 @@ def multiplicative_witness(rel, wedge, dc, nsub):
         for D in range(nsub):
             if not rel(wedge(dc[C], dc[D]), wedge(C, D)):
                 return (C, D)
+    return None
+
+
+def pairwise_multiplicative_witness(rows, wedge, dc):
+    """multiplicative_witness on relation rows and a wedge table: for each
+    C the rows wedge(dc C, dc D) are looked up for every D at once, and
+    bit wedge(C, D) is read from each, 4**n pair tests in all."""
+    for C, wc in enumerate(wedge):
+        need = [rows[wedge[dc[C]][e]] for e in dc]
+        held = [need[D] >> w & 1 for D, w in enumerate(wc)]
+        if not all(held):
+            return (C, held.index(0))
     return None
 
 

@@ -173,13 +173,26 @@ class TestWideCarriers:
         assert cli.run(["saturate", str(path)]) == 0
         assert "saturated sets:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("family,n", [("antichain", 12), ("powerset", 6)])
+    @pytest.mark.parametrize("family,n,count", [
+        ("antichain", 12, 4096), ("powerset", 6, 64), ("chain", 13, 2),
+    ])
+    def test_saturate_answers_past_carrier_ten(self, family, n, count, tmp_path,
+                                                capsys, deadline):
+        # antichain n and powerset n have 2**n saturated sets, a chain 2
+        path = self.write(tmp_path, family, n)
+        assert cli.run(["saturate", path]) == 0
+        assert f"saturated sets: {count}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,n", [
+        ("antichain", 15), ("diamond", 62), ("antichain", 63),
+    ])
     def test_saturate_refused_at_once(self, family, n, tmp_path, capsys, deadline):
         path = self.write(tmp_path, family, n)
         start = time.perf_counter()
         assert cli.run(["saturate", path]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "saturated families capped at carrier 10" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "saturated families capped at 4096 unions of generator rows" in err
 
 
 class TestGen:

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from conftest import small_structures
 from orderbench import axioms, lab, saturation as sa
-from orderbench.core import bits, mask_from, p0set
+from orderbench.core import bits, mask_from, order_predicates, p0set, prec_down_table
 from orderbench.errors import CapExceeded, PreconditionFailed
 
 
@@ -17,10 +17,10 @@ class TestSubsetRelations:
     def test_reflexive(self, e0, c2, p2):
         for B in (e0, c2, p2):
             for C in range(1 << B.size):
-                assert sa.subset_precsim(B, C, C)
+                assert oracles.mask_precsim(B, C, C)
 
     def test_two_atoms_not_similar(self, e0):
-        assert not sa.subset_precsim(e0, 0b010, 0b100)
+        assert not oracles.mask_precsim(e0, 0b010, 0b100)
 
     def test_matches_oracle(self, e0, c2, w5):
         for B in (e0, c2, w5):
@@ -28,10 +28,10 @@ class TestSubsetRelations:
                 Cs = set(bits(C))
                 for D in range(1 << B.size):
                     Ds = set(bits(D))
-                    assert sa.subset_prec(B, C, D) == oracles.naive_subset_prec(
+                    assert oracles.mask_prec(B, C, D) == oracles.naive_subset_prec(
                         B, Cs, Ds
                     )
-                    assert sa.subset_precsim(B, C, D) == oracles.naive_subset_precsim(
+                    assert oracles.mask_precsim(B, C, D) == oracles.naive_subset_precsim(
                         B, Cs, Ds
                     )
 
@@ -41,10 +41,14 @@ class TestSubsetRelations:
                 for D in range(1 << B.size):
                     assert sa.subset_wayb(B, C, D) == oracles.wayb_exhaustive(B, C, D)
 
-    def test_cap(self):
+    def test_thirteen_elements(self):
+        # single-set saturation has no carrier cap: it reads one generator
+        # row per member
         big = p0set(13, 0, [(0, j) for j in range(13)] + [(i, i) for i in range(13)])
-        with pytest.raises(CapExceeded):
-            sa.saturate(big, 0)
+        full = (1 << 13) - 1
+        for A in (full, full & ~0b110):
+            expected = mask_from(oracles.naive_saturate(big, set(bits(A))))
+            assert sa.saturate(big, A) == expected
 
 
 class TestSaturate:
@@ -108,6 +112,42 @@ class TestSaturatedFamily:
     def test_unknown_mode(self, e0):
         with pytest.raises(ValueError):
             sa.saturated_family(e0, "bogus")
+
+
+class TestUnionRoute:
+    """The finite family from the unions of generator rows against the
+    table routes: the package's saturation table, its superset fold, and
+    the oracle's saturation of every subset."""
+
+    @staticmethod
+    def _agree(B):
+        fam = sa.saturated_family(B, "finite").sets
+        assert fam == tuple(sorted(set(sa.saturation_table(B)))), B.pairs()
+        assert fam == sa.saturated_family(B, "all").sets, B.pairs()
+        assert fam == oracles.table_saturated_family(B), B.pairs()
+
+    def test_catalog_five(self):
+        structures = small_structures(5)
+        assert len(structures) == 5004
+        for B in structures:
+            self._agree(B)
+
+    def test_random_sizes_two_to_ten(self):
+        rng = random.Random(11)
+        for i in range(300):
+            B = lab.random_p0set(2 + i % 9, rng.getrandbits(32), i % 2 == 0,
+                                 rng.uniform(0.1, 0.7))
+            self._agree(B)
+
+    def test_output_bound(self):
+        # antichain n has 2**n saturated sets, one per set of atoms
+        assert len(sa.saturated_family(lab.make_family("antichain", 12), "finite").sets) == 4096
+        with pytest.raises(CapExceeded, match="capped at 4096 unions"):
+            sa.saturated_family(lab.make_family("antichain", 13), "finite")
+
+    def test_table_routes_keep_the_carrier_cap(self):
+        with pytest.raises(CapExceeded, match="carrier 12"):
+            sa.saturated_family(lab.make_family("antichain", 12), "all")
 
 
 class TestFrame:
@@ -262,8 +302,9 @@ class TestSubsetLaws:
 
 def _literal_relations(B):
     """The six relations tabulated by verify_subset_laws, as predicates on
-    subset masks: the three package predicates (checked against the naive
-    routes above), and the other three from oracle-built tables."""
+    subset masks: the oracle prec and precsim and the package's wayb
+    (checked against the naive routes above), and the other three from
+    oracle-built tables."""
     nsub = 1 << B.size
     dcp = [
         mask_from({z for z in range(B.size) for d in bits(D) if oracles.le(B, z, d)})
@@ -275,8 +316,8 @@ def _literal_relations(B):
     ]
     sat = [sa.saturate(B, A) for A in range(nsub)]
     return {
-        "prec": lambda C, D: sa.subset_prec(B, C, D),
-        "precsim": lambda C, D: sa.subset_precsim(B, C, D),
+        "prec": lambda C, D: oracles.mask_prec(B, C, D),
+        "precsim": lambda C, D: oracles.mask_precsim(B, C, D),
         "wayb": lambda C, D: sa.subset_wayb(B, C, D),
         "precsim_refl": lambda C, D: dcp[C] & ~(mu[D] | 1 << B.zero) == 0,
         "below": lambda C, D: C & ~dcp[D] == 0,
@@ -390,6 +431,32 @@ class TestSubsetLawRows:
                 ran |= self._compare(B)
         assert "wayb_multiplicative" in ran
 
+    def test_multiplicative_matches_pairwise_loop(self):
+        # the search on classes of dc C against the 4**n pair loop it
+        # replaced, on every meet semilattice of size <= 5 and on seeded
+        # random structures, for the three relations and for their
+        # complements, on which the law fails
+        rng = random.Random(13)
+        pool = list(small_structures(5)) + [
+            lab.random_p0set(2 + i % 6, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.1, 0.7))
+            for i in range(300)
+        ]
+        ran = failed = 0
+        for B in pool:
+            if not order_predicates(B).holds("meet_semilattice"):
+                continue
+            ran += 1
+            wedge = sa._wedge_table(B)
+            dc = prec_down_table(B)
+            full = (1 << len(dc)) - 1
+            rows = sa._subset_rows(B)
+            tables = [rows.prec, rows.precsim, rows.wayb]
+            tables += [[full & ~x for x in r] for r in tables]
+            want = [oracles.pairwise_multiplicative_witness(t, wedge, dc) for t in tables]
+            assert sa._multiplicative_witnesses(tables, wedge, dc) == want
+            failed += sum(w is not None for w in want)
+        assert ran >= 400 and failed >= ran, (ran, failed)
+
     def test_helpers_return_first_witness_on_failing_tables(self):
         # on real structures the laws hold, so witnesses are compared here,
         # on random row tables seeded to fail somewhere in the middle
@@ -472,7 +539,7 @@ class TestSubsetLawRows:
                     oracles.right_monotone_witness(rel(ups), nsub),
                 ),
                 "multiplicative": (
-                    sa._multiplicative_witness(a, wedge, dc),
+                    sa._multiplicative_witnesses([a], wedge, dc)[0],
                     oracles.multiplicative_witness(
                         rel(a), lambda C, D: wedge[C][D], dc, nsub
                     ),
