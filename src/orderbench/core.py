@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import and_, or_
+from operator import and_, getitem, or_
 from pathlib import Path
 
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     NotGBA,
     NotTransitive,
 )
-from .report import Check, Report, report
+from .report import Report, shared_report
 
 #: Hard carrier cap.  Bitmasks stay cheap well beyond this; the cap exists so
 #: that derived families (open-set posets, enveloping algebras over carriers
@@ -74,6 +74,44 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def transpose(rows, width: int) -> list[int]:
+    """[y] = {x : bit y of rows[x]}, for y in range(width)."""
+    out = [0] * width
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def union_rows(rows, mask: int, init: int = 0) -> int:
+    """`init` joined with rows[x] for every x in `mask`."""
+    while mask:
+        low = mask & -mask
+        init |= rows[low.bit_length() - 1]
+        mask ^= low
+    return init
+
+
+def meet_rows(rows, mask: int, init: int) -> int:
+    """`init` met with rows[x] for every x in `mask`."""
+    while mask:
+        low = mask & -mask
+        init &= rows[low.bit_length() - 1]
+        mask ^= low
+    return init
+
+
+def first_pair(rows) -> tuple[int, int] | None:
+    """(x, lowest bit of rows[x]) for the first nonzero row, or None."""
+    for x, row in enumerate(rows):
+        if row:
+            return (x, (row & -row).bit_length() - 1)
+    return None
 
 
 def subset_fold(rows, op, init) -> tuple:
@@ -240,75 +278,63 @@ class DerivedRels:
 
     ``preceq[x]`` masks {y : x <= y}, ``preceq_down[y]`` masks {x : x <= y};
     ``meets``/``perp`` are the symmetric relations row-wise (meets[x] masks
-    the elements sharing a nonzero strict lower bound with x).
+    the elements sharing a nonzero strict lower bound with x).  ``anti`` is
+    the first pair of distinct order-equivalent elements, or None.
     """
 
     preceq: tuple[int, ...]
     preceq_down: tuple[int, ...]
     meets: tuple[int, ...]
     perp: tuple[int, ...]
+    anti: tuple[int, int] | None
 
 
 @lru_cache(maxsize=None)
 def prec_down(B: P0Set) -> tuple[int, ...]:
     """Rows of the transposed strict relation: down[y] = {x : x < y}."""
-    down = [0] * B.size
-    for x in range(B.size):
-        row = B.prec[x]
-        for y in bits(row):
-            down[y] |= 1 << x
-    return tuple(down)
+    return tuple(transpose(B.prec, B.size))
 
 
 @lru_cache(maxsize=None)
 def derived_relations(B: P0Set) -> DerivedRels:
+    """x <= y when every d < x has d < y: preceq[x] is the meet of the rows
+    prec[d] over d < x.  x meets y when some nonzero d < x has d < y:
+    meets[x] is the union of those rows."""
     n = B.size
     down = prec_down(B)
     zb = 1 << B.zero
-    preceq = [0] * n
-    preceq_down = [0] * n
-    for x in range(n):
-        dx = down[x]
-        row = 0
-        for y in range(n):
-            if dx & ~down[y] == 0:
-                row |= 1 << y
-                preceq_down[y] |= 1 << x
-        preceq[x] = row
-    meets = [0] * n
-    for x in range(n):
-        dx = down[x] & ~zb
-        row = 0
-        for y in range(n):
-            if dx & down[y]:
-                row |= 1 << y
-        meets[x] = row
     fm = full_mask(n)
+    preceq = tuple(meet_rows(B.prec, d, fm) for d in down)
+    preceq_down = tuple(transpose(preceq, n))
+    meets = tuple(union_rows(B.prec, d & ~zb) for d in down)
     perp = tuple(fm & ~m for m in meets)
-    return DerivedRels(tuple(preceq), tuple(preceq_down), tuple(meets), perp)
+    anti = first_pair(up & d & ~(1 << x) for x, (up, d) in enumerate(zip(preceq, preceq_down)))
+    return DerivedRels(preceq, preceq_down, meets, perp, anti)
 
 
 @lru_cache(maxsize=None)
 def meets_preceq(B: P0Set) -> tuple[int, ...]:
     """Rows of the meet relation computed from the reflexivization.
 
-    x and y are related iff some nonzero z has z <= x and z <= y.  On a
-    reflexive structure this coincides with DerivedRels.meets; the
-    representation and spectrum machinery, which treats any structure as
-    a p0set through its reflexivization, uses this version.
+    x and y are related iff some nonzero z has z <= x and z <= y: row x is
+    the union of the rows preceq[z] over those z.  On a reflexive
+    structure this coincides with DerivedRels.meets; the representation
+    and spectrum machinery, which treats any structure as a p0set through
+    its reflexivization, uses this version.
     """
     der = derived_relations(B)
-    n = B.size
     zb = 1 << B.zero
-    rows = [0] * n
-    for x in range(n):
-        dx = der.preceq_down[x] & ~zb
-        row = 0
-        for y in range(n):
-            if dx & der.preceq_down[y]:
-                row |= 1 << y
-        rows[x] = row
-    return tuple(rows)
+    return tuple(union_rows(der.preceq, d & ~zb) for d in der.preceq_down)
+
+
+@lru_cache(maxsize=1024)
+def separation_table(B: P0Set) -> tuple[int, ...]:
+    """sep[x] = the elements meeting every nonzero z <= x: the meet of the
+    `meets_preceq` rows of those z (the whole carrier when there are none).
+    See the README design note on separation."""
+    mp = meets_preceq(B)
+    fm, zb = full_mask(B.size), 1 << B.zero
+    return tuple(meet_rows(mp, d & ~zb, fm) for d in derived_relations(B).preceq_down)
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +420,14 @@ def join(B: P0Set, x: int, y: int) -> int | None:
 
 def antisymmetry_violation(B: P0Set) -> tuple[int, int] | None:
     """First pair of distinct order-equivalent elements, if any."""
-    der = derived_relations(B)
-    for x in range(B.size):
-        row = der.preceq[x] & der.preceq_down[x] & ~(1 << x)
-        if row:
-            return (x, next(bits(row)))
-    return None
+    return derived_relations(B).anti
 
 
 def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int | None, ...], ...]:
     """[x][y] = the owner of rows[x] & rows[y] (see `_bound`), or None when
     the row has no owner or several."""
     unique = {r: ms[0] if len(ms) == 1 else None for r, ms in _row_owners(rows).items()}
-    return tuple(tuple(unique.get(rx & ry) for ry in rows) for rx in rows)
+    return tuple(tuple(map(unique.get, map(rx.__and__, rows))) for rx in rows)
 
 
 @lru_cache(maxsize=None)
@@ -418,6 +439,17 @@ def lattice_tables(B: P0Set):
     """
     der = derived_relations(B)
     return _bound_table(der.preceq_down), _bound_table(der.preceq)
+
+
+def _bound_witness(rows: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first (x, y) with x <= y whose bound (see `_bound`) is missing
+    or not unique: the first None entry of the upper half of `_bound_table`."""
+    unique = {r for r, ms in _row_owners(rows).items() if len(ms) == 1}
+    for x, rx in enumerate(rows):
+        bounds = list(map(rx.__and__, rows[x:]))
+        if not unique.issuperset(bounds):
+            return (x, x + next(i for i, b in enumerate(bounds) if b not in unique))
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -432,20 +464,10 @@ def order_predicates(B: P0Set) -> Report:
     n = B.size
     zero = B.zero
     der = derived_relations(B)
-    mp = meets_preceq(B)
-    anti = antisymmetry_violation(B)
-    mt, jt = lattice_tables(B)
-
-    meet_witness = None
-    join_witness = None
-    for x in range(n):
-        for y in range(x, n):
-            if meet_witness is None and mt[x][y] is None:
-                meet_witness = (x, y)
-            if join_witness is None and jt[x][y] is None:
-                join_witness = (x, y)
-
+    anti = der.anti
+    meet_witness = _bound_witness(der.preceq_down)
     is_msl = anti is None and meet_witness is None
+    join_witness = _bound_witness(der.preceq) if is_msl else None
     msl_witness = anti if anti is not None else meet_witness
     is_lat = is_msl and join_witness is None
     lat_witness = msl_witness if not is_msl else join_witness
@@ -455,72 +477,59 @@ def order_predicates(B: P0Set) -> Report:
     seccomp = None
     seccomp_witness = None
     if is_lat:
-        distributive = True
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if mt[x][jt[y][z]] != jt[mt[x][y]][mt[x][z]]:
-                        distributive = False
+        mt, jt = lattice_tables(B)
+        # x meet (y join z) against (x meet y) join (x meet z) for every x
+        # at once: the column of x meet j is the row of j.  Both sides are
+        # symmetric in y and z and agree when y = z, so the first failing
+        # (x, y, z) has y < z.
+        for y in range(n):
+            for z in range(y + 1, n):
+                left = mt[jt[y][z]]
+                right = tuple(map(getitem, map(jt.__getitem__, mt[y]), mt[z]))
+                if left != right:
+                    x = next(x for x in range(n) if left[x] != right[x])
+                    if dist_witness is None or (x, y, z) < dist_witness:
                         dist_witness = (x, y, z)
-                        break
-                if dist_witness:
-                    break
-            if dist_witness:
-                break
-        seccomp = True
-        for z in range(n):
-            for y in bits(der.preceq_down[z]):
-                if not any(mt[w][y] == zero and jt[w][y] == z for w in range(n)):
-                    seccomp = False
-                    seccomp_witness = (y, z)
-                    break
-            if seccomp_witness:
-                break
+        distributive = dist_witness is None
+        # comps[y] = the joins y join w over the w with y meet w = 0
+        comps = [
+            mask_from(jy[w] for w, m in enumerate(my) if m == zero) for my, jy in zip(mt, jt)
+        ]
+        seccomp_witness = next(
+            (
+                (y, z)
+                for z in range(n)
+                for y in bits(der.preceq_down[z])
+                if not comps[y] >> z & 1
+            ),
+            None,
+        )
+        seccomp = seccomp_witness is None
 
     gba = bool(is_lat and distributive and seccomp)
 
-    separative = anti is None
+    # not x <= y, yet y meets every nonzero element below x
+    sep = separation_table(B)
     sep_witness = anti
-    if separative:
-        for x in range(n):
-            for y in range(n):
-                if der.preceq[x] >> y & 1:
-                    continue
-                if not any(
-                    v != zero and not mp[v] >> y & 1
-                    for v in bits(der.preceq_down[x])
-                ):
-                    separative = False
-                    sep_witness = (x, y)
-                    break
-            if not separative:
-                break
+    if anti is None:
+        sep_witness = first_pair(s & ~up for s, up in zip(sep, der.preceq))
+    separative = sep_witness is None
+    # some y < x meets every nonzero element below x
+    ssc_witness = first_pair(
+        s & down & ~(1 << x) for x, (s, down) in enumerate(zip(sep, der.preceq_down))
+    )
+    ssc = ssc_witness is None
 
-    ssc = True
-    ssc_witness = None
-    for x in range(n):
-        for y in bits(der.preceq_down[x]):
-            if y == x:
-                continue
-            if not any(
-                z != zero and not mp[z] >> y & 1 for z in bits(der.preceq_down[x])
-            ):
-                ssc = False
-                ssc_witness = (x, y)
-                break
-        if not ssc:
-            break
-
-    checks = [
-        Check("meet_semilattice", is_msl, None if is_msl else msl_witness),
-        Check("lattice", is_lat, None if is_lat else lat_witness),
-        Check("distributive", distributive, dist_witness),
-        Check("section_complemented", seccomp, seccomp_witness),
-        Check("generalized_boolean", gba, None),
-        Check("separative", separative, None if separative else sep_witness),
-        Check("ssc", ssc, ssc_witness),
-    ]
-    return report("order_predicates", checks, passed=all(c.holds for c in checks))
+    checks = (
+        ("meet_semilattice", is_msl, None if is_msl else msl_witness),
+        ("lattice", is_lat, None if is_lat else lat_witness),
+        ("distributive", distributive, dist_witness),
+        ("section_complemented", seccomp, seccomp_witness),
+        ("generalized_boolean", gba, None),
+        ("separative", separative, sep_witness),
+        ("ssc", ssc, ssc_witness),
+    )
+    return shared_report("order_predicates", checks, all(c[1] for c in checks))
 
 
 def relative_complement(B: P0Set, x: int, y: int) -> int:

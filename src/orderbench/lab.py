@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import P0Set, bits, full_mask, p0set
+from .core import P0Set, bits, full_mask, p0set, union_rows
 from .errors import CapExceeded, UnknownFamily, UnknownSuite
 
 RANDOM_CAP = 12
@@ -125,9 +125,7 @@ def random_p0set(n: int, seed: int, reflexive: bool = False, density: float = 0.
     while changed:
         changed = False
         for x in range(n):
-            acc = rows[x]
-            for y in bits(rows[x]):
-                acc |= rows[y]
+            acc = union_rows(rows, rows[x], rows[x])
             if acc != rows[x]:
                 rows[x] = acc
                 changed = True

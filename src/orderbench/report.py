@@ -15,6 +15,7 @@ caller with the same verdict.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -68,6 +69,13 @@ def report(name: str, checks, passed=None) -> Report:
     if passed is None:
         passed = all(c.holds is not False for c in checks)
     return Report(name, checks, passed)
+
+
+@lru_cache(maxsize=1024)
+def shared_report(name: str, checks: tuple, passed=None) -> Report:
+    """The report of these (name, verdict, witness) triples, built once per
+    distinct value, so that structures with the same verdicts share one."""
+    return report(name, (Check(*c) for c in checks), passed)
 
 
 def reports_to_json(reports) -> str:

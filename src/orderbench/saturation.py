@@ -91,11 +91,13 @@ def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
     return tuple(_saturated_part(down, mu[S] | zb) for S in prec_down_table(B))
 
 
+@lru_cache(maxsize=1)
 def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
     """W[C][D] = {c meet d : c in C, d in D}; requires a meet semilattice.
 
     Two subset folds: first the row of each element c over every D, then
-    the union of those rows over the members of C.
+    the union of those rows over the members of C.  One entry is kept:
+    `verify_subset_laws` and `verify_frame` read it back to back.
     """
     mt, _ = lattice_tables(B)
     if any(m is None for row in mt for m in row):

@@ -15,18 +15,23 @@ principal opens as the designated pseudobasis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .core import (
     P0Set,
     SubsetMask,
-    bit_list,
+    antisymmetry_violation,
     bits,
     derived_relations,
+    first_pair,
     full_mask,
     lower_bound_table,
     mask_from,
+    meet_rows,
     meets_preceq_table,
+    order_predicates,
+    transpose,
 )
 from .errors import (
     CapExceeded,
@@ -35,8 +40,8 @@ from .errors import (
     NotOpen,
     PreconditionFailed,
 )
-from .report import Check, Report, report
-from .stone import FiniteTopology, discrete_topology, point_filter
+from .report import Check, Report, report, shared_report
+from .stone import FiniteTopology, discrete_topology
 from .tight import enveloping_algebra, rho
 
 VS_STONE_CAP = 8
@@ -70,10 +75,17 @@ def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
 
     Bounds shrink as the set grows, so a set is centred exactly when some
     nonzero z lies below all of it, that is when it is contained in the
-    up-set of z.  The maximal centred sets are the maximal such up-sets.
+    up-set of z.  The maximal centred sets are the maximal such up-sets:
+    up(w) holds up(z) exactly when w <= z, so they are the up-sets of the
+    nonzero z to which every nonzero w <= z is equivalent.
     """
-    rows = {derived_relations(B).preceq[z] for z in range(B.size) if z != B.zero}
-    return tuple(sorted(r for r in rows if not any(r != s and r & ~s == 0 for s in rows)))
+    der = derived_relations(B)
+    nonzero = full_mask(B.size) & ~(1 << B.zero)
+    return tuple(sorted({
+        up
+        for z, (up, down) in enumerate(zip(der.preceq, der.preceq_down))
+        if z != B.zero and down & nonzero & ~up == 0
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -95,64 +107,60 @@ class PseudobasisReport:
 
 
 def is_pseudobasis(X: FiniteTopology, family) -> PseudobasisReport:
-    """The four pseudobasis conditions evaluated literally, with clopen and
-    compact flags per member (compactness is automatic in finite spaces)."""
+    """The four pseudobasis conditions, with clopen and compact flags per
+    member (compactness is automatic in finite spaces)."""
     family = list(family)
-    for o in family:
-        if not X.is_open(o):
-            raise NotOpen(f"family member {o:#b} is not open")
+    if not all(map(X.is_open, family)):
+        o = next(o for o in family if not X.is_open(o))
+        raise NotOpen(f"family member {o:#b} is not open")
     fm = full_mask(X.points)
 
     minimum = 0 in family
-    cover = 0
-    for o in family:
-        cover |= o
-    cover_ok = cover == fm
+    cover_ok = reduce(or_, family, 0) == fm
 
     # a nonempty open holds the minimal neighbourhood of each of its points,
     # so the smallest open with no member inside is a minimal neighbourhood
+    members = set(family) - {0}
     coin_w = min(
-        ((u,) for u in set(X.nbhd) if not any(m and m & ~u == 0 for m in family)),
+        ((u,) for u in set(X.nbhd) - members if not any(m & ~u == 0 for m in members)),
         default=None,
     )
 
-    sig = [point_filter(X, family, p) for p in range(X.points)]
-    t0_w = next(
-        ((p, q) for p in range(X.points) for q in range(p + 1, X.points) if sig[p] == sig[q]),
-        None,
-    )
+    # the first pair of points with the same point filter pairs the first
+    # point of its filter with the next
+    first: dict[int, int] = {}
+    filters = enumerate(transpose(family, X.points))
+    t0_w = min(((first[f], q) for q, f in filters if first.setdefault(f, q) != q), default=None)
 
-    checks = [
-        Check("minimum", minimum),
-        Check("cover", cover_ok),
-        Check("coinitiality", coin_w is None, coin_w),
-        Check("t0", t0_w is None, t0_w),
-    ]
-    clopen = tuple(X.is_open(fm & ~o) for o in family)
-    compact = tuple(True for _ in family)
-    return PseudobasisReport(report("pseudobasis", checks), clopen, compact)
+    checks = (
+        ("minimum", minimum, None),
+        ("cover", cover_ok, None),
+        ("coinitiality", coin_w is None, coin_w),
+        ("t0", t0_w is None, t0_w),
+    )
+    clopen = tuple(map(X.is_open, [fm & ~o for o in family]))
+    compact = (True,) * len(family)
+    return PseudobasisReport(shared_report("pseudobasis", checks), clopen, compact)
 
 
 @lru_cache(maxsize=None)
+def _principal_opens(B: P0Set) -> tuple[FiniteTopology, PseudobasisReport]:
+    """The spectrum with its principal opens, and their pseudobasis report.
+    When the reflexivization is a partial order the conditions are a
+    theorem, and a failure signals a bug; outside that scope (elements
+    order-equivalent to zero, say) they genuinely fail."""
+    chars = tight_characters(B).chars
+    X = discrete_topology(len(chars), transpose(chars, B.size))
+    pb = is_pseudobasis(X, X.basis)
+    if not pb.passed and antisymmetry_violation(B) is None:
+        raise InternalCheckFailed("principal opens failed the pseudobasis conditions")
+    return X, pb
+
+
 def spectrum_space(B: P0Set) -> FiniteTopology:
     """Discrete space on the tight characters with the principal opens as
-    designated pseudobasis.
-
-    When the reflexivization is a partial order, the pseudobasis
-    conditions are a theorem; they are re-verified here and a failure
-    signals a bug.  Outside that scope (elements order-equivalent to zero,
-    say) they genuinely fail and the space is built without the assert.
-    """
-    from .core import antisymmetry_violation
-
-    chars = tight_characters(B).chars
-    basis = [mask_from(i for i, M in enumerate(chars) if M >> x & 1) for x in range(B.size)]
-    X = discrete_topology(len(chars), basis)
-    if antisymmetry_violation(B) is None:
-        pb = is_pseudobasis(X, basis)
-        if not pb.passed:
-            raise InternalCheckFailed("principal opens failed the pseudobasis conditions")
-    return X
+    designated pseudobasis (see `_principal_opens`)."""
+    return _principal_opens(B)[0]
 
 
 def spectrum_homeomorphism(X: FiniteTopology, family):
@@ -184,32 +192,22 @@ def spectrum_homeomorphism(X: FiniteTopology, family):
     chars = tight_characters(struct).chars
     index = {m: i for i, m in enumerate(chars)}
 
-    mapping = []
-    member_w = None
-    for p in range(X.points):
-        m = point_filter(X, family, p)
-        if m not in index:
-            member_w = (p,)
-            mapping.append(-1)
-        else:
-            mapping.append(index[m])
+    # a point's character is its point filter; the witness is the last
+    # point whose filter is no character
+    mapping = [index.get(m, -1) for m in transpose(family, X.points)]
+    member_w = next(((p,) for p in reversed(range(X.points)) if mapping[p] < 0), None)
     tight_ok = member_w is None
 
     bij = tight_ok and sorted(mapping) == list(range(len(chars)))
 
     open_w = None
     if tight_ok:
-        for j, o in enumerate(family):
-            img = 0
-            for p in bits(o):
-                img |= 1 << mapping[p]
-            oj = 0
-            for i, M in enumerate(chars):
-                if M >> j & 1:
-                    oj |= 1 << i
-            if img != oj:
-                open_w = (j,)
-                break
+        principal = transpose(chars, len(family))
+        open_w = next(
+            ((j,) for j, o in enumerate(family)
+             if mask_from(map(mapping.__getitem__, bits(o))) != principal[j]),
+            None,
+        )
 
     checks = [
         Check("points_are_characters", tight_ok, member_w),
@@ -227,22 +225,16 @@ def verify_pseudochar(B: P0Set) -> Report:
     isomorphism.  The report passes when the observed outcome matches the
     structure's class.
     """
-    from .core import order_predicates
-
     sep = order_predicates(B).holds("separative")
-    X = spectrum_space(B)
+    X, pb = _principal_opens(B)
     basis = X.basis
-    pb = is_pseudobasis(X, basis)
-    der = derived_relations(B)
-
-    iso_w = None
-    for x in range(B.size):
-        for y in range(B.size):
-            if (basis[x] & ~basis[y] == 0) != (der.preceq[x] >> y & 1 == 1):
-                iso_w = (x, y)
-                break
-        if iso_w:
-            break
+    chars = tight_characters(B).chars
+    fm = full_mask(B.size)
+    # y's principal open holds x's when every character holding x holds y
+    iso_w = first_pair(
+        meet_rows(chars, b, fm) ^ up
+        for b, up in zip(basis, derived_relations(B).preceq)
+    )
     injective = len(set(basis)) == B.size
 
     if sep:
@@ -250,44 +242,37 @@ def verify_pseudochar(B: P0Set) -> Report:
     else:
         expected = not injective or iso_w is not None
 
-    checks = [
-        Check("separative", sep),
-        Check("pseudobasis", pb.passed),
-        Check("clopen_members", pb.all_clopen()),
-        Check("order_isomorphism", iso_w is None, iso_w),
-        Check("injective", injective),
-        Check("outcome_matches_class", expected),
-    ]
-    return Report("pseudochar", tuple(checks), passed=expected)
+    checks = (
+        ("separative", sep, None),
+        ("pseudobasis", pb.passed, None),
+        ("clopen_members", pb.all_clopen(), None),
+        ("order_isomorphism", iso_w is None, iso_w),
+        ("injective", injective, None),
+        ("outcome_matches_class", expected, None),
+    )
+    return shared_report("pseudochar", checks, expected)
 
 
 def separativity_chain(B: P0Set) -> Report:
     """Separative implies an injective principal embedding implies section
     semicomplementedness, with all three equivalent on meet semilattices."""
-    from .core import order_predicates
-
     preds = order_predicates(B)
     sep = preds.holds("separative")
     ssc = preds.holds("ssc")
-    rhos = [rho(B, x) for x in range(B.size)]
-    inj = len(set(rhos)) == B.size
+    inj = len(set(rho(B))) == B.size
     chain = (not sep or inj) and (not inj or ssc)
     if preds.holds("meet_semilattice"):
         sem_eq = sep == inj == ssc
     else:
         sem_eq = None
-    checks = [
-        Check("separative", sep),
-        Check("rho_injective", inj),
-        Check("ssc", ssc),
-        Check("chain_respected", chain),
-        Check("semilattice_equivalence", sem_eq),
-    ]
-    return Report(
-        "separativity_chain",
-        tuple(checks),
-        passed=chain and sem_eq is not False,
+    checks = (
+        ("separative", sep, None),
+        ("rho_injective", inj, None),
+        ("ssc", ssc, None),
+        ("chain_respected", chain, None),
+        ("semilattice_equivalence", sem_eq, None),
     )
+    return shared_report("separativity_chain", checks, chain and sem_eq is not False)
 
 
 def _scan_characters(B: P0Set) -> tuple[SubsetMask, ...]:
@@ -296,31 +281,62 @@ def _scan_characters(B: P0Set) -> tuple[SubsetMask, ...]:
     M fails when some F inside M covers into the complement of M; lower
     bounds shrink as F grows, so F = M alone decides it.
     """
-    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
     zb = 1 << B.zero
-    fm = full_mask(B.size)
-    return tuple(
-        M
-        for M in range(1, 1 << B.size)
-        if not M & zb and lbt[M] & ~(mut[fm & ~M] | zb)
-    )
+    # the complement of M indexes the reversed table
+    rows = zip(range(1 << B.size), lower_bound_table(B), reversed(meets_preceq_table(B)))
+    return tuple(M for M, lb, mu in rows if M and not M & zb and lb & ~(mu | zb))
+
+
+@lru_cache(maxsize=None)
+def _index_masks(k: int) -> tuple[int, ...]:
+    """[j] = the bitset of the T in range(2**k) holding bit j; k is at most
+    VS_STONE_CAP."""
+    out = []
+    for j in range(k):
+        h = full_mask(1 << j) << (1 << j)
+        for s in range(j + 1, k):
+            h |= h << (1 << s)
+        out.append(h)
+    return tuple(out)
 
 
 def _scan_centred(B: P0Set) -> tuple[SubsetMask, ...]:
-    """Maximal centred sets by a scan of every subset.
+    """Maximal centred sets by a scan of every subset, as one bitset read
+    from one flag byte per subset.
 
-    A subset of a centred set is centred, so a centred set is maximal
-    when adding any one element breaks it.
+    A subset of a centred set is centred, so a centred set is maximal when
+    adding any one element b breaks it; shifting the centred sets holding
+    b down by 2**b marks the sets that b extends.
     """
-    lbt = lower_bound_table(B)
-    zb = 1 << B.zero
-    centred = [lb & ~zb != 0 for lb in lbt]
-    return tuple(
-        C
-        for C in range(1 << B.size)
-        if centred[C]
-        and not any(centred[C | 1 << b] for b in range(B.size) if not C >> b & 1)
-    )
+    flags = bytes(map(bool, map((~(1 << B.zero)).__and__, lower_bound_table(B))))
+    centred = int(flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    extendable = 0
+    for b, h in enumerate(_index_masks(B.size)):
+        extendable |= (centred & h) >> (1 << b)
+    return tuple(bits(centred & ~extendable))
+
+
+def _ultrafilter_witness(ults, k: int) -> tuple[int] | None:
+    """The first U, a bitset over the atom masks of k atoms, that is not a
+    proper filter deciding every complement pair.
+
+    An up-set is closed under adding one atom; it is a filter when empty or
+    holding the meet of its members; the complement T ^ top of every T is
+    reached by swapping the halves of every index bit.
+    """
+    masks = _index_masks(k)
+    full = full_mask(1 << k)
+    for i, U in enumerate(ults):
+        up = all((U & ~h) << (1 << j) & ~U == 0 for j, h in enumerate(masks))
+        least = sum(1 << j for j, h in enumerate(masks) if U & ~h == 0)
+        directed = not U or U >> least & 1
+        proper = not U & 1
+        flipped = U
+        for j, h in enumerate(masks):
+            flipped = (flipped & h) >> (1 << j) | (flipped & full & ~h) << (1 << j)
+        if not (up and directed and proper and U ^ flipped == full):
+            return (i,)
+    return None
 
 
 def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
@@ -329,8 +345,7 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
 
     Ultrafilter i of the algebra is the set of atom masks holding atom i;
     each is verified to be a proper filter that decides every complement
-    pair, which characterizes ultrafilters in a finite Boolean algebra.
-    Their pullbacks along the principal embedding, the closed-form
+    pair.  Their pullbacks along the principal embedding, the closed-form
     characters and the closed-form maximal centred sets are compared with
     scans of every subset of the carrier.  With `cross_check` (on by
     default) an algebra of at most three atoms also has its ultrafilters
@@ -340,20 +355,8 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
         raise CapExceeded(f"capped at carrier {VS_STONE_CAP}")
     S = enveloping_algebra(B)
     k = len(S.signatures)
-    size = 1 << k
-    top = size - 1
-    ults = [mask_from(T for T in range(size) if T >> i & 1) for i in range(k)]
-
-    filter_w = None
-    for i, U in enumerate(ults):
-        members = bit_list(U)
-        up_ok = all(T & ~V or U >> V & 1 for T in members for V in range(size))
-        directed = all(U >> (T & V) & 1 for T in members for V in members)
-        proper = not U & 1
-        decides = all((U >> T & 1) != (U >> (top & ~T) & 1) for T in range(size))
-        if not (up_ok and directed and proper and decides):
-            filter_w = (i,)
-            break
+    ults = list(_index_masks(k))
+    filter_w = _ultrafilter_witness(ults, k)
     ultra_ok = filter_w is None
 
     pullbacks = [
@@ -379,14 +382,13 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
             == list(enumerate_ultrafilters(sp))
             == list(tight_characters(sp).chars)
         )
-        scan_check = Check("brute_force_agreement", scan_ok)
     else:
-        scan_check = Check("brute_force_agreement", None)
+        scan_ok = None
 
-    checks = [
-        Check("algebra_ultrafilters_verified", ultra_ok, filter_w),
-        Check("pullback_bijection", bij),
-        Check("centred_match", centred_match),
-        scan_check,
-    ]
-    return report("spectrum_vs_stone", checks)
+    checks = (
+        ("algebra_ultrafilters_verified", ultra_ok, filter_w),
+        ("pullback_bijection", bij, None),
+        ("centred_match", centred_match, None),
+        ("brute_force_agreement", scan_ok, None),
+    )
+    return shared_report("spectrum_vs_stone", checks)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .core import (
@@ -66,8 +66,16 @@ class FiniteTopology:
     def interior(self, mask: SubsetMask) -> SubsetMask:
         return mask_from(p for p, u in enumerate(self.nbhd) if u & ~mask == 0)
 
+    @cached_property
+    def _wide(self) -> SubsetMask:
+        """The points whose minimal neighbourhood is more than the point."""
+        return mask_from(p for p, u in enumerate(self.nbhd) if u != 1 << p)
+
     def is_open(self, mask: SubsetMask) -> bool:
-        return self.interior(mask) == mask
+        """Open when it holds the minimal neighbourhood of each point in it."""
+        wide = mask & self._wide
+        return not mask >> self.points and (
+            not wide or all(self.nbhd[p] & ~mask == 0 for p in bits(wide)))
 
 
 def topology_from_basis(points: int, basis) -> FiniteTopology:
@@ -384,8 +392,4 @@ def basis_to_structure(X: FiniteTopology, family) -> P0Set:
 
 def point_filter(X: FiniteTopology, family, p: int) -> SubsetMask:
     """Mask of family indices whose member contains the point p."""
-    m = 0
-    for i, o in enumerate(family):
-        if o >> p & 1:
-            m |= 1 << i
-    return m
+    return mask_from(i for i, o in enumerate(family) if o >> p & 1)

@@ -30,15 +30,18 @@ from .core import (
     lattice_tables,
     load_linked,
     lower_bound_table,
-    mask_from,
     meets_preceq,
+    meet_rows,
     meets_preceq_table,
     order_predicates,
     p0set,
     preceq_down_table,
     relative_complement,
+    separation_table,
     submasks,
     subset_fold,
+    transpose,
+    union_rows,
 )
 from .errors import (
     CapExceeded,
@@ -61,20 +64,12 @@ FGRHO_CAP = 8
 def lower_bounds(B: P0Set, C: SubsetMask) -> SubsetMask:
     """Common lower bounds of C under the derived order; the empty set's
     bounds are the whole carrier."""
-    der = derived_relations(B)
-    acc = full_mask(B.size)
-    for c in bits(C):
-        acc &= der.preceq_down[c]
-    return acc
+    return meet_rows(derived_relations(B).preceq_down, C, full_mask(B.size))
 
 
 def covers(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     """Every common lower bound of C is zero or meets a member of D."""
-    mp = meets_preceq(B)
-    target = 1 << B.zero
-    for d in bits(D):
-        target |= mp[d]
-    return lower_bounds(B, C) & ~target == 0
+    return lower_bounds(B, C) & ~union_rows(meets_preceq(B), D, 1 << B.zero) == 0
 
 
 def _covers_fast(B: P0Set):
@@ -337,10 +332,7 @@ def verify_tight_equivalences(beta: StructMapTotal) -> Report:
                 # need G below x and x covered by G
                 if any(not derB.preceq[g] >> x & 1 for g in bits(G)):
                     continue
-                target = 1 << B.zero
-                for g in bits(G):
-                    target |= mpB[g]
-                if downx & ~target:
+                if downx & ~union_rows(mpB, G, 1 << B.zero):
                     continue
                 jv = _join_fold(A, (beta.assignment[g] for g in bits(G)))
                 if not derA.preceq[beta.assignment[x]] >> jv & 1:
@@ -422,39 +414,13 @@ def verify_tight_equivalences(beta: StructMapTotal) -> Report:
 # the punctured carrier and its regular opens
 
 
-def _prime_mask(B: P0Set) -> int:
-    return full_mask(B.size) & ~(1 << B.zero)
-
-
-def _alex_closure(B: P0Set, Y: SubsetMask) -> SubsetMask:
-    """Closure of Y in the punctured carrier whose closed sets are the
-    up-closed sets."""
-    der = derived_relations(B)
-    acc = 0
-    for y in bits(Y):
-        acc |= der.preceq[y]
-    return acc & _prime_mask(B)
-
-
-def _alex_interior(B: P0Set, Y: SubsetMask) -> SubsetMask:
-    der = derived_relations(B)
-    prime = _prime_mask(B)
-    acc = 0
-    for v in bits(prime):
-        if der.preceq_down[v] & prime & ~Y == 0:
-            acc |= 1 << v
-    return acc
-
-
-def _regularize(B: P0Set, Y: SubsetMask) -> SubsetMask:
-    return _alex_interior(B, _alex_closure(B, Y))
-
-
-@lru_cache(maxsize=None)
-def rho(B: P0Set, x: int) -> SubsetMask:
-    """Regularization of the punctured principal down-set of x."""
-    der = derived_relations(B)
-    return _regularize(B, der.preceq_down[x] & _prime_mask(B))
+@lru_cache(maxsize=1024)
+def rho(B: P0Set) -> tuple[SubsetMask, ...]:
+    """[x] = the regularization of the punctured principal down-set of x:
+    the nonzero v with x in `separation_table(B)[v]`, that is, x meets every
+    nonzero w <= v (see the README design note on separation)."""
+    sep = separation_table(B)
+    return tuple(transpose((0 if v == B.zero else s for v, s in enumerate(sep)), B.size))
 
 
 @dataclass(frozen=True)
@@ -475,17 +441,16 @@ class RegularOpenAlgebra:
     opens: tuple[SubsetMask, ...]
     rho_index: tuple[int, ...]
 
-    def mask(self, T: int) -> SubsetMask:
-        """The regular open of T: the regularized union of its atoms."""
-        acc = 0
-        for i in bits(T):
-            acc |= self.opens[i]
-        return _regularize(self.base, acc)
-
     def as_p0set(self) -> P0Set:
         """The algebra indexed by T and ordered by inclusion of atom masks."""
-        size = 1 << len(self.signatures)
-        return p0set(size, 0, ((T, U) for U in range(size) for T in submasks(U)))
+        return _powerset_p0set(len(self.signatures))
+
+
+@lru_cache(maxsize=None)
+def _powerset_p0set(k: int) -> P0Set:
+    """The atom masks of k atoms ordered by inclusion; k <= 6 under MAX_SIZE."""
+    size = 1 << k
+    return p0set(size, 0, ((T, U) for U in range(size) for T in submasks(U)))
 
 
 @lru_cache(maxsize=None)
@@ -506,7 +471,7 @@ def enveloping_algebra(B: P0Set) -> RegularOpenAlgebra:
     is never empty.
     """
     der = derived_relations(B)
-    prime = _prime_mask(B)
+    prime = full_mask(B.size) & ~(1 << B.zero)
     mp = meets_preceq(B)
     atoms: dict[int, int] = {}
     for v in bits(prime):
@@ -517,7 +482,7 @@ def enveloping_algebra(B: P0Set) -> RegularOpenAlgebra:
         B,
         sigs,
         tuple(atoms[s] for s in sigs),
-        tuple(mask_from(i for i, s in enumerate(sigs) if s >> x & 1) for x in range(B.size)),
+        tuple(transpose(sigs, B.size)),
     )
 
 

@@ -1,4 +1,5 @@
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,27 @@ def oracle_corpus():
         out.append(lab.random_p0set(5 + i % 5, rng.getrandbits(32), i % 2 == 0,
                                     rng.uniform(0.1, 0.6)))
     return out
+
+
+@lru_cache(maxsize=None)
+def separation_corpus():
+    """Every structure of size <= 5 and 300 seeded random ones of size 6 to
+    12, reflexive and not: the inputs on which the separation table and
+    the spectrum checks meet their oracles."""
+    import random
+
+    rng = random.Random(31)
+    out = small_structures(5)
+    for i in range(300):
+        out.append(lab.random_p0set(6 + i % 7, rng.getrandbits(32), i % 2 == 0,
+                                    rng.uniform(0.05, 0.6)))
+    return tuple(out)
+
+
+def cap_structures():
+    """The named families at the carrier cap."""
+    return [lab.make_family(name, n)
+            for name, n in (("powerset", 6), ("antichain", 63), ("diamond", 62), ("chain", 63))]
 
 
 def topology_corpus():

@@ -284,9 +284,14 @@ def sweep_type_witnesses(B):
     bound = n * n
     phi = next(((x, y) for x in range(n) for y in range(n)
                 if sweep_phi(B, x, y, bound)), None)
-    psi = next(((x, y, z) for x in range(n) for y in range(n) if B.has(x, y)
-                for z in range(n) if sweep_psi(B, x, y, z, bound)), None)
-    return theta, phi, psi
+    return theta, phi, sweep_psi_witness(B)
+
+
+def sweep_psi_witness(B):
+    """psi's first (x, y, z) in ascending order at the bound size**2."""
+    n = B.size
+    return next(((x, y, z) for x in range(n) for y in range(n) if B.has(x, y)
+                 for z in range(n) if sweep_psi(B, x, y, z, n * n)), None)
 
 
 def naive_tight_characters(B):
@@ -693,6 +698,129 @@ def scan_maximal_centred(B):
     return [C for C in centred if not any(C < D for D in centred)]
 
 
+# ---------------------------------------------------------------------------
+# separation and the spectrum checks, by the per-element walks
+#
+# The routes the separation table replaced, on bitmask rows tabulated from
+# `_matrices`: the closure and interior of the punctured carrier whose
+# closed sets are the up-closed sets, and the regularization through them;
+# the literal loops of the order flags; and the ultrafilter loops over an
+# algebra's index space.
+
+
+def _mask_rows(matrix):
+    return tuple(sum(1 << y for y, v in enumerate(row) if v) for row in matrix)
+
+
+@lru_cache(maxsize=None)
+def _refl_rows(B):
+    """(preceq, preceq_down, meets_preceq) as bitmask rows."""
+    le_, mr = _matrices(B)
+    return _mask_rows(le_), _mask_rows(zip(*le_)), _mask_rows(mr)
+
+
+def alex_closure(B, Y):
+    """The nonzero elements above some member of Y."""
+    up, _, _ = _refl_rows(B)
+    acc = 0
+    for y in _members(Y):
+        acc |= up[y]
+    return acc & ~(1 << B.zero)
+
+
+def alex_interior(B, Y):
+    """The nonzero v whose nonzero elements below all lie in Y."""
+    _, dn, _ = _refl_rows(B)
+    prime = ((1 << B.size) - 1) & ~(1 << B.zero)
+    return sum(1 << v for v in _members(prime) if dn[v] & prime & ~Y == 0)
+
+
+def regularize(B, Y):
+    return alex_interior(B, alex_closure(B, Y))
+
+
+def regularized_rows(B):
+    """rho(x) for each x: the regularized punctured down-set of x."""
+    _, dn, _ = _refl_rows(B)
+    return tuple(regularize(B, d & ~(1 << B.zero)) for d in dn)
+
+
+def algebra_mask(S, T):
+    """The regular open of the atom mask T of an enveloping algebra: the
+    regularized union of its atoms' open points."""
+    acc = 0
+    for i in _members(T):
+        acc |= S.opens[i]
+    return regularize(S.base, acc)
+
+
+def literal_order_checks(B):
+    """The (name, verdict, witness) triples of the order flags and their
+    overall verdict, by the literal loops, with the meets and joins of
+    `candidate_lattice_tables`."""
+    n, zero = B.size, B.zero
+    up, dn, mp = _refl_rows(B)
+    mt, jt = candidate_lattice_tables(B)
+    anti = next(((x, y) for x in range(n) for y in range(n)
+                 if y != x and up[x] >> y & 1 and dn[x] >> y & 1), None)
+    meet_w = next(((x, y) for x in range(n) for y in range(x, n) if mt[x][y] is None), None)
+    join_w = next(((x, y) for x in range(n) for y in range(x, n) if jt[x][y] is None), None)
+    is_msl = anti is None and meet_w is None
+    msl_w = anti if anti is not None else meet_w
+    is_lat = is_msl and join_w is None
+    lat_w = msl_w if not is_msl else join_w
+    dist = dist_w = seccomp = seccomp_w = None
+    if is_lat:
+        dist_w = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                       if mt[x][jt[y][z]] != jt[mt[x][y]][mt[x][z]]), None)
+        dist = dist_w is None
+        seccomp_w = next(
+            ((y, z) for z in range(n) for y in _members(dn[z])
+             if not any(mt[w][y] == zero and jt[w][y] == z for w in range(n))),
+            None,
+        )
+        seccomp = seccomp_w is None
+    gba = bool(is_lat and dist and seccomp)
+
+    def separates(x, y):
+        # some nonzero v <= x does not meet y
+        return any(v != zero and not mp[v] >> y & 1 for v in _members(dn[x]))
+
+    sep_w = anti
+    if anti is None:
+        sep_w = next(((x, y) for x in range(n) for y in range(n)
+                      if not up[x] >> y & 1 and not separates(x, y)), None)
+    ssc_w = next(((x, y) for x in range(n) for y in _members(dn[x])
+                  if y != x and not separates(x, y)), None)
+    checks = (
+        ("meet_semilattice", is_msl, None if is_msl else msl_w),
+        ("lattice", is_lat, None if is_lat else lat_w),
+        ("distributive", dist, dist_w),
+        ("section_complemented", seccomp, seccomp_w),
+        ("generalized_boolean", gba, None),
+        ("separative", sep_w is None, sep_w),
+        ("ssc", ssc_w is None, ssc_w),
+    )
+    return checks, all(c[1] for c in checks)
+
+
+def loop_ultrafilter_witness(ults, k):
+    """The first U, as a bitset over the atom masks of k atoms, that is not
+    a proper up-set, closed under meets, holding exactly one of each
+    complement pair."""
+    size = 1 << k
+    top = size - 1
+    for i, U in enumerate(ults):
+        members = _members(U)
+        up_ok = all(T & ~V or U >> V & 1 for T in members for V in range(size))
+        directed = all(U >> (T & V) & 1 for T in members for V in members)
+        proper = not U & 1
+        decides = all((U >> T & 1) != (U >> (top & ~T) & 1) for T in range(size))
+        if not (up_ok and directed and proper and decides):
+            return (i,)
+    return None
+
+
 def _regular_ops(B):
     """(regularize, negate) on subsets of the punctured carrier."""
     le_, _ = _matrices(B)
@@ -868,6 +996,27 @@ def sweep_pseudobasis(X, family):
     )
     clopen = tuple(X.is_open(X.full & ~o) for o in family)
     return 0 in family, cover == X.full, coin, t0, clopen
+
+
+def walk_pseudobasis(X, family):
+    """sweep_pseudobasis's tuple on a space given by its minimal
+    neighbourhoods: openness through the interior of every point, and the
+    point filter of each point by a walk over the family."""
+    def is_open(mask):
+        return sum(1 << p for p, u in enumerate(X.nbhd) if u & ~mask == 0) == mask
+
+    assert all(is_open(o) for o in family)
+    full = (1 << X.points) - 1
+    cover = 0
+    for o in family:
+        cover |= o
+    coin = min(((u,) for u in set(X.nbhd) if not any(m and m & ~u == 0 for m in family)),
+               default=None)
+    sig = [sum(1 << i for i, o in enumerate(family) if o >> p & 1) for p in range(X.points)]
+    t0 = next(((p, q) for p in range(X.points) for q in range(p + 1, X.points)
+               if sig[p] == sig[q]), None)
+    clopen = tuple(is_open(full & ~o) for o in family)
+    return 0 in family, cover == full, coin, t0, clopen
 
 
 def sweep_duality_topology(B, X, basis):

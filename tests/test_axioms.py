@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import small_structures
+from conftest import cap_structures, separation_corpus, small_structures
 from orderbench import axioms, lab
 from orderbench.core import order_predicates, p0set
 from orderbench.errors import NotLattice, PreconditionFailed
@@ -238,6 +238,18 @@ class TestLevelSweepOracle:
             assert got == oracles.sweep_type_witnesses(B), B.pairs()
             levels.add(got[0] and got[0][0])
         assert levels == {None, 1, 2, 3}
+
+    def test_psi_witness_from_cover_rows(self):
+        # the psi witness read from one cover row per (x, z), against the
+        # literal sweep, and at the cap against one psi_holds call per triple
+        for B in separation_corpus():
+            got = axioms.check_basic_semilattice(B)["psi_omitted"].witness
+            assert got == oracles.sweep_psi_witness(B), B.pairs()
+        for B in cap_structures():
+            bound = axioms.type_bound(B)
+            want = next(((x, y, z) for x, y in B.pairs() for z in range(B.size)
+                         if axioms.psi_holds(B, x, y, z, bound)), None)
+            assert axioms.check_basic_semilattice(B)["psi_omitted"].witness == want
 
     def test_each_level(self):
         for B in self.corpus()[::13]:

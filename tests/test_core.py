@@ -5,7 +5,7 @@ from operator import and_, or_
 import pytest
 
 import oracles
-from conftest import small_structures
+from conftest import cap_structures, separation_corpus, small_structures
 from orderbench import lab
 from orderbench.core import (
     bits,
@@ -24,6 +24,7 @@ from orderbench.core import (
     prec_down_table,
     preceq_down_table,
     relative_complement,
+    separation_table,
     subset_fold,
     superset_fold,
 )
@@ -240,6 +241,29 @@ class TestOrderPredicates:
         assert rep.holds("lattice") is False
         assert rep.holds("distributive") is None
         assert rep.holds("generalized_boolean") is False
+
+    def test_matches_literal_loops(self):
+        # every flag, verdict and witness, the non-separative chain at the
+        # cap included (witness (2, 1))
+        flags = set()
+        for B in separation_corpus() + tuple(cap_structures()):
+            rep = order_predicates(B)
+            got = tuple((c.name, c.holds, c.witness) for c in rep.checks), rep.passed
+            assert got == oracles.literal_order_checks(B), B.pairs()
+            flags.update((c.name, c.holds) for c in rep.checks)
+        assert len(flags) == 16  # each flag is seen holding and failing
+
+    def test_separation_table_by_definition(self):
+        # sep[x] = the y meeting every nonzero z <= x
+        for B in separation_corpus()[::7]:
+            _, mr = oracles._matrices(B)
+            nonzero_below = [[z for z in range(B.size) if z != B.zero and oracles.le(B, z, x)]
+                             for x in range(B.size)]
+            want = tuple(
+                mask_from(y for y in range(B.size) if all(mr[z][y] for z in nonzero_below[x]))
+                for x in range(B.size)
+            )
+            assert separation_table(B) == want, B.pairs()
 
 
 class TestRelativeComplement:

@@ -161,6 +161,13 @@ class TestFrame:
     def test_powerset(self, p2):
         assert sa.verify_frame(p2).passed
 
+    def test_wedge_table_built_once_per_structure(self, p3):
+        # the saturate verb's two reports share one wedge table
+        sa._wedge_table.cache_clear()
+        assert sa.verify_subset_laws(p3).passed and sa.verify_frame(p3).passed
+        info = sa._wedge_table.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
     def test_witness_structure_reports_with_failure(self, w5):
         rep = sa.verify_frame(w5)
         assert rep["basic_semilattice"].holds is False

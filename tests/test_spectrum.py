@@ -1,9 +1,15 @@
 import pytest
 
 import oracles
-from conftest import oracle_corpus, small_structures, topology_corpus
+from conftest import (
+    cap_structures,
+    oracle_corpus,
+    separation_corpus,
+    small_structures,
+    topology_corpus,
+)
 from orderbench import lab, spectrum as sp, stone, tight as ti
-from orderbench.core import antisymmetry_violation, bits, p0set
+from orderbench.core import antisymmetry_violation, bits, mask_from, p0set
 from orderbench.errors import NotClopen, NotOpen, NotPseudobasis
 
 
@@ -158,6 +164,28 @@ class TestPseudochar:
                 assert rep.holds("order_isomorphism") and rep.holds("injective")
 
 
+    def test_matches_walks(self):
+        # the pseudobasis conditions of the principal opens against the
+        # literal sweep (every open of the discrete spectrum) and the walk,
+        # and the order isomorphism against the pairwise loop
+        for B in separation_corpus() + tuple(cap_structures()):
+            rep = sp.verify_pseudochar(B)
+            X = sp.spectrum_space(B)
+            pb = sp.is_pseudobasis(X, X.basis)
+            got = (pb.report["minimum"].holds, pb.report["cover"].holds,
+                   pb.report["coinitiality"].witness, pb.report["t0"].witness, pb.clopen)
+            assert got == oracles.walk_pseudobasis(X, X.basis), B.pairs()
+            if X.points <= 8:
+                O = oracles.OpensTopology(X.points, range(1 << X.points))
+                assert got == oracles.sweep_pseudobasis(O, X.basis), B.pairs()
+            assert rep.holds("pseudobasis") == pb.passed == (
+                got[0] and got[1] and got[2] is None and got[3] is None)
+            assert rep.holds("clopen_members") == all(got[4])
+            iso = next(((x, y) for x in range(B.size) for y in range(B.size)
+                        if (X.basis[x] & ~X.basis[y] == 0) != oracles.le(B, x, y)), None)
+            assert rep["order_isomorphism"].witness == iso, B.pairs()
+
+
 class TestSeparativityChain:
     def test_named(self, e0, c2, p2):
         for B, flags in ((e0, (True, True, True)), (c2, (False, False, False)),
@@ -217,6 +245,35 @@ class TestSpectrumVsStone:
             assert sp.spectrum_vs_stone(B).passed, B.pairs()
             assert sp.verify_pseudochar(B).passed, B.pairs()
         assert checked > 30
+
+
+class TestSpectrumScans:
+    def test_scan_centred_matches_pairwise_scan(self):
+        for B in separation_corpus():
+            if B.size <= sp.VS_STONE_CAP:
+                got = [frozenset(bits(C)) for C in sp._scan_centred(B)]
+                assert got == sorted(got, key=lambda C: mask_from(C))
+                assert set(got) == set(oracles.scan_maximal_centred(B)), B.pairs()
+
+    def test_ultrafilter_witness_matches_loops(self):
+        import random
+
+        rng = random.Random(41)
+        for k in range(6):
+            full = (1 << (1 << k)) - 1
+            ults = list(sp._index_masks(k))
+            assert sp._ultrafilter_witness(ults, k) is None
+            assert ults == [mask_from(T for T in range(1 << k) if T >> i & 1) for i in range(k)]
+            if k <= 3:
+                candidates = range(full + 1)
+            else:
+                candidates = [rng.getrandbits(1 << k) for _ in range(300)]
+                # the ultrafilters with one atom mask flipped
+                candidates += [U ^ 1 << T for U in ults for T in range(1 << k)]
+            for U in candidates:
+                mixed = ults[:1] + [U] + ults[1:]
+                assert (sp._ultrafilter_witness(mixed, k)
+                        == oracles.loop_ultrafilter_witness(mixed, k)), (k, U)
 
 
 class TestLargerPseudobases:

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import oracle_corpus, small_structures
+from conftest import cap_structures, oracle_corpus, separation_corpus, small_structures
 from orderbench import lab, tight as ti
 from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
 from orderbench.errors import (
@@ -392,15 +392,17 @@ class TestMatchedTotalCover:
 
 
 class TestAlexandroff:
+    # the per-element route that `tight.rho` replaced, kept as the oracle
+    # for the carriers where the set-based regularization is too slow
     def test_chain_regularization(self, c2):
-        assert ti._alex_closure(c2, 0b010) == 0b110
-        assert ti._regularize(c2, 0b010) == 0b110
+        assert oracles.alex_closure(c2, 0b010) == 0b110
+        assert oracles.regularize(c2, 0b010) == 0b110
 
     def test_two_atoms_discrete(self, e0):
-        assert ti._regularize(e0, 0b010) == 0b010
+        assert oracles.regularize(e0, 0b010) == 0b010
 
     def test_empty(self, p2):
-        assert ti._regularize(p2, 0) == 0
+        assert oracles.regularize(p2, 0) == 0
 
     def test_matches_oracle(self, c2, p2, w5):
         for B in (c2, p2, w5):
@@ -409,31 +411,51 @@ class TestAlexandroff:
                 if Y & ~prime:
                     continue
                 cl, inte = oracles.naive_alexandroff(B, set(bits(Y)))
-                assert ti._alex_closure(B, Y) == mask_from(cl)
-                assert ti._alex_interior(B, Y) == mask_from(inte)
-                assert ti._regularize(B, Y) == mask_from(
+                assert oracles.alex_closure(B, Y) == mask_from(cl)
+                assert oracles.alex_interior(B, Y) == mask_from(inte)
+                assert oracles.regularize(B, Y) == mask_from(
                     oracles.naive_regularize(B, set(bits(Y)))
                 )
 
 
 class TestRho:
     def test_chain_collapses(self, c2):
-        assert ti.rho(c2, 1) == ti.rho(c2, 2) == 0b110
-        assert ti.rho(c2, 0) == 0
+        assert ti.rho(c2)[1] == ti.rho(c2)[2] == 0b110
+        assert ti.rho(c2)[0] == 0
 
     def test_two_atoms(self, e0):
-        assert ti.rho(e0, 1) == 0b010
+        assert ti.rho(e0)[1] == 0b010
 
     def test_zero_always_empty_on_posets(self):
         from orderbench.core import antisymmetry_violation
 
         for B in small_structures(4):
             if antisymmetry_violation(B) is None:
-                assert ti.rho(B, B.zero) == 0
+                assert ti.rho(B)[B.zero] == 0
+
+    def test_rows_match_regularization(self):
+        # the regularized punctured down-sets, by the set-based closure and
+        # interior on carriers of 4 and of 6 to 8, by the per-element route
+        # on the others
+        for B in separation_corpus():
+            if B.size != 5 and B.size <= 8:
+                want = tuple(
+                    mask_from(oracles.naive_regularize(
+                        B, {v for v in range(B.size) if v != B.zero and oracles.le(B, v, x)}
+                    ))
+                    for x in range(B.size)
+                )
+            else:
+                want = oracles.regularized_rows(B)
+            assert ti.rho(B) == want, B.pairs()
+
+    def test_rows_at_the_cap(self):
+        for B in cap_structures():
+            assert ti.rho(B) == oracles.regularized_rows(B)
 
 
 def _masks(S):
-    return [S.mask(T) for T in range(1 << len(S.signatures))]
+    return [oracles.algebra_mask(S, T) for T in range(1 << len(S.signatures))]
 
 
 class TestEnvelope:
@@ -441,6 +463,12 @@ class TestEnvelope:
         S = ti.enveloping_algebra(e0)
         assert _masks(S) == [0, 0b010, 0b100, 0b110]
         assert S.as_p0set().prec == p2.prec
+
+    def test_algebra_structure_built_once_per_atom_count(self, e0, p2, p3):
+        # e0 and p2 both have two atoms
+        S = ti.enveloping_algebra(e0)
+        assert S.as_p0set() is S.as_p0set() is ti.enveloping_algebra(p2).as_p0set()
+        assert ti.enveloping_algebra(p3).as_p0set().prec == p3.prec
 
     def test_chain_envelope(self, c2):
         S = ti.enveloping_algebra(c2)
@@ -459,11 +487,11 @@ class TestEnvelope:
             masks = _masks(S)
             prime = full_mask(B.size) & ~(1 << B.zero)
             for T, m in enumerate(masks):
-                assert ti._regularize(B, m) == m
+                assert oracles.regularize(B, m) == m
                 for U, u in enumerate(masks):
                     assert masks[T & U] == m & u
-                    assert masks[T | U] == ti._regularize(B, m | u)
-                    assert masks[T & ~U] == m & ti._alex_interior(B, prime & ~u)
+                    assert masks[T | U] == oracles.regularize(B, m | u)
+                    assert masks[T & ~U] == m & oracles.alex_interior(B, prime & ~u)
 
     def test_finite_envelope_has_maximum(self):
         # the join of everything dominates each element, so the algebra is
@@ -485,7 +513,7 @@ class TestEnvelope:
         opens = [
             Y
             for Y in range(1 << B.size)
-            if Y & ~prime == 0 and ti._alex_interior(B, Y) == Y
+            if Y & ~prime == 0 and oracles.alex_interior(B, Y) == Y
         ]
         opens.sort()
         pairs = [
@@ -524,7 +552,7 @@ class TestEnvelope:
                 ros = [
                     Y
                     for Y in range(1 << B.size)
-                    if Y & ~prime == 0 and ti._regularize(B, Y) == Y
+                    if Y & ~prime == 0 and oracles.regularize(B, Y) == Y
                 ]
                 ros.sort()
                 ro_pairs = [
@@ -535,7 +563,7 @@ class TestEnvelope:
                 ]
                 RO = p0set(len(ros), 0, ro_pairs)
                 stage2 = ti.struct_map(
-                    O, RO, tuple(ros.index(ti._regularize(B, Y)) for Y in opens)
+                    O, RO, tuple(ros.index(oracles.regularize(B, Y)) for Y in opens)
                 )
                 rep2 = ti.map_properties(stage2)
                 assert rep2.holds("tight") and rep2.holds("coinitial"), B.pairs()
