@@ -1,12 +1,16 @@
 """Axiom-system verifiers: basic lattices, alternate axiom bundles, and the
 type-omission conditions defining basic semilattices.
 
-Every verifier evaluates its quantifiers literally over the carrier and
-returns a Report whose False entries carry a witness tuple; a witness can
-be re-evaluated against the axiom's instance predicate with `recheck`.
-Everything is pure and deterministic regardless of evaluation order; the
-sweeps below are written with bitmask rows so that whole-catalog runs
-stay cheap.
+Every verifier returns a Report whose False entries carry a witness tuple,
+the first failing instance of its quantifiers in ascending order.  The
+sweeps read bitmask rows, so that whole-catalog runs stay cheap.
+
+The strict relation of a basic lattice is its identity interpolator, and
+seven of the lattice axioms are interpolator axioms read on that relation.
+Each of those has one implementation below, over the rows `rel` of a
+relation from a source B to a target C and their columns `cols`
+(cols[y] masks {x : x R y}); the structure checks pass `_identity(B)`,
+and `morphisms.is_interpolator` passes an interpolator's relation.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (
     bit_list,
     bits,
     derived_relations,
+    first_pair,
     full_mask,
     lattice_tables,
     mask_from,
@@ -40,99 +45,98 @@ DERIVED = ("distributivity", "rather_below", "prec_below",
            "right_auxiliarity", "riesz_interpolation", "vee_interpolation")
 
 
-def _axiom_instance(B: P0Set, name: str, tup: tuple[int, ...]) -> bool:
-    """Evaluate one axiom instance at the tuple `tup` (slow reference path).
-
-    Used to confirm witnesses: a reported witness makes its axiom's
-    instance predicate False.
-    """
-    der = derived_relations(B)
-    down = prec_down(B)
-    zero = B.zero
-    n = B.size
-    prec = B.prec
-    mt, jt = lattice_tables(B)
-
-    def le(a, b):
-        return der.preceq[a] >> b & 1 == 1
-
-    def lt(a, b):
-        return prec[a] >> b & 1 == 1
-
-    if name == "minimum":
-        (x,) = tup
-        return lt(zero, x)
-    if name == "transitivity":
-        x, y, z = tup
-        return not (lt(x, y) and lt(y, z)) or lt(x, z)
-    if name == "coinitiality":
-        (x,) = tup
-        return x == zero or der.meets[x] >> x & 1 == 1
-    if name == "cofinality":
-        (x,) = tup
-        return prec[x] != 0
-    if name == "interpolation":
-        x, y = tup
-        return not lt(x, y) or bool(prec[x] & down[y])
-    if name == "right_auxiliarity":
-        x, z, y = tup
-        return not (le(x, z) and lt(z, y)) or lt(x, y)
-    if name == "riesz_interpolation":
-        x, x2, y, y2 = tup
-        if not (lt(x, y) and lt(x, y2) and lt(x2, y) and lt(x2, y2)):
-            return True
-        return bool(prec[x] & prec[x2] & down[y] & down[y2])
-    if name == "multiplicativity":
-        x, x2, y, y2 = tup
-        return not (lt(x, x2) and lt(y, y2)) or lt(mt[x][y], mt[x2][y2])
-    if name == "additivity":
-        x, x2, y, y2 = tup
-        return not (lt(x, x2) and lt(y, y2)) or lt(jt[x][y], jt[x2][y2])
-    if name == "decomposition":
-        z, x, y = tup
-        if not lt(z, jt[x][y]):
-            return True
-        return any(jt[a][b] == z for a in bits(down[x]) for b in bits(down[y]))
-    if name == "vee_interpolation":
-        z, x, y = tup
-        if not lt(z, jt[x][y]):
-            return True
-        return any(lt(z, jt[a][b]) for a in bits(down[x]) for b in bits(down[y]))
-    if name == "complementation":
-        x, y, z = tup
-        if not (lt(x, y) and lt(y, z)):
-            return True
-        return any(jt[w][y] == z for w in bits(der.perp[x]))
-    if name == "distributivity":
-        z, x, y = tup
-        return le(z, jt[x][y]) == le(z, jt[mt[x][z]][mt[y][z]])
-    if name == "rather_below":
-        x, y = tup
-        rb = all(
-            any(le(z, jt[w][y]) for w in bits(der.perp[x])) for z in range(n)
-        )
-        return lt(x, y) == rb
-    if name == "prec_below":
-        x, y = tup
-        if not lt(x, y):
-            return True
-        return all(
-            any(lt(z, jt[w][y]) for w in bits(der.perp[x])) for z in range(n)
-        )
-    raise KeyError(name)
+# ---------------------------------------------------------------------------
+# the laws a relation shares with the identity interpolator
 
 
-def recheck(B: P0Set, name: str, witness: tuple[int, ...]) -> bool:
-    return _axiom_instance(B, name, witness)
+def _identity(B: P0Set):
+    """(source, target, rows, columns) of the strict relation of B."""
+    return B, B, B.prec, prec_down(B)
+
+
+def minimum(B: P0Set, C: P0Set, rel, cols) -> Check:
+    """The source's zero is related to every target element."""
+    gap = full_mask(C.size) & ~rel[B.zero]
+    return Check("minimum", gap == 0, (next(bits(gap)),) if gap else None)
+
+
+def cofinality(B: P0Set, C: P0Set, rel, cols) -> Check:
+    """Every source element is related to something."""
+    w = next((x for x, row in enumerate(rel) if row == 0), None)
+    return Check("cofinality", w is None, None if w is None else (w,))
+
+
+def interpolation(B: P0Set, C: P0Set, rel, cols) -> Check:
+    """x R y gives some z with x R z and z < y in the target."""
+    down = prec_down(C)
+    for x, row in enumerate(rel):
+        for y in bits(row):
+            if row & down[y] == 0:
+                return Check("interpolation", False, (x, y))
+    return Check("interpolation", True)
+
+
+def _pair_law(name: str, tB, tC, rel) -> Check:
+    """x R x2 and y R y2 give tB[x][y] R tC[x2][y2]."""
+    edges = [(x, y) for x, row in enumerate(rel) for y in bits(row)]
+    for x, x2 in edges:
+        for y, y2 in edges:
+            if not rel[tB[x][y]] >> tC[x2][y2] & 1:
+                return Check(name, False, (x, x2, y, y2))
+    return Check(name, True)
+
+
+def multiplicativity(B: P0Set, C: P0Set, rel, cols) -> Check:
+    return _pair_law("multiplicativity", lattice_tables(B)[0], lattice_tables(C)[0], rel)
+
+
+def additivity(B: P0Set, C: P0Set, rel, cols) -> Check:
+    return _pair_law("additivity", lattice_tables(B)[1], lattice_tables(C)[1], rel)
+
+
+@lru_cache(maxsize=4096)
+def _join_reach(B: P0Set, cols) -> list[list[int]]:
+    """reach[x][y] = {a v b : a R x, b R y}, joins in B, as masks; feeds
+    decomposition and vee-interpolation."""
+    _, jt = lattice_tables(B)
+    reach = [[0] * len(cols) for _ in cols]
+    for x, cx in enumerate(cols):
+        dx = bit_list(cx)
+        for y, cy in enumerate(cols):
+            acc = 0
+            for a in dx:
+                for b in bits(cy):
+                    acc |= 1 << jt[a][b]
+            reach[x][y] = acc
+    return reach
+
+
+def decomposition(B: P0Set, C: P0Set, rel, cols) -> Check:
+    """z R (x v y) in the target gives z = a v b with a R x and b R y."""
+    _, jt = lattice_tables(C)
+    reach = _join_reach(B, cols)
+    for x in range(C.size):
+        for y in range(C.size):
+            bad = cols[jt[x][y]] & ~reach[x][y]
+            if bad:
+                return Check("decomposition", False, (next(bits(bad)), x, y))
+    return Check("decomposition", True)
+
+
+def auxiliarity(B: P0Set, C: P0Set, rel, cols) -> Check:
+    """x <= z in the source and z R y give x R y, first failure in (z, y, x)
+    order."""
+    preceq_down = derived_relations(B).preceq_down
+    for z, row in enumerate(rel):
+        for y in bits(row):
+            bad = preceq_down[z] & ~cols[y]
+            if bad:
+                return Check("right_auxiliarity", False, (next(bits(bad)), z, y))
+    return Check("right_auxiliarity", True)
 
 
 # ---------------------------------------------------------------------------
-# fast sweeps (bitmask rows, witness on first failure)
-
-
-def _sweep_minimum(B: P0Set) -> Check:
-    gap = full_mask(B.size) & ~B.prec[B.zero]
-    return Check("minimum", gap == 0, (next(bits(gap)),) if gap else None)
+# the structure-only sweeps (bitmask rows, witness on first failure)
 
 
 def _sweep_transitivity(B: P0Set) -> Check:
@@ -154,33 +158,6 @@ def _sweep_coinitiality(B: P0Set) -> Check:
     return Check("coinitiality", True)
 
 
-def _sweep_cofinality(B: P0Set) -> Check:
-    for x in range(B.size):
-        if B.prec[x] == 0:
-            return Check("cofinality", False, (x,))
-    return Check("cofinality", True)
-
-
-def _sweep_interpolation(B: P0Set) -> Check:
-    down = prec_down(B)
-    for x in range(B.size):
-        for y in bits(B.prec[x]):
-            if B.prec[x] & down[y] == 0:
-                return Check("interpolation", False, (x, y))
-    return Check("interpolation", True)
-
-
-def _sweep_right_auxiliarity(B: P0Set) -> Check:
-    der = derived_relations(B)
-    down = prec_down(B)
-    for z in range(B.size):
-        for y in bits(B.prec[z]):
-            bad = der.preceq_down[z] & ~down[y]
-            if bad:
-                return Check("right_auxiliarity", False, (next(bits(bad)), z, y))
-    return Check("right_auxiliarity", True)
-
-
 def _sweep_riesz(B: P0Set) -> Check:
     down = prec_down(B)
     n = B.size
@@ -197,73 +174,20 @@ def _sweep_riesz(B: P0Set) -> Check:
     return Check("riesz_interpolation", True)
 
 
-def _edges(B: P0Set) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(B.size) for y in bits(B.prec[x])]
-
-
 # cached: the lattice report, the semilattice report and its fast verdict
 # each ask for it
 @lru_cache(maxsize=4096)
 def _sweep_multiplicativity(B: P0Set) -> Check:
-    mt, _ = lattice_tables(B)
-    edges = _edges(B)
-    for x, x2 in edges:
-        for y, y2 in edges:
-            if not B.has(mt[x][y], mt[x2][y2]):
-                return Check("multiplicativity", False, (x, x2, y, y2))
-    return Check("multiplicativity", True)
-
-
-def _sweep_additivity(B: P0Set) -> Check:
-    _, jt = lattice_tables(B)
-    edges = _edges(B)
-    for x, x2 in edges:
-        for y, y2 in edges:
-            if not B.has(jt[x][y], jt[x2][y2]):
-                return Check("additivity", False, (x, x2, y, y2))
-    return Check("additivity", True)
-
-
-@lru_cache(maxsize=4096)
-def _join_reach(B: P0Set):
-    """reach[x][y] = {j[a][b] : a < x, b < y} and the strict-down closure of
-    those joins, as masks; feeds decomposition and vee-interpolation."""
-    _, jt = lattice_tables(B)
-    down = prec_down(B)
-    n = B.size
-    reach = [[0] * n for _ in range(n)]
-    reach_down = [[0] * n for _ in range(n)]
-    for x in range(n):
-        dx = bit_list(down[x])
-        for y in range(n):
-            acc = 0
-            for a in dx:
-                for b in bits(down[y]):
-                    acc |= 1 << jt[a][b]
-            reach[x][y] = acc
-            reach_down[x][y] = union_rows(down, acc)
-    return reach, reach_down
-
-
-def _sweep_decomposition(B: P0Set) -> Check:
-    _, jt = lattice_tables(B)
-    down = prec_down(B)
-    reach, _ = _join_reach(B)
-    for x in range(B.size):
-        for y in range(B.size):
-            bad = down[jt[x][y]] & ~reach[x][y]
-            if bad:
-                return Check("decomposition", False, (next(bits(bad)), x, y))
-    return Check("decomposition", True)
+    return multiplicativity(*_identity(B))
 
 
 def _sweep_vee_interpolation(B: P0Set) -> Check:
     _, jt = lattice_tables(B)
     down = prec_down(B)
-    _, reach_down = _join_reach(B)
+    reach = _join_reach(B, down)
     for x in range(B.size):
         for y in range(B.size):
-            bad = down[jt[x][y]] & ~reach_down[x][y]
+            bad = down[jt[x][y]] & ~union_rows(down, reach[x][y])
             if bad:
                 return Check("vee_interpolation", False, (next(bits(bad)), x, y))
     return Check("vee_interpolation", True)
@@ -294,61 +218,37 @@ def _sweep_distributivity(B: P0Set) -> Check:
     return Check("distributivity", True)
 
 
-def _sweep_rather_below(B: P0Set) -> Check:
+def _covered_rows(B: P0Set, rows) -> tuple[int, ...]:
+    """[x] masks the y covered by the joins of y with the elements disjoint
+    from x: the rows[w v y] over the w disjoint from x cover the carrier."""
     der = derived_relations(B)
     _, jt = lattice_tables(B)
     fm = full_mask(B.size)
+    out = []
     for x in range(B.size):
         perp = bit_list(der.perp[x])
+        row = 0
         for y in range(B.size):
             covered = 0
             for w in perp:
-                covered |= der.preceq_down[jt[w][y]]
+                covered |= rows[jt[w][y]]
                 if covered == fm:
+                    row |= 1 << y
                     break
-            if (covered == fm) != B.has(x, y):
-                return Check("rather_below", False, (x, y))
-    return Check("rather_below", True)
+        out.append(row)
+    return tuple(out)
+
+
+def _sweep_rather_below(B: P0Set) -> Check:
+    w = first_pair(r ^ p for r, p in zip(recover_prec(B), B.prec))
+    return Check("rather_below", w is None, w)
 
 
 def _sweep_prec_below(B: P0Set) -> Check:
-    der = derived_relations(B)
-    down = prec_down(B)
-    _, jt = lattice_tables(B)
-    fm = full_mask(B.size)
-    for x in range(B.size):
-        perp = bit_list(der.perp[x])
-        for y in bits(B.prec[x]):
-            covered = 0
-            for w in perp:
-                covered |= down[jt[w][y]]
-                if covered == fm:
-                    break
-            if covered != fm:
-                return Check("prec_below", False, (x, y))
-    return Check("prec_below", True)
+    covered = _covered_rows(B, prec_down(B))
+    w = first_pair(p & ~c for p, c in zip(B.prec, covered))
+    return Check("prec_below", w is None, w)
 
-
-_ORDER_SWEEPS = (
-    _sweep_minimum,
-    _sweep_transitivity,
-    _sweep_coinitiality,
-    _sweep_cofinality,
-    _sweep_interpolation,
-    _sweep_right_auxiliarity,
-    _sweep_riesz,
-)
-
-_LATTICE_SWEEPS = (
-    _sweep_multiplicativity,
-    _sweep_additivity,
-    _sweep_decomposition,
-    _sweep_complementation,
-    _sweep_distributivity,
-    _sweep_rather_below,
-    _sweep_prec_below,
-    _sweep_vee_interpolation,
-)
 
 _LATTICE_NAMES = ("multiplicativity", "additivity", "decomposition",
                   "complementation", "distributivity", "rather_below",
@@ -364,16 +264,18 @@ def check_basic_lattice(B: P0Set) -> Report:
     """
     preds = order_predicates(B)
     is_lat = preds.holds("lattice")
-    checks = [_sweep_minimum(B), _sweep_transitivity(B),
+    I = _identity(B)
+    checks = [minimum(*I), _sweep_transitivity(B),
               Check("lattice", is_lat, preds["lattice"].witness),
-              _sweep_coinitiality(B), _sweep_cofinality(B),
-              _sweep_interpolation(B)]
+              _sweep_coinitiality(B), cofinality(*I), interpolation(*I)]
     if is_lat:
-        checks.extend(sweep(B) for sweep in _LATTICE_SWEEPS)
+        checks += [_sweep_multiplicativity(B), additivity(*I), decomposition(*I),
+                   _sweep_complementation(B), _sweep_distributivity(B),
+                   _sweep_rather_below(B), _sweep_prec_below(B),
+                   _sweep_vee_interpolation(B)]
     else:
         checks.extend(Check(name, None) for name in _LATTICE_NAMES)
-    checks.append(_sweep_right_auxiliarity(B))
-    checks.append(_sweep_riesz(B))
+    checks += [auxiliarity(*I), _sweep_riesz(B)]
     by_name = {c.name: c for c in checks}
     passed = bool(is_lat) and all(by_name[name].holds for name in DEFINING)
     return report("basic_lattice", checks, passed)
@@ -386,12 +288,11 @@ def is_basic_lattice(B: P0Set) -> bool:
     exit."""
     if not order_predicates(B).holds("lattice"):
         return False
-    for sweep in (_sweep_coinitiality, _sweep_cofinality, _sweep_interpolation,
-                  _sweep_multiplicativity, _sweep_additivity,
-                  _sweep_decomposition, _sweep_complementation):
-        if not sweep(B).holds:
-            return False
-    return True
+    I = _identity(B)
+    return (_sweep_coinitiality(B).holds and cofinality(*I).holds
+            and interpolation(*I).holds and _sweep_multiplicativity(B).holds
+            and additivity(*I).holds and decomposition(*I).holds
+            and _sweep_complementation(B).holds)
 
 
 def check_alternate_axioms(B: P0Set) -> Report:
@@ -401,11 +302,12 @@ def check_alternate_axioms(B: P0Set) -> Report:
     """
     if not order_predicates(B).holds("lattice"):
         raise PreconditionFailed("alternate axioms need a lattice order")
-    cof = _sweep_cofinality(B)
+    I = _identity(B)
+    cof = cofinality(*I)
     if not cof.holds:
         raise PreconditionFailed(f"cofinality fails at {cof.witness}")
-    parts = [_sweep_interpolation(B), _sweep_multiplicativity(B),
-             _sweep_additivity(B), _sweep_right_auxiliarity(B), _sweep_riesz(B)]
+    parts = [interpolation(*I), _sweep_multiplicativity(B), additivity(*I),
+             auxiliarity(*I), _sweep_riesz(B)]
     first = all(c.holds for c in parts[:3])
     second = all(c.holds for c in parts[3:])
     checks = parts + [
@@ -423,23 +325,7 @@ def recover_prec(B: P0Set) -> tuple[int, ...]:
     """
     if not order_predicates(B).holds("lattice"):
         raise NotLattice("recovery needs a lattice order")
-    der = derived_relations(B)
-    _, jt = lattice_tables(B)
-    fm = full_mask(B.size)
-    rows = []
-    for x in range(B.size):
-        perp = bit_list(der.perp[x])
-        row = 0
-        for y in range(B.size):
-            covered = 0
-            for w in perp:
-                covered |= der.preceq_down[jt[w][y]]
-                if covered == fm:
-                    break
-            if covered == fm:
-                row |= 1 << y
-        rows.append(row)
-    return tuple(rows)
+    return _covered_rows(B, derived_relations(B).preceq_down)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +484,7 @@ def check_basic_semilattice(B: P0Set) -> Report:
     msl = preds.holds("meet_semilattice")
     checks = [
         Check("meet_semilattice", msl, preds["meet_semilattice"].witness),
-        _sweep_minimum(B),
+        minimum(*_identity(B)),
         _sweep_transitivity(B),
         _sweep_coinitiality(B),
     ]

@@ -1,7 +1,7 @@
 """Structure generators, exhaustive enumeration, and counterexample search.
 
 Generators are deterministic: the same name/size or seed always produces
-the same structure, and enumeration streams are reproducible.  Labeled
+the same structure, and enumeration is reproducible.  Labeled
 enumeration is used throughout; witnesses stay readable and isomorphism
 reduction would buy little at these sizes.
 """
@@ -9,7 +9,6 @@ reduction would buy little at these sizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import P0Set, bits, full_mask, p0set, union_rows
@@ -208,44 +207,6 @@ def _enumerate(n: int, reflexive_only: bool):
 
 # ---------------------------------------------------------------------------
 # counterexample search
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Reproducible description of a structure stream.
-
-    kind "named" yields one family instance (name and params), kind
-    "exhaustive" yields the labeled enumeration through max_size, kind
-    "random" yields budget seeded structures of sizes up to max_size.
-    Equal descriptions produce identical streams.
-    """
-
-    kind: str
-    name: str = ""
-    params: tuple = ()
-    seed: int = 0
-    max_size: int = 5
-    budget: int = 1000
-    reflexive_only: bool = False
-
-
-def stream(spec: GeneratorSpec):
-    """Yield the structures a GeneratorSpec describes, deterministically."""
-    if spec.kind == "named":
-        n = spec.params[0] if spec.params else spec.max_size
-        yield make_family(spec.name, n)
-    elif spec.kind == "exhaustive":
-        for n in range(1, spec.max_size + 1):
-            yield from enumerate_structures(n, spec.reflexive_only)
-    elif spec.kind == "random":
-        rng = random.Random(spec.seed)
-        for _ in range(spec.budget):
-            n = rng.randint(2, max(2, min(spec.max_size, RANDOM_CAP)))
-            yield random_p0set(
-                n, rng.getrandbits(32), rng.random() < 0.5, rng.uniform(0.1, 0.6)
-            )
-    else:
-        raise UnknownFamily(f"unknown stream kind {spec.kind!r}")
 
 
 def _prop_chain_respected(B: P0Set) -> bool:

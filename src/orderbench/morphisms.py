@@ -12,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import axioms
 from .core import (
     P0Set,
     bits,
     derived_relations,
-    full_mask,
-    lattice_tables,
+    first_pair,
     load_linked,
     mask_from,
-    prec_down,
+    transpose,
+    union_rows,
 )
 from .errors import (
     DimensionMismatch,
@@ -59,130 +60,36 @@ def is_interpolator(R: Interpolator) -> Report:
     """Per-axiom verdicts; passes on the defining axioms, with the two
     derived auxiliarity laws reported alongside.
 
-    Zero reflection (nothing nonzero sits below the target's zero) is part
-    of the defining list: relation-of-a-map interpolators always satisfy
-    it, and without it the complete relation would count as a morphism
-    while pushing ultrafilters onto improper filters, breaking the
-    correspondence with continuous maps on one-point instances.
+    The laws an interpolator shares with the identity interpolator are the
+    basic-lattice sweeps of `axioms`, run on this relation; target
+    interpolation and source auxiliarity are the lattice's interpolation
+    and right auxiliarity.  Zero reflection (nothing nonzero sits below
+    the target's zero) is part of the defining list: relation-of-a-map
+    interpolators always satisfy it, and without it the complete relation
+    would count as a morphism while pushing ultrafilters onto improper
+    filters, breaking the correspondence with continuous maps on one-point
+    instances.
     """
-    from .axioms import is_basic_lattice
-
-    if not (is_basic_lattice(R.source) and is_basic_lattice(R.target)):
+    if not (axioms.is_basic_lattice(R.source) and axioms.is_basic_lattice(R.target)):
         raise PreconditionFailed("interpolators live between basic lattices")
     B, C, rel = R.source, R.target, R.rel
-    derB = derived_relations(B)
-    derC = derived_relations(C)
-    downC = prec_down(C)
-    mtB, jtB = lattice_tables(B)
-    mtC, jtC = lattice_tables(C)
+    I = (B, C, rel, tuple(transpose(rel, C.size)))
 
-    minimum = Check(
-        "minimum",
-        rel[B.zero] == full_mask(C.size),
-        None
-        if rel[B.zero] == full_mask(C.size)
-        else (next(bits(full_mask(C.size) & ~rel[B.zero])),),
-    )
+    zr_w = next((x for x, row in enumerate(rel) if x != B.zero and row >> C.zero & 1), None)
+    zero_reflection = Check("zero_reflection", zr_w is None, None if zr_w is None else (zr_w,))
+    # x R y gives some z with x < z and z R y
+    pr_w = first_pair(row & ~union_rows(rel, B.prec[x]) for x, row in enumerate(rel))
+    # x R z and z <= y in the target give x R y
+    preceq = derived_relations(C).preceq
+    leq_w = first_pair(union_rows(preceq, row) & ~row for row in rel)
 
-    zr_w = next(
-        (x for x in range(B.size) if x != B.zero and rel[x] >> C.zero & 1), None
-    )
-    zero_reflection = Check(
-        "zero_reflection", zr_w is None, (zr_w,) if zr_w is not None else None
-    )
-
-    cof_w = next((x for x in range(B.size) if rel[x] == 0), None)
-    cofinality = Check("cofinality", cof_w is None, (cof_w,) if cof_w is not None else None)
-
-    lt_w = None
-    for x in range(B.size):
-        for y in bits(rel[x]):
-            if rel[x] & downC[y] == 0:
-                lt_w = (x, y)
-                break
-        if lt_w:
-            break
-    lt_interp = Check("target_interpolation", lt_w is None, lt_w)
-
-    pr_w = None
-    for x in range(B.size):
-        for y in bits(rel[x]):
-            if not any(rel[z] >> y & 1 for z in bits(B.prec[x])):
-                pr_w = (x, y)
-                break
-        if pr_w:
-            break
-    pr_interp = Check("source_interpolation", pr_w is None, pr_w)
-
-    edges = [(x, y) for x in range(B.size) for y in bits(rel[x])]
-    mult_w = None
-    add_w = None
-    for x, x2 in edges:
-        for y, y2 in edges:
-            if mult_w is None and not rel[mtB[x][y]] >> mtC[x2][y2] & 1:
-                mult_w = (x, x2, y, y2)
-            if add_w is None and not rel[jtB[x][y]] >> jtC[x2][y2] & 1:
-                add_w = (x, x2, y, y2)
-        if mult_w and add_w:
-            break
-    mult = Check("multiplicativity", mult_w is None, mult_w)
-    add = Check("additivity", add_w is None, add_w)
-
-    dec_w = None
-    for x in range(C.size):
-        relx = [a for a in range(B.size) if rel[a] >> x & 1]
-        for y in range(C.size):
-            rely = [b for b in range(B.size) if rel[b] >> y & 1]
-            target = jtC[x][y]
-            reach = 0
-            for a in relx:
-                for b in rely:
-                    reach |= 1 << jtB[a][b]
-            bad = (
-                mask_of_rel_column(rel, B.size, target) & ~reach
-            )
-            if bad:
-                dec_w = (next(bits(bad)), x, y)
-                break
-        if dec_w:
-            break
-    decomposition = Check("decomposition", dec_w is None, dec_w)
-
-    leq_w = None
-    for x in range(B.size):
-        spread = 0
-        for z in bits(rel[x]):
-            spread |= derC.preceq[z]
-        if spread & ~rel[x]:
-            leq_w = (x, next(bits(spread & ~rel[x])))
-            break
-    leq_aux = Check("target_auxiliarity", leq_w is None, leq_w)
-
-    peq_w = None
-    for z in range(B.size):
-        for x in bits(derB.preceq_down[z]):
-            if rel[z] & ~rel[x]:
-                peq_w = (x, z, next(bits(rel[z] & ~rel[x])))
-                break
-        if peq_w:
-            break
-    peq_aux = Check("source_auxiliarity", peq_w is None, peq_w)
-
-    defining = [minimum, zero_reflection, cofinality, lt_interp, pr_interp, mult,
-                add, decomposition]
-    checks = defining + [leq_aux, peq_aux]
-    return report(
-        "interpolator", checks, passed=all(c.holds for c in defining)
-    )
-
-
-def mask_of_rel_column(rel, size_b: int, y: int) -> int:
-    """Mask over the source of {x : x R y}."""
-    m = 0
-    for x in range(size_b):
-        if rel[x] >> y & 1:
-            m |= 1 << x
-    return m
+    defining = [axioms.minimum(*I), zero_reflection, axioms.cofinality(*I),
+                axioms.interpolation(*I)._replace(name="target_interpolation"),
+                Check("source_interpolation", pr_w is None, pr_w),
+                axioms.multiplicativity(*I), axioms.additivity(*I), axioms.decomposition(*I)]
+    checks = defining + [Check("target_auxiliarity", leq_w is None, leq_w),
+                         axioms.auxiliarity(*I)._replace(name="source_auxiliarity")]
+    return report("interpolator", checks, passed=all(c.holds for c in defining))
 
 
 def compose_interpolators(R: Interpolator, S: Interpolator) -> Interpolator:

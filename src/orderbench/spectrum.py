@@ -38,10 +38,9 @@ from .errors import (
     InternalCheckFailed,
     NotClopen,
     NotOpen,
-    PreconditionFailed,
 )
 from .report import Check, Report, report, shared_report
-from .stone import FiniteTopology, discrete_topology
+from .stone import FiniteTopology, basis_to_structure, discrete_topology
 from .tight import enveloping_algebra, rho
 
 VS_STONE_CAP = 8
@@ -171,7 +170,6 @@ def spectrum_homeomorphism(X: FiniteTopology, family):
     character is tight and nonzero, the map is a bijection, and members map
     to their principal opens.
     """
-    from .core import p0set
     from .errors import NotPseudobasis
 
     family = list(family)
@@ -180,15 +178,8 @@ def spectrum_homeomorphism(X: FiniteTopology, family):
         raise NotPseudobasis("family fails the pseudobasis conditions")
     if not pb.all_clopen():
         raise NotClopen("family has a non-clopen member")
-    if len(set(family)) != len(family):
-        raise PreconditionFailed("family members must be distinct")
-    pairs = [
-        (i, j)
-        for i, o in enumerate(family)
-        for j, nbh in enumerate(family)
-        if o & ~nbh == 0
-    ]
-    struct = p0set(len(family), family.index(0), pairs)
+    # clopen members are their own closures, so this is the inclusion order
+    struct = basis_to_structure(X, family)
     chars = tight_characters(struct).chars
     index = {m: i for i, m in enumerate(chars)}
 

@@ -230,11 +230,7 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
     der = derived_relations(B)
     down = prec_down(B)
 
-    maximal = not any(
-        V != U and V & U == U
-        for V in enumerate_filters(B)
-        if V != fm
-    )
+    maximal = U in enumerate_ultrafilters(B)
 
     comp = fm & ~U
     ideal_down = True

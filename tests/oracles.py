@@ -1042,3 +1042,260 @@ def sweep_duality_topology(B, X, basis):
         None,
     )
     return sub, ox, haus
+
+
+# ---------------------------------------------------------------------------
+# the lattice and interpolator axioms, by the loops the shared laws replaced
+#
+# The basic-lattice axioms that are interpolator axioms read on the strict
+# relation have one implementation in the package, over a relation's rows.
+# Kept here: the literal instance predicate of every lattice axiom, the
+# interpolator sweep with its own decomposition loop, and the three
+# "covered by joins" loops of rather-below, prec-below and the recovered
+# relation.  The bitmask rows come from the set-based definitions above.
+
+
+@lru_cache(maxsize=None)
+def _axiom_tables(B):
+    """(down, preceq, preceq_down, perp, meet table, join table): bitmask
+    rows of the strict down-sets, the reflexivization both ways and
+    disjointness, and the candidate bound tables."""
+    preceq_rows, preceq_down_rows, _ = _refl_rows(B)
+    down_rows = tuple(sum(1 << z for z in down(B, y)) for y in range(B.size))
+    perp = tuple(sum(1 << y for y in range(B.size) if not meets(B, x, y))
+                 for x in range(B.size))
+    mt, jt = candidate_lattice_tables(B)
+    return down_rows, preceq_rows, preceq_down_rows, perp, mt, jt
+
+
+def axiom_instance(B, name, tup):
+    """Evaluate one lattice-axiom instance at the tuple `tup`: a reported
+    witness makes its axiom's instance predicate False."""
+    down_rows, preceq_rows, _, perp, mt, jt = _axiom_tables(B)
+    zero = B.zero
+    n = B.size
+    prec = B.prec
+
+    def le(a, b):
+        return preceq_rows[a] >> b & 1 == 1
+
+    def lt(a, b):
+        return prec[a] >> b & 1 == 1
+
+    if name == "minimum":
+        (x,) = tup
+        return lt(zero, x)
+    if name == "transitivity":
+        x, y, z = tup
+        return not (lt(x, y) and lt(y, z)) or lt(x, z)
+    if name == "coinitiality":
+        (x,) = tup
+        return x == zero or meets(B, x, x)
+    if name == "cofinality":
+        (x,) = tup
+        return prec[x] != 0
+    if name == "interpolation":
+        x, y = tup
+        return not lt(x, y) or bool(prec[x] & down_rows[y])
+    if name == "right_auxiliarity":
+        x, z, y = tup
+        return not (le(x, z) and lt(z, y)) or lt(x, y)
+    if name == "riesz_interpolation":
+        x, x2, y, y2 = tup
+        if not (lt(x, y) and lt(x, y2) and lt(x2, y) and lt(x2, y2)):
+            return True
+        return bool(prec[x] & prec[x2] & down_rows[y] & down_rows[y2])
+    if name == "multiplicativity":
+        x, x2, y, y2 = tup
+        return not (lt(x, x2) and lt(y, y2)) or lt(mt[x][y], mt[x2][y2])
+    if name == "additivity":
+        x, x2, y, y2 = tup
+        return not (lt(x, x2) and lt(y, y2)) or lt(jt[x][y], jt[x2][y2])
+    if name == "decomposition":
+        z, x, y = tup
+        if not lt(z, jt[x][y]):
+            return True
+        return any(jt[a][b] == z for a in _members(down_rows[x]) for b in _members(down_rows[y]))
+    if name == "vee_interpolation":
+        z, x, y = tup
+        if not lt(z, jt[x][y]):
+            return True
+        return any(lt(z, jt[a][b]) for a in _members(down_rows[x]) for b in _members(down_rows[y]))
+    if name == "complementation":
+        x, y, z = tup
+        if not (lt(x, y) and lt(y, z)):
+            return True
+        return any(jt[w][y] == z for w in _members(perp[x]))
+    if name == "distributivity":
+        z, x, y = tup
+        return le(z, jt[x][y]) == le(z, jt[mt[x][z]][mt[y][z]])
+    if name == "rather_below":
+        x, y = tup
+        rb = all(
+            any(le(z, jt[w][y]) for w in _members(perp[x])) for z in range(n)
+        )
+        return lt(x, y) == rb
+    if name == "prec_below":
+        x, y = tup
+        if not lt(x, y):
+            return True
+        return all(
+            any(lt(z, jt[w][y]) for w in _members(perp[x])) for z in range(n)
+        )
+    raise KeyError(name)
+
+
+def _complete(table):
+    return all(v is not None for row in table for v in row)
+
+
+def literal_interpolator_checks(B, C, rel):
+    """The (name, verdict, witness) triples of the interpolator axioms of
+    the relation with rows `rel` from B to C, and the verdict on the
+    defining ones, by the interpolator sweep's own loops.  Source
+    auxiliarity walks (z, x, y).  The laws that need meets and joins are
+    None unless both bound tables are complete."""
+    _, _, preceq_down_b, _, mtB, jtB = _axiom_tables(B)
+    downC, preceq_c, _, _, mtC, jtC = _axiom_tables(C)
+    full_c = (1 << C.size) - 1
+
+    def mask_of_rel_column(y):
+        m = 0
+        for x in range(B.size):
+            if rel[x] >> y & 1:
+                m |= 1 << x
+        return m
+
+    minimum = ("minimum", rel[B.zero] == full_c,
+               None if rel[B.zero] == full_c else (_members(full_c & ~rel[B.zero])[0],))
+
+    zr_w = next((x for x in range(B.size) if x != B.zero and rel[x] >> C.zero & 1), None)
+    zero_reflection = ("zero_reflection", zr_w is None, (zr_w,) if zr_w is not None else None)
+
+    cof_w = next((x for x in range(B.size) if rel[x] == 0), None)
+    cofinality = ("cofinality", cof_w is None, (cof_w,) if cof_w is not None else None)
+
+    lt_w = None
+    for x in range(B.size):
+        for y in _members(rel[x]):
+            if rel[x] & downC[y] == 0:
+                lt_w = (x, y)
+                break
+        if lt_w:
+            break
+    lt_interp = ("target_interpolation", lt_w is None, lt_w)
+
+    pr_w = None
+    for x in range(B.size):
+        for y in _members(rel[x]):
+            if not any(rel[z] >> y & 1 for z in _members(B.prec[x])):
+                pr_w = (x, y)
+                break
+        if pr_w:
+            break
+    pr_interp = ("source_interpolation", pr_w is None, pr_w)
+
+    mult = ("multiplicativity", None, None)
+    add = ("additivity", None, None)
+    decomposition = ("decomposition", None, None)
+    if all(map(_complete, (mtB, jtB, mtC, jtC))):
+        edges = [(x, y) for x in range(B.size) for y in _members(rel[x])]
+        mult_w = None
+        add_w = None
+        for x, x2 in edges:
+            for y, y2 in edges:
+                if mult_w is None and not rel[mtB[x][y]] >> mtC[x2][y2] & 1:
+                    mult_w = (x, x2, y, y2)
+                if add_w is None and not rel[jtB[x][y]] >> jtC[x2][y2] & 1:
+                    add_w = (x, x2, y, y2)
+            if mult_w and add_w:
+                break
+        mult = ("multiplicativity", mult_w is None, mult_w)
+        add = ("additivity", add_w is None, add_w)
+
+        dec_w = None
+        for x in range(C.size):
+            relx = [a for a in range(B.size) if rel[a] >> x & 1]
+            for y in range(C.size):
+                rely = [b for b in range(B.size) if rel[b] >> y & 1]
+                target = jtC[x][y]
+                reach = 0
+                for a in relx:
+                    for b in rely:
+                        reach |= 1 << jtB[a][b]
+                bad = mask_of_rel_column(target) & ~reach
+                if bad:
+                    dec_w = (_members(bad)[0], x, y)
+                    break
+            if dec_w:
+                break
+        decomposition = ("decomposition", dec_w is None, dec_w)
+
+    leq_w = None
+    for x in range(B.size):
+        spread = 0
+        for z in _members(rel[x]):
+            spread |= preceq_c[z]
+        if spread & ~rel[x]:
+            leq_w = (x, _members(spread & ~rel[x])[0])
+            break
+    leq_aux = ("target_auxiliarity", leq_w is None, leq_w)
+
+    peq_w = None
+    for z in range(B.size):
+        for x in _members(preceq_down_b[z]):
+            if rel[z] & ~rel[x]:
+                peq_w = (x, z, _members(rel[z] & ~rel[x])[0])
+                break
+        if peq_w:
+            break
+    peq_aux = ("source_auxiliarity", peq_w is None, peq_w)
+
+    defining = [minimum, zero_reflection, cofinality, lt_interp, pr_interp, mult,
+                add, decomposition]
+    return defining + [leq_aux, peq_aux], all(c[1] for c in defining)
+
+
+def auxiliarity_witness_zyx(B, rel):
+    """The first (x, z, y) with x <= z in B, z R y and not x R y, walking z,
+    then y, then x; None when source auxiliarity holds."""
+    _, _, preceq_down_b, _, _, _ = _axiom_tables(B)
+    return next(((x, z, y) for z in range(B.size) for y in _members(rel[z])
+                 for x in _members(preceq_down_b[z]) if not rel[x] >> y & 1), None)
+
+
+def _covered(B, rows, x, y):
+    """The loop: the rows of the joins of y with the elements disjoint from
+    x cover the carrier."""
+    _, _, _, perp, _, jt = _axiom_tables(B)
+    fm = (1 << B.size) - 1
+    covered = 0
+    for w in _members(perp[x]):
+        covered |= rows[jt[w][y]]
+        if covered == fm:
+            break
+    return covered == fm
+
+
+def loop_rather_below(B):
+    """First (x, y) at which x < y differs from y being covered with the
+    `preceq_down` rows, or None."""
+    _, _, preceq_down_rows, _, _, _ = _axiom_tables(B)
+    return next(((x, y) for x in range(B.size) for y in range(B.size)
+                 if _covered(B, preceq_down_rows, x, y) != B.has(x, y)), None)
+
+
+def loop_prec_below(B):
+    """First (x, y), x < y, at which y is not covered with the strict
+    down rows, or None."""
+    down_rows = _axiom_tables(B)[0]
+    return next(((x, y) for x in range(B.size) for y in _members(B.prec[x])
+                 if not _covered(B, down_rows, x, y)), None)
+
+
+def loop_recover_prec(B):
+    """The relation recovered from the order: row x holds the y covered
+    with the `preceq_down` rows."""
+    _, _, preceq_down_rows, _, _, _ = _axiom_tables(B)
+    return tuple(sum(1 << y for y in range(B.size) if _covered(B, preceq_down_rows, x, y))
+                 for x in range(B.size))

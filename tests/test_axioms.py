@@ -23,12 +23,12 @@ class TestBasicLattice:
         assert not rep.passed
         chk = rep["decomposition"]
         assert chk.holds is False
-        assert not axioms.recheck(d3, "decomposition", chk.witness)
+        assert not oracles.axiom_instance(d3, "decomposition", chk.witness)
 
     def test_chain_fails_complementation(self, c2):
         rep = axioms.check_basic_lattice(c2)
         assert rep["complementation"].holds is False
-        assert not axioms.recheck(c2, "complementation", rep["complementation"].witness)
+        assert not oracles.axiom_instance(c2, "complementation", rep["complementation"].witness)
 
     def test_two_atoms_fail_at_lattice(self, e0):
         rep = axioms.check_basic_lattice(e0)
@@ -41,7 +41,7 @@ class TestBasicLattice:
             rep = axioms.check_basic_lattice(B)
             for chk in rep.checks:
                 if chk.holds is False and chk.name != "lattice":
-                    assert not axioms.recheck(B, chk.name, chk.witness)
+                    assert not oracles.axiom_instance(B, chk.name, chk.witness)
 
     def test_derived_properties_hold_on_passers(self):
         # distributivity and the recovered-relation law follow on basic lattices
@@ -321,10 +321,56 @@ class TestSweepInstanceAgreement:
                     continue
                 arity = self.ARITIES[chk.name]
                 literal = all(
-                    axioms._axiom_instance(B, chk.name, tup)
+                    oracles.axiom_instance(B, chk.name, tup)
                     for tup in iproduct(range(B.size), repeat=arity)
                 )
                 assert literal == chk.holds, (B.pairs(), chk.name)
+
+
+class TestSharedLaws:
+    """The laws the lattice shares with its identity interpolator, and the
+    covered-by-joins sweeps, against the loops they replaced, witnesses
+    included."""
+
+    SHARED = ("minimum", "cofinality", "interpolation", "multiplicativity",
+              "additivity", "decomposition")
+
+    @staticmethod
+    def corpus():
+        named = [lab.make_family("powerset", k) for k in range(3, 7)]
+        named += [lab.make_family("chain", 63), lab.make_family("diamond", 62)]
+        return separation_corpus() + tuple(named)
+
+    def test_lattice_reports_against_loops(self):
+        seen = set()
+        for B in self.corpus():
+            rep = axioms.check_basic_lattice(B)
+            literal, _ = oracles.literal_interpolator_checks(B, B, B.prec)
+            want = {"interpolation" if name == "target_interpolation" else name: (holds, w)
+                    for name, holds, w in literal}
+            for name in self.SHARED:
+                assert (rep[name].holds, rep[name].witness) == want[name], (B.pairs(), name)
+            aux = rep["right_auxiliarity"]
+            assert aux.holds == want["source_auxiliarity"][0], B.pairs()
+            assert aux.witness == oracles.auxiliarity_witness_zyx(B, B.prec), B.pairs()
+            if rep.holds("lattice"):
+                rb, pb = oracles.loop_rather_below(B), oracles.loop_prec_below(B)
+                assert (rep["rather_below"].holds, rep["rather_below"].witness) == (rb is None, rb)
+                assert (rep["prec_below"].holds, rep["prec_below"].witness) == (pb is None, pb)
+                assert axioms.recover_prec(B) == oracles.loop_recover_prec(B), B.pairs()
+                if rep.holds("cofinality"):
+                    alt = axioms.check_alternate_axioms(B)
+                    assert alt.checks[:5] == tuple(rep[c.name] for c in alt.checks[:5])
+            else:
+                with pytest.raises(NotLattice):
+                    axioms.recover_prec(B)
+            assert axioms.is_basic_lattice(B) == rep.passed
+            seen.update((c.name, c.holds) for c in rep.checks)
+        # no structure here fails minimum or multiplicativity; the
+        # interpolator tests see both fail
+        for name in ("cofinality", "interpolation", "additivity", "decomposition",
+                     "right_auxiliarity", "rather_below", "prec_below"):
+            assert {(name, True), (name, False)} <= seen, name
 
 
 class TestFalsifiability:

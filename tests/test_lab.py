@@ -114,26 +114,6 @@ class TestEnumeration:
             lab.enumerate_structures(7, reflexive_only=True)
 
 
-class TestStreams:
-    def test_identical_descriptions_identical_streams(self):
-        spec = lab.GeneratorSpec(kind="random", seed=9, max_size=5, budget=40)
-        first = list(lab.stream(spec))
-        second = list(lab.stream(lab.GeneratorSpec(kind="random", seed=9,
-                                                   max_size=5, budget=40)))
-        assert first == second
-
-    def test_named_and_exhaustive(self):
-        named = list(lab.stream(lab.GeneratorSpec(kind="named", name="diamond",
-                                                  params=(3,))))
-        assert len(named) == 1 and named[0].size == 5
-        ex = list(lab.stream(lab.GeneratorSpec(kind="exhaustive", max_size=3)))
-        assert len(ex) == 1 + 3 + 18
-
-    def test_unknown_kind(self):
-        with pytest.raises(UnknownFamily):
-            list(lab.stream(lab.GeneratorSpec(kind="nope")))
-
-
 class TestSearch:
     def test_curated_counterexample(self):
         found = lab.search_counterexample("decomposition_holds", 0, 1, 0)

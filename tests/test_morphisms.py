@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import small_structures
-from orderbench import axioms, morphisms as mo, stone
+from orderbench import axioms, lab, morphisms as mo, stone
 from orderbench.core import bits, dump_structure, full_mask
 from orderbench.errors import (
     DimensionMismatch,
@@ -54,6 +54,54 @@ class TestInterpolatorAxioms:
             rep = mo.is_interpolator(R)
             assert rep.holds("target_auxiliarity")
             assert rep.holds("source_auxiliarity")
+
+
+class TestSharedLaws:
+    """`is_interpolator` against the interpolator sweep's own loops, with the
+    source auxiliarity witness in (z, y, x) order."""
+
+    @staticmethod
+    def relations():
+        lats = [B for B in small_structures(4) if axioms.is_basic_lattice(B)]
+        lats.append(lab.make_family("powerset", 3))
+        rng = random.Random(11)
+        out = []
+        for i in range(2400):
+            B, C = rng.choice(lats), rng.choice(lats)
+            if i % 2:
+                # one bit away from the identity interpolator
+                rows = list(B.prec)
+                rows[rng.randrange(B.size)] ^= 1 << rng.randrange(B.size)
+                C = B
+            else:
+                rows = [rng.getrandbits(C.size) for _ in range(B.size)]
+                if rng.random() < 0.7:
+                    rows[B.zero] = full_mask(C.size)
+            out.append(mo.Interpolator(B, C, tuple(rows)))
+        # the interpolators of point maps between discrete spaces on at
+        # most 3 points
+        for k, m in product((1, 2, 3), repeat=2):
+            X = stone.discrete_topology(k, range(1 << k))
+            Y = stone.discrete_topology(m, range(1 << m))
+            for f in product(range(m), repeat=k):
+                out.append(mo.interpolator_from_map(X, Y, f, range(1 << k), range(1 << m)))
+        return out
+
+    def test_against_literal_loops(self):
+        seen = set()
+        for R in self.relations():
+            rep = mo.is_interpolator(R)
+            literal, passed = oracles.literal_interpolator_checks(R.source, R.target, R.rel)
+            got = [(c.name, c.holds, c.witness) for c in rep.checks]
+            assert got[:-1] == literal[:-1], R
+            assert got[-1][:2] == literal[-1][:2], R
+            assert got[-1][2] == oracles.auxiliarity_witness_zyx(R.source, R.rel), R
+            assert rep.passed == passed
+            seen.update(c[:2] for c in got)
+        # these basic lattices are reflexive, so z = y and z = x always
+        # interpolate; every other law is seen holding and failing
+        never = {("target_interpolation", False), ("source_interpolation", False)}
+        assert seen == {(c[0], v) for c in got for v in (True, False)} - never
 
 
 class TestComposition:
