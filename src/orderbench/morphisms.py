@@ -10,16 +10,15 @@ stored as bitmask rows over the target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from pathlib import Path
 
 from . import axioms
 from .core import (
     P0Set,
-    bits,
     derived_relations,
     first_pair,
     load_linked,
-    mask_from,
     transpose,
     union_rows,
 )
@@ -32,7 +31,13 @@ from .errors import (
     PreconditionFailed,
 )
 from .report import Check, Report, report
-from .stone import FiniteTopology, basis_to_structure, stone_space
+from .stone import (
+    FiniteTopology,
+    basis_to_structure,
+    closure_rows,
+    enumerate_ultrafilters,
+    stone_space,
+)
 
 
 @dataclass(frozen=True)
@@ -96,13 +101,7 @@ def compose_interpolators(R: Interpolator, S: Interpolator) -> Interpolator:
     """Relational composition: x (R;S) y iff x R z S y for some z."""
     if R.target != S.source:
         raise DimensionMismatch("inner carriers differ")
-    rows = []
-    for x in range(R.source.size):
-        acc = 0
-        for z in bits(R.rel[x]):
-            acc |= S.rel[z]
-        rows.append(acc)
-    return Interpolator(R.source, S.target, tuple(rows))
+    return Interpolator(R.source, S.target, tuple(union_rows(S.rel, row) for row in R.rel))
 
 
 def identity_interpolator(B: P0Set) -> Interpolator:
@@ -124,49 +123,24 @@ def induced_stone_map(R: Interpolator) -> StoneMap:
     """Push each ultrafilter U forward to {y : some x in U has x R y} and
     verify the result is an ultrafilter, the map is continuous, and the
     relation is recovered by closure containment."""
-    from .stone import enumerate_ultrafilters
-
     if not is_interpolator(R).passed:
         raise NotInterpolator("relation fails the interpolator axioms")
     B, C = R.source, R.target
     X, Y = stone_space(B), stone_space(C)
-    ults_b = enumerate_ultrafilters(B)
-    ults_c = enumerate_ultrafilters(C)
-    index_c = {U: i for i, U in enumerate(ults_c)}
+    index_c = {U: i for i, U in enumerate(enumerate_ultrafilters(C))}
     mapping = []
-    for U in ults_b:
-        img = 0
-        for x in bits(U):
-            img |= R.rel[x]
+    for U in enumerate_ultrafilters(B):
+        img = union_rows(R.rel, U)
         if img not in index_c:
             raise NotUltrafilter(f"pushforward {img:#b} is not an ultrafilter")
         mapping.append(index_c[img])
     mapping = tuple(mapping)
 
-    cont_w = None
-    for y in range(C.size):
-        pre = 0
-        for i, t in enumerate(mapping):
-            if Y.basis[y] >> t & 1:
-                pre |= 1 << i
-        if not X.is_open(pre):
-            cont_w = (y,)
-            break
+    fibres = transpose((1 << t for t in mapping), Y.points)
+    cont_w = next(((y,) for y, o in enumerate(Y.basis)
+                   if not X.is_open(union_rows(fibres, o))), None)
     continuous = Check("continuous", cont_w is None, cont_w)
-
-    char_w = None
-    for x in range(B.size):
-        cl = X.closure(X.basis[x])
-        img = 0
-        for i in bits(cl):
-            img |= 1 << mapping[i]
-        for y in range(C.size):
-            sends = img & ~Y.basis[y] == 0
-            if sends != R.has(x, y):
-                char_w = (x, y)
-                break
-        if char_w:
-            break
+    char_w = first_pair(map(xor, closure_rows(X, X.basis, mapping, Y.basis), R.rel))
     characterization = Check("closure_characterization", char_w is None, char_w)
 
     rep = report("induced_stone_map", [continuous, characterization])
@@ -185,23 +159,15 @@ def interpolator_from_map(
     if len(f) != X.points or any(not 0 <= t < Y.points for t in f):
         raise FormatError("point map has wrong shape")
     # opens are unions of minimal neighbourhoods and preimages keep unions,
-    # so the smallest open with a preimage that is not open is one of them
+    # so the smallest open with a preimage that is not open is one of them;
+    # the preimage of o is the union of the fibres over its points
+    fibres = transpose((1 << t for t in f), Y.points)
     for u in sorted(set(Y.nbhd)):
-        if not X.is_open(mask_from(p for p, t in enumerate(f) if u >> t & 1)):
+        if not X.is_open(union_rows(fibres, u)):
             raise NotContinuous(f"preimage of {u:#b} is not open")
     source = basis_to_structure(X, BX)
     target = basis_to_structure(Y, BY)
-    rows = []
-    for o in BX:
-        img = 0
-        for p in bits(X.closure(o)):
-            img |= 1 << f[p]
-        row = 0
-        for j, nbh in enumerate(BY):
-            if img & ~nbh == 0:
-                row |= 1 << j
-        rows.append(row)
-    return Interpolator(source, target, tuple(rows))
+    return Interpolator(source, target, tuple(closure_rows(X, BX, f, BY)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +178,8 @@ def load_interpolator(text: str, base_dir: str | Path = ".") -> Interpolator:
     """Parse {"from": path, "to": path, "pairs": [[int, int], ...]}."""
     source, target, pairs = load_linked(text, base_dir, "pairs")
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
+        for p in pairs
     ):
         raise FormatError("pairs must be a list of [int, int]")
     return interpolator(source, target, [tuple(p) for p in pairs])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import and_
+from operator import and_, xor
 
 from .core import (
     P0Set,
@@ -28,10 +28,13 @@ from .core import (
     bit_list,
     bits,
     derived_relations,
+    first_pair,
     full_mask,
     mask_from,
+    meet_rows,
     p0set,
     prec_down,
+    union_rows,
 )
 from .errors import (
     FormatError,
@@ -169,20 +172,13 @@ def dump_topology(X: FiniteTopology) -> str:
 
 
 def is_filter(B: P0Set, U: SubsetMask) -> bool:
-    """Upward closed under the strict relation and downward directed."""
-    up_needed = 0
-    for y in bits(U):
-        up_needed |= B.prec[y]
-    if up_needed & ~U:
-        return False
-    down = prec_down(B)
-    members = bit_list(U)
-    for i, x in enumerate(members):
-        dx = down[x]
-        for y in members[i:]:
-            if dx & down[y] & U == 0:
-                return False
-    return True
+    """Upward closed under the strict relation and downward directed.
+
+    By the argument in `enumerate_filters`, a nonempty filter is a row
+    prec[z] with z < z, and then z lies in U; any z in U with prec[z] == U
+    has z < z, so the members of U are the only candidates to test.
+    """
+    return U == 0 or any(B.prec[z] == U for z in bits(U))
 
 
 def enumerate_filters(B: P0Set) -> list[SubsetMask]:
@@ -255,10 +251,8 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
                 break
     is_ideal = ideal_down and ideal_dir
 
-    perp_set = 0
-    for y in range(B.size):
-        if all(der.perp[x] & U for x in bits(down[y])):
-            perp_set |= 1 << y
+    perp_set = mask_from(
+        y for y in range(B.size) if all(der.perp[x] & U for x in bits(down[y])))
     perp_ok = perp_set == comp
 
     witness_perp = None
@@ -322,18 +316,11 @@ def verify_duality(B: P0Set) -> Report:
     w_perp = sweep_pairs(
         lambda x, y: (O[x] & O[y] == 0) == (der.perp[x] >> y & 1 == 1)
     )
-    cl = [X.closure(o) for o in O]
-    w_sub = sweep_pairs(lambda x, y: (cl[x] & ~O[y] == 0) == B.has(x, y))
-
+    # the closure characterization of the identity interpolator
+    w_sub = first_pair(map(xor, closure_rows(X, O, range(X.points), O), B.prec))
     fm = full_mask(X.points)
-    w_cl = None
-    for x in range(n):
-        inter = fm
-        for y in bits(B.prec[x]):
-            inter &= O[y]
-        if cl[x] != inter:
-            w_cl = (x,)
-            break
+    w_cl = next(
+        ((x,) for x in range(n) if X.closure(O[x]) != meet_rows(O, B.prec[x], fm)), None)
 
     # disjoint opens around p and q exist iff U_p and U_q are disjoint
     U = X.nbhd
@@ -342,14 +329,7 @@ def verify_duality(B: P0Set) -> Report:
         None,
     )
 
-    w_iso = None
-    for x in range(n):
-        for y in range(n):
-            if (O[x] & ~O[y] == 0) != (der.preceq[x] >> y & 1 == 1):
-                w_iso = (x, y)
-                break
-        if w_iso:
-            break
+    w_iso = sweep_pairs(lambda x, y: (O[x] & ~O[y] == 0) == (der.preceq[x] >> y & 1 == 1))
     inj = len(set(O)) == n
     iso_ok = w_iso is None and inj
 
@@ -365,6 +345,19 @@ def verify_duality(B: P0Set) -> Report:
     return report("duality", checks)
 
 
+def closure_rows(X: FiniteTopology, family, f, targets) -> list[int]:
+    """Row i is {j : f maps the closure of family[i] into targets[j]}.
+
+    `f` sends each point of X to a point of the targets' space, as a
+    sequence of point indices.  With f the identity on X's points and
+    the family as its own targets, the rows are the strict relation of
+    `basis_to_structure`.
+    """
+    point = [1 << t for t in f]
+    images = (union_rows(point, X.closure(o)) for o in family)
+    return [mask_from(j for j, n in enumerate(targets) if img & ~n == 0) for img in images]
+
+
 def basis_to_structure(X: FiniteTopology, family) -> P0Set:
     """Structure on the family with x < y iff closure(family[x]) lies in
     family[y]; zero is the empty member.  Members must be distinct opens
@@ -377,12 +370,8 @@ def basis_to_structure(X: FiniteTopology, family) -> P0Set:
         raise PreconditionFailed("family must contain the empty open")
     if len(set(family)) != len(family):
         raise PreconditionFailed("family members must be distinct")
-    pairs = []
-    for i, o in enumerate(family):
-        cl = X.closure(o)
-        for j, nbh in enumerate(family):
-            if cl & ~nbh == 0:
-                pairs.append((i, j))
+    rows = closure_rows(X, family, range(X.points), family)
+    pairs = [(i, j) for i, row in enumerate(rows) for j in bits(row)]
     return p0set(len(family), family.index(0), pairs)
 
 

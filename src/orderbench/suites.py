@@ -28,7 +28,7 @@ class SuiteResult:
     name: str
     passed: bool
     details: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0  # set by run_suite
 
     def render(self) -> str:
         head = f"[suite {self.name}] {'PASS' if self.passed else 'FAIL'} ({self.seconds:.2f}s)"
@@ -85,7 +85,6 @@ def suite_example_tightness(seed: int = 0) -> SuiteResult:
     A covering pair is trivial when the sides intersect or the left side
     has only zero below it.
     """
-    t0 = time.time()
     nm = _named()
     e0, p2, p3 = nm["e0"], nm["p2"], nm["p3"]
     details = []
@@ -117,7 +116,7 @@ def suite_example_tightness(seed: int = 0) -> SuiteResult:
     r2 = tight.map_properties(b2)
     ok &= bool(r2.holds("tight"))
     details.append(f"restricted codomain: tight={r2.holds('tight')}")
-    return SuiteResult("example_tightness", bool(ok), details, time.time() - t0)
+    return SuiteResult("example_tightness", bool(ok), details)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,6 @@ def suite_duality_round_trip(seed: int = 0) -> SuiteResult:
     its points through point filters.  200 seeded random bases at four
     points, with the closed ones round-tripped in full.
     """
-    t0 = time.time()
     details = []
     ok = True
     for k in range(0, 4):
@@ -238,7 +236,7 @@ def suite_duality_round_trip(seed: int = 0) -> SuiteResult:
             bad4 += 1
     ok &= bad4 == 0
     details.append(f"|X|=4: 200 random bases, {bad4} failures")
-    return SuiteResult("duality_round_trip", bool(ok), details, time.time() - t0)
+    return SuiteResult("duality_round_trip", bool(ok), details)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +249,13 @@ def _basic_lattices_upto5() -> tuple[P0Set, ...]:
 
 
 def suite_duality_equations(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     lats = _basic_lattices_upto5()
     bad = [B for B in lats if not stone.verify_duality(B).passed]
     details = [f"basic lattices of size <= 5: {len(lats)}; duality failures: {len(bad)}"]
-    return SuiteResult("duality_equations", not bad, details, time.time() - t0)
+    return SuiteResult("duality_equations", not bad, details)
 
 
 def suite_ultrafilter_characterizations(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     lats = _basic_lattices_upto5()
     checked = 0
     bad = 0
@@ -272,7 +268,7 @@ def suite_ultrafilter_characterizations(seed: int = 0) -> SuiteResult:
             if not stone.ultrafilter_properties(B, U).passed:
                 bad += 1
     details = [f"{checked} nonempty proper filters over {len(lats)} basic lattices; {bad} disagreements"]
-    return SuiteResult("ultrafilter_characterizations", bad == 0, details, time.time() - t0)
+    return SuiteResult("ultrafilter_characterizations", bad == 0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,6 @@ def suite_ultrafilter_characterizations(seed: int = 0) -> SuiteResult:
 
 
 def suite_reflexive_collapse(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     bad = []
     count = 0
     for n in range(1, 6):
@@ -291,7 +286,7 @@ def suite_reflexive_collapse(seed: int = 0) -> SuiteResult:
             ):
                 bad.append(B)
     details = [f"{count} partial orders with bottom; {len(bad)} collapse failures"]
-    return SuiteResult("reflexive_collapse", not bad, details, time.time() - t0)
+    return SuiteResult("reflexive_collapse", not bad, details)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +294,6 @@ def suite_reflexive_collapse(seed: int = 0) -> SuiteResult:
 
 
 def suite_alternate_axioms(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     checked = 0
     bad = 0
     for B in catalog(5):
@@ -314,7 +308,7 @@ def suite_alternate_axioms(seed: int = 0) -> SuiteResult:
         if not rep.holds("equivalent"):
             bad += 1
     details = [f"{checked} lattices with cofinality; {bad} bundle disagreements"]
-    return SuiteResult("alternate_axioms", bad == 0, details, time.time() - t0)
+    return SuiteResult("alternate_axioms", bad == 0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +316,6 @@ def suite_alternate_axioms(seed: int = 0) -> SuiteResult:
 
 
 def suite_semilattice_frames(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     nm = _named()
     details = []
     ok = True
@@ -346,7 +339,7 @@ def suite_semilattice_frames(seed: int = 0) -> SuiteResult:
     frame_bad = [B for B in semis if not saturation.verify_frame(B).passed]
     ok &= not frame_bad
     details.append(f"basic semilattices of size <= 5: {len(semis)}; frame failures: {len(frame_bad)}")
-    return SuiteResult("semilattice_frames", bool(ok), details, time.time() - t0)
+    return SuiteResult("semilattice_frames", bool(ok), details)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +347,12 @@ def suite_semilattice_frames(seed: int = 0) -> SuiteResult:
 
 
 def suite_type_witness(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     w5 = _named()["w5"]
     one = axioms.phi_holds(w5, 3, 4, 1)
     two = axioms.phi_holds(w5, 3, 4, 2)
     ok = one and not two
     details = [f"witness pair: level one {one}, level two {two}"]
-    return SuiteResult("type_witness", ok, details, time.time() - t0)
+    return SuiteResult("type_witness", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +360,6 @@ def suite_type_witness(seed: int = 0) -> SuiteResult:
 
 
 def suite_cover_envelope(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     bad = [B for B in catalog(5) if not tight.verify_fgrho(B).passed]
     details = [f"exhaustive size <= 5: {len(catalog(5))} structures, {len(bad)} failures"]
     rng = random.Random(seed)
@@ -379,7 +370,7 @@ def suite_cover_envelope(seed: int = 0) -> SuiteResult:
         if not tight.verify_fgrho(B).passed:
             rbad += 1
     details.append(f"500 random structures of size <= 7: {rbad} failures")
-    return SuiteResult("cover_envelope", not bad and rbad == 0, details, time.time() - t0)
+    return SuiteResult("cover_envelope", not bad and rbad == 0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +414,6 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
     the generators, so its value is forced.  The atom-value enumeration
     below re-verifies it explicitly on a deterministic subsample.
     """
-    t0 = time.time()
     nm = _named()
     targets = [nm["p2"], nm["p3"]]
     structures = catalog(4)
@@ -468,7 +458,7 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
         f"atom-enumeration uniqueness samples: {sampled_unique}",
         f"failures: {len(bad)}",
     ]
-    return SuiteResult("universal_factoring", not bad, details, time.time() - t0)
+    return SuiteResult("universal_factoring", not bad, details)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +466,6 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
 
 
 def suite_naturality(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     nm = _named()
     objs = [nm["e0"], nm["p2"], nm["c2"]]
     tight_maps = {}
@@ -510,7 +499,7 @@ def suite_naturality(seed: int = 0) -> SuiteResult:
     details = [
         f"{squares} squares, {laws} composition laws, identities on 3 objects; {bad} failures"
     ]
-    return SuiteResult("naturality", bad == 0, details, time.time() - t0)
+    return SuiteResult("naturality", bad == 0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +517,6 @@ def suite_spectrum_counts(seed: int = 0) -> SuiteResult:
     """
     from .core import antisymmetry_violation
 
-    t0 = time.time()
     pool = pool_size6(seed)
     scoped = [B for B in pool if antisymmetry_violation(B) is None]
     bad = 0
@@ -540,11 +528,10 @@ def suite_spectrum_counts(seed: int = 0) -> SuiteResult:
         f"{len(scoped)} of {len(pool)} pool structures have partial-order "
         f"reflexivizations; {bad} identification failures"
     ]
-    return SuiteResult("spectrum_counts", bad == 0, details, time.time() - t0)
+    return SuiteResult("spectrum_counts", bad == 0, details)
 
 
 def suite_pseudobasis(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     pool = pool_size6(seed)
     details = []
     bad = 0
@@ -572,11 +559,10 @@ def suite_pseudobasis(seed: int = 0) -> SuiteResult:
             if not rep.passed:
                 hbad += 1
     details.append(f"{hcount} clopen pseudobases over discrete sets of size <= 3; {hbad} failures")
-    return SuiteResult("pseudobasis", bad == 0 and hbad == 0, details, time.time() - t0)
+    return SuiteResult("pseudobasis", bad == 0 and hbad == 0, details)
 
 
 def suite_separativity_chain(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     pool = pool_size6(seed)
     chain_bad = 0
     equi_bad = 0
@@ -599,7 +585,6 @@ def suite_separativity_chain(seed: int = 0) -> SuiteResult:
         "separativity_chain",
         chain_bad == 0 and equi_bad == 0 and cex is None,
         details,
-        time.time() - t0,
     )
 
 
@@ -608,7 +593,6 @@ def suite_separativity_chain(seed: int = 0) -> SuiteResult:
 
 
 def suite_saturation_laws(seed: int = 0) -> SuiteResult:
-    t0 = time.time()
     bad = 0
     for B in catalog(4):
         if not saturation.verify_subset_laws(B).passed:
@@ -622,7 +606,7 @@ def suite_saturation_laws(seed: int = 0) -> SuiteResult:
         if not saturation.verify_subset_laws(B).passed:
             rbad += 1
     details.append(f"500 random structures of size <= 6: {rbad} clause failures")
-    return SuiteResult("saturation_laws", bad == 0 and rbad == 0, details, time.time() - t0)
+    return SuiteResult("saturation_laws", bad == 0 and rbad == 0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -653,4 +637,7 @@ CRITERIA = list(SUITES)
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; known: {sorted(SUITES)}")
-    return SUITES[name](seed)
+    t0 = time.perf_counter()
+    result = SUITES[name](seed)
+    result.seconds = time.perf_counter() - t0
+    return result

@@ -78,6 +78,25 @@ def naive_ultrafilters(B):
     return [U for U in proper if not any(V > U for V in proper)]
 
 
+def loop_is_filter(B, U):
+    """Whether the mask U is a filter: up-closed under the strict relation,
+    then downward directed by a loop over every pair of members (the
+    O(|U|^2) route that the principal-row test replaced)."""
+    up_needed = 0
+    for y in _members(U):
+        up_needed |= B.prec[y]
+    if up_needed & ~U:
+        return False
+    down = [sum(1 << x for x in range(B.size) if B.has(x, y)) for y in range(B.size)]
+    members = _members(U)
+    for i, x in enumerate(members):
+        dx = down[x]
+        for y in members[i:]:
+            if dx & down[y] & U == 0:
+                return False
+    return True
+
+
 def naive_lower_bounds(B, C):
     return {z for z in range(B.size) if all(le(B, z, c) for c in C)}
 
@@ -1042,6 +1061,60 @@ def sweep_duality_topology(B, X, basis):
         None,
     )
     return sub, ox, haus
+
+
+# ---------------------------------------------------------------------------
+# the relation of a point map and the induced Stone map, by literal loops
+#
+# The routes `stone.closure_rows` and the fibre preimages replaced: an image
+# built point by point and tested against each target, and each preimage
+# built by a scan of the map.  Spaces need only `closure` and `is_open`.
+
+
+def loop_closure_rows(X, f, BX, BY):
+    """Row i is {j : f[closure(BX[i])] lies inside BY[j]}."""
+    rows = []
+    for o in BX:
+        img = 0
+        for p in _members(X.closure(o)):
+            img |= 1 << f[p]
+        row = 0
+        for j, nbh in enumerate(BY):
+            if img & ~nbh == 0:
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
+def loop_stone_map_witnesses(X, basis_x, Y, basis_y, mapping, rel):
+    """(continuous, closure_characterization) witnesses of the point map
+    `mapping` from X to Y against the relation `rel` between the two
+    bases: the first basic open of Y, by index, whose preimage is not
+    open, and the first (x, y) at which "mapping sends the closure of
+    basis_x[x] into basis_y[y]" differs from x rel y."""
+    cont = None
+    for y in range(len(basis_y)):
+        pre = 0
+        for i, t in enumerate(mapping):
+            if basis_y[y] >> t & 1:
+                pre |= 1 << i
+        if not X.is_open(pre):
+            cont = (y,)
+            break
+    char = None
+    for x in range(len(basis_x)):
+        cl = X.closure(basis_x[x])
+        img = 0
+        for i in _members(cl):
+            img |= 1 << mapping[i]
+        for y in range(len(basis_y)):
+            sends = img & ~basis_y[y] == 0
+            if sends != (rel[x] >> y & 1 == 1):
+                char = (x, y)
+                break
+        if char:
+            break
+    return cont, char
 
 
 # ---------------------------------------------------------------------------

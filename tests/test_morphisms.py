@@ -10,6 +10,7 @@ from orderbench import axioms, lab, morphisms as mo, stone
 from orderbench.core import bits, dump_structure, full_mask
 from orderbench.errors import (
     DimensionMismatch,
+    FormatError,
     NotContinuous,
     NotInterpolator,
     PreconditionFailed,
@@ -199,14 +200,57 @@ class TestStoneMaps:
                 with pytest.raises(NotContinuous, match=f"preimage of {bad:#b} "):
                     mo.interpolator_from_map(X, Y, f, ox, oy)
                 continue
-            rows = []
-            for o in ox:
-                img = 0
-                for p in bits(OX.closure(o)):
-                    img |= 1 << f[p]
-                rows.append(sum(1 << j for j, nbh in enumerate(oy) if img & ~nbh == 0))
+            rows = oracles.loop_closure_rows(OX, f, ox, oy)
+            assert stone.closure_rows(X, ox, f, oy) == rows
             assert mo.interpolator_from_map(X, Y, f, ox, oy).rel == tuple(rows)
         assert outcomes == {True, False}
+
+    def test_closure_rows_every_map(self):
+        # every point map between topologies on at most 3 points, continuous
+        # or not, with every open on each side
+        tops = [(k, opens) for k in range(4) for opens in oracles.every_topology(k)]
+        for k, ox in tops:
+            X, OX = stone.topology_from_basis(k, ox), oracles.OpensTopology(k, ox)
+            for m, oy in tops:
+                for f in product(range(m), repeat=k):
+                    assert stone.closure_rows(X, ox, f, oy) == \
+                        oracles.loop_closure_rows(OX, f, ox, oy), (ox, oy, f)
+
+    def test_induced_map_on_planted_spaces(self, monkeypatch):
+        # the interpolators of the point maps between discrete spaces on at
+        # most 3 points, with every topology on the Stone points in place of
+        # the discrete one on each side (every pair when the two spaces have
+        # at most 5 points together, a seeded sample of 20 pairs per map at
+        # 3 and 3), so continuity and the closure characterization fail too
+        rng = random.Random(9)
+        seen = set()
+        for k, m in product((1, 2, 3), repeat=2):
+            FX, FY = range(1 << k), range(1 << m)
+            D = stone.discrete_topology(k, FX), stone.discrete_topology(m, FY)
+            plants = list(product(oracles.every_topology(k), oracles.every_topology(m)))
+            for f in product(range(m), repeat=k):
+                R = mo.interpolator_from_map(D[0], D[-1], f, FX, FY)
+                sm = mo.induced_stone_map(R)
+                picks = plants if k + m <= 5 else rng.sample(plants, 20)
+                for ox, oy in picks:
+                    X = stone.topology_from_basis(sm.source_space.points, ox)
+                    Y = stone.topology_from_basis(sm.target_space.points, oy)
+                    # induced_stone_map asks for the source's space first
+                    spaces = iter([
+                        stone.FiniteTopology(X.points, X.nbhd, sm.source_space.basis),
+                        stone.FiniteTopology(Y.points, Y.nbhd, sm.target_space.basis)])
+                    with monkeypatch.context() as mp:
+                        mp.setattr(mo, "stone_space", lambda _: next(spaces))
+                        rep = mo.induced_stone_map(R).report
+                    got = (rep["continuous"].witness, rep["closure_characterization"].witness)
+                    want = oracles.loop_stone_map_witnesses(
+                        oracles.OpensTopology(X.points, ox), sm.source_space.basis,
+                        oracles.OpensTopology(Y.points, oy), sm.target_space.basis,
+                        sm.mapping, R.rel)
+                    assert got == want, (f, ox, oy)
+                    seen.update((c.name, c.holds) for c in rep.checks)
+        assert seen == {(name, v) for name in ("continuous", "closure_characterization")
+                        for v in (True, False)}
 
     def test_invalid_rejected(self, p2):
         with pytest.raises(NotInterpolator):
@@ -264,3 +308,10 @@ class TestInterpolatorFormat:
     def test_bad_shape(self, tmp_path):
         with pytest.raises(Exception):
             mo.load_interpolator('{"from": "x"}', tmp_path)
+
+    @pytest.mark.parametrize("pair", [["a", 1], [0.5, 1], [4, 1]])
+    def test_bad_pairs(self, tmp_path, p2, pair):
+        (tmp_path / "p2.json").write_text(dump_structure(p2))
+        doc = {"from": "p2.json", "to": "p2.json", "pairs": [[0, 0], pair]}
+        with pytest.raises(FormatError):
+            mo.load_interpolator(json.dumps(doc), tmp_path)

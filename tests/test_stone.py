@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -81,6 +82,20 @@ class TestFilters:
             assert all(stone.is_filter(B, U) for U in filters)
             assert len(stone.enumerate_ultrafilters(B)) == ults
         assert not stone.is_filter(atoms, atoms.prec[1] | atoms.prec[2])
+
+
+    def test_is_filter_against_definition(self):
+        # every subset of every structure of size <= 4 and of seeded random
+        # structures of size 6 to 8, reflexive and not
+        rng = random.Random(3)
+        pool = small_structures(4) + [
+            lab.random_p0set(6 + i % 3, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.1, 0.6))
+            for i in range(24)]
+        for B in pool:
+            filters = {sum(1 << x for x in U) for U in oracles.naive_filters(B)}
+            for U in range(1 << B.size):
+                assert stone.is_filter(B, U) == (U in filters) == oracles.loop_is_filter(B, U), \
+                    (B.pairs(), U)
 
 
 class TestFilterCharacterizations:
