@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .core import P0Set, bits, full_mask, p0set, union_rows
+from .core import P0Set, bits, full_mask, mask_from, meet_rows, p0set, union_rows
 from .errors import CapExceeded, UnknownFamily, UnknownSuite
 
 RANDOM_CAP = 12
@@ -98,7 +98,8 @@ def random_p0set(n: int, seed: int, reflexive: bool = False, density: float = 0.
     probability, adds the minimum pairs, and closes transitively (closing
     after adding the minimum keeps validity unconditional).  Reflexive
     mode builds a random partial order with bottom from a sampled strict
-    order on the nonzero elements.
+    order on the nonzero elements.  The closed rows are transitive and
+    row 0 is full, so they are the structure as they stand.
     """
     if not 1 <= n <= RANDOM_CAP:
         raise CapExceeded(f"random structures capped at carrier {RANDOM_CAP}")
@@ -128,7 +129,7 @@ def random_p0set(n: int, seed: int, reflexive: bool = False, density: float = 0.
             if acc != rows[x]:
                 rows[x] = acc
                 changed = True
-    return p0set(n, 0, [(x, y) for x in range(n) for y in bits(rows[x])])
+    return P0Set(n, 0, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -155,51 +156,36 @@ def enumerate_structures(n: int, reflexive_only: bool = False):
 
 
 def _enumerate(n: int, reflexive_only: bool):
-    fm = full_mask(n)
+    """Every structure on n labelled elements, row by row.
+
+    Row k must lie inside every decided row that contains k, so it ranges
+    over the submasks of their meet, in ascending order; for partial orders
+    it holds k, and neither 0 nor an element already below k.  A candidate
+    is kept when it contains every decided row it points to.  These are
+    the rows an ascending scan of all 2**n rows would keep, in its order,
+    and each pair of rows is checked for transitivity when the later of
+    the two is decided, so each leaf is a valid structure as it stands."""
     rows = [0] * n
-    rows[0] = fm
-
-    def consistent(k: int) -> bool:
-        rk = rows[k]
-        for i in range(k + 1):
-            ri = rows[i]
-            if ri >> k & 1 and rk & ~ri:
-                return False
-            if rk >> i & 1 and rows[i] & ~rk:
-                return False
-        return True
-
+    rows[0] = full_mask(n)
     out = []
 
     def rec(k: int):
         if k == n:
-            out.append(p0set(n, 0, [(x, y) for x in range(n) for y in bits(rows[x])]))
+            out.append(P0Set(n, 0, tuple(rows)))
             return
-        if reflexive_only:
-            base = 1 << k
-            free = [j for j in range(1, n) if j != k]
-            for pick in range(1 << len(free)):
-                row = base
-                for idx, j in enumerate(free):
-                    if pick >> idx & 1:
-                        row |= 1 << j
+        bit = 1 << k
+        below = mask_from(i for i in range(k) if rows[i] & bit)
+        upper = meet_rows(rows, below, rows[0])
+        base, free = (bit, upper & ~(below | bit)) if reflexive_only else (0, upper)
+        sub = 0
+        while True:
+            row = base | sub
+            if union_rows(rows, row & (bit - 1), row) == row:
                 rows[k] = row
-                if _still_poset(rows, k) and consistent(k):
-                    rec(k + 1)
-            rows[k] = 0
-        else:
-            for row in range(1 << n):
-                rows[k] = row
-                if consistent(k):
-                    rec(k + 1)
-            rows[k] = 0
-
-    def _still_poset(rows, k):
-        # antisymmetry against decided rows
-        for i in range(1, k):
-            if rows[i] >> k & 1 and rows[k] >> i & 1:
-                return False
-        return True
+                rec(k + 1)
+            if sub == free:
+                break
+            sub = (sub - free) & free
 
     rec(1)
     return out

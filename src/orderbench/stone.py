@@ -226,7 +226,9 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
     der = derived_relations(B)
     down = prec_down(B)
 
-    maximal = U in enumerate_ultrafilters(B)
+    # no proper filter, a row prec[z] with z < z, strictly contains U
+    maximal = not any(
+        V >> z & 1 and V & U == U and V not in (U, fm) for z, V in enumerate(B.prec))
 
     comp = fm & ~U
     ideal_down = True

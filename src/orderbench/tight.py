@@ -20,6 +20,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from operator import and_
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
     P0Set,
@@ -86,8 +87,7 @@ def _covers_fast(B: P0Set):
 # structure maps
 
 
-@dataclass(frozen=True)
-class StructMapTotal:
+class StructMapTotal(NamedTuple):
     """A total map between carriers; assignment[x] is the target index."""
 
     source: P0Set

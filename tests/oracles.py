@@ -72,9 +72,11 @@ def naive_filters(B):
     return out
 
 
-def naive_ultrafilters(B):
+def naive_ultrafilters(B, filters=None):
+    """The maximal nonempty proper filters among `filters` (frozensets),
+    by default every filter `naive_filters` finds."""
     full = frozenset(range(B.size))
-    proper = [U for U in naive_filters(B) if U != full and U]
+    proper = [U for U in (naive_filters(B) if filters is None else filters) if U != full and U]
     return [U for U in proper if not any(V > U for V in proper)]
 
 
@@ -1372,3 +1374,58 @@ def loop_recover_prec(B):
     _, _, preceq_down_rows, _, _, _ = _axiom_tables(B)
     return tuple(sum(1 << y for y in range(B.size) if _covered(B, preceq_down_rows, x, y))
                  for x in range(B.size))
+
+
+def scan_enumerate(n, reflexive_only):
+    """Every structure on n labelled elements with zero = 0, as pair lists,
+    by the row scan that the submask enumerator replaced: row k tries all
+    2**n rows (for partial orders, every row holding k and not 0) and
+    keeps those consistent with the decided rows."""
+    fm = (1 << n) - 1
+    rows = [0] * n
+    rows[0] = fm
+
+    def consistent(k: int) -> bool:
+        rk = rows[k]
+        for i in range(k + 1):
+            ri = rows[i]
+            if ri >> k & 1 and rk & ~ri:
+                return False
+            if rk >> i & 1 and rows[i] & ~rk:
+                return False
+        return True
+
+    out = []
+
+    def rec(k: int):
+        if k == n:
+            out.append([(x, y) for x in range(n) for y in _members(rows[x])])
+            return
+        if reflexive_only:
+            base = 1 << k
+            free = [j for j in range(1, n) if j != k]
+            for pick in range(1 << len(free)):
+                row = base
+                for idx, j in enumerate(free):
+                    if pick >> idx & 1:
+                        row |= 1 << j
+                rows[k] = row
+                if _still_poset(rows, k) and consistent(k):
+                    rec(k + 1)
+            rows[k] = 0
+        else:
+            for row in range(1 << n):
+                rows[k] = row
+                if consistent(k):
+                    rec(k + 1)
+            rows[k] = 0
+
+    def _still_poset(rows, k):
+        # antisymmetry against decided rows
+        for i in range(1, k):
+            if rows[i] >> k & 1 and rows[k] >> i & 1:
+                return False
+        return True
+
+    rec(1)
+    return out

@@ -1,6 +1,10 @@
-"""Every module-level import in the package is read somewhere in its module."""
+"""Every module-level import in the package is read somewhere in its
+module, and the command line loads the layers it reports on and no more."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,18 @@ def test_detects_unread_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+def test_cli_import_contract():
+    # every cache layer loads with the CLI, so a process can report each
+    # layer's cache counters; lab, suites and morphisms wait for the verbs
+    # that use them, so the other verbs do not pay for importing them
+    code = "import sys, orderbench.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    ).stdout.split()
+    loaded = {m.split(".")[1] for m in out if m.startswith("orderbench.")}
+    assert {"core", "axioms", "stone", "saturation", "tight", "spectrum"} <= loaded
+    assert not loaded & {"lab", "suites", "morphisms"}

@@ -1,7 +1,8 @@
 import pytest
 
+import oracles
 from orderbench import lab
-from orderbench.core import bits, full_mask, order_predicates
+from orderbench.core import bits, full_mask, order_predicates, p0set
 from orderbench.errors import CapExceeded, UnknownFamily, UnknownSuite
 
 
@@ -40,9 +41,15 @@ class TestRandom:
         assert lab.random_p0set(1, 0).size == 1
 
     def test_validity_over_many_seeds(self):
-        # construction never produces an invalid structure
-        for seed in range(2500):
-            lab.random_p0set(2 + seed % 4, seed, seed % 2 == 0, (seed % 7) / 10 + 0.05)
+        # construction never produces an invalid structure: the closed rows
+        # skip p0set's validation, and rebuilding from the pairs runs it
+        densities = [0.0] + [d / 100 for d in range(5, 61, 5)] + [1.0]
+        calls = [(2 + seed % 4, seed, seed % 2 == 0, (seed % 7) / 10 + 0.05) for seed in range(2500)]
+        calls += [(n, seed, reflexive, density) for n in range(1, 13) for reflexive in (False, True)
+                  for density in densities for seed in range(5)]
+        for args in calls:
+            B = lab.random_p0set(*args)
+            assert p0set(B.size, B.zero, B.pairs(), B.names) == B, args
 
     def test_reflexive_mode_gives_posets(self):
         for seed in range(200):
@@ -103,9 +110,25 @@ class TestEnumeration:
         assert e0.prec in found and c2.prec in found
 
     def test_all_valid(self):
-        for n in (1, 2, 3, 4):
-            for B in lab.enumerate_structures(n):
-                assert B.prec[B.zero] == full_mask(n)
+        # leaves skip p0set's validation; rebuilding from the pairs runs it
+        catalog = [B for n in range(1, 6) for B in lab.enumerate_structures(n)]
+        catalog += [B for n in range(1, 7) for B in lab.enumerate_structures(n, True)]
+        for B in catalog:
+            assert p0set(B.size, B.zero, B.pairs(), B.names) == B
+
+    def test_same_list_as_row_scan(self):
+        # same structures in the same order as the scan over every row
+        for n in range(1, 6):
+            assert [B.pairs() for B in lab.enumerate_structures(n)] == oracles.scan_enumerate(n, False)
+        for n in range(1, 7):
+            assert [B.pairs() for B in lab.enumerate_structures(n, True)] == oracles.scan_enumerate(n, True)
+
+    def test_labelled_posets_on_six_points(self):
+        # bottomed partial orders on 7 elements are the labelled posets on
+        # 6 points: 130023 (OEIS A001035); each one rebuilds through p0set
+        posets = lab._enumerate(7, True)
+        assert len(posets) == 130023
+        assert all(p0set(7, 0, B.pairs()) == B for B in posets)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -123,6 +123,23 @@ class TestFilterCharacterizations:
         with pytest.raises(NotAFilter):
             stone.ultrafilter_properties(p2, 0b1111)
 
+    def test_maximal_against_naive_ultrafilters(self):
+        # every nonempty proper filter of every structure of size <= 5, and of
+        # two cap families, where the oracle picks the maximal ones among the
+        # principal rows (powerset 6 has one per atom, chain 63 just one)
+        cases = [(B, None, None) for B in small_structures(5)]
+        for name, k, count in (("powerset", 6, 6), ("chain", 63, 1)):
+            B = lab.make_family(name, k)
+            cases.append((B, [frozenset(bits(U)) for U in stone.enumerate_filters(B)], count))
+        for B, filters, count in cases:
+            ults = set(oracles.naive_ultrafilters(B, filters))
+            assert count is None or len(ults) == count
+            fm = full_mask(B.size)
+            for U in stone.enumerate_filters(B):
+                if U not in (0, fm):
+                    assert stone.ultrafilter_properties(B, U).holds("maximal") == (
+                        frozenset(bits(U)) in ults), (B.pairs(), U)
+
     def test_equivalence_over_small_basic_lattices(self):
         for B in small_structures(5):
             if not axioms.is_basic_lattice(B):
