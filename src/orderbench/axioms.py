@@ -30,6 +30,7 @@ from .core import (
     mask_from,
     order_predicates,
     prec_down,
+    structure_table,
     union_rows,
 )
 from .errors import NotLattice, PreconditionFailed
@@ -176,7 +177,7 @@ def _sweep_riesz(B: P0Set) -> Check:
 
 # cached: the lattice report, the semilattice report and its fast verdict
 # each ask for it
-@lru_cache(maxsize=4096)
+@structure_table
 def _sweep_multiplicativity(B: P0Set) -> Check:
     return multiplicativity(*_identity(B))
 
@@ -255,7 +256,7 @@ _LATTICE_NAMES = ("multiplicativity", "additivity", "decomposition",
                   "prec_below", "vee_interpolation")
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def check_basic_lattice(B: P0Set) -> Report:
     """Full axiom report; passes iff the derived order is a lattice and the
     seven defining axioms hold.  Derived properties (distributivity,
@@ -281,7 +282,7 @@ def check_basic_lattice(B: P0Set) -> Report:
     return report("basic_lattice", checks, passed)
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def is_basic_lattice(B: P0Set) -> bool:
     """Fast verdict used by whole-catalog sweeps: bail out on non-lattices
     before any quantifier work, then run the defining sweeps with early
@@ -471,7 +472,7 @@ def _psi_verdict(B: P0Set) -> tuple[bool, tuple[int, int, int] | None]:
     return True, None
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def check_basic_semilattice(B: P0Set) -> Report:
     """Meet semilattice + the core axioms + every type sentence up to the
     stabilization bound, with both failure types omitted.
@@ -509,7 +510,7 @@ def check_basic_semilattice(B: P0Set) -> Report:
     return report("basic_semilattice", checks, passed)
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def is_basic_semilattice(B: P0Set) -> bool:
     """Fast verdict for whole-catalog sweeps, with cheap axioms first."""
     if not _sweep_coinitiality(B).holds:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownFamily,
     UnknownSuite,
 )
-from .report import Report, reports_to_json
+from .report import Check, Report, report, reports_to_json
 
 INPUT_ERRORS = (
     FormatError,
@@ -130,8 +130,6 @@ def cmd_envelope(args) -> int:
                 pi.assignment[embed[x]] == beta.assignment[x]
                 for x in range(beta.source.size)
             )
-            from .report import Check, report
-
             reports.append(report("factoring", [Check("factors_through_embedding", agree)]))
             if not agree:
                 code = 1

@@ -6,17 +6,19 @@ this is the universal currency for filters, opens, covers and saturated
 sets throughout the package.  The strict relation is primary; the
 reflexivization and the meet/disjointness relations are always derived
 from it.  The subset tables, one relation's rows folded over every subset
-of the carrier by `subset_fold`, are cached here for every module.
+of the carrier by `subset_fold`, are built here for every module.
 
-Structures are immutable and every function here is pure, so values can
-be shared freely between threads.
+Structures are immutable apart from the tables that `structure_table`
+keeps on them, and every function here is pure, so values can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from operator import and_, getitem, or_
 from pathlib import Path
@@ -164,7 +166,7 @@ class P0Set:
     names: tuple[str, ...] | None = None
 
     def __hash__(self) -> int:
-        # every cached layer keys on the structure; hash its rows once
+        # the sharing index keys on the structure; hash its rows once
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.size, self.zero, self.prec))
@@ -269,6 +271,51 @@ def dump_structure(B: P0Set) -> str:
 
 
 # ---------------------------------------------------------------------------
+# tables kept on their structure
+
+#: The sharing index remembers the last this many distinct structures.
+SHARED_STRUCTURES = 4096
+
+TableInfo = namedtuple("TableInfo", "hits misses maxsize currsize")
+
+
+@lru_cache(maxsize=SHARED_STRUCTURES)
+def _first_equal(B: P0Set) -> P0Set:
+    """The first structure equal to B among the last SHARED_STRUCTURES
+    distinct ones: the one whose tables B shares."""
+    return B
+
+
+def structure_table(fn):
+    """Keep fn(B) among B's attributes: built once per structure, freed with
+    it, and shared with the first equal structure in the sharing index.
+
+    cache_info() counts lookups that build nothing as hits and builds as
+    misses; currsize is the tables built, each alive while a structure
+    holds it.  Two threads may both build a table: they store equal values.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+    calls = misses = 0
+
+    @wraps(fn)
+    def table(B: P0Set):
+        nonlocal calls, misses
+        calls += 1
+        try:
+            return B.__dict__[key]
+        except KeyError:
+            first = _first_equal(B).__dict__
+        if key not in first:
+            misses += 1
+            first[key] = fn(B)
+        B.__dict__[key] = first[key]
+        return first[key]
+
+    table.cache_info = lambda: TableInfo(calls - misses, misses, None, misses)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # derived relations
 
 
@@ -289,13 +336,13 @@ class DerivedRels:
     anti: tuple[int, int] | None
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def prec_down(B: P0Set) -> tuple[int, ...]:
     """Rows of the transposed strict relation: down[y] = {x : x < y}."""
     return tuple(transpose(B.prec, B.size))
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def derived_relations(B: P0Set) -> DerivedRels:
     """x <= y when every d < x has d < y: preceq[x] is the meet of the rows
     prec[d] over d < x.  x meets y when some nonzero d < x has d < y:
@@ -312,7 +359,7 @@ def derived_relations(B: P0Set) -> DerivedRels:
     return DerivedRels(preceq, preceq_down, meets, perp, anti)
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def meets_preceq(B: P0Set) -> tuple[int, ...]:
     """Rows of the meet relation computed from the reflexivization.
 
@@ -327,7 +374,7 @@ def meets_preceq(B: P0Set) -> tuple[int, ...]:
     return tuple(union_rows(der.preceq, d & ~zb) for d in der.preceq_down)
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def separation_table(B: P0Set) -> tuple[int, ...]:
     """sep[x] = the elements meeting every nonzero z <= x: the meet of the
     `meets_preceq` rows of those z (the whole carrier when there are none).
@@ -341,40 +388,35 @@ def separation_table(B: P0Set) -> tuple[int, ...]:
 # subset tables: each folds one row table over every subset of the carrier
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def prec_down_table(B: P0Set) -> tuple[int, ...]:
     """[D] = union of the strict down-sets of the members of D."""
     return subset_fold(prec_down(B), or_, 0)
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def meets_table(B: P0Set) -> tuple[int, ...]:
     """[D] = union of the meet-relation rows of the members of D."""
     return subset_fold(derived_relations(B).meets, or_, 0)
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def preceq_down_table(B: P0Set) -> tuple[int, ...]:
     """[C] = down-closure of C under the reflexivization."""
     return subset_fold(derived_relations(B).preceq_down, or_, 0)
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def lower_bound_table(B: P0Set) -> tuple[int, ...]:
     """[C] = common lower bounds of C under the reflexivization; the empty
     set's bounds are the whole carrier."""
     return subset_fold(derived_relations(B).preceq_down, and_, full_mask(B.size))
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def meets_preceq_table(B: P0Set) -> tuple[int, ...]:
     """[D] = union of the `meets_preceq` rows of the members of D."""
     return subset_fold(meets_preceq(B), or_, 0)
-
-
-def matrix(rows: tuple[int, ...], n: int) -> list[list[bool]]:
-    """Expand bitmask rows to an explicit boolean matrix."""
-    return [[row >> y & 1 == 1 for y in range(n)] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +472,7 @@ def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int | None, ...], ...]:
     return tuple(tuple(map(unique.get, map(rx.__and__, rows))) for rx in rows)
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def lattice_tables(B: P0Set):
     """(meet_table, join_table) with None entries where bounds are missing.
 
@@ -452,7 +494,7 @@ def _bound_witness(rows: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def order_predicates(B: P0Set) -> Report:
     """Order-theoretic classification flags of the derived order.
 

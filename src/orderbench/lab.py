@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .core import P0Set, bits, full_mask, mask_from, meet_rows, p0set, union_rows
+from .axioms import check_basic_lattice
+from .core import P0Set, bits, full_mask, mask_from, meet_rows, order_predicates, p0set, union_rows
 from .errors import CapExceeded, UnknownFamily, UnknownSuite
+from .spectrum import separativity_chain
 
 RANDOM_CAP = 12
 ENUM_CAP = 5
@@ -196,35 +198,24 @@ def _enumerate(n: int, reflexive_only: bool):
 
 
 def _prop_chain_respected(B: P0Set) -> bool:
-    from .spectrum import separativity_chain
-
     return bool(separativity_chain(B).holds("chain_respected"))
 
 
 def _prop_sep_implies_inj(B: P0Set) -> bool:
-    from .spectrum import separativity_chain
-
     r = separativity_chain(B)
     return not r.holds("separative") or bool(r.holds("rho_injective"))
 
 
 def _prop_inj_implies_ssc(B: P0Set) -> bool:
-    from .spectrum import separativity_chain
-
     r = separativity_chain(B)
     return not r.holds("rho_injective") or bool(r.holds("ssc"))
 
 
 def _prop_semilattice_equivalence(B: P0Set) -> bool:
-    from .spectrum import separativity_chain
-
     return separativity_chain(B).holds("semilattice_equivalence") is not False
 
 
 def _prop_inj_implies_sep_on_semilattices(B: P0Set) -> bool:
-    from .core import order_predicates
-    from .spectrum import separativity_chain
-
     if not order_predicates(B).holds("meet_semilattice"):
         return True
     r = separativity_chain(B)
@@ -232,9 +223,6 @@ def _prop_inj_implies_sep_on_semilattices(B: P0Set) -> bool:
 
 
 def _prop_decomposition(B: P0Set) -> bool:
-    from .axioms import check_basic_lattice
-    from .core import order_predicates
-
     if not order_predicates(B).holds("lattice"):
         return True
     return check_basic_lattice(B).holds("decomposition") is not False

@@ -27,22 +27,27 @@ saturation table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product, repeat
-from operator import and_, invert, ne, or_, rshift
+from operator import and_, invert, ne, or_, rshift, xor
 from typing import NamedTuple
 
+from .axioms import _sweep_coinitiality, _sweep_multiplicativity, is_basic_lattice, is_basic_semilattice
 from .core import (
     P0Set,
     SubsetMask,
     bits,
     derived_relations,
+    first_pair,
     full_mask,
     lattice_tables,
     meets_table,
+    order_predicates,
+    p0set,
     prec_down,
     prec_down_table,
     preceq_down_table,
+    structure_table,
     subset_fold,
     superset_fold,
 )
@@ -80,7 +85,7 @@ def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
     return _saturated_part(prec_down(B), target)
 
 
-@lru_cache(maxsize=512)
+@structure_table
 def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
     """[A] = the saturation of A, for every subset A of the carrier, read
     from the subset tables: the saturated part of the union of zero and
@@ -91,13 +96,12 @@ def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
     return tuple(_saturated_part(down, mu[S] | zb) for S in prec_down_table(B))
 
 
-@lru_cache(maxsize=1)
+@structure_table
 def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
     """W[C][D] = {c meet d : c in C, d in D}; requires a meet semilattice.
 
     Two subset folds: first the row of each element c over every D, then
-    the union of those rows over the members of C.  One entry is kept:
-    `verify_subset_laws` and `verify_frame` read it back to back.
+    the union of those rows over the members of C.
     """
     mt, _ = lattice_tables(B)
     if any(m is None for row in mt for m in row):
@@ -238,23 +242,6 @@ def _transitive_witness(rows):
     return (C, D, _low_bit(rd & ~rows[C]))
 
 
-def _inclusion_witness(a_rows, b_rows):
-    """First (C, D) with C a D but not C b D."""
-    for C, a in enumerate(a_rows):
-        bad = a & ~b_rows[C]
-        if bad:
-            return (C, _low_bit(bad))
-    return None
-
-
-def _mismatch_witness(a_rows, b_rows):
-    """First (C, D) where exactly one of C a D and C b D holds."""
-    for C, (a, b) in enumerate(zip(a_rows, b_rows)):
-        if a != b:
-            return (C, _low_bit(a ^ b))
-    return None
-
-
 def _composition_witness(r1_rows, r2_rows, rows):
     """First (C, G, D) with C r1 G and G r2 D but not C rel D.
 
@@ -284,7 +271,7 @@ def _interpolant_witness(wayb_rows, prec_rows):
         r: reduce(or_, (s for s, gs in prec_classes if r & gs), 0)
         for r in set(wayb_rows)
     }
-    return _inclusion_witness(wayb_rows, [*map(reach.__getitem__, wayb_rows)])
+    return first_pair(r & ~reach[r] for r in wayb_rows)
 
 
 def _left_union_witness(rows):
@@ -295,7 +282,7 @@ def _left_union_witness(rows):
     """
     nsub = len(rows)
     singles = [rows[1 << c] for c in range(nsub.bit_length() - 1)]
-    return _mismatch_witness(rows, subset_fold(singles, and_, (1 << nsub) - 1))
+    return first_pair(map(xor, rows, subset_fold(singles, and_, (1 << nsub) - 1)))
 
 
 def _right_monotone_witness(rows):
@@ -394,13 +381,6 @@ def verify_subset_laws(B: P0Set) -> Report:
     Saturation is deliberately not asserted to be extensive: sets need
     not be contained in their saturations.
     """
-    from .axioms import (
-        _sweep_coinitiality,
-        _sweep_multiplicativity,
-        is_basic_semilattice,
-    )
-    from .core import order_predicates
-
     if B.size > FRAME_CAP:
         raise CapExceeded(f"subset-law verification capped at carrier {FRAME_CAP}")
     n = B.size
@@ -447,22 +427,25 @@ def verify_subset_laws(B: P0Set) -> Report:
     clause("precsim_multiplicative", g2, lambda: multiplicative(1))
     clause("wayb_multiplicative", g2, lambda: multiplicative(2))
 
-    clause("below_implies_precsim", g1, lambda: _inclusion_witness(rows.below, sim_rows))
+    clause("below_implies_precsim", g1,
+           lambda: first_pair(a & ~b for a, b in zip(rows.below, sim_rows)))
     clause("precsim_reflexivized_form", g1,
-           lambda: _mismatch_witness(sim_rows, rows.precsim_refl))
+           lambda: first_pair(map(xor, sim_rows, rows.precsim_refl)))
 
     clause("wayb_transitive", g2, lambda: _transitive_witness(wayb_rows))
-    clause("finite_prec_implies_wayb", g1, lambda: _inclusion_witness(prec_rows, wayb_rows))
+    clause("finite_prec_implies_wayb", g1,
+           lambda: first_pair(a & ~b for a, b in zip(prec_rows, wayb_rows)))
     clause("wayb_through_interpolant_back", True,
            lambda: _composition_witness(wayb_rows, prec_rows, wayb_rows))
     clause("wayb_through_interpolant", g3,
            lambda: _interpolant_witness(wayb_rows, prec_rows))
     clause("precsim_wayb_absorb", g2,
            lambda: _composition_witness(sim_rows, wayb_rows, wayb_rows))
-    clause("wayb_implies_precsim", g2, lambda: _inclusion_witness(wayb_rows, sim_rows))
+    clause("wayb_implies_precsim", g2,
+           lambda: first_pair(a & ~b for a, b in zip(wayb_rows, sim_rows)))
 
     clause("saturation_members", True,
-           lambda: _mismatch_witness(rows.saturated, wayb_rows))
+           lambda: first_pair(map(xor, rows.saturated, wayb_rows)))
     clause("strict_down_in_saturation", g1,
            lambda: _first(map(and_, dc, map(invert, sat))))
     # each of these compares outer[inner[A]] with sat[A] for every A
@@ -514,9 +497,6 @@ def verify_frame(B: P0Set) -> Report:
     verdicts but cannot pass overall.  Checks needing pairwise meets are
     not applicable without a meet semilattice.
     """
-    from .axioms import is_basic_lattice, is_basic_semilattice
-    from .core import order_predicates
-
     if B.size > FRAME_CAP:
         raise CapExceeded(f"frame verification capped at carrier {FRAME_CAP}")
     if not order_predicates(B).holds("meet_semilattice"):
@@ -591,8 +571,6 @@ def verify_frame(B: P0Set) -> Report:
              if B.has(x, y) != subset_wayb(B, sing[x], sing[y])),
             None,
         )
-
-    from .core import p0set
 
     prec_pairs = [
         (i, j)

@@ -31,6 +31,7 @@ from .core import (
     meet_rows,
     meets_preceq_table,
     order_predicates,
+    structure_table,
     transpose,
 )
 from .errors import (
@@ -38,9 +39,10 @@ from .errors import (
     InternalCheckFailed,
     NotClopen,
     NotOpen,
+    NotPseudobasis,
 )
 from .report import Check, Report, report, shared_report
-from .stone import FiniteTopology, basis_to_structure, discrete_topology
+from .stone import FiniteTopology, basis_to_structure, discrete_topology, enumerate_ultrafilters
 from .tight import enveloping_algebra, rho
 
 VS_STONE_CAP = 8
@@ -55,7 +57,7 @@ class CharacterSet:
         return len(self.chars)
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def tight_characters(B: P0Set) -> CharacterSet:
     """All nonzero tight characters, as sorted one-set masks.
 
@@ -68,7 +70,7 @@ def tight_characters(B: P0Set) -> CharacterSet:
     return CharacterSet(B, maximal_centred_sets(B))
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
     """Maximal subsets whose every finite part has a nonzero lower bound.
 
@@ -95,7 +97,6 @@ def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
 class PseudobasisReport:
     report: Report
     clopen: tuple[bool, ...]
-    compact: tuple[bool, ...]
 
     @property
     def passed(self) -> bool:
@@ -106,8 +107,8 @@ class PseudobasisReport:
 
 
 def is_pseudobasis(X: FiniteTopology, family) -> PseudobasisReport:
-    """The four pseudobasis conditions, with clopen and compact flags per
-    member (compactness is automatic in finite spaces)."""
+    """The four pseudobasis conditions, with a clopen flag per member
+    (compactness is automatic in finite spaces)."""
     family = list(family)
     if not all(map(X.is_open, family)):
         o = next(o for o in family if not X.is_open(o))
@@ -138,11 +139,10 @@ def is_pseudobasis(X: FiniteTopology, family) -> PseudobasisReport:
         ("t0", t0_w is None, t0_w),
     )
     clopen = tuple(map(X.is_open, [fm & ~o for o in family]))
-    compact = (True,) * len(family)
-    return PseudobasisReport(shared_report("pseudobasis", checks), clopen, compact)
+    return PseudobasisReport(shared_report("pseudobasis", checks), clopen)
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def _principal_opens(B: P0Set) -> tuple[FiniteTopology, PseudobasisReport]:
     """The spectrum with its principal opens, and their pseudobasis report.
     When the reflexivization is a partial order the conditions are a
@@ -170,8 +170,6 @@ def spectrum_homeomorphism(X: FiniteTopology, family):
     character is tight and nonzero, the map is a bijection, and members map
     to their principal opens.
     """
-    from .errors import NotPseudobasis
-
     family = list(family)
     pb = is_pseudobasis(X, family)
     if not pb.passed:
@@ -330,7 +328,7 @@ def _ultrafilter_witness(ults, k: int) -> tuple[int] | None:
     return None
 
 
-def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
+def spectrum_vs_stone(B: P0Set, cross_check: bool = True) -> Report:
     """Identify the tight characters with the ultrafilters of the
     enveloping algebra.
 
@@ -362,11 +360,7 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool | None = None) -> Report:
 
     centred_match = maximal_centred_sets(B) == _scan_centred(B) == chars
 
-    if cross_check is None:
-        cross_check = True
     if cross_check and k <= 3:
-        from .stone import enumerate_ultrafilters
-
         sp = S.as_p0set()
         scan_ok = (
             sorted(ults)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import and_, xor
 
+from .axioms import is_basic_lattice
 from .core import (
     P0Set,
     SubsetMask,
@@ -30,10 +31,12 @@ from .core import (
     derived_relations,
     first_pair,
     full_mask,
+    lattice_tables,
     mask_from,
     meet_rows,
     p0set,
     prec_down,
+    structure_table,
     union_rows,
 )
 from .errors import (
@@ -218,8 +221,6 @@ def enumerate_ultrafilters(B: P0Set) -> list[SubsetMask]:
 def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
     """The three ultrafilter characterizations, plus their agreement flag
     (asserted only over basic lattices, where it is a theorem)."""
-    from .axioms import is_basic_lattice  # local import to avoid a cycle
-
     fm = full_mask(B.size)
     if U == 0 or U == fm or not is_filter(B, U):
         raise NotAFilter("need a nonempty proper filter")
@@ -280,7 +281,7 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
 # Stone spaces
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def stone_space(B: P0Set) -> FiniteTopology:
     """Points are the ultrafilters; basis entry x is {U : x in U}."""
     ults = enumerate_ultrafilters(B)
@@ -294,12 +295,8 @@ def stone_space(B: P0Set) -> FiniteTopology:
 def verify_duality(B: P0Set) -> Report:
     """Check the five duality equations, the separation property, and that
     the basis map is an order isomorphism, on the Stone space."""
-    from .axioms import is_basic_lattice
-
     if not is_basic_lattice(B):
         raise PreconditionFailed("duality verification needs a basic lattice")
-    from .core import lattice_tables
-
     der = derived_relations(B)
     mt, jt = lattice_tables(B)
     X = stone_space(B)

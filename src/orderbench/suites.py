@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import axioms, lab, saturation, spectrum, stone, tight
-from .core import P0Set, full_mask, order_predicates
+from .core import P0Set, antisymmetry_violation, full_mask, lattice_tables, order_predicates, subset_fold
 from .errors import ConstructionIncomplete, PreconditionFailed, UnknownSuite
 
 
@@ -381,8 +381,6 @@ def _atom_uniqueness(S: tight.RegularOpenAlgebra, beta, pi) -> bool:
     """Count the algebra homomorphisms extending the map through the
     embedding by enumerating values on atoms; exactly one must exist and
     match the constructed factor."""
-    from .core import lattice_tables, subset_fold
-
     A = beta.target
     mtA, jtA = lattice_tables(A)
     size = 1 << len(S.signatures)
@@ -515,8 +513,6 @@ def suite_spectrum_counts(seed: int = 0) -> SuiteResult:
     to zero the principal embedding does not even preserve zero, so
     non-poset reflexivizations are outside the sweep (and are counted).
     """
-    from .core import antisymmetry_violation
-
     pool = pool_size6(seed)
     scoped = [B for B in pool if antisymmetry_violation(B) is None]
     bad = 0

@@ -39,6 +39,7 @@ from .core import (
     preceq_down_table,
     relative_complement,
     separation_table,
+    structure_table,
     submasks,
     subset_fold,
     transpose,
@@ -137,7 +138,7 @@ def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
     return struct_map(source, target, assignment)
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def _minimal_covers(B: P0Set):
     """The source's minimal covering pairs, one row (F, members, entries)
     per F in ascending order, entries being (G, members) ascending.
@@ -179,7 +180,7 @@ def _minimal_covers(B: P0Set):
     return tuple(rows)
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def _target_rows(A: P0Set):
     """What map classification reads of a target, in one lookup:
     (preceq_down, meets_preceq, carrier minus zero, algebra flag)."""
@@ -267,7 +268,7 @@ def _map_report(tight_w, tightish_w, coin_w, rep, character) -> Report:
     )
 
 
-@lru_cache(maxsize=256)
+@structure_table
 def _gba_relcomp_table(A: P0Set):
     n = A.size
     return tuple(
@@ -414,7 +415,7 @@ def verify_tight_equivalences(beta: StructMapTotal) -> Report:
 # the punctured carrier and its regular opens
 
 
-@lru_cache(maxsize=1024)
+@structure_table
 def rho(B: P0Set) -> tuple[SubsetMask, ...]:
     """[x] = the regularization of the punctured principal down-set of x:
     the nonzero v with x in `separation_table(B)[v]`, that is, x meets every
@@ -453,7 +454,7 @@ def _powerset_p0set(k: int) -> P0Set:
     return p0set(size, 0, ((T, U) for U in range(size) for T in submasks(U)))
 
 
-@lru_cache(maxsize=None)
+@structure_table
 def enveloping_algebra(B: P0Set) -> RegularOpenAlgebra:
     """The regular opens generated by the rho(x), from their atoms.
 

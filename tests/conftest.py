@@ -1,5 +1,7 @@
 import sys
+from dataclasses import replace
 from functools import lru_cache
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,16 @@ def w5():
 @pytest.fixture(scope="session")
 def one():
     return lab.make_family("chain", 0)
+
+
+_fresh_tags = count()
+
+
+def fresh(B):
+    """B under names no earlier structure had: equal to none of them, so its
+    tables are built anew."""
+    tag = next(_fresh_tags)
+    return replace(B, names=tuple(f"fresh{tag}.{x}" for x in range(B.size)))
 
 
 def small_structures(max_n):

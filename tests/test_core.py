@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
+from dataclasses import replace
 from functools import reduce
 from operator import and_, or_
 
 import pytest
 
 import oracles
-from conftest import cap_structures, separation_corpus, small_structures
+from conftest import cap_structures, fresh, separation_corpus, small_structures
 from orderbench import lab
 from orderbench.core import (
+    SHARED_STRUCTURES,
+    P0Set,
     bits,
     derived_relations,
     dump_structure,
@@ -21,12 +26,15 @@ from orderbench.core import (
     meets_table,
     order_predicates,
     p0set,
+    prec_down,
     prec_down_table,
     preceq_down_table,
     relative_complement,
     separation_table,
+    structure_table,
     subset_fold,
     superset_fold,
+    transpose,
 )
 from orderbench.errors import (
     FormatError,
@@ -378,3 +386,47 @@ class TestSubsetTables:
         for i in range(8):
             n = 5 + i % 4
             self._check(lab.random_p0set(n, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.2, 0.5)))
+
+
+def _elsewhere(B):
+    return "another layer's table"
+
+
+# a table of the same name in another module
+_elsewhere.__name__ = _elsewhere.__qualname__ = "prec_down"
+
+
+class TestStructureTables:
+    """A table is built once per structure, shared with equal structures,
+    and freed with its structure."""
+
+    def test_equal_structure_reads_the_earlier_table(self, p3):
+        B = fresh(p3)
+        table = prec_down_table(B)
+        twin = replace(B)
+        assert twin == B and twin is not B
+        before = prec_down_table.cache_info()
+        assert prec_down_table(twin) is table
+        after = prec_down_table.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_same_name_in_another_module_is_another_table(self, p3):
+        B = fresh(p3)
+        other = structure_table(_elsewhere)
+        assert other(B) == "another layer's table"
+        assert prec_down(B) == tuple(transpose(B.prec, B.size))
+        assert other(B) == "another layer's table"
+
+    def test_tables_are_freed_with_their_structure(self):
+        def structure(k):
+            # zero below everything, 1 below the elements that k marks
+            return P0Set(15, 0, (full_mask(15), k << 2) + (0,) * 13)
+
+        early = structure(0)
+        prec_down(early)
+        ref = weakref.ref(early)
+        del early
+        for k in range(1, SHARED_STRUCTURES + 2):
+            prec_down(structure(k))
+        gc.collect()
+        assert ref() is None

@@ -1,7 +1,9 @@
 """Every module-level import in the package is read somewhere in its
-module, and the command line loads the layers it reports on and no more."""
+module, the command line loads the layers it reports on and no more, and
+per-structure tables live on their structure."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -54,3 +56,69 @@ def test_cli_import_contract():
     loaded = {m.split(".")[1] for m in out if m.startswith("orderbench.")}
     assert {"core", "axioms", "stone", "saturation", "tight", "spectrum"} <= loaded
     assert not loaded & {"lab", "suites", "morphisms"}
+
+
+#: The lru_caches that may key on a structure: the sharing index itself, a
+#: cache keyed on (structure, relation) that decomposition and
+#: vee-interpolation share, and two that serve psi_holds at the cap.
+STRUCTURE_CACHES = {
+    ("core", "_first_equal"),
+    ("axioms", "_join_reach"),
+    ("axioms", "_psi_covers"),
+    ("axioms", "_psi_support"),
+}
+
+
+def decorated(source: str, decorators: set[str]) -> list[tuple[str, bool]]:
+    """(name, first parameter annotated P0Set) for every function with one
+    of these decorators, called or not, bare or as a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        names = set()
+        for d in node.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            names.add(d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
+        if names & decorators:
+            params = node.args.posonlyargs + node.args.args
+            ann = params[0].annotation if params else None
+            on_structure = isinstance(ann, ast.Name) and ann.id == "P0Set" or (
+                isinstance(ann, ast.Constant) and ann.value == "P0Set")
+            out.append((node.name, on_structure))
+    return out
+
+
+def test_detects_structure_caches():
+    source = (
+        "@lru_cache(maxsize=3)\ndef f(B: P0Set, x): ...\n"
+        "@functools.cache\ndef g(A: 'P0Set'): ...\n"
+        "@lru_cache\ndef h(n: int): ...\n"
+    )
+    assert decorated(source, {"lru_cache", "cache"}) == [("f", True), ("g", True), ("h", False)]
+
+
+def test_no_lru_cache_keyed_on_a_structure():
+    # a per-structure table is a structure_table, kept on the structure
+    found = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name, on_structure in decorated(path.read_text(), {"lru_cache", "cache"})
+        if on_structure
+    }
+    assert sorted(found - STRUCTURE_CACHES) == []
+
+
+def test_every_structure_table_reports_its_layer():
+    # perfbench counts a layer's cache statistics from the functions whose
+    # __module__ is the layer's own module
+    layers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, _ in decorated(path.read_text(), {"structure_table"}):
+            module = importlib.import_module(f"orderbench.{path.stem}")
+            fn = getattr(module, name)
+            assert fn.__module__ == module.__name__, name
+            info = fn.cache_info()
+            assert info.hits >= 0 and info.misses >= 0 and info.currsize >= 0, name
+            layers.add(path.stem)
+    assert layers == {"core", "axioms", "stone", "saturation", "tight", "spectrum"}
