@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import repeat
-from operator import and_, getitem, or_
+from operator import and_, attrgetter, getitem, or_
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     FormatError,
@@ -151,8 +151,43 @@ def superset_fold(table, op) -> list:
 # structures
 
 
-@dataclass(frozen=True)
-class P0Set:
+class Record:
+    """Read-only fields, named in `_fields`, compared and hashed by value.
+
+    Unlike a named tuple, a record has an instance dictionary, for what is
+    derived from its fields on first use (the tables of `structure_table`,
+    a cached_property), and it can be weakly referenced.  A subclass sets
+    its fields with `object.__setattr__`, past the read-only guard: unlike
+    a write to `__dict__`, that does not make the dictionary, which adds
+    136 bytes (CPython 3.11) to each instance that never gets a table.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the field values as one tuple (a record has two fields or more)
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+class P0Set(Record):
     """A transitive relation with minimum `zero` on 0..size-1.
 
     ``prec[x]`` is the bitmask of elements strictly above x, i.e. x < y
@@ -160,17 +195,25 @@ class P0Set:
     element identity is index-based.
     """
 
+    _fields = ("size", "zero", "prec", "names")
     size: int
     zero: int
     prec: tuple[int, ...]
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...] | None
+
+    def __init__(self, size: int, zero: int, prec: tuple[int, ...],
+                 names: tuple[str, ...] | None = None):
+        init = object.__setattr__
+        init(self, "size", size)
+        init(self, "zero", zero)
+        init(self, "prec", prec)
+        init(self, "names", names)
 
     def __hash__(self) -> int:
         # the sharing index keys on the structure; hash its rows once
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.size, self.zero, self.prec))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = hash((self.size, self.zero, self.prec))
         return h
 
     def has(self, x: int, y: int) -> bool:
@@ -319,8 +362,7 @@ def structure_table(fn):
 # derived relations
 
 
-@dataclass(frozen=True)
-class DerivedRels:
+class DerivedRels(NamedTuple):
     """Reflexivization and the meet/disjointness relations of a structure.
 
     ``preceq[x]`` masks {y : x <= y}, ``preceq_down[y]`` masks {x : x <= y};

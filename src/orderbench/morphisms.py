@@ -9,9 +9,9 @@ stored as bitmask rows over the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import xor
 from pathlib import Path
+from typing import NamedTuple
 
 from . import axioms
 from .core import (
@@ -40,8 +40,7 @@ from .stone import (
 )
 
 
-@dataclass(frozen=True)
-class Interpolator:
+class Interpolator(NamedTuple):
     """Relation from source to target; rel[x] masks {y in target : x R y}."""
 
     source: P0Set
@@ -109,8 +108,7 @@ def identity_interpolator(B: P0Set) -> Interpolator:
     return Interpolator(B, B, B.prec)
 
 
-@dataclass(frozen=True)
-class StoneMap:
+class StoneMap(NamedTuple):
     """A verified point map between two Stone spaces."""
 
     source_space: FiniteTopology

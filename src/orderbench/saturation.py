@@ -26,7 +26,6 @@ saturation table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product, repeat
 from operator import and_, invert, ne, or_, rshift, xor
@@ -57,6 +56,24 @@ from .report import Check, Report, report
 SUBSET_CAP = 12
 FAMILY_BOUND = 1 << 12
 FRAME_CAP = 8
+#: The laws of `verify_subset_laws` and `verify_frame`, in report order:
+#: past FRAME_CAP, `saturate` prints them as skipped.
+SUBSET_LAWS = (
+    "prec_transitive", "precsim_transitive", "prec_left_union", "precsim_left_union",
+    "wayb_left_union", "prec_right_monotone", "precsim_right_monotone", "wayb_right_monotone",
+    "prec_multiplicative", "precsim_multiplicative", "wayb_multiplicative",
+    "below_implies_precsim", "precsim_reflexivized_form", "wayb_transitive",
+    "finite_prec_implies_wayb", "wayb_through_interpolant_back", "wayb_through_interpolant",
+    "precsim_wayb_absorb", "wayb_implies_precsim", "saturation_members",
+    "strict_down_in_saturation", "saturation_down_closed", "saturation_of_down_closure",
+    "saturation_of_strict_down", "saturation_idempotent", "saturation_monotone",
+    "saturation_precsim_source", "wayb_saturation_invariant",
+)
+FRAME_LAWS = (
+    "basic_semilattice", "families_coincide", "join_rule", "meet_rule", "intersection_closed",
+    "frame_distributivity", "waybelow_matches", "singleton_isomorphism",
+    "finite_family_basic_lattice", "singletons_join_dense", "finite_sup_dense",
+)
 
 
 def subset_wayb(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
@@ -110,11 +127,9 @@ def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
     return subset_fold(single, lambda a, b: [*map(or_, a, b)], [0] * (1 << B.size))
 
 
-@dataclass(frozen=True)
-class SaturatedFamily:
+class SaturatedFamily(NamedTuple):
     """The distinct saturated sets of one generator class, ascending."""
 
-    base: P0Set
     sets: tuple[SubsetMask, ...]
 
 
@@ -147,7 +162,7 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
         raw = set(superset_fold(saturation_table(B)[::-1], or_))
     else:
         raise ValueError(f"unknown generator class {generators!r}")
-    return SaturatedFamily(B, tuple(sorted(raw)))
+    return SaturatedFamily(tuple(sorted(raw)))
 
 
 # ---------------------------------------------------------------------------

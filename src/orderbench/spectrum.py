@@ -14,9 +14,9 @@ principal opens as the designated pseudobasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
+from typing import NamedTuple
 
 from .core import (
     P0Set,
@@ -48,12 +48,12 @@ from .tight import enveloping_algebra, rho
 VS_STONE_CAP = 8
 
 
-@dataclass(frozen=True)
-class CharacterSet:
-    base: P0Set
+class CharacterSet(NamedTuple):
     chars: tuple[SubsetMask, ...]
 
     def __len__(self) -> int:
+        # the number of characters; `_make` and `_replace` check the
+        # field count with len() and so do not apply
         return len(self.chars)
 
 
@@ -66,8 +66,8 @@ def tight_characters(B: P0Set) -> CharacterSet:
     maximal centred sets, the up-sets of the minimal nonzero elements.
     """
     if derived_relations(B).preceq_down[B.zero] & ~(1 << B.zero):
-        return CharacterSet(B, ())
-    return CharacterSet(B, maximal_centred_sets(B))
+        return CharacterSet(())
+    return CharacterSet(maximal_centred_sets(B))
 
 
 @structure_table
@@ -93,8 +93,7 @@ def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
 # pseudobases
 
 
-@dataclass(frozen=True)
-class PseudobasisReport:
+class PseudobasisReport(NamedTuple):
     report: Report
     clopen: tuple[bool, ...]
 

@@ -18,13 +18,13 @@ Compactness is automatic in finite spaces and never computed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, xor
 
 from .axioms import is_basic_lattice
 from .core import (
     P0Set,
+    Record,
     SubsetMask,
     bit_list,
     bits,
@@ -49,8 +49,7 @@ from .errors import (
 from .report import Check, Report, report
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Record):
     """A finite point set, its topology, and a designated basis.
 
     `nbhd[p]` is the minimal open neighbourhood U_p of point p, the meet
@@ -61,9 +60,16 @@ class FiniteTopology:
     element i of the originating structure, when there is one.
     """
 
+    _fields = ("points", "nbhd", "basis")
     points: int
     nbhd: tuple[SubsetMask, ...]
     basis: tuple[SubsetMask, ...]
+
+    def __init__(self, points: int, nbhd: tuple[SubsetMask, ...], basis: tuple[SubsetMask, ...]):
+        init = object.__setattr__
+        init(self, "points", points)
+        init(self, "nbhd", nbhd)
+        init(self, "basis", basis)
 
     def closure(self, mask: SubsetMask) -> SubsetMask:
         """The points every open neighbourhood of which meets `mask`."""

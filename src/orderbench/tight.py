@@ -15,7 +15,6 @@ algebra is the powerset of its atoms, and its elements are atom masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from operator import and_
@@ -424,8 +423,7 @@ def rho(B: P0Set) -> tuple[SubsetMask, ...]:
     return tuple(transpose((0 if v == B.zero else s for v, s in enumerate(sep)), B.size))
 
 
-@dataclass(frozen=True)
-class RegularOpenAlgebra:
+class RegularOpenAlgebra(NamedTuple):
     """The generalized Boolean subalgebra of the regular opens generated by
     the principal regularizations, as the powerset of its k atoms.
 
@@ -437,7 +435,6 @@ class RegularOpenAlgebra:
     mask of rho(x).
     """
 
-    base: P0Set
     signatures: tuple[SubsetMask, ...]
     opens: tuple[SubsetMask, ...]
     rho_index: tuple[int, ...]
@@ -479,12 +476,7 @@ def enveloping_algebra(B: P0Set) -> RegularOpenAlgebra:
         if der.preceq_down[v] & prime & ~der.preceq[v] == 0:
             atoms[mp[v]] = atoms.get(mp[v], 0) | 1 << v
     sigs = tuple(sorted(atoms))
-    return RegularOpenAlgebra(
-        B,
-        sigs,
-        tuple(atoms[s] for s in sigs),
-        tuple(transpose(sigs, B.size)),
-    )
+    return RegularOpenAlgebra(sigs, tuple(atoms[s] for s in sigs), tuple(transpose(sigs, B.size)))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from itertools import count
 from pathlib import Path
@@ -9,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from orderbench import lab
+from orderbench.core import P0Set
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +58,7 @@ def fresh(B):
     """B under names no earlier structure had: equal to none of them, so its
     tables are built anew."""
     tag = next(_fresh_tags)
-    return replace(B, names=tuple(f"fresh{tag}.{x}" for x in range(B.size)))
+    return P0Set(B.size, B.zero, B.prec, tuple(f"fresh{tag}.{x}" for x in range(B.size)))
 
 
 def small_structures(max_n):

@@ -766,13 +766,13 @@ def regularized_rows(B):
     return tuple(regularize(B, d & ~(1 << B.zero)) for d in dn)
 
 
-def algebra_mask(S, T):
-    """The regular open of the atom mask T of an enveloping algebra: the
+def algebra_mask(B, S, T):
+    """The regular open of the atom mask T of B's enveloping algebra S: the
     regularized union of its atoms' open points."""
     acc = 0
     for i in _members(T):
         acc |= S.opens[i]
-    return regularize(S.base, acc)
+    return regularize(B, acc)
 
 
 def literal_order_checks(B):

@@ -194,6 +194,35 @@ class TestWideCarriers:
         err = capsys.readouterr().err
         assert "saturated families capped at 4096 unions of generator rows" in err
 
+    def test_capped_checks_print_as_skipped(self, tmp_path, capsys, deadline):
+        # past FRAME_CAP and FGRHO_CAP (8 elements) each report keeps the
+        # laws it has at 8 elements, every one with holds null, and stderr
+        # says why; the exit code is that of a report with no failure
+        def write(n):
+            path = tmp_path / f"chain{n}.json"
+            path.write_text(dump_structure(lab.make_family("chain", n)))
+            return str(path)
+
+        at_cap, past = write(7), write(9)
+        for verb in ("saturate", "envelope"):
+            assert cli.run([verb, at_cap, "--format", "json"]) == 0
+            checked = json.loads(capsys.readouterr().out)
+            assert cli.run([verb, past, "--format", "json"]) == 0
+            out = capsys.readouterr()
+            doc = json.loads(out.out)
+            assert len(doc) == (2 if verb == "saturate" else 1)
+            assert {name: [c["axiom"] for c in rep] for name, rep in doc.items()} == {
+                name: [c["axiom"] for c in rep] for name, rep in checked.items()}
+            assert all(c["holds"] is None and c["witness"] is None
+                       for rep in doc.values() for c in rep)
+            for name in doc:
+                assert f"carrier 10 exceeds 8; {name} skipped\n" in out.err
+            assert cli.run([verb, past]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line for line in lines if line.startswith("[")] == [f"[{n}]" for n in doc]
+            laws = [line.split() for line in lines if not line.startswith("[")]
+            assert laws == [[c["axiom"], "n/a"] for rep in doc.values() for c in rep]
+
 
 class TestGen:
     def test_gen_to_stdout(self, capsys):

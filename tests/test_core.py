@@ -1,7 +1,6 @@
 import gc
 import random
 import weakref
-from dataclasses import replace
 from functools import reduce
 from operator import and_, or_
 
@@ -10,6 +9,8 @@ import pytest
 import oracles
 from conftest import cap_structures, fresh, separation_corpus, small_structures
 from orderbench import lab
+from orderbench.spectrum import tight_characters
+from orderbench.tight import enveloping_algebra
 from orderbench.core import (
     SHARED_STRUCTURES,
     P0Set,
@@ -396,6 +397,11 @@ def _elsewhere(B):
 _elsewhere.__name__ = _elsewhere.__qualname__ = "prec_down"
 
 
+def _marked(k):
+    """Zero below everything, 1 below the elements that k marks."""
+    return P0Set(15, 0, (full_mask(15), k << 2) + (0,) * 13)
+
+
 class TestStructureTables:
     """A table is built once per structure, shared with equal structures,
     and freed with its structure."""
@@ -403,7 +409,7 @@ class TestStructureTables:
     def test_equal_structure_reads_the_earlier_table(self, p3):
         B = fresh(p3)
         table = prec_down_table(B)
-        twin = replace(B)
+        twin = P0Set(B.size, B.zero, B.prec, B.names)
         assert twin == B and twin is not B
         before = prec_down_table.cache_info()
         assert prec_down_table(twin) is table
@@ -418,15 +424,29 @@ class TestStructureTables:
         assert other(B) == "another layer's table"
 
     def test_tables_are_freed_with_their_structure(self):
-        def structure(k):
-            # zero below everything, 1 below the elements that k marks
-            return P0Set(15, 0, (full_mask(15), k << 2) + (0,) * 13)
-
-        early = structure(0)
+        early = _marked(0)
         prec_down(early)
         ref = weakref.ref(early)
         del early
         for k in range(1, SHARED_STRUCTURES + 2):
-            prec_down(structure(k))
+            prec_down(_marked(k))
         gc.collect()
         assert ref() is None
+
+    def test_freed_without_the_cycle_collector(self):
+        # no table refers back to its structure, so once the sharing index
+        # has let a structure go, reference counting alone frees it
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            early = _marked(0)
+            tight_characters(early)
+            enveloping_algebra(early)
+            ref = weakref.ref(early)
+            del early
+            for k in range(1, SHARED_STRUCTURES + 2):
+                prec_down(_marked(k))
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,15 +1,19 @@
 """Every module-level import in the package is read somewhere in its
-module, the command line loads the layers it reports on and no more, and
+module, a command-line verb executes only the layers it uses, and
 per-structure tables live on their structure."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from orderbench import lab
+from orderbench.core import dump_structure
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orderbench"
 
@@ -43,19 +47,67 @@ def test_no_unread_imports(path):
     assert unread_imports(path.read_text()) == []
 
 
-def test_cli_import_contract():
-    # every cache layer loads with the CLI, so a process can report each
-    # layer's cache counters; lab, suites and morphisms wait for the verbs
-    # that use them, so the other verbs do not pay for importing them
-    code = "import sys, orderbench.cli; print(' '.join(sorted(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+#: The layers registered with the package and executed on first use.
+LAZY_LAYERS = ("axioms", "saturation", "spectrum", "stone", "tight")
+
+#: What a process prints after its work: the lazy layers it executed,
+#: the other orderbench modules it imported, and which of the modules
+#: that `dataclasses` drags in it loaded.
+LOADED = (
+    "import json, sys, types; print(json.dumps({"
+    f"'executed': [n for n in {LAZY_LAYERS!r}"
+    " if type(sys.modules['orderbench.' + n]) is types.ModuleType],"
+    " 'others': [n for n in ('lab', 'morphisms', 'suites') if 'orderbench.' + n in sys.modules],"
+    " 'stdlib': [m for m in ('dataclasses', 'inspect') if m in sys.modules]}))"
+)
+
+
+def run_python(code: str) -> str:
+    """The last line a fresh interpreter, without site packages, prints
+    running `code`."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
-    ).stdout.split()
-    loaded = {m.split(".")[1] for m in out if m.startswith("orderbench.")}
-    assert {"core", "axioms", "stone", "saturation", "tight", "spectrum"} <= loaded
-    assert not loaded & {"lab", "suites", "morphisms"}
+    ).stdout.splitlines()[-1]
+
+
+def test_cli_import_contract():
+    # importing the CLI registers every layer but executes none of them,
+    # so a verb pays only for the layers it uses; lab, suites and
+    # morphisms wait for the verbs that use them
+    registered = f"all('orderbench.' + n in sys.modules for n in {LAZY_LAYERS!r})"
+    code = f"import sys, orderbench.cli; assert {registered}; {LOADED}"
+    assert json.loads(run_python(code)) == {"executed": [], "others": [], "stdlib": []}
+
+
+#: The layers each structure verb executes, on a basic lattice, where
+#: every verb runs all of its checks.
+VERB_LAYERS = {
+    "check": ["axioms"],
+    "stone": ["axioms", "stone"],
+    "spectrum": ["axioms", "spectrum", "stone", "tight"],
+    "envelope": ["tight"],
+    "saturate": ["axioms", "saturation"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_LAYERS))
+def test_verb_executes_only_its_layers(verb, tmp_path):
+    path = tmp_path / "B.json"
+    path.write_text(dump_structure(lab.make_family("powerset", 2)))
+    code = f"from orderbench import cli; assert cli.run([{verb!r}, {str(path)!r}]) == 0; {LOADED}"
+    want = {"executed": VERB_LAYERS[verb], "others": [], "stdlib": []}
+    assert json.loads(run_python(code)) == want
+
+
+def test_cache_counters_see_every_layer():
+    # perfbench reads the counters by scanning sys.modules, which executes
+    # a layer still waiting, so a CLI process reports all six cache layers
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    code = (f"import sys; sys.path.insert(0, {str(perfbench)!r}); import orderbench.cli, tracing; "
+            "print(sorted({k.split('.')[0] for k in tracing.cache_counters()}))")
+    assert run_python(code) == str(sorted(["core", *LAZY_LAYERS]))
 
 
 #: The lru_caches that may key on a structure: the sharing index itself, a

@@ -454,14 +454,14 @@ class TestRho:
             assert ti.rho(B) == oracles.regularized_rows(B)
 
 
-def _masks(S):
-    return [oracles.algebra_mask(S, T) for T in range(1 << len(S.signatures))]
+def _masks(B, S):
+    return [oracles.algebra_mask(B, S, T) for T in range(1 << len(S.signatures))]
 
 
 class TestEnvelope:
     def test_two_atoms_envelope(self, e0, p2):
         S = ti.enveloping_algebra(e0)
-        assert _masks(S) == [0, 0b010, 0b100, 0b110]
+        assert _masks(e0, S) == [0, 0b010, 0b100, 0b110]
         assert S.as_p0set().prec == p2.prec
 
     def test_algebra_structure_built_once_per_atom_count(self, e0, p2, p3):
@@ -472,11 +472,11 @@ class TestEnvelope:
 
     def test_chain_envelope(self, c2):
         S = ti.enveloping_algebra(c2)
-        assert _masks(S) == [0, 0b110]
+        assert _masks(c2, S) == [0, 0b110]
 
     def test_powerset_embeds(self, p2):
         S = ti.enveloping_algebra(p2)
-        assert len(_masks(S)) == 4
+        assert len(_masks(p2, S)) == 4
         assert len(set(S.rho_index)) == 4
 
     def test_tables_are_regular_closed(self):
@@ -484,7 +484,7 @@ class TestEnvelope:
         # are intersection, regularized union and relative complement
         for B in small_structures(4):
             S = ti.enveloping_algebra(B)
-            masks = _masks(S)
+            masks = _masks(B, S)
             prime = full_mask(B.size) & ~(1 << B.zero)
             for T, m in enumerate(masks):
                 assert oracles.regularize(B, m) == m
@@ -498,7 +498,7 @@ class TestEnvelope:
         # a true Boolean algebra in the finite case
         for B in small_structures(4):
             S = ti.enveloping_algebra(B)
-            masks = _masks(S)
+            masks = _masks(B, S)
             assert all(m & ~masks[-1] == 0 for m in masks)
 
     def test_principal_map_tight_and_open_map_tight(self):
@@ -594,8 +594,6 @@ class TestFgrho:
         # atom in turn (and that atom's signature loses x), and the witness
         # must be the first mismatching pair of the sweep over all (F, G)
         # in ascending order
-        import dataclasses
-
         envelope = ti.enveloping_algebra
         witnesses = 0
         for B in (e0, p2, d3, w5):
@@ -604,8 +602,7 @@ class TestFgrho:
             for x in range(B.size):
                 rows = list(S.rho_index)
                 rows[x] &= rows[x] - 1
-                planted = dataclasses.replace(
-                    S,
+                planted = S._replace(
                     signatures=tuple(
                         mask_from(y for y, r in enumerate(rows) if r >> i & 1)
                         for i in range(len(S.signatures))
@@ -709,7 +706,7 @@ class TestFactorTight:
         # seven disjoint atoms generate the full 128-element algebra
         B = lab.make_family("antichain", 7)
         S = ti.enveloping_algebra(B)
-        assert len(_masks(S)) == 128
+        assert len(_masks(B, S)) == 128
         assert len(S.signatures) == 7
         from orderbench import spectrum as sp
 
@@ -780,7 +777,7 @@ class TestAgainstEnumeration:
         for B in oracle_corpus():
             S = ti.enveloping_algebra(B)
             elements, rho = oracles.worklist_algebra(B)
-            masks = [frozenset(bits(m)) for m in _masks(S)]
+            masks = [frozenset(bits(m)) for m in _masks(B, S)]
             assert len(set(masks)) == len(masks)
             assert set(masks) == elements, B.pairs()
             assert [masks[t] for t in S.rho_index] == rho, B.pairs()
@@ -790,7 +787,7 @@ class TestAgainstEnumeration:
         for B in oracle_corpus():
             S = ti.enveloping_algebra(B)
             regularize, negate = oracles._regular_ops(B)
-            masks = [frozenset(bits(m)) for m in _masks(S)]
+            masks = [frozenset(bits(m)) for m in _masks(B, S)]
             for T, m in enumerate(masks):
                 for U, u in enumerate(masks):
                     assert masks[T & U] == m & u
@@ -813,7 +810,7 @@ class TestAgainstEnumeration:
         count = 0
         for B in small_structures(4):
             S = ti.enveloping_algebra(B)
-            masks = [frozenset(bits(m)) for m in _masks(S)]
+            masks = [frozenset(bits(m)) for m in _masks(B, S)]
             for A in (p2, p3):
                 for beta in ti.zero_preserving_maps(B, A):
                     props = ti.map_properties(beta)
