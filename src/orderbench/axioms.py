@@ -15,8 +15,9 @@ and `morphisms.is_interpolator` passes an interpolator's relation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, count
+from operator import or_
 
 from .core import (
     P0Set,
@@ -78,12 +79,35 @@ def interpolation(B: P0Set, C: P0Set, rel, cols) -> Check:
 
 
 def _pair_law(name: str, tB, tC, rel) -> Check:
-    """x R x2 and y R y2 give tB[x][y] R tC[x2][y2]."""
-    edges = [(x, y) for x, row in enumerate(rel) for y in bits(row)]
-    for x, x2 in edges:
-        for y, y2 in edges:
-            if not rel[tB[x][y]] >> tC[x2][y2] & 1:
-                return Check(name, False, (x, x2, y, y2))
+    """x R x2 and y R y2 give tB[x][y] R tC[x2][y2].
+
+    One side folds first: fold[x2][k] masks the tC[x2][y2] over y2 in the
+    k-th distinct nonzero row, and the law holds at (x, y) when the
+    fold[x2][k] over x R x2, k the row of y, lie inside rel[tB[x][y]].
+    That union depends on x only through its row too, so each pair of
+    distinct rows is folded once: O(n^3) where the pairs of edges are
+    O(n^4).  The first x that fails is rescanned edge by edge, so the
+    witness is the first (x, x2, y, y2) in edge order.
+    """
+    rows = list(dict.fromkeys(row for row in rel if row))
+    kind = {row: k for k, row in enumerate(rows)}
+    members = [bit_list(row) for row in rows]
+    targets = bit_list(reduce(or_, rows, 0))
+    fold = {}
+    for x2 in targets:
+        shifted, t2 = [0] * len(tC), tC[x2]
+        for y2 in targets:
+            shifted[y2] = 1 << t2[y2]
+        fold[x2] = [reduce(or_, map(shifted.__getitem__, m)) for m in members]
+    reached = {row: [reduce(or_, c) for c in zip(*(fold[x2] for x2 in bits(row)))]
+               for row in rows}
+    ys = [(y, kind[row]) for y, row in enumerate(rel) if row]
+    for x, _ in ys:
+        r, t = reached[rel[x]], tB[x]
+        if any(r[k] & ~rel[t[y]] for y, k in ys):
+            return Check(name, False, next(
+                (x, x2, y, y2) for x2 in bits(rel[x]) for y, _ in ys for y2 in bits(rel[y])
+                if not rel[t[y]] >> tC[x2][y2] & 1))
     return Check(name, True)
 
 
@@ -96,20 +120,28 @@ def additivity(B: P0Set, C: P0Set, rel, cols) -> Check:
 
 
 @lru_cache(maxsize=4096)
-def _join_reach(B: P0Set, cols) -> list[list[int]]:
+def _join_reach(B: P0Set, cols) -> tuple[tuple[int, ...], ...]:
     """reach[x][y] = {a v b : a R x, b R y}, joins in B, as masks; feeds
-    decomposition and vee-interpolation."""
+    decomposition and vee-interpolation.  One side folds first:
+    fold[cy][a] masks the a v b over b in the column cy, and reach[x][y]
+    joins the fold[cols[y]][a] over a R x.  Each pair of distinct columns
+    is folded once: O(n^3) where the pairs (a, b) are O(n^4)."""
     _, jt = lattice_tables(B)
-    reach = [[0] * len(cols) for _ in cols]
-    for x, cx in enumerate(cols):
-        dx = bit_list(cx)
-        for y, cy in enumerate(cols):
-            acc = 0
-            for a in dx:
-                for b in bits(cy):
-                    acc |= 1 << jt[a][b]
-            reach[x][y] = acc
-    return reach
+    related = bit_list(reduce(or_, cols, 0))
+    shifted = [None] * B.size
+    for a in related:
+        shifted[a], ja = [0] * B.size, jt[a]
+        for b in related:
+            shifted[a][b] = 1 << ja[b]
+    members = {c: bit_list(c) for c in cols}
+    fold = {}
+    for cy, m in members.items():
+        fold[cy] = [0] * B.size
+        for a in related:
+            fold[cy][a] = reduce(or_, map(shifted[a].__getitem__, m), 0)
+    reach = {cx: {cy: reduce(or_, map(fold[cy].__getitem__, mx), 0) for cy in members}
+             for cx, mx in members.items()}
+    return tuple(tuple(map(reach[cx].__getitem__, cols)) for cx in cols)
 
 
 def decomposition(B: P0Set, C: P0Set, rel, cols) -> Check:

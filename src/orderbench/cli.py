@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
 # `lab` and `suites` are imported by the verbs that use them
 from . import axioms, saturation, spectrum, stone, tight
-from .core import P0Set, bit_list, dump_structure, load_structure, order_predicates
+from .core import P0Set, bit_list, dump_structure, load_structure, order_predicates, read_input
 from .errors import (
     CapExceeded,
     FormatError,
@@ -33,6 +34,7 @@ from .errors import (
     OrderbenchError,
     UnknownFamily,
     UnknownSuite,
+    UnusableFile,
 )
 from .report import Check, Report, report, reports_to_json
 
@@ -44,13 +46,12 @@ INPUT_ERRORS = (
     UnknownFamily,
     UnknownSuite,
     CapExceeded,
-    OSError,
-    UnicodeDecodeError,
+    UnusableFile,
 )
 
 
 def _load(path: str, max_size: int | None = None) -> P0Set:
-    B = load_structure(Path(path).read_text())
+    B = load_structure(read_input(path))
     if max_size is not None and B.size > max_size:
         raise CapExceeded(f"structure size {B.size} exceeds --max-size {max_size}")
     return B
@@ -129,9 +130,7 @@ def cmd_envelope(args) -> int:
         reports = [_skipped("image_cover_equivalence", ("equivalence",), reason)]
     code = 1 if reports[0].passed is False else 0
     if args.map:
-        beta = tight.load_struct_map(
-            Path(args.map).read_text(), Path(args.map).parent
-        )
+        beta = tight.load_struct_map(read_input(args.map), Path(args.map).parent)
         props = tight.map_properties(beta)
         reports.append(props)
         if props.holds("tightish") and props.holds("representation"):
@@ -200,7 +199,10 @@ def cmd_gen(args) -> int:
         B = lab.make_family(args.family, args.n)
     text = dump_structure(B)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise UnusableFile(str(exc)) from exc
     else:
         print(text)
     return 0
@@ -289,6 +291,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # a reader that closes early (`orderbench verify all | head -1`) ends
+    # the process by SIGPIPE, as it ends any filter, instead of raising
+    # BrokenPipeError; the CLI opens no sockets that this would also end
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -30,6 +30,7 @@ from .errors import (
     NotAntisymmetric,
     NotGBA,
     NotTransitive,
+    UnusableFile,
 )
 from .report import Report, shared_report
 
@@ -260,6 +261,16 @@ def p0set(size: int, zero: int, pairs, names=None) -> P0Set:
     return P0Set(size, zero, tuple(rows), names)
 
 
+def read_input(path) -> str:
+    """The text of an input file.  A file that cannot be read is an input
+    error (`UnusableFile`); an OSError on output, such as a closed stdout,
+    is not."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnusableFile(str(exc)) from exc
+
+
 def load_structure(text: str) -> P0Set:
     """Parse the JSON structure format.
 
@@ -301,8 +312,8 @@ def load_linked(text: str, base_dir, payload: str):
     if not (isinstance(doc["from"], str) and isinstance(doc["to"], str)):
         raise FormatError("from and to must be file paths")
     base = Path(base_dir)
-    source = load_structure((base / doc["from"]).read_text())
-    target = load_structure((base / doc["to"]).read_text())
+    source = load_structure(read_input(base / doc["from"]))
+    target = load_structure(read_input(base / doc["to"]))
     return source, target, doc[payload]
 
 

@@ -15,6 +15,11 @@ class FormatError(OrderbenchError):
     """Input document is malformed (bad JSON shape, unknown keys, bad types)."""
 
 
+class UnusableFile(OrderbenchError):
+    """A file named by the input cannot be read (missing, a directory, not
+    permitted, not UTF-8 text), or, for `gen --out`, written."""
+
+
 class IndexOutOfRange(OrderbenchError):
     """An element index lies outside the structure's carrier."""
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .axioms import check_basic_lattice
+from . import axioms, spectrum
 from .core import P0Set, bits, full_mask, mask_from, meet_rows, order_predicates, p0set, union_rows
 from .errors import CapExceeded, UnknownFamily, UnknownSuite
-from .spectrum import separativity_chain
 
 RANDOM_CAP = 12
 ENUM_CAP = 5
@@ -198,34 +197,34 @@ def _enumerate(n: int, reflexive_only: bool):
 
 
 def _prop_chain_respected(B: P0Set) -> bool:
-    return bool(separativity_chain(B).holds("chain_respected"))
+    return bool(spectrum.separativity_chain(B).holds("chain_respected"))
 
 
 def _prop_sep_implies_inj(B: P0Set) -> bool:
-    r = separativity_chain(B)
+    r = spectrum.separativity_chain(B)
     return not r.holds("separative") or bool(r.holds("rho_injective"))
 
 
 def _prop_inj_implies_ssc(B: P0Set) -> bool:
-    r = separativity_chain(B)
+    r = spectrum.separativity_chain(B)
     return not r.holds("rho_injective") or bool(r.holds("ssc"))
 
 
 def _prop_semilattice_equivalence(B: P0Set) -> bool:
-    return separativity_chain(B).holds("semilattice_equivalence") is not False
+    return spectrum.separativity_chain(B).holds("semilattice_equivalence") is not False
 
 
 def _prop_inj_implies_sep_on_semilattices(B: P0Set) -> bool:
     if not order_predicates(B).holds("meet_semilattice"):
         return True
-    r = separativity_chain(B)
+    r = spectrum.separativity_chain(B)
     return not r.holds("rho_injective") or bool(r.holds("separative"))
 
 
 def _prop_decomposition(B: P0Set) -> bool:
     if not order_predicates(B).holds("lattice"):
         return True
-    return check_basic_lattice(B).holds("decomposition") is not False
+    return axioms.check_basic_lattice(B).holds("decomposition") is not False
 
 
 SUITES: dict[str, tuple] = {

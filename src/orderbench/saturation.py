@@ -31,7 +31,7 @@ from itertools import product, repeat
 from operator import and_, invert, ne, or_, rshift, xor
 from typing import NamedTuple
 
-from .axioms import _sweep_coinitiality, _sweep_multiplicativity, is_basic_lattice, is_basic_semilattice
+from . import axioms
 from .core import (
     P0Set,
     SubsetMask,
@@ -405,10 +405,10 @@ def verify_subset_laws(B: P0Set) -> Report:
     rows = _subset_rows(B)
     prec_rows, sim_rows, wayb_rows = rows.prec, rows.precsim, rows.wayb
 
-    g1 = bool(_sweep_coinitiality(B).holds)
+    g1 = bool(axioms._sweep_coinitiality(B).holds)
     msl = bool(order_predicates(B).holds("meet_semilattice"))
-    g2 = g1 and msl and bool(_sweep_multiplicativity(B).holds)
-    g3 = is_basic_semilattice(B)
+    g2 = g1 and msl and bool(axioms._sweep_multiplicativity(B).holds)
+    g3 = axioms.is_basic_semilattice(B)
 
     checks = []
 
@@ -516,7 +516,7 @@ def verify_frame(B: P0Set) -> Report:
         raise CapExceeded(f"frame verification capped at carrier {FRAME_CAP}")
     if not order_predicates(B).holds("meet_semilattice"):
         raise PreconditionFailed("frame verification needs pairwise meets")
-    cbs_ok = is_basic_semilattice(B)
+    cbs_ok = axioms.is_basic_semilattice(B)
 
     n = B.size
     # the laws read the saturation table and its distinct values; the
@@ -596,7 +596,7 @@ def verify_frame(B: P0Set) -> Report:
     fbl_ok = None
     try:
         fam_struct = p0set(len(sets), index[sat[0]], prec_pairs)
-        fbl_ok = is_basic_lattice(fam_struct)
+        fbl_ok = axioms.is_basic_lattice(fam_struct)
     except OrderbenchError:  # e.g. NotTransitive: the family is no structure
         fbl_ok = False
 

@@ -18,6 +18,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
+from . import stone, tight
 from .core import (
     P0Set,
     SubsetMask,
@@ -42,8 +43,6 @@ from .errors import (
     NotPseudobasis,
 )
 from .report import Check, Report, report, shared_report
-from .stone import FiniteTopology, basis_to_structure, discrete_topology, enumerate_ultrafilters
-from .tight import enveloping_algebra, rho
 
 VS_STONE_CAP = 8
 
@@ -105,7 +104,7 @@ class PseudobasisReport(NamedTuple):
         return all(self.clopen)
 
 
-def is_pseudobasis(X: FiniteTopology, family) -> PseudobasisReport:
+def is_pseudobasis(X: stone.FiniteTopology, family) -> PseudobasisReport:
     """The four pseudobasis conditions, with a clopen flag per member
     (compactness is automatic in finite spaces)."""
     family = list(family)
@@ -142,26 +141,20 @@ def is_pseudobasis(X: FiniteTopology, family) -> PseudobasisReport:
 
 
 @structure_table
-def _principal_opens(B: P0Set) -> tuple[FiniteTopology, PseudobasisReport]:
+def _principal_opens(B: P0Set) -> tuple[stone.FiniteTopology, PseudobasisReport]:
     """The spectrum with its principal opens, and their pseudobasis report.
     When the reflexivization is a partial order the conditions are a
     theorem, and a failure signals a bug; outside that scope (elements
     order-equivalent to zero, say) they genuinely fail."""
     chars = tight_characters(B).chars
-    X = discrete_topology(len(chars), transpose(chars, B.size))
+    X = stone.discrete_topology(len(chars), transpose(chars, B.size))
     pb = is_pseudobasis(X, X.basis)
     if not pb.passed and antisymmetry_violation(B) is None:
         raise InternalCheckFailed("principal opens failed the pseudobasis conditions")
     return X, pb
 
 
-def spectrum_space(B: P0Set) -> FiniteTopology:
-    """Discrete space on the tight characters with the principal opens as
-    designated pseudobasis (see `_principal_opens`)."""
-    return _principal_opens(B)[0]
-
-
-def spectrum_homeomorphism(X: FiniteTopology, family):
+def spectrum_homeomorphism(X: stone.FiniteTopology, family):
     """Point-to-character map of a compact clopen pseudobasis.
 
     Returns the mapping (point index to character index over the induced
@@ -176,7 +169,7 @@ def spectrum_homeomorphism(X: FiniteTopology, family):
     if not pb.all_clopen():
         raise NotClopen("family has a non-clopen member")
     # clopen members are their own closures, so this is the inclusion order
-    struct = basis_to_structure(X, family)
+    struct = stone.basis_to_structure(X, family)
     chars = tight_characters(struct).chars
     index = {m: i for i, m in enumerate(chars)}
 
@@ -247,7 +240,7 @@ def separativity_chain(B: P0Set) -> Report:
     preds = order_predicates(B)
     sep = preds.holds("separative")
     ssc = preds.holds("ssc")
-    inj = len(set(rho(B))) == B.size
+    inj = len(set(tight.rho(B))) == B.size
     chain = (not sep or inj) and (not inj or ssc)
     if preds.holds("meet_semilattice"):
         sem_eq = sep == inj == ssc
@@ -341,7 +334,7 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool = True) -> Report:
     """
     if B.size > VS_STONE_CAP:
         raise CapExceeded(f"capped at carrier {VS_STONE_CAP}")
-    S = enveloping_algebra(B)
+    S = tight.enveloping_algebra(B)
     k = len(S.signatures)
     ults = list(_index_masks(k))
     filter_w = _ultrafilter_witness(ults, k)
@@ -363,7 +356,7 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool = True) -> Report:
         sp = S.as_p0set()
         scan_ok = (
             sorted(ults)
-            == list(enumerate_ultrafilters(sp))
+            == list(stone.enumerate_ultrafilters(sp))
             == list(tight_characters(sp).chars)
         )
     else:

@@ -21,7 +21,7 @@ import json
 from functools import cached_property, reduce
 from operator import and_, xor
 
-from .axioms import is_basic_lattice
+from . import axioms
 from .core import (
     P0Set,
     Record,
@@ -273,7 +273,7 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
         Check("complement_ideal", is_ideal, id_witness),
         Check("perp_characterization", perp_ok, witness_perp),
     ]
-    if is_basic_lattice(B):
+    if axioms.is_basic_lattice(B):
         agree = maximal == is_ideal == perp_ok
         checks.append(Check("equivalent", agree))
         passed = agree
@@ -301,7 +301,7 @@ def stone_space(B: P0Set) -> FiniteTopology:
 def verify_duality(B: P0Set) -> Report:
     """Check the five duality equations, the separation property, and that
     the basis map is an order isomorphism, on the Stone space."""
-    if not is_basic_lattice(B):
+    if not axioms.is_basic_lattice(B):
         raise PreconditionFailed("duality verification needs a basic lattice")
     der = derived_relations(B)
     mt, jt = lattice_tables(B)

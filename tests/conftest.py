@@ -61,6 +61,18 @@ def fresh(B):
     return P0Set(B.size, B.zero, B.prec, tuple(f"fresh{tag}.{x}" for x in range(B.size)))
 
 
+def with_edge_loops(monkeypatch):
+    """For the rest of the test, `axioms` runs the pair laws and the join
+    reach by the edge loops its folds replaced.  The loop reach is cached
+    per (structure, columns), as the package caches its fold."""
+    import oracles
+    from orderbench import axioms
+    from orderbench.report import Check
+
+    monkeypatch.setattr(axioms, "_pair_law", lambda *args: Check(*oracles.loop_pair_law(*args)))
+    monkeypatch.setattr(axioms, "_join_reach", lru_cache(maxsize=None)(oracles.loop_join_reach))
+
+
 def small_structures(max_n):
     out = []
     for n in range(1, max_n + 1):

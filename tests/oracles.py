@@ -2,7 +2,8 @@
 
 Everything here works with plain sets and literal quantifier loops, no
 bitmasks and no shared code with the package, so agreement is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The last section is the exception:
+accessors over the package's own results that only the tests read.
 """
 
 from functools import lru_cache
@@ -1125,9 +1126,10 @@ def loop_stone_map_witnesses(X, basis_x, Y, basis_y, mapping, rel):
 # The basic-lattice axioms that are interpolator axioms read on the strict
 # relation have one implementation in the package, over a relation's rows.
 # Kept here: the literal instance predicate of every lattice axiom, the
-# interpolator sweep with its own decomposition loop, and the three
-# "covered by joins" loops of rather-below, prec-below and the recovered
-# relation.  The bitmask rows come from the set-based definitions above.
+# interpolator sweep with its own decomposition loop, the three "covered by
+# joins" loops of rather-below, prec-below and the recovered relation, and
+# the edge-pair loops of the pair laws and the join reach, which take the
+# place of the package's row folds in a test.  The bitmask rows come from the set-based definitions above.
 
 
 @lru_cache(maxsize=None)
@@ -1376,6 +1378,33 @@ def loop_recover_prec(B):
                  for x in range(B.size))
 
 
+def loop_pair_law(name, tB, tC, rel):
+    """The pair law as the edge-pair loop the fold replaced: x R x2 and
+    y R y2 give tB[x][y] R tC[x2][y2], first failure in edge order, as
+    (name, verdict, witness)."""
+    edges = [(x, y) for x in range(len(rel)) for y in _members(rel[x])]
+    for x, x2 in edges:
+        for y, y2 in edges:
+            if not rel[tB[x][y]] >> tC[x2][y2] & 1:
+                return name, False, (x, x2, y, y2)
+    return name, True, None
+
+
+def loop_join_reach(B, cols):
+    """reach[x][y] = {a v b : a R x, b R y}, joins in B, as masks, by the
+    loop over pairs (a, b) that the fold replaced."""
+    jt = _axiom_tables(B)[5]
+    reach = [[0] * len(cols) for _ in cols]
+    for x, cx in enumerate(cols):
+        for y, cy in enumerate(cols):
+            acc = 0
+            for a in _members(cx):
+                for b in _members(cy):
+                    acc |= 1 << jt[a][b]
+            reach[x][y] = acc
+    return reach
+
+
 def scan_enumerate(n, reflexive_only):
     """Every structure on n labelled elements with zero = 0, as pair lists,
     by the row scan that the submask enumerator replaced: row k tries all
@@ -1429,3 +1458,17 @@ def scan_enumerate(n, reflexive_only):
 
     rec(1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# accessors over the package
+#
+# Not oracles: views of the package's own results that only tests read.
+
+
+def spectrum_space(B):
+    """Discrete space on the tight characters of B with the principal opens
+    as designated pseudobasis (see `spectrum._principal_opens`)."""
+    from orderbench import spectrum
+
+    return spectrum._principal_opens(B)[0]

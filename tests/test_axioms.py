@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import cap_structures, separation_corpus, small_structures
+from conftest import cap_structures, fresh, separation_corpus, small_structures, with_edge_loops
 from orderbench import axioms, lab
 from orderbench.core import order_predicates, p0set
 from orderbench.errors import NotLattice, PreconditionFailed
@@ -371,6 +371,17 @@ class TestSharedLaws:
         for name in ("cofinality", "interpolation", "additivity", "decomposition",
                      "right_auxiliarity", "rather_below", "prec_below"):
             assert {(name, True), (name, False)} <= seen, name
+
+    def test_folds_against_edge_loops(self, monkeypatch):
+        # whole reports, witnesses included, at the carrier cap; the fresh
+        # copies build every table anew under the loops, and the
+        # semilattice report reads the same multiplicativity table
+        cap = cap_structures()
+        reports = [axioms.check_basic_lattice(B) for B in cap]
+        with_edge_loops(monkeypatch)
+        for B, want in zip(cap, reports):
+            B = fresh(B)
+            assert axioms.check_basic_lattice(B) == want, B.size
 
 
 class TestFalsifiability:

@@ -45,6 +45,11 @@ class TestExitCodes:
         junk.write_bytes(bytes(range(128, 256)))
         assert cli.run(["check", str(junk)]) == 2
 
+    def test_gen_out_unwritable(self, tmp_path, capsys):
+        # the --out argument names no writable file: refused, not a traceback
+        assert cli.run(["gen", "chain", "2", "--out", str(tmp_path / "no" / "B.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_map_with_non_path_source(self, files, tmp_path):
         mp = tmp_path / "map.json"
         mp.write_text(json.dumps({"from": 5, "to": "p2.json", "map": [0, 1, 2]}))
@@ -308,6 +313,22 @@ def test_structure_verbs_import_only_their_layers():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "chain"]
+
+
+def test_reader_closing_early_ends_quietly():
+    # `orderbench verify all | head -1`: the reader takes the first suite's
+    # line and closes; the next write ends the process by SIGPIPE, with no
+    # error line and not as a refused input
+    with subprocess.Popen(
+        [sys.executable, "-m", "orderbench.cli", "verify", "all", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["passed"] is True
+    assert "error:" not in err and "Traceback" not in err, err
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_console_entry_point():

@@ -86,7 +86,7 @@ def test_cli_import_contract():
 VERB_LAYERS = {
     "check": ["axioms"],
     "stone": ["axioms", "stone"],
-    "spectrum": ["axioms", "spectrum", "stone", "tight"],
+    "spectrum": ["spectrum", "stone", "tight"],
     "envelope": ["tight"],
     "saturate": ["axioms", "saturation"],
 }
@@ -98,6 +98,26 @@ def test_verb_executes_only_its_layers(verb, tmp_path):
     path.write_text(dump_structure(lab.make_family("powerset", 2)))
     code = f"from orderbench import cli; assert cli.run([{verb!r}, {str(path)!r}]) == 0; {LOADED}"
     want = {"executed": VERB_LAYERS[verb], "others": [], "stdlib": []}
+    assert json.loads(run_python(code)) == want
+
+
+#: Calls that run no check or only some: (arguments, the lazy layers
+#: executed, the other orderbench modules loaded).  `gen` builds its
+#: structure in `lab` alone; past the frame cap `saturate` counts the
+#: saturated sets and skips every law, so it needs no `axioms`.
+PARTIAL_CALLS = {
+    "gen": (["gen", "powerset", "5", "--out", "{tmp}/P.json"], [], ["lab"]),
+    "saturate-chain-9": (["saturate", "{tmp}/C.json"], ["saturation"], []),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PARTIAL_CALLS))
+def test_partial_call_executes_only_its_layers(call, tmp_path):
+    (tmp_path / "C.json").write_text(dump_structure(lab.make_family("chain", 9)))
+    args, executed, others = PARTIAL_CALLS[call]
+    argv = [a.format(tmp=tmp_path) for a in args]
+    code = f"from orderbench import cli; assert cli.run({argv!r}) == 0; {LOADED}"
+    want = {"executed": executed, "others": others, "stdlib": []}
     assert json.loads(run_python(code)) == want
 
 

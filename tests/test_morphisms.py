@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import small_structures
+from conftest import small_structures, with_edge_loops
 from orderbench import axioms, lab, morphisms as mo, stone
 from orderbench.core import bits, dump_structure, full_mask
 from orderbench.errors import (
@@ -103,6 +103,19 @@ class TestSharedLaws:
         # interpolate; every other law is seen holding and failing
         never = {("target_interpolation", False), ("source_interpolation", False)}
         assert seen == {(c[0], v) for c in got for v in (True, False)} - never
+
+    def test_folds_against_edge_loops(self, monkeypatch):
+        # whole reports, witnesses included, with the pair laws and the
+        # join reach by the edge loops the folds replaced
+        relations = self.relations()
+        reports = [mo.is_interpolator(R) for R in relations]
+        with_edge_loops(monkeypatch)
+        seen = set()
+        for R, want in zip(relations, reports):
+            assert mo.is_interpolator(R) == want, R
+            seen.update((c.name, c.holds) for c in want.checks)
+        laws = ("multiplicativity", "additivity", "decomposition")
+        assert {(name, v) for name in laws for v in (True, False)} <= seen
 
 
 class TestComposition:

@@ -186,7 +186,7 @@ class TestFrame:
         def broken(B):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(sa, "is_basic_lattice", broken)
+        monkeypatch.setattr(axioms, "is_basic_lattice", broken)
         with pytest.raises(RuntimeError):
             sa.verify_frame(e0)
 
