@@ -410,38 +410,6 @@ def phi_holds(B: P0Set, x: int, y: int, n: int) -> bool:
     return all(lows & ~union_rows(meets, V) for V in _supports(union_rows(down, down[y]), n))
 
 
-@lru_cache(maxsize=256)
-def _psi_covers(B: P0Set, V: SubsetMask) -> tuple[SubsetMask, ...]:
-    """[z] = the elements disjoint from some nonzero z' < z disjoint from
-    all of V."""
-    der = derived_relations(B)
-    keep = ~union_rows(der.meets, V) & ~(1 << B.zero)
-    return tuple(union_rows(der.perp, dz & keep) for dz in prec_down(B))
-
-
-@lru_cache(maxsize=256)
-def _psi_support(B: P0Set, x: int) -> SubsetMask:
-    """The v with v < w for some w disjoint from x."""
-    return union_rows(prec_down(B), derived_relations(B).perp[x])
-
-
-def psi_holds(B: P0Set, x: int, y: int, z: int, n: int) -> bool:
-    """Level-n complementation-failure formula at (x, y, z).
-
-    x < y and for every y' < y and every choice of n pairs v_i < w_i with
-    w_i disjoint from x, some nonzero z' < z is disjoint from y' and all
-    v_i.  When nothing at all is disjoint from x the inner quantifier is
-    vacuous and the formula reduces to x < y.
-    """
-    _level(n)
-    if not B.has(x, y):
-        return False
-    if derived_relations(B).perp[x] == 0:
-        return True
-    dy = prec_down(B)[y]
-    return all(dy & ~_psi_covers(B, V)[z] == 0 for V in _supports(_psi_support(B, x), n))
-
-
 def _hits_within(rows, k: int) -> bool:
     """Whether some set of at most k elements meets every mask in `rows`."""
     if not rows:
@@ -477,27 +445,28 @@ def _theta_failures(B: P0Set) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def theta_witness(B: P0Set, n: int) -> tuple[int, int] | None:
-    """First (x, y) violating the level-n sentence: whenever some n-tuple
-    w_1..w_n < y leaves no nonzero v < x disjoint from all w_i, then x < y.
-    """
-    return _first_hit(_theta_failures(B), _level(n))
-
-
 def _first_hit(failures, n: int) -> tuple[int, int] | None:
     return next(((x, y) for x, y, rows in failures if _hits_within(rows, n)), None)
 
 
 def _psi_verdict(B: P0Set) -> tuple[bool, tuple[int, int, int] | None]:
     """psi's verdict at `type_bound` and its first (x, y, z), ascending.  At
-    the bound the support is all of `_psi_support(B, x)`, so psi holds at
-    (x, y, z) when x < y and down[y] lies in that support's cover row z,
-    or, with nothing disjoint from x, whenever x < y."""
-    down, perp = prec_down(B), derived_relations(B).perp
+    the bound psi chooses every v < w with w disjoint from x: the support
+    V, the union of those down[w].  It holds at (x, y, z) when x < y and
+    down[y] lies in cover row z, the elements disjoint from some nonzero
+    z' < z disjoint from all of V; with nothing disjoint from x, V is
+    empty and it holds whenever x < y.  Each distinct support's cover
+    rows are built once."""
+    der = derived_relations(B)
+    down, perp = prec_down(B), der.perp
+    covers = {0: (full_mask(B.size),)}
     for x in range(B.size):
         if B.prec[x]:
-            covers = (full_mask(B.size),) if perp[x] == 0 else _psi_covers(B, _psi_support(B, x))
-            w = next(((x, y, z) for y in bits(B.prec[x]) for z, cover in enumerate(covers)
+            V = union_rows(down, perp[x])
+            if V not in covers:
+                keep = ~union_rows(der.meets, V) & ~(1 << B.zero)
+                covers[V] = tuple(union_rows(perp, dz & keep) for dz in down)
+            w = next(((x, y, z) for y in bits(B.prec[x]) for z, cover in enumerate(covers[V])
                       if down[y] & ~cover == 0), None)
             if w:
                 return False, w

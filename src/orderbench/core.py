@@ -231,16 +231,18 @@ class P0Set(Record):
 
 
 def p0set(size: int, zero: int, pairs, names=None) -> P0Set:
-    """Validate and build a structure from an explicit pair list."""
-    if not isinstance(size, int) or size < 1:
+    """Validate and build a structure from an explicit pair list.  The size
+    and the indices must be ints: a bool, though an int subclass, is
+    refused."""
+    if type(size) is not int or size < 1:
         raise IndexOutOfRange(f"size must be a positive integer, got {size!r}")
     if size > MAX_SIZE:
         raise IndexOutOfRange(f"carrier size {size} exceeds the cap {MAX_SIZE}")
-    if not isinstance(zero, int) or not 0 <= zero < size:
+    if type(zero) is not int or not 0 <= zero < size:
         raise IndexOutOfRange(f"zero index {zero!r} outside carrier 0..{size - 1}")
     rows = [0] * size
     for x, y in pairs:
-        if not (isinstance(x, int) and isinstance(y, int)):
+        if not (type(x) is int and type(y) is int):
             raise IndexOutOfRange(f"pair ({x!r}, {y!r}) is not an index pair")
         if not (0 <= x < size and 0 <= y < size):
             raise IndexOutOfRange(f"pair ({x}, {y}) outside carrier 0..{size - 1}")

@@ -13,7 +13,7 @@ from operator import xor
 from pathlib import Path
 from typing import NamedTuple
 
-from . import axioms
+from . import axioms, stone
 from .core import (
     P0Set,
     derived_relations,
@@ -31,13 +31,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .report import Check, Report, report
-from .stone import (
-    FiniteTopology,
-    basis_to_structure,
-    closure_rows,
-    enumerate_ultrafilters,
-    stone_space,
-)
 
 
 class Interpolator(NamedTuple):
@@ -111,8 +104,8 @@ def identity_interpolator(B: P0Set) -> Interpolator:
 class StoneMap(NamedTuple):
     """A verified point map between two Stone spaces."""
 
-    source_space: FiniteTopology
-    target_space: FiniteTopology
+    source_space: stone.FiniteTopology
+    target_space: stone.FiniteTopology
     mapping: tuple[int, ...]
     report: Report
 
@@ -124,10 +117,10 @@ def induced_stone_map(R: Interpolator) -> StoneMap:
     if not is_interpolator(R).passed:
         raise NotInterpolator("relation fails the interpolator axioms")
     B, C = R.source, R.target
-    X, Y = stone_space(B), stone_space(C)
-    index_c = {U: i for i, U in enumerate(enumerate_ultrafilters(C))}
+    X, Y = stone.stone_space(B), stone.stone_space(C)
+    index_c = {U: i for i, U in enumerate(stone.enumerate_ultrafilters(C))}
     mapping = []
-    for U in enumerate_ultrafilters(B):
+    for U in stone.enumerate_ultrafilters(B):
         img = union_rows(R.rel, U)
         if img not in index_c:
             raise NotUltrafilter(f"pushforward {img:#b} is not an ultrafilter")
@@ -138,7 +131,7 @@ def induced_stone_map(R: Interpolator) -> StoneMap:
     cont_w = next(((y,) for y, o in enumerate(Y.basis)
                    if not X.is_open(union_rows(fibres, o))), None)
     continuous = Check("continuous", cont_w is None, cont_w)
-    char_w = first_pair(map(xor, closure_rows(X, X.basis, mapping, Y.basis), R.rel))
+    char_w = first_pair(map(xor, stone.closure_rows(X, X.basis, mapping, Y.basis), R.rel))
     characterization = Check("closure_characterization", char_w is None, char_w)
 
     rep = report("induced_stone_map", [continuous, characterization])
@@ -146,7 +139,7 @@ def induced_stone_map(R: Interpolator) -> StoneMap:
 
 
 def interpolator_from_map(
-    X: FiniteTopology, Y: FiniteTopology, f, BX, BY
+    X: stone.FiniteTopology, Y: stone.FiniteTopology, f, BX, BY
 ) -> Interpolator:
     """Relation O R N iff f[closure(O)] lies inside N, for O in BX, N in BY.
 
@@ -163,9 +156,9 @@ def interpolator_from_map(
     for u in sorted(set(Y.nbhd)):
         if not X.is_open(union_rows(fibres, u)):
             raise NotContinuous(f"preimage of {u:#b} is not open")
-    source = basis_to_structure(X, BX)
-    target = basis_to_structure(Y, BY)
-    return Interpolator(source, target, tuple(closure_rows(X, BX, f, BY)))
+    source = stone.basis_to_structure(X, BX)
+    target = stone.basis_to_structure(Y, BY)
+    return Interpolator(source, target, tuple(stone.closure_rows(X, BX, f, BY)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +169,7 @@ def load_interpolator(text: str, base_dir: str | Path = ".") -> Interpolator:
     """Parse {"from": path, "to": path, "pairs": [[int, int], ...]}."""
     source, target, pairs = load_linked(text, base_dir, "pairs")
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
         for p in pairs
     ):
         raise FormatError("pairs must be a list of [int, int]")

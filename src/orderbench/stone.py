@@ -137,11 +137,11 @@ def load_topology(text: str) -> FiniteTopology:
     if not isinstance(doc, dict) or set(doc) != {"points", "opens", "basis"}:
         raise FormatError("topology document needs exactly points/opens/basis")
     points = doc["points"]
-    if not isinstance(points, int) or points < 0:
+    if type(points) is not int or points < 0:
         raise FormatError("points must be a nonnegative integer")
     def to_mask(lst):
         if not isinstance(lst, list) or not all(
-            isinstance(p, int) and 0 <= p < points for p in lst
+            type(p) is int and 0 <= p < points for p in lst
         ):
             raise FormatError(f"bad point list {lst!r}")
         return mask_from(lst)

@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import axioms, lab, saturation, spectrum, stone, tight
 from .core import P0Set, antisymmetry_violation, full_mask, lattice_tables, order_predicates, subset_fold
 from .errors import ConstructionIncomplete, PreconditionFailed, UnknownSuite
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: list[str]
     seconds: float = 0.0  # set by run_suite
 
     def render(self) -> str:
@@ -49,13 +48,15 @@ def catalog(max_n: int) -> tuple[P0Set, ...]:
 
 
 @lru_cache(maxsize=None)
-def pool_size6(seed: int = 0, random_count: int = 500) -> tuple[P0Set, ...]:
-    """The documented stand-in for "every structure of size <= 6"."""
+def pool_size6(seed: int = 0) -> tuple[P0Set, ...]:
+    """The documented stand-in for "every structure of size <= 6": the
+    catalog through size five, every partial order of size six, and 500
+    seeded random structures of size six."""
     out = list(catalog(5))
     out.extend(lab.enumerate_structures(6, reflexive_only=True))
     rng = random.Random(seed)
     seen = set(out)
-    for _ in range(random_count):
+    for _ in range(500):
         B = lab.random_p0set(6, rng.getrandbits(32), False, rng.uniform(0.05, 0.5))
         if B not in seen:
             seen.add(B)
@@ -635,5 +636,4 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
         raise UnknownSuite(f"no suite named {name!r}; known: {sorted(SUITES)}")
     t0 = time.perf_counter()
     result = SUITES[name](seed)
-    result.seconds = time.perf_counter() - t0
-    return result
+    return result._replace(seconds=time.perf_counter() - t0)

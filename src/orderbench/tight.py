@@ -35,8 +35,6 @@ from .core import (
     meets_preceq_table,
     order_predicates,
     p0set,
-    preceq_down_table,
-    relative_complement,
     separation_table,
     structure_table,
     submasks,
@@ -71,16 +69,6 @@ def lower_bounds(B: P0Set, C: SubsetMask) -> SubsetMask:
 def covers(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     """Every common lower bound of C is zero or meets a member of D."""
     return lower_bounds(B, C) & ~union_rows(meets_preceq(B), D, 1 << B.zero) == 0
-
-
-def _covers_fast(B: P0Set):
-    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
-    zb = 1 << B.zero
-
-    def fast(C: int, D: int) -> bool:
-        return lbt[C] & ~(mut[D] | zb) == 0
-
-    return fast
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,7 @@ def compose_maps(first: StructMapTotal, then: StructMapTotal) -> StructMapTotal:
 def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
     """Parse {"from": path, "to": path, "map": [int, ...]}."""
     source, target, assignment = load_linked(text, base_dir, "map")
-    if not isinstance(assignment, list) or not all(isinstance(t, int) for t in assignment):
+    if not isinstance(assignment, list) or not all(type(t) is int for t in assignment):
         raise FormatError("map must be a list of target indices")
     return struct_map(source, target, assignment)
 
@@ -265,149 +253,6 @@ def _map_report(tight_w, tightish_w, coin_w, rep, character) -> Report:
         ),
         passed=tight_w is None,
     )
-
-
-@structure_table
-def _gba_relcomp_table(A: P0Set):
-    n = A.size
-    return tuple(
-        tuple(relative_complement(A, x, y) for y in range(n)) for x in range(n)
-    )
-
-
-def _join_fold(A: P0Set, items) -> int:
-    _, jt = lattice_tables(A)
-    acc = A.zero
-    for t in items:
-        acc = jt[acc][t]
-    return acc
-
-
-def verify_tight_equivalences(beta: StructMapTotal) -> Report:
-    """The four reformulation clauses around tightness.
-
-    (a) tightish plus one matched total cover implies tight.
-    (b) on a meet-semilattice source with algebra target, tightish is
-        meet preservation plus join domination, and tight adds the
-        total-cover-to-maximum rule.
-    (c) between algebras, tightish = lattice homomorphism with zero kept
-        = homomorphism also preserving relative complements.
-    (d) the bounded-cover reformulation agrees with covers on all triples.
-    Clauses whose structural preconditions fail are reported as skipped.
-    """
-    B, A = beta.source, beta.target
-    props = map_properties(beta)
-    tight = props.holds("tight")
-    tightish = props.holds("tightish")
-    fast_s = _covers_fast(B)
-    predsB = order_predicates(B)
-    predsA = order_predicates(A)
-
-    # (a) covering the empty set is upward closed in G on both sides, so
-    # some G is a matched total cover iff the whole carrier is one
-    _, mpA, primeA, _ = _target_rows(A)
-    up = 0
-    for t in beta.assignment:
-        up |= mpA[t]
-    matched = fast_s(0, full_mask(B.size)) and primeA & ~up == 0
-    a_holds = not (tightish and matched) or tight
-    a_check = Check("tightish_matched_cover_tight", a_holds)
-
-    # (b)
-    if predsB.holds("meet_semilattice") and predsA.holds("generalized_boolean"):
-        mtB, _ = lattice_tables(B)
-        mtA, jtA = lattice_tables(A)
-        derB = derived_relations(B)
-        derA = derived_relations(A)
-        mpB = meets_preceq(B)
-        meets_ok = all(
-            beta.assignment[mtB[x][y]] == mtA[beta.assignment[x]][beta.assignment[y]]
-            for x in range(B.size)
-            for y in range(B.size)
-        )
-        dom_ok = True
-        for x in range(B.size):
-            downx = derB.preceq_down[x]
-            for G in range(1 << B.size):
-                # need G below x and x covered by G
-                if any(not derB.preceq[g] >> x & 1 for g in bits(G)):
-                    continue
-                if downx & ~union_rows(mpB, G, 1 << B.zero):
-                    continue
-                jv = _join_fold(A, (beta.assignment[g] for g in bits(G)))
-                if not derA.preceq[beta.assignment[x]] >> jv & 1:
-                    dom_ok = False
-                    break
-            if not dom_ok:
-                break
-        restricted = meets_ok and dom_ok
-        one_a = True
-        for G in range(1 << B.size):
-            if fast_s(0, G):
-                jv = _join_fold(A, (beta.assignment[g] for g in bits(G)))
-                if any(not derA.preceq[a] >> jv & 1 for a in range(A.size)):
-                    one_a = False
-                    break
-        b_holds = (tightish == restricted) and (tight == (restricted and one_a))
-        b_check = Check("semilattice_reformulation", b_holds)
-    else:
-        b_check = Check("semilattice_reformulation", None)
-
-    # (c)
-    if predsB.holds("generalized_boolean") and predsA.holds("generalized_boolean"):
-        mtB, jtB = lattice_tables(B)
-        mtA, jtA = lattice_tables(A)
-        rcB = _gba_relcomp_table(B)
-        rcA = _gba_relcomp_table(A)
-        bmap = beta.assignment
-        lat_hom = bmap[B.zero] == A.zero and all(
-            bmap[mtB[x][y]] == mtA[bmap[x]][bmap[y]]
-            and bmap[jtB[x][y]] == jtA[bmap[x]][bmap[y]]
-            for x in range(B.size)
-            for y in range(B.size)
-        )
-        gba_hom = lat_hom and all(
-            bmap[rcB[x][y]] == rcA[bmap[x]][bmap[y]]
-            for x in range(B.size)
-            for y in range(B.size)
-        )
-        c_holds = tightish == lat_hom == gba_hom
-        c_check = Check("algebra_homomorphism", c_holds)
-    else:
-        c_check = Check("algebra_homomorphism", None)
-
-    # (d) source-side identity between the bounded-cover form and covers
-    if B.size > 8:
-        d_check = Check("bounded_cover_form", None)
-    else:
-        lbt = lower_bound_table(B)
-        mut = meets_preceq_table(B)
-        dct = preceq_down_table(B)
-        fm = full_mask(B.size)
-        pt = subset_fold([fm & ~m for m in meets_preceq(B)], and_, fm)
-        zb = 1 << B.zero
-        d_w = None
-        for F in range(1 << B.size):
-            lf = lbt[F]
-            for G in range(1 << B.size):
-                bfg = lf & pt[G]
-                a = dct[bfg] & ~zb
-                b = lf & ~zb
-                if a == b:
-                    continue
-                for H in range(1 << B.size):
-                    t = mut[G | H]
-                    if (a & ~t == 0) != (b & ~t == 0):
-                        d_w = (F, G, H)
-                        break
-                if d_w:
-                    break
-            if d_w:
-                break
-        d_check = Check("bounded_cover_form", d_w is None, d_w)
-
-    checks = [a_check, b_check, c_check, d_check]
-    return report("tight_equivalences", checks)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,34 @@
 
 Everything here works with plain sets and literal quantifier loops, no
 bitmasks and no shared code with the package, so agreement is a real
-cross-check rather than a tautology.  The last section is the exception:
-accessors over the package's own results that only the tests read.
+cross-check rather than a tautology.  The last section is the exception,
+and the only reader of the package imports below: views of the package's
+own results, and routes of the package that only the tests call.
 """
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import and_
 from typing import NamedTuple
+
+from orderbench import axioms, spectrum
+from orderbench import tight as ti
+from orderbench.core import (
+    bits,
+    derived_relations,
+    full_mask,
+    lattice_tables,
+    lower_bound_table,
+    meets_preceq,
+    meets_preceq_table,
+    order_predicates,
+    prec_down,
+    preceq_down_table,
+    relative_complement,
+    subset_fold,
+    union_rows,
+)
+from orderbench.report import Check, report
 
 
 def elements(B):
@@ -1461,14 +1482,207 @@ def scan_enumerate(n, reflexive_only):
 
 
 # ---------------------------------------------------------------------------
-# accessors over the package
+# the package's own routes that only the tests call
 #
-# Not oracles: views of the package's own results that only tests read.
+# Not oracles: views of the package's results, and routes the gate and the
+# command line do not need, kept beside the tests that read them.
 
 
 def spectrum_space(B):
     """Discrete space on the tight characters of B with the principal opens
     as designated pseudobasis (see `spectrum._principal_opens`)."""
-    from orderbench import spectrum
-
     return spectrum._principal_opens(B)[0]
+
+
+def theta_witness(B, n):
+    """First (x, y) violating the level-n sentence: whenever some n-tuple
+    w_1..w_n < y leaves no nonzero v < x disjoint from all w_i, then x < y.
+    Read from the package's full-support failures at level n."""
+    return axioms._first_hit(axioms._theta_failures(B), axioms._level(n))
+
+
+def psi_holds(B, x, y, z, n):
+    """Level-n complementation-failure formula at (x, y, z).
+
+    x < y and for every y' < y and every choice of n pairs v_i < w_i with
+    w_i disjoint from x, some nonzero z' < z is disjoint from y' and all
+    v_i.  When nothing at all is disjoint from x the inner quantifier is
+    vacuous and the formula reduces to x < y.  The chosen sets V come from
+    the package's `axioms._supports`; their covers are built here.
+    """
+    axioms._level(n)
+    if not B.has(x, y):
+        return False
+    perp, low = derived_relations(B).perp, prec_down(B)
+    if perp[x] == 0:
+        return True
+    support = 0
+    for w in _members(perp[x]):
+        support |= low[w]
+    return all(low[y] & ~_psi_cover(B, V, z) == 0 for V in axioms._supports(support, n))
+
+
+@lru_cache(maxsize=None)
+def _psi_cover(B, V, z):
+    """The union of the perp[z'] over the nonzero z' < z that meet no
+    member of V."""
+    der = derived_relations(B)
+    cover = 0
+    for zp in _members(prec_down(B)[z]):
+        if zp != B.zero and der.meets[zp] & V == 0:
+            cover |= der.perp[zp]
+    return cover
+
+
+def _covers_fast(B):
+    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
+    zb = 1 << B.zero
+
+    def fast(C: int, D: int) -> bool:
+        return lbt[C] & ~(mut[D] | zb) == 0
+
+    return fast
+
+
+def _gba_relcomp_table(A):
+    n = A.size
+    return tuple(
+        tuple(relative_complement(A, x, y) for y in range(n)) for x in range(n)
+    )
+
+
+def _join_fold(A, items) -> int:
+    _, jt = lattice_tables(A)
+    acc = A.zero
+    for t in items:
+        acc = jt[acc][t]
+    return acc
+
+
+def verify_tight_equivalences(beta):
+    """The four reformulation clauses around tightness.
+
+    (a) tightish plus one matched total cover implies tight.
+    (b) on a meet-semilattice source with algebra target, tightish is
+        meet preservation plus join domination, and tight adds the
+        total-cover-to-maximum rule.
+    (c) between algebras, tightish = lattice homomorphism with zero kept
+        = homomorphism also preserving relative complements.
+    (d) the bounded-cover reformulation agrees with covers on all triples.
+    Clauses whose structural preconditions fail are reported as skipped.
+    The map's verdicts come from `tight.map_properties`, looked up on the
+    module, so that a test can plant them.
+    """
+    B, A = beta.source, beta.target
+    props = ti.map_properties(beta)
+    tight = props.holds("tight")
+    tightish = props.holds("tightish")
+    fast_s = _covers_fast(B)
+    predsB = order_predicates(B)
+    predsA = order_predicates(A)
+
+    # (a) covering the empty set is upward closed in G on both sides, so
+    # some G is a matched total cover iff the whole carrier is one
+    _, mpA, primeA, _ = ti._target_rows(A)
+    up = 0
+    for t in beta.assignment:
+        up |= mpA[t]
+    matched = fast_s(0, full_mask(B.size)) and primeA & ~up == 0
+    a_holds = not (tightish and matched) or tight
+    a_check = Check("tightish_matched_cover_tight", a_holds)
+
+    # (b)
+    if predsB.holds("meet_semilattice") and predsA.holds("generalized_boolean"):
+        mtB, _ = lattice_tables(B)
+        mtA, jtA = lattice_tables(A)
+        derB = derived_relations(B)
+        derA = derived_relations(A)
+        mpB = meets_preceq(B)
+        meets_ok = all(
+            beta.assignment[mtB[x][y]] == mtA[beta.assignment[x]][beta.assignment[y]]
+            for x in range(B.size)
+            for y in range(B.size)
+        )
+        dom_ok = True
+        for x in range(B.size):
+            downx = derB.preceq_down[x]
+            for G in range(1 << B.size):
+                # need G below x and x covered by G
+                if any(not derB.preceq[g] >> x & 1 for g in bits(G)):
+                    continue
+                if downx & ~union_rows(mpB, G, 1 << B.zero):
+                    continue
+                jv = _join_fold(A, (beta.assignment[g] for g in bits(G)))
+                if not derA.preceq[beta.assignment[x]] >> jv & 1:
+                    dom_ok = False
+                    break
+            if not dom_ok:
+                break
+        restricted = meets_ok and dom_ok
+        one_a = True
+        for G in range(1 << B.size):
+            if fast_s(0, G):
+                jv = _join_fold(A, (beta.assignment[g] for g in bits(G)))
+                if any(not derA.preceq[a] >> jv & 1 for a in range(A.size)):
+                    one_a = False
+                    break
+        b_holds = (tightish == restricted) and (tight == (restricted and one_a))
+        b_check = Check("semilattice_reformulation", b_holds)
+    else:
+        b_check = Check("semilattice_reformulation", None)
+
+    # (c)
+    if predsB.holds("generalized_boolean") and predsA.holds("generalized_boolean"):
+        mtB, jtB = lattice_tables(B)
+        mtA, jtA = lattice_tables(A)
+        rcB = _gba_relcomp_table(B)
+        rcA = _gba_relcomp_table(A)
+        bmap = beta.assignment
+        lat_hom = bmap[B.zero] == A.zero and all(
+            bmap[mtB[x][y]] == mtA[bmap[x]][bmap[y]]
+            and bmap[jtB[x][y]] == jtA[bmap[x]][bmap[y]]
+            for x in range(B.size)
+            for y in range(B.size)
+        )
+        gba_hom = lat_hom and all(
+            bmap[rcB[x][y]] == rcA[bmap[x]][bmap[y]]
+            for x in range(B.size)
+            for y in range(B.size)
+        )
+        c_holds = tightish == lat_hom == gba_hom
+        c_check = Check("algebra_homomorphism", c_holds)
+    else:
+        c_check = Check("algebra_homomorphism", None)
+
+    # (d) source-side identity between the bounded-cover form and covers
+    if B.size > 8:
+        d_check = Check("bounded_cover_form", None)
+    else:
+        lbt = lower_bound_table(B)
+        mut = meets_preceq_table(B)
+        dct = preceq_down_table(B)
+        fm = full_mask(B.size)
+        pt = subset_fold([fm & ~m for m in meets_preceq(B)], and_, fm)
+        zb = 1 << B.zero
+        d_w = None
+        for F in range(1 << B.size):
+            lf = lbt[F]
+            for G in range(1 << B.size):
+                bfg = lf & pt[G]
+                a = dct[bfg] & ~zb
+                b = lf & ~zb
+                if a == b:
+                    continue
+                for H in range(1 << B.size):
+                    t = mut[G | H]
+                    if (a & ~t == 0) != (b & ~t == 0):
+                        d_w = (F, G, H)
+                        break
+                if d_w:
+                    break
+            if d_w:
+                break
+        d_check = Check("bounded_cover_form", d_w is None, d_w)
+
+    checks = [a_check, b_check, c_check, d_check]
+    return report("tight_equivalences", checks)

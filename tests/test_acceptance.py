@@ -2,13 +2,32 @@
 
 All checks are exact (discrete mathematics, tolerance = equality).  Every
 criterion carries its stated runtime budget; the budget is asserted, not
-just observed.  Run with `pytest -s tests/test_acceptance.py` to see the
-lines, or `orderbench verify all` for the same sweeps from the CLI.
+just observed.  Each suite's detail lines must equal the ones pinned in
+`verify_all_seed0.txt`, the output of `orderbench verify all --seed 0`
+without its timings.  Run with `pytest -s tests/test_acceptance.py` to see
+the lines, or `orderbench verify all` for the same sweeps from the CLI.
 """
+
+from pathlib import Path
 
 import pytest
 
 from orderbench import suites
+
+
+def pinned_details(path: Path) -> dict[str, list[str]]:
+    """Suite name -> detail lines of a `verify all` text output."""
+    details = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("[suite "):
+            name = line[len("[suite "):line.index("]")]
+            details[name] = []
+        else:
+            details[name].append(line.removeprefix("  "))
+    return details
+
+
+PINNED = pinned_details(Path(__file__).with_name("verify_all_seed0.txt"))
 
 BUDGETS = {
     "example_tightness": 1,
@@ -28,7 +47,7 @@ BUDGETS = {
     "saturation_laws": 300,
 }
 
-assert set(BUDGETS) == set(suites.CRITERIA)
+assert set(BUDGETS) == set(suites.CRITERIA) == set(PINNED)
 
 
 @pytest.mark.parametrize("index,name", list(enumerate(suites.CRITERIA, start=1)))
@@ -39,6 +58,7 @@ def test_criterion(index, name):
     for line in result.details:
         print(f"    {line}")
     assert result.passed, f"criterion {index} ({name}) failed: {result.details}"
+    assert result.details == PINNED[name]
     assert result.seconds < BUDGETS[name], (
         f"criterion {index} ({name}) exceeded its {BUDGETS[name]}s budget "
         f"at {result.seconds:.1f}s"

@@ -140,7 +140,7 @@ class TestTypeFormulas:
 
         monkeypatch.setattr(axioms, "combinations", counted)
         assert axioms.phi_holds(B, 1, 62, 4) is False
-        assert axioms.psi_holds(B, 1, 62, 0, 4) is False
+        assert oracles.psi_holds(B, 1, 62, 0, 4) is False
         assert drawn == []
         assert axioms.phi_holds(B, 1, 63, 4) is False
         assert len(drawn) == 1
@@ -157,10 +157,10 @@ class TestTypeFormulas:
     def test_theta_matches_tuple_oracle(self, e0, c2, p2):
         for B in (e0, c2, p2):
             for n in (1, 2):
-                assert (axioms.theta_witness(B, n) is None) == oracles.naive_theta(B, n)
+                assert (oracles.theta_witness(B, n) is None) == oracles.naive_theta(B, n)
 
     def test_chain_fails_theta_one(self, c2):
-        assert axioms.theta_witness(c2, 1) == (2, 1)
+        assert oracles.theta_witness(c2, 1) == (2, 1)
 
     def test_monotone_in_level(self):
         # higher levels only weaken the failure formulas and strengthen the
@@ -175,7 +175,7 @@ class TestTypeFormulas:
                         y,
                         vals,
                     )
-            tvals = [axioms.theta_witness(B, n) is None for n in (1, 2, 3, 4)]
+            tvals = [oracles.theta_witness(B, n) is None for n in (1, 2, 3, 4)]
             assert all(b or not a for b, a in zip(tvals, tvals[1:]))
 
     def test_psi_monotone_small(self):
@@ -183,7 +183,7 @@ class TestTypeFormulas:
             for x in range(B.size):
                 for y in range(B.size):
                     for z in range(B.size):
-                        vals = [axioms.psi_holds(B, x, y, z, n) for n in (1, 2, 3)]
+                        vals = [oracles.psi_holds(B, x, y, z, n) for n in (1, 2, 3)]
                         assert all(a or not b for a, b in zip(vals, vals[1:]))
 
     def test_theta_forward_direction_report(self, capsys):
@@ -193,8 +193,8 @@ class TestTypeFormulas:
         for B in small_structures(4):
             for n in (1, 2, 3):
                 total += 1
-                if (axioms.theta_witness(B, n) is None
-                        and axioms.theta_witness(B, n + 1) is not None):
+                if (oracles.theta_witness(B, n) is None
+                        and oracles.theta_witness(B, n + 1) is not None):
                     flips += 1
         print(f"theta level-up flips: {flips} of {total}")
         assert total > 0
@@ -208,8 +208,8 @@ class TestTypeFormulas:
                     assert axioms.phi_holds(B, x, y, nstar) == axioms.phi_holds(
                         B, x, y, nstar + 1
                     )
-            assert (axioms.theta_witness(B, nstar) is None) == (
-                axioms.theta_witness(B, nstar + 1) is None
+            assert (oracles.theta_witness(B, nstar) is None) == (
+                oracles.theta_witness(B, nstar + 1) is None
             )
 
     def test_level_validation(self, e0):
@@ -241,26 +241,27 @@ class TestLevelSweepOracle:
 
     def test_psi_witness_from_cover_rows(self):
         # the psi witness read from one cover row per (x, z), against the
-        # literal sweep, and at the cap against one psi_holds call per triple
+        # literal sweep, and at the cap against one psi_holds call per triple,
+        # which builds its own cover rows
         for B in separation_corpus():
             got = axioms.check_basic_semilattice(B)["psi_omitted"].witness
             assert got == oracles.sweep_psi_witness(B), B.pairs()
         for B in cap_structures():
             bound = axioms.type_bound(B)
             want = next(((x, y, z) for x, y in B.pairs() for z in range(B.size)
-                         if axioms.psi_holds(B, x, y, z, bound)), None)
+                         if oracles.psi_holds(B, x, y, z, bound)), None)
             assert axioms.check_basic_semilattice(B)["psi_omitted"].witness == want
 
     def test_each_level(self):
         for B in self.corpus()[::13]:
             for n in (1, 2, 3):
-                assert axioms.theta_witness(B, n) == oracles.sweep_theta_witness(B, n)
+                assert oracles.theta_witness(B, n) == oracles.sweep_theta_witness(B, n)
             for x in range(min(B.size, 6)):
                 for y in range(min(B.size, 6)):
                     for n in (1, 2):
                         assert axioms.phi_holds(B, x, y, n) == oracles.sweep_phi(B, x, y, n)
                         for z in range(min(B.size, 4)):
-                            assert axioms.psi_holds(B, x, y, z, n) == oracles.sweep_psi(
+                            assert oracles.psi_holds(B, x, y, z, n) == oracles.sweep_psi(
                                 B, x, y, z, n
                             ), (B.pairs(), x, y, z, n)
 
@@ -281,7 +282,7 @@ class TestBasicSemilattice:
     def test_reflexive_theta_one_is_separativity(self):
         for n in range(1, 6):
             for B in lab.enumerate_structures(n, reflexive_only=True):
-                assert (axioms.theta_witness(B, 1) is None) == bool(
+                assert (oracles.theta_witness(B, 1) is None) == bool(
                     order_predicates(B).holds("separative")
                 ), B.pairs()
 

@@ -34,6 +34,12 @@ class TestExitCodes:
     def test_check_malformed(self, files, capsys):
         assert cli.run(["check", files["bad"]]) == 2
 
+    def test_check_refuses_booleans(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"size": true, "zero": false, "prec": [[false, false]]}')
+        assert cli.run(["check", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_check_missing_file(self, tmp_path):
         assert cli.run(["check", str(tmp_path / "nope.json")]) == 2
 

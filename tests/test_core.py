@@ -71,6 +71,16 @@ class TestLoading:
         with pytest.raises(IndexOutOfRange):
             p0set(0, 0, [])
 
+    @pytest.mark.parametrize("doc", [
+        '{"size": true, "zero": 0, "prec": [[0, 0]]}',
+        '{"size": 1, "zero": false, "prec": [[0, 0]]}',
+        '{"size": 1, "zero": 0, "prec": [[false, 0]]}',
+    ])
+    def test_booleans_are_not_indices(self, doc):
+        # bool is a subclass of int, and JSON's true and false are not indices
+        with pytest.raises(IndexOutOfRange):
+            load_structure(doc)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(FormatError):
             load_structure('{"size":1, "zero":0, "prec":[[0,0]], "extra":1}')

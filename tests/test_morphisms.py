@@ -253,7 +253,7 @@ class TestStoneMaps:
                         stone.FiniteTopology(X.points, X.nbhd, sm.source_space.basis),
                         stone.FiniteTopology(Y.points, Y.nbhd, sm.target_space.basis)])
                     with monkeypatch.context() as mp:
-                        mp.setattr(mo, "stone_space", lambda _: next(spaces))
+                        mp.setattr(stone, "stone_space", lambda _: next(spaces))
                         rep = mo.induced_stone_map(R).report
                     got = (rep["continuous"].witness, rep["closure_characterization"].witness)
                     want = oracles.loop_stone_map_witnesses(
@@ -322,7 +322,7 @@ class TestInterpolatorFormat:
         with pytest.raises(Exception):
             mo.load_interpolator('{"from": "x"}', tmp_path)
 
-    @pytest.mark.parametrize("pair", [["a", 1], [0.5, 1], [4, 1]])
+    @pytest.mark.parametrize("pair", [["a", 1], [0.5, 1], [4, 1], [True, 1]])
     def test_bad_pairs(self, tmp_path, p2, pair):
         (tmp_path / "p2.json").write_text(dump_structure(p2))
         doc = {"from": "p2.json", "to": "p2.json", "pairs": [[0, 0], pair]}

@@ -338,6 +338,14 @@ class TestTopologyFormat:
         with pytest.raises(FormatError):
             stone.load_topology('{"points": 2, "opens": [[], [0]], "basis": [[0]]}')
 
+    @pytest.mark.parametrize("doc", [
+        '{"points": true, "opens": [[], [0]], "basis": [[0]]}',
+        '{"points": 1, "opens": [[], [false]], "basis": [[0]]}',
+    ])
+    def test_rejects_booleans(self, doc):
+        with pytest.raises(FormatError):
+            stone.load_topology(doc)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(FormatError):
             stone.load_topology('{"points": 2}')

@@ -9,6 +9,7 @@ from orderbench import lab, tight as ti
 from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
 from orderbench.errors import (
     ConstructionIncomplete,
+    FormatError,
     NotTightish,
     PreconditionFailed,
     ZeroNotPreserved,
@@ -344,20 +345,20 @@ class TestSharedMapReports:
 
 class TestTightEquivalences:
     def test_atoms_clause_a(self, e0, p2):
-        rep = ti.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
+        rep = oracles.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
         assert rep.holds("tightish_matched_cover_tight") is True
 
     def test_identity_clause_c(self, p2):
-        rep = ti.verify_tight_equivalences(ti.identity_map(p2))
+        rep = oracles.verify_tight_equivalences(ti.identity_map(p2))
         assert rep.holds("algebra_homomorphism") is True
 
     def test_swap_clause_c(self, p2):
         swap = ti.struct_map(p2, p2, (0, 2, 1, 3))
-        rep = ti.verify_tight_equivalences(swap)
+        rep = oracles.verify_tight_equivalences(swap)
         assert rep.holds("algebra_homomorphism") is True
 
     def test_skipped_without_structure(self, e0, c2):
-        rep = ti.verify_tight_equivalences(ti.struct_map(e0, c2, (0, 1, 1)))
+        rep = oracles.verify_tight_equivalences(ti.struct_map(e0, c2, (0, 1, 1)))
         assert rep.holds("algebra_homomorphism") is None
 
     def test_all_clauses_over_small_maps(self):
@@ -367,7 +368,7 @@ class TestTightEquivalences:
             for A in objs:
                 for assign in product(range(A.size), repeat=B.size - 1):
                     beta = ti.struct_map(B, A, tuple([A.zero] + list(assign)))
-                    rep = ti.verify_tight_equivalences(beta)
+                    rep = oracles.verify_tight_equivalences(beta)
                     assert rep.passed, (B.names, A.names, assign,
                                         [c.name for c in rep.failures()])
 
@@ -385,8 +386,8 @@ class TestMatchedTotalCover:
         ), passed=False)
         monkeypatch.setattr(ti, "map_properties", lambda beta: planted)
         # the atoms cover the top of p2 but not the third atom of p3
-        matched = ti.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
-        unmatched = ti.verify_tight_equivalences(ti.struct_map(e0, p3, (0, 1, 2)))
+        matched = oracles.verify_tight_equivalences(ti.struct_map(e0, p2, (0, 1, 2)))
+        unmatched = oracles.verify_tight_equivalences(ti.struct_map(e0, p3, (0, 1, 2)))
         assert matched.holds("tightish_matched_cover_tight") is False
         assert unmatched.holds("tightish_matched_cover_tight") is True
 
@@ -741,6 +742,13 @@ class TestMapFormat:
         beta = ti.load_struct_map(doc, tmp_path)
         assert beta.assignment == (0, 1, 2)
         assert beta.source.prec == e0.prec
+
+    def test_booleans_are_not_indices(self, tmp_path, e0, p2):
+        (tmp_path / "e0.json").write_text(dump_structure(e0))
+        (tmp_path / "p2.json").write_text(dump_structure(p2))
+        doc = json.dumps({"from": "e0.json", "to": "p2.json", "map": [False, True, 2]})
+        with pytest.raises(FormatError):
+            ti.load_struct_map(doc, tmp_path)
 
 
 class TestFactoringSuite:
