@@ -40,7 +40,7 @@ class NotTransitive(OrderbenchError):
 
 
 class CapExceeded(OrderbenchError):
-    """Carrier size exceeds the documented cap of an enumerative operation."""
+    """A carrier size or parameter lies outside an operation's documented range."""
 
 
 class NotAntisymmetric(OrderbenchError):

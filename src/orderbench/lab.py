@@ -102,8 +102,8 @@ def random_p0set(n: int, seed: int, reflexive: bool = False, density: float = 0.
     order on the nonzero elements.  The closed rows are transitive and
     row 0 is full, so they are the structure as they stand.
     """
-    if not 1 <= n <= RANDOM_CAP:
-        raise CapExceeded(f"random structures capped at carrier {RANDOM_CAP}")
+    if not (1 <= n <= RANDOM_CAP and 0 <= density <= 1):
+        raise CapExceeded(f"random structures need 1 <= n <= {RANDOM_CAP} and 0 <= density <= 1")
     rng = random.Random((seed, n, reflexive, round(density, 9)).__repr__())
     rows = [0] * n
     if reflexive:
@@ -252,6 +252,8 @@ def search_counterexample(
     """
     if suite not in SUITES:
         raise UnknownSuite(f"no suite named {suite!r}; known: {sorted(SUITES)}")
+    if min(bound, budget) < 1:
+        raise CapExceeded(f"search needs bound >= 1 and budget >= 1, not {bound} and {budget}")
     predicate, curated = SUITES[suite]
     spent = 0
     for name, k in curated:
@@ -270,7 +272,7 @@ def search_counterexample(
                 return B
     rng = random.Random(seed)
     while spent < budget:
-        n = rng.randint(2, max(2, min(bound, RANDOM_CAP)))
+        n = rng.randint(min(2, bound), min(bound, RANDOM_CAP))
         B = random_p0set(n, rng.getrandbits(32), rng.random() < 0.5, rng.uniform(0.1, 0.6))
         spent += 1
         if not predicate(B):

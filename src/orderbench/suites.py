@@ -16,10 +16,11 @@ import random
 import time
 from functools import lru_cache
 from itertools import product
+from operator import or_
 from typing import NamedTuple
 
 from . import axioms, lab, saturation, spectrum, stone, tight
-from .core import P0Set, antisymmetry_violation, full_mask, lattice_tables, order_predicates, subset_fold
+from .core import P0Set, antisymmetry_violation, full_mask, order_predicates, subset_fold
 from .errors import ConstructionIncomplete, PreconditionFailed, UnknownSuite
 
 
@@ -378,83 +379,85 @@ def suite_cover_envelope(seed: int = 0) -> SuiteResult:
 # criterion 10
 
 
-def _atom_uniqueness(S: tight.RegularOpenAlgebra, beta, pi) -> bool:
-    """Count the algebra homomorphisms extending the map through the
-    embedding by enumerating values on atoms; exactly one must exist and
-    match the constructed factor."""
-    A = beta.target
-    mtA, jtA = lattice_tables(A)
-    size = 1 << len(S.signatures)
-    matches = 0
-    for vals in product(range(A.size), repeat=len(S.signatures)):
-        assign = subset_fold(vals, lambda a, v: jtA[a][v], A.zero)
-        if any(
-            assign[S.rho_index[x]] != beta.assignment[x] for x in range(beta.source.size)
-        ):
-            continue
-        good = all(
-            assign[T & U] == mtA[assign[T]][assign[U]]
-            and assign[T | U] == jtA[assign[T]][assign[U]]
-            for T in range(size)
-            for U in range(size)
-        )
-        if good:
-            matches += 1
-            if assign != pi.assignment:
-                return False
-    return matches == 1
+def _atom_uniqueness(S: tight.RegularOpenAlgebra, chi, pi) -> bool:
+    """Try 0 or 1 on each atom, extended to the algebra by joins: exactly
+    one choice must preserve meets and restrict to the character chi, and
+    it must be the factor pi."""
+    found = []
+    for vals in product((0, 1), repeat=len(S.signatures)):
+        assign = subset_fold(vals, or_, 0)
+        elements = range(len(assign))
+        if all(assign[S.rho_index[x]] == v for x, v in enumerate(chi.assignment)) and all(
+                assign[T & U] == assign[T] & assign[U] for T in elements for U in elements):
+            found.append(assign)
+    return found == [pi.assignment]
+
+
+def _tuple_map(maps, A: P0Set) -> tight.StructMapTotal:
+    """The map into the powerset A whose coordinate j is the character maps[j]."""
+    B = maps[0].source
+    return tight.StructMapTotal(B, A, tuple(
+        sum(m.assignment[x] << j for j, m in enumerate(maps)) for x in range(B.size)))
 
 
 def suite_universal_factoring(seed: int = 0) -> SuiteResult:
-    """Exhaustive factoring of every tightish map from small structures
-    into the four- and eight-element algebras.
+    """The universal property at every powerset target, through characters.
 
-    Uniqueness holds structurally: each atom is a Boolean expression in
-    the generators, so its value is forced.  The atom-value enumeration
-    below re-verifies it explicitly on a deterministic subsample.
+    In a powerset, some nonzero element lies below every image of F and
+    misses every image of G exactly when some atom does, so a map into
+    `powerset k` is tightish (or tight) exactly when its k coordinate
+    characters are, and its factor is the tuple of theirs.  Every tightish
+    character of catalog(4) and of a seeded size-5 sample is factored and
+    checked, and seeded k-tuples of them, k = 2..6, against their
+    coordinates.
     """
-    nm = _named()
-    targets = [nm["p2"], nm["p3"]]
-    structures = catalog(4)
-    factored = 0
-    tight_transfers = 0
+    rng = random.Random(seed)
+    sample = rng.sample(lab.enumerate_structures(5), 200)
+    powersets = [lab.make_family("powerset", k) for k in range(7)]
+    factored = tight_count = tuples = mixed = 0
     bad = []
-    sampled_unique = 0
-    idx = 0
-    for B in structures:
-        S = None
-        for A in targets:
-            for beta in tight.zero_preserving_maps(B, A):
-                props = tight.map_properties(beta)
+    try:
+        for B in catalog(4) + tuple(sample):
+            S = tight.enveloping_algebra(B)
+            good, others, tight_chars = [], [], []
+            for chi in tight.zero_preserving_maps(B, powersets[1]):
+                props = tight.map_properties(chi)
                 if not props.holds("tightish"):
+                    others.append(chi)
                     continue
-                if S is None:
-                    S = tight.enveloping_algebra(B)
-                try:
-                    pi = tight.factor_tight(beta)
-                except ConstructionIncomplete as exc:
-                    bad.append((B, beta, f"factoring raised {exc!r}"))
-                    continue
+                pi = tight.factor_tight(chi)
                 factored += 1
-                # composition with the embedding gives the map back
-                if any(
-                    pi.assignment[S.rho_index[x]] != beta.assignment[x]
-                    for x in range(B.size)
-                ):
-                    bad.append((B, beta, "factor does not restrict to the map"))
-                idx += 1
-                if idx % 25 == 0 and len(S.signatures) * 3 <= 12:
-                    sampled_unique += 1
-                    if not _atom_uniqueness(S, beta, pi):
-                        bad.append((B, beta, "atom enumeration found another factor"))
+                good.append((chi, pi, props.holds("tight")))
+                if not _atom_uniqueness(S, chi, pi):
+                    bad.append((B, chi, "the factor is not the one homomorphism restricting to it"))
                 if props.holds("tight"):
-                    tight_transfers += 1
+                    tight_chars.append(sum(v << x for x, v in enumerate(chi.assignment)))
                     if not tight.map_properties(pi).holds("tight"):
-                        bad.append((B, beta, "tight map factored to a non-tight one"))
+                        bad.append((B, chi, "tight character factored to a non-tight map"))
+            tight_count += len(tight_chars)
+            if tuple(sorted(tight_chars)) != spectrum.tight_characters(B).chars:
+                bad.append((B, None, "tight characters differ from the spectrum's"))
+            for k in range(2, 7) if good else ():
+                chis, pis, flags = zip(*(rng.choice(good) for _ in range(k)))
+                beta = _tuple_map(chis, powersets[k])
+                props = tight.map_properties(beta)
+                tuples += 1
+                if (not props.holds("tightish") or props.holds("tight") != all(flags)
+                        or tight.factor_tight(beta) != _tuple_map(pis, powersets[k])):
+                    bad.append((B, beta, "tuple disagrees with its coordinates"))
+                if others:
+                    mixed += 1
+                    chis = list(chis)
+                    chis[rng.randrange(k)] = rng.choice(others)
+                    if tight.map_properties(_tuple_map(chis, powersets[k])).holds("tightish"):
+                        bad.append((B, chis, "a non-tightish coordinate left the tuple tightish"))
+    except ConstructionIncomplete as exc:
+        bad.append((None, None, f"factoring raised {exc!r}"))
     details = [
-        f"{factored} tightish maps factored over {len(structures)} structures",
-        f"tight transfers checked: {tight_transfers}",
-        f"atom-enumeration uniqueness samples: {sampled_unique}",
+        f"{factored} tightish characters factored over {len(catalog(4))} structures of "
+        f"size <= 4 and {len(sample)} of size 5, uniqueness checked on each",
+        f"tight characters checked for a tight factor and against the spectrum: {tight_count}",
+        f"k-tuples into powerset 2..6: {tuples} of tightish characters, {mixed} with a non-tightish one",
         f"failures: {len(bad)}",
     ]
     return SuiteResult("universal_factoring", not bad, details)

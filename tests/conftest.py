@@ -62,15 +62,17 @@ def fresh(B):
 
 
 def with_edge_loops(monkeypatch):
-    """For the rest of the test, `axioms` runs the pair laws and the join
-    reach by the edge loops its folds replaced.  The loop reach is cached
-    per (structure, columns), as the package caches its fold."""
+    """For the rest of the test, `axioms` runs the pair laws, the join
+    reach and Riesz interpolation by the loops its folds replaced.  The
+    loop reach is cached per (structure, columns), as the package caches
+    its fold."""
     import oracles
     from orderbench import axioms
     from orderbench.report import Check
 
     monkeypatch.setattr(axioms, "_pair_law", lambda *args: Check(*oracles.loop_pair_law(*args)))
     monkeypatch.setattr(axioms, "_join_reach", lru_cache(maxsize=None)(oracles.loop_join_reach))
+    monkeypatch.setattr(axioms, "_sweep_riesz", oracles.loop_riesz)
 
 
 def small_structures(max_n):

@@ -1411,6 +1411,22 @@ def loop_pair_law(name, tB, tC, rel):
     return name, True, None
 
 
+def loop_riesz(B):
+    """Riesz interpolation by the loop over pairs (x, x2) and pairs of
+    their common upper bounds that the row grouping replaced, first
+    failure in that order, as a Check."""
+    down = _axiom_tables(B)[0]
+    for x in range(B.size):
+        for x2 in range(x, B.size):
+            up = B.prec[x] & B.prec[x2]
+            ups = _members(up)
+            for i, y in enumerate(ups):
+                for y2 in ups[i:]:
+                    if up & down[y] & down[y2] == 0:
+                        return Check("riesz_interpolation", False, (x, x2, y, y2))
+    return Check("riesz_interpolation", True)
+
+
 def loop_join_reach(B, cols):
     """reach[x][y] = {a v b : a R x, b R y}, joins in B, as masks, by the
     loop over pairs (a, b) that the fold replaced."""
@@ -1686,3 +1702,15 @@ def verify_tight_equivalences(beta):
 
     checks = [a_check, b_check, c_check, d_check]
     return report("tight_equivalences", checks)
+
+
+def factoring_by_maps(structures, targets):
+    """The enumeration `universal_factoring` ran before it went through
+    coordinate characters: every zero-preserving map from each structure
+    into each target, as (beta, its `map_properties` report, its
+    `factor_tight` factor or None where it is not tightish)."""
+    for B in structures:
+        for A in targets:
+            for beta in ti.zero_preserving_maps(B, A):
+                props = ti.map_properties(beta)
+                yield beta, props, ti.factor_tight(beta) if props.holds("tightish") else None

@@ -374,15 +374,21 @@ class TestSharedLaws:
             assert {(name, True), (name, False)} <= seen, name
 
     def test_folds_against_edge_loops(self, monkeypatch):
-        # whole reports, witnesses included, at the carrier cap; the fresh
-        # copies build every table anew under the loops, and the
-        # semilattice report reads the same multiplicativity table
-        cap = cap_structures()
-        reports = [axioms.check_basic_lattice(B) for B in cap]
+        # whole reports, witnesses included, at the carrier cap and on
+        # seeded random structures; the fresh copies build every table
+        # anew under the loops, and the semilattice report reads the same
+        # multiplicativity table
+        rng = random.Random(5)
+        inputs = cap_structures() + [
+            lab.random_p0set(2 + i % 11, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.05, 0.6))
+            for i in range(200)]
+        reports = [axioms.check_basic_lattice(B) for B in inputs]
         with_edge_loops(monkeypatch)
-        for B, want in zip(cap, reports):
+        for B, want in zip(inputs, reports):
             B = fresh(B)
-            assert axioms.check_basic_lattice(B) == want, B.size
+            assert axioms.check_basic_lattice(B) == want, B.pairs()
+        # both verdicts of the Riesz sweep occur
+        assert {r.holds("riesz_interpolation") for r in reports} == {True, False}
 
 
 class TestFalsifiability:

@@ -82,6 +82,17 @@ class TestExitCodes:
         assert cli.run(["envelope", files["e0"], "--map", str(mp)]) == 0
         assert "factoring" in capsys.readouterr().out
 
+    def test_envelope_with_wrong_factor_fails(self, files, tmp_path, capsys, monkeypatch):
+        # a factor that does not restrict to the map is a failure, exit 1
+        from orderbench import tight
+
+        monkeypatch.setattr(tight, "subset_fold", lambda rows, op, init: (init,) * (1 << len(rows)))
+        doc = {"from": "e0.json", "to": "p2.json", "map": [0, 1, 2]}
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(doc))
+        assert cli.run(["envelope", files["e0"], "--map", str(mp)]) == 1
+        assert "factored map disagrees with the input" in capsys.readouterr().err
+
     def test_saturate(self, files, capsys):
         assert cli.run(["saturate", files["e0"]]) == 0
         out = capsys.readouterr().out
@@ -101,9 +112,17 @@ class TestExitCodes:
         assert cli.run(["verify", "all", "--max-size", "3"]) == 2
 
     def test_search_found_is_one(self, capsys):
-        assert cli.run(["search", "decomposition_holds", "--bound", "0",
+        assert cli.run(["search", "decomposition_holds", "--bound", "1",
                         "--budget", "1"]) == 1
         assert "counterexample" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--bound", "0"), ("--bound", "-3"),
+                                            ("--budget", "0"), ("--budget", "-5")])
+    def test_search_refuses_empty_searches(self, flag, value, capsys):
+        # a search that checks nothing must not print "no counterexample found"
+        assert cli.run(["search", "chain_respected", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "search needs bound >= 1 and budget >= 1" in captured.err
 
     def test_search_none_is_zero(self, capsys):
         assert cli.run(["search", "chain_respected", "--bound", "3",
@@ -247,6 +266,22 @@ class TestGen:
         assert cli.run(["gen", "random", "4", "--seed", "42"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("density", ["-1", "-0.01", "1.5", "nan"])
+    def test_gen_refuses_density_outside_unit_interval(self, density, capsys):
+        assert cli.run(["gen", "random", "3", "--density", density]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "0 <= density <= 1" in captured.err
+
+    def test_gen_density_bounds_accepted(self, capsys):
+        for density in ("0", "1"):
+            assert cli.run(["gen", "random", "3", "--density", density]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n", ["0", "-2", "13"])
+    def test_gen_random_names_both_size_bounds(self, n, capsys):
+        assert cli.run(["gen", "random", n]) == 2
+        assert "random structures need 1 <= n <= 12" in capsys.readouterr().err
+
     def test_unknown_family_rejected(self, capsys):
         assert cli.run(["gen", "definitely_not_a_family", "3"]) == 2
         assert "unknown family" in capsys.readouterr().err
@@ -276,7 +311,7 @@ class TestJsonFormat:
         assert doc["details"] and all(isinstance(d, str) for d in doc["details"])
 
     def test_search_json(self, capsys):
-        assert cli.run(["search", "decomposition_holds", "--bound", "0",
+        assert cli.run(["search", "decomposition_holds", "--bound", "1",
                         "--budget", "1", "--format", "json"]) == 1
         found = json.loads(capsys.readouterr().out)["counterexample"]
         assert load_structure(json.dumps(found)).size == found["size"]

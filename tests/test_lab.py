@@ -64,8 +64,9 @@ class TestRandom:
             assert all(B.has(x, x) for x in range(B.size))
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            lab.random_p0set(13, 0)
+        for n, density in ((13, 0.3), (0, 0.3), (3, -0.01), (3, 1.5), (3, float("nan"))):
+            with pytest.raises(CapExceeded):
+                lab.random_p0set(n, 0, False, density)
 
 
 class TestEnumeration:
@@ -139,7 +140,7 @@ class TestEnumeration:
 
 class TestSearch:
     def test_curated_counterexample(self):
-        found = lab.search_counterexample("decomposition_holds", 0, 1, 0)
+        found = lab.search_counterexample("decomposition_holds", 1, 1, 0)
         assert found is not None and found.size == 5
 
     def test_theorem_suites_find_nothing(self):
@@ -152,9 +153,22 @@ class TestSearch:
         ):
             assert lab.search_counterexample(name, 4, 400, 7) is None
 
+    def test_empty_search_refused(self):
+        for bound, budget in ((0, 10), (3, 0), (-1, -1)):
+            with pytest.raises(CapExceeded):
+                lab.search_counterexample("chain_respected", bound, budget, 0)
+
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
             lab.search_counterexample("nope", 3, 10, 0)
 
     def test_budget_respected(self):
         assert lab.search_counterexample("chain_respected", 8, 5, 0) is None
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_random_sizes_within_bound(self, bound, monkeypatch):
+        sizes = []
+        probe = (lambda B: sizes.append(B.size) is None, ())
+        monkeypatch.setitem(lab.SUITES, "probe", probe)
+        assert lab.search_counterexample("probe", bound, 300, 0) is None
+        assert len(sizes) == 300 and max(sizes) == bound

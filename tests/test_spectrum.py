@@ -50,6 +50,18 @@ class TestTightCharacters:
                 rep = ti.map_properties(ti.struct_map(B, two, assign))
                 assert rep.holds("tight"), (B.names, bin(M))
 
+    def test_tight_maps_are_the_characters(self):
+        # both directions on every structure of size <= 5: the characters
+        # `map_properties` calls tight are exactly the tight characters
+        two = lab.make_family("powerset", 1)
+        structures = small_structures(5)
+        for B in structures:
+            flagged = sorted(mask_from(x for x, v in enumerate(chi.assignment) if v)
+                             for chi in ti.zero_preserving_maps(B, two)
+                             if ti.map_properties(chi).holds("tight"))
+            assert tuple(flagged) == sp.tight_characters(B).chars, B.pairs()
+        assert len(structures) == 5004
+
 
 class TestMaximalCentred:
     def test_named(self, e0, c2, one):

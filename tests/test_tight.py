@@ -773,7 +773,52 @@ class TestFactoringSuite:
         monkeypatch.setattr(ti, "factor_tight", clash)
         result = suites.suite_universal_factoring()
         assert not result.passed
-        assert result.details[0].startswith("0 tightish maps factored")
+        assert result.details[0].startswith("0 tightish characters factored")
+        assert result.details[-1] != "failures: 0"
+
+    def test_coordinates_against_map_enumeration(self, p2, p3):
+        # every map of catalog(4) into powerset 2 and 3: its tight and
+        # tightish flags are its coordinate characters' conjunctions, its
+        # witnesses their first, and its factor the tuple of theirs
+        from orderbench import suites
+
+        two = lab.make_family("powerset", 1)
+        tightish = tight = 0
+        for B in small_structures(4):
+            characters = {}  # assignment -> (report, factor or None)
+            for chi in ti.zero_preserving_maps(B, two):
+                rep = ti.map_properties(chi)
+                characters[chi.assignment] = (
+                    rep, ti.factor_tight(chi) if rep.holds("tightish") else None)
+            S = ti.enveloping_algebra(B)
+            for beta, props, pi in oracles.factoring_by_maps([B], (p2, p3)):
+                A = beta.target
+                reports, factors = zip(*(characters[tuple(t >> j & 1 for t in beta.assignment)]
+                                         for j in range(A.size.bit_length() - 1)))
+                for flag in ("tight", "tightish"):
+                    found = [r[flag].witness for r in reports if not r.holds(flag)]
+                    assert (props.holds(flag), props[flag].witness) == (
+                        not found, min(found, default=None)), beta
+                if pi is not None:
+                    tightish += 1
+                    tight += props.holds("tight")
+                    assert pi == suites._tuple_map(factors, A), beta
+                    assert all(pi.assignment[S.rho_index[x]] == beta.assignment[x]
+                               for x in range(B.size))
+                    assert ti.map_properties(pi).holds("tight") or not props.holds("tight")
+        # the counts the map enumeration reported when it was the suite
+        assert (tightish, tight) == (1824, 404)
+
+    def test_coordinate_order_is_bit_order(self, e0, p2):
+        # coordinate j is bit j of the target index: {1} for the first
+        # character, {2} for the second
+        from orderbench import suites
+
+        two = lab.make_family("powerset", 1)
+        first = ti.struct_map(e0, two, (0, 1, 0))
+        second = ti.struct_map(e0, two, (0, 0, 1))
+        assert suites._tuple_map([first, second], p2).assignment == (0, 1, 2)
+        assert suites._tuple_map([second, first], p2).assignment == (0, 2, 1)
 
 
 class TestAgainstEnumeration:
