@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from . import axioms
 from .core import (
+    FAMILY_BOUND,
     P0Set,
     SubsetMask,
     bits,
@@ -54,7 +55,6 @@ from .errors import CapExceeded, OrderbenchError, PreconditionFailed
 from .report import Check, Report, report
 
 SUBSET_CAP = 12
-FAMILY_BOUND = 1 << 12
 FRAME_CAP = 8
 #: The laws of `verify_subset_laws` and `verify_frame`, in report order:
 #: past FRAME_CAP, `saturate` prints them as skipped.

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
-from operator import and_
 from pathlib import Path
 from typing import NamedTuple
 
 from .core import (
+    FAMILY_BOUND,
     P0Set,
     SubsetMask,
     bits,
@@ -30,6 +30,7 @@ from .core import (
     lattice_tables,
     load_linked,
     lower_bound_table,
+    mask_from,
     meets_preceq,
     meet_rows,
     meets_preceq_table,
@@ -53,7 +54,6 @@ from .errors import (
 from .report import Check, Report, report
 
 MAP_CAP = 10
-FGRHO_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -324,54 +324,58 @@ def enveloping_algebra(B: P0Set) -> RegularOpenAlgebra:
     return RegularOpenAlgebra(sigs, tuple(atoms[s] for s in sigs), tuple(transpose(sigs, B.size)))
 
 
-@lru_cache(maxsize=None)
-def _meeting(R: SubsetMask, n: int) -> int:
-    """The subsets of range(n) that meet R, as a bitset indexed by subset.
-    The cache is bounded: verify_fgrho calls it with n <= FGRHO_CAP."""
-    avoiding = 1
-    for b in range(n):
-        if not R >> b & 1:
-            avoiding |= avoiding << (1 << b)
-    return full_mask(1 << n) & ~avoiding
+def _transversal_mismatch(one, other, universe: SubsetMask) -> SubsetMask | None:
+    """None when the families of masks `one` and `other` have the same
+    transversals in `universe` (the G meeting every member), or else a G
+    that is a transversal of exactly one of them.
+
+    Two families have the same transversals exactly when they have the same
+    minimal members (Edmonds and Fulkerson, "Bottleneck extrema", 1970).  A
+    set meets every member when it meets every minimal one.  Conversely,
+    let M be the least mask in the symmetric difference of the minimal
+    families, say minimal in `one`: G = universe - M misses M.  A member of
+    `other` inside M would hold a minimal one M', not M, which is not
+    minimal in `other`.  Either M' is not minimal in `one`, a smaller mask
+    of the difference, or it is, and nested in M; both contradict the
+    choice of M, so G meets all of `other`.
+    """
+    def minimal(rows):
+        rows = set(rows)
+        return {r for r in rows if not any(s != r and s & ~r == 0 for s in rows)}
+
+    diff = minimal(one) ^ minimal(other)
+    return universe & ~min(diff) if diff else None
 
 
 def verify_fgrho(B: P0Set) -> Report:
     """Check that F covers G exactly when the meet of the rho(x) over F
     lies below the join of the rho(x) over G, for all finite F, G.
 
-    For each F, both sides are bitsets over every G.  F covers G when G
-    meets, for each nonzero lower bound e of F, the elements meeting e.
-    On atom masks the meet over F lies below the join over G when G
-    meets the signature of each atom of the meet.  The witness is the
-    first mismatching (F, G) in ascending order.
+    Both sides say that G meets every member of a family fixed by F's key
+    (lower bounds, atom mask of the meet): the `meets_preceq` rows of the
+    nonzero lower bounds, and the signatures of the meet's atoms.  Keys
+    are meets of the pairs (`preceq_down[x]`, `rho_index[x]`), refused past
+    `FAMILY_BOUND` of them (a crown has one per set of its middle elements);
+    the witness is the largest F of the first key found failing, and its G.
     """
-    if B.size > FGRHO_CAP:
-        raise CapExceeded(f"image cover equivalence capped at carrier {FGRHO_CAP}")
-    n = B.size
     S = enveloping_algebra(B)
-    cap = subset_fold(S.rho_index, and_, full_mask(len(S.signatures)))
-    lbt, mp = lower_bound_table(B), meets_preceq(B)
-    zb = 1 << B.zero
-
-    def meeting_all(rows) -> int:
-        acc = full_mask(1 << n)
-        for r in rows:
-            acc &= _meeting(r, n)
-        return acc
-
-    # both sides depend on F only through (lbt[F], cap[F]); the distinct
-    # pairs, in order of first occurrence, keep the ascending witness
-    keys = list(zip(lbt, cap))
-    w = None
-    for lb, c in dict.fromkeys(keys):
-        # meets_preceq is symmetric: its row e is {g : e meets g}
-        covered = meeting_all(mp[e] for e in bits(lb & ~zb))
-        below = meeting_all(S.signatures[i] for i in bits(c))
-        diff = covered ^ below
-        if diff:
-            w = (keys.index((lb, c)), (diff & -diff).bit_length() - 1)
-            break
-    return report("image_cover_equivalence", [Check("equivalence", w is None, w)])
+    mp, carrier = meets_preceq(B), full_mask(B.size)
+    gens = tuple(zip(derived_relations(B).preceq_down, S.rho_index))
+    keys = [(carrier, full_mask(len(S.signatures)))]  # F = {}, then each new meet
+    seen = set(keys)
+    for lb, cap in keys:
+        rows = (mp[e] for e in bits(lb & ~(1 << B.zero)))
+        G = _transversal_mismatch(rows, (S.signatures[i] for i in bits(cap)), carrier)
+        if G is not None:
+            F = mask_from(x for x, (d, r) in enumerate(gens) if not (lb & ~d | cap & ~r))
+            return report("image_cover_equivalence", [Check("equivalence", False, (F, G))])
+        for key in ((lb & d, cap & r) for d, r in gens):
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+        if len(keys) > FAMILY_BOUND:
+            raise CapExceeded(f"image cover equivalence capped at {FAMILY_BOUND} keys")
+    return report("image_cover_equivalence", [Check("equivalence", True)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from typing import NamedTuple
 from orderbench import axioms, spectrum
 from orderbench import tight as ti
 from orderbench.core import (
+    P0Set,
+    SubsetMask,
     bits,
     derived_relations,
     full_mask,
@@ -29,7 +31,8 @@ from orderbench.core import (
     subset_fold,
     union_rows,
 )
-from orderbench.report import Check, report
+from orderbench.errors import CapExceeded
+from orderbench.report import Check, Report, report
 
 
 def elements(B):
@@ -1495,6 +1498,66 @@ def scan_enumerate(n, reflexive_only):
 
     rec(1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the image-cover equivalence by a sweep over every F
+#
+# The route `tight.verify_fgrho` took before it compared minimal families
+# per key: for each F, both sides as bitsets over every G, with the first
+# mismatching (F, G) in ascending order as the witness.
+
+SWEEP_CAP = 8
+
+
+@lru_cache(maxsize=None)
+def _meeting(R: SubsetMask, n: int) -> int:
+    """The subsets of range(n) that meet R, as a bitset indexed by subset.
+    The cache is bounded: sweep_fgrho calls it with n <= SWEEP_CAP."""
+    avoiding = 1
+    for b in range(n):
+        if not R >> b & 1:
+            avoiding |= avoiding << (1 << b)
+    return full_mask(1 << n) & ~avoiding
+
+
+def sweep_fgrho(B: P0Set) -> Report:
+    """Check that F covers G exactly when the meet of the rho(x) over F
+    lies below the join of the rho(x) over G, for all finite F, G.
+
+    For each F, both sides are bitsets over every G.  F covers G when G
+    meets, for each nonzero lower bound e of F, the elements meeting e.
+    On atom masks the meet over F lies below the join over G when G
+    meets the signature of each atom of the meet.  The witness is the
+    first mismatching (F, G) in ascending order.
+    """
+    if B.size > SWEEP_CAP:
+        raise CapExceeded(f"image cover equivalence capped at carrier {SWEEP_CAP}")
+    n = B.size
+    S = ti.enveloping_algebra(B)
+    cap = subset_fold(S.rho_index, and_, full_mask(len(S.signatures)))
+    lbt, mp = lower_bound_table(B), meets_preceq(B)
+    zb = 1 << B.zero
+
+    def meeting_all(rows) -> int:
+        acc = full_mask(1 << n)
+        for r in rows:
+            acc &= _meeting(r, n)
+        return acc
+
+    # both sides depend on F only through (lbt[F], cap[F]); the distinct
+    # pairs, in order of first occurrence, keep the ascending witness
+    keys = list(zip(lbt, cap))
+    w = None
+    for lb, c in dict.fromkeys(keys):
+        # meets_preceq is symmetric: its row e is {g : e meets g}
+        covered = meeting_all(mp[e] for e in bits(lb & ~zb))
+        below = meeting_all(S.signatures[i] for i in bits(c))
+        diff = covered ^ below
+        if diff:
+            w = (keys.index((lb, c)), (diff & -diff).bit_length() - 1)
+            break
+    return report("image_cover_equivalence", [Check("equivalence", w is None, w)])
 
 
 # ---------------------------------------------------------------------------

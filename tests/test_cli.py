@@ -7,7 +7,7 @@ import time
 import pytest
 
 from orderbench import cli, lab
-from orderbench.core import dump_structure, load_structure
+from orderbench.core import dump_structure, load_structure, p0set
 
 
 @pytest.fixture()
@@ -224,34 +224,69 @@ class TestWideCarriers:
         err = capsys.readouterr().err
         assert "saturated families capped at 4096 unions of generator rows" in err
 
+    @staticmethod
+    def crown(k):
+        # zero, k middle elements and k tops, top j above every middle
+        # element but the j-th: the lower bounds of a set of tops are the
+        # middle elements it does not name, so there are 2**k image-cover keys,
+        # answered up to 4,096
+        n = 1 + 2 * k
+        return p0set(n, 0, [(0, x) for x in range(n)] + [(x, x) for x in range(n)]
+                     + [(1 + i, 1 + k + j) for i in range(k) for j in range(k) if i != j])
+
+    @pytest.mark.parametrize("k,code", [(12, 0), (13, 2), (31, 2)])
+    def test_envelope_refuses_a_wide_crown(self, k, code, tmp_path, capsys, deadline):
+        path = tmp_path / "crown.json"
+        path.write_text(dump_structure(self.crown(k)))
+        start = time.perf_counter()
+        assert cli.run(["envelope", str(path)]) == code
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        if code:
+            assert out.out == ""
+            assert "error: image cover equivalence capped at 4096 keys" in out.err
+        else:
+            assert out.out.split()[-1] == "PASS"
+
     def test_capped_checks_print_as_skipped(self, tmp_path, capsys, deadline):
-        # past FRAME_CAP and FGRHO_CAP (8 elements) each report keeps the
-        # laws it has at 8 elements, every one with holds null, and stderr
-        # says why; the exit code is that of a report with no failure
+        # past FRAME_CAP (8 elements) each saturate report keeps the laws it
+        # has at 8 elements, every one with holds null, and stderr says
+        # why; the exit code is that of a report with no failure.  envelope
+        # has no cap: it prints a verdict at every size and skips nothing
         def write(n):
             path = tmp_path / f"chain{n}.json"
             path.write_text(dump_structure(lab.make_family("chain", n)))
             return str(path)
 
         at_cap, past = write(7), write(9)
-        for verb in ("saturate", "envelope"):
-            assert cli.run([verb, at_cap, "--format", "json"]) == 0
-            checked = json.loads(capsys.readouterr().out)
-            assert cli.run([verb, past, "--format", "json"]) == 0
-            out = capsys.readouterr()
-            doc = json.loads(out.out)
-            assert len(doc) == (2 if verb == "saturate" else 1)
-            assert {name: [c["axiom"] for c in rep] for name, rep in doc.items()} == {
-                name: [c["axiom"] for c in rep] for name, rep in checked.items()}
-            assert all(c["holds"] is None and c["witness"] is None
-                       for rep in doc.values() for c in rep)
-            for name in doc:
-                assert f"carrier 10 exceeds 8; {name} skipped\n" in out.err
-            assert cli.run([verb, past]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            assert [line for line in lines if line.startswith("[")] == [f"[{n}]" for n in doc]
-            laws = [line.split() for line in lines if not line.startswith("[")]
-            assert laws == [[c["axiom"], "n/a"] for rep in doc.values() for c in rep]
+        assert cli.run(["saturate", at_cap, "--format", "json"]) == 0
+        checked = json.loads(capsys.readouterr().out)
+        assert cli.run(["saturate", past, "--format", "json"]) == 0
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert len(doc) == 2
+        assert {name: [c["axiom"] for c in rep] for name, rep in doc.items()} == {
+            name: [c["axiom"] for c in rep] for name, rep in checked.items()}
+        assert all(c["holds"] is None and c["witness"] is None
+                   for rep in doc.values() for c in rep)
+        for name in doc:
+            assert f"carrier 10 exceeds 8; {name} skipped\n" in out.err
+        assert cli.run(["saturate", past]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("[")] == [f"[{n}]" for n in doc]
+        laws = [line.split() for line in lines if not line.startswith("[")]
+        assert laws == [[c["axiom"], "n/a"] for rep in doc.values() for c in rep]
+
+        assert cli.run(["envelope", past, "--format", "json"]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"image_cover_equivalence": [
+            {"axiom": "equivalence", "holds": True, "witness": None}]}
+        assert "skipped" not in out.err
+        assert cli.run(["envelope", past]) == 0
+        out = capsys.readouterr()
+        assert out.out.split() == ["[image_cover_equivalence]", "equivalence", "pass",
+                                   "=>", "PASS"]
+        assert "skipped" not in out.err
 
 
 class TestGen:

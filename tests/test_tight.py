@@ -583,6 +583,66 @@ class TestEnvelope:
             assert ti.map_properties(rho_map).holds("tight"), B.pairs()
 
 
+def _lost_atom(S, x):
+    """The rows of S with rho(x) losing its lowest atom, or None when
+    rho(x) is empty."""
+    rows = list(S.rho_index)
+    if not rows[x]:
+        return None
+    rows[x] &= rows[x] - 1
+    return rows
+
+
+def _gained_atom(S, x):
+    """The rows of S with rho(x) gaining the lowest atom it lacks, or None
+    when it has every atom."""
+    rows = list(S.rho_index)
+    missing = full_mask(len(S.signatures)) & ~rows[x]
+    if not missing:
+        return None
+    rows[x] |= missing & -missing
+    return rows
+
+
+def _algebra_from_rows(S, rows):
+    """S with `rho_index` = rows and the signatures read from them."""
+    return S._replace(
+        signatures=tuple(
+            mask_from(y for y, r in enumerate(rows) if r >> i & 1)
+            for i in range(len(S.signatures))
+        ),
+        rho_index=tuple(rows),
+    )
+
+
+def _cap(rows, top, F):
+    """The meet of rows over F, top for F empty."""
+    for f in bits(F):
+        top &= rows[f]
+    return top
+
+
+def _is_mismatch(B, rows, top, F, G, covers):
+    """Whether F covers G, by the given covers test, disagrees with the
+    meet of rows over F lying below their join over G."""
+    vee = 0
+    for g in bits(G):
+        vee |= rows[g]
+    return covers(B, F, G) != (_cap(rows, top, F) & ~vee == 0)
+
+
+def _is_largest(B, rows, top, F):
+    """Whether adding any element to F changes its key (lower bounds,
+    meet of rows)."""
+    key = (ti.lower_bounds(B, F), _cap(rows, top, F))
+    return all((ti.lower_bounds(B, F | 1 << y), _cap(rows, top, F | 1 << y)) != key
+               for y in range(B.size) if not F >> y & 1)
+
+
+def _naive(B, F, G):
+    return oracles.naive_covers(B, set(bits(F)), set(bits(G)))
+
+
 class TestFgrho:
     def test_named(self, e0, c2, w5):
         assert ti.verify_fgrho(e0).passed
@@ -592,53 +652,134 @@ class TestFgrho:
     def test_witness_is_first_of_sweep(self, e0, p2, d3, w5, monkeypatch):
         # the equivalence holds on every structure, so its witness shows
         # only against a planted algebra: each rho(x) loses its lowest
-        # atom in turn (and that atom's signature loses x), and the witness
-        # must be the first mismatching pair of the sweep over all (F, G)
-        # in ascending order
+        # atom in turn (and that atom's signature loses x), and the
+        # oracle's witness must be the first mismatching pair of the sweep
+        # over all (F, G) in ascending order
         envelope = ti.enveloping_algebra
         witnesses = 0
         for B in (e0, p2, d3, w5):
             S = envelope(B)
             top = full_mask(len(S.signatures))
             for x in range(B.size):
-                rows = list(S.rho_index)
-                rows[x] &= rows[x] - 1
-                planted = S._replace(
-                    signatures=tuple(
-                        mask_from(y for y, r in enumerate(rows) if r >> i & 1)
-                        for i in range(len(S.signatures))
-                    ),
-                    rho_index=tuple(rows),
-                )
+                rows = _lost_atom(S, x) or list(S.rho_index)
+                planted = _algebra_from_rows(S, rows)
                 monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=planted: p)
-
-                def cap(F):
-                    acc = top
-                    for f in bits(F):
-                        acc &= rows[f]
-                    return acc
-
-                def vee(G):
-                    acc = 0
-                    for g in bits(G):
-                        acc |= rows[g]
-                    return acc
-
                 expected = next(
                     (
                         (F, G)
                         for F in range(1 << B.size)
                         for G in range(1 << B.size)
-                        if oracles.naive_covers(B, set(bits(F)), set(bits(G)))
-                        != (cap(F) & ~vee(G) == 0)
+                        if _is_mismatch(B, rows, top, F, G, _naive)
                     ),
                     None,
                 )
-                rep = ti.verify_fgrho(B)
+                rep = oracles.sweep_fgrho(B)
                 assert rep.passed == (expected is None)
                 assert rep["equivalence"].witness == expected, (B.pairs(), x)
                 witnesses += expected is not None
         assert witnesses == 13
+
+    def test_verdicts_match_sweep(self):
+        # every structure of size <= 5 and a seeded sample of sizes 6 to 8
+        import random
+
+        rng = random.Random(41)
+        pool = small_structures(5)
+        pool += [lab.random_p0set(6 + i % 3, rng.getrandbits(32), i % 2 == 0,
+                                  rng.uniform(0.05, 0.6)) for i in range(60)]
+        assert len(pool) == 5064
+        for B in pool:
+            assert ti.verify_fgrho(B) == oracles.sweep_fgrho(B), B.pairs()
+
+    def test_planted_algebras_match_sweep(self, monkeypatch):
+        # each rho(x) losing its lowest atom, on every structure of size
+        # <= 4 and a seeded size-5 sample: both routes fail, and the
+        # library's witness (F, G) is a pair at which covering and the
+        # image order disagree, with F the largest set of its key
+        import random
+
+        rng = random.Random(43)
+        pool = small_structures(4) + rng.sample(lab.enumerate_structures(5), 150)
+        envelope = ti.enveloping_algebra
+        planted_count = 0
+        for B in pool:
+            S = envelope(B)
+            top = full_mask(len(S.signatures))
+            for x in range(B.size):
+                rows = _lost_atom(S, x)
+                if rows is None:
+                    continue
+                planted_count += 1
+                planted = _algebra_from_rows(S, rows)
+                monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=planted: p)
+                rep = ti.verify_fgrho(B)
+                assert not rep.passed and not oracles.sweep_fgrho(B).passed, (B.pairs(), x)
+                F, G = rep["equivalence"].witness
+                assert _is_mismatch(B, rows, top, F, G, _naive), (B.pairs(), x)
+                assert _is_largest(B, rows, top, F), (B.pairs(), x)
+                monkeypatch.setattr(ti, "enveloping_algebra", envelope)
+        assert planted_count == 1550
+
+    def test_planted_defects_caught_at_the_cap(self, monkeypatch):
+        # at 64 elements, for every nonzero x: rho(x) losing its lowest
+        # atom or gaining the lowest it lacks, each with the signatures
+        # read from the rows and a witness that must be a real mismatch at
+        # the largest F of its key, and rho_index[x] alone toggling atom 0
+        envelope = ti.enveloping_algebra
+        for B in cap_structures():
+            S = envelope(B)
+            top = full_mask(len(S.signatures))
+            assert ti.verify_fgrho(B).passed
+            for x in range(B.size):
+                if x == B.zero:
+                    continue
+                for rows in (_lost_atom(S, x), _gained_atom(S, x)):
+                    if rows is None:
+                        continue
+                    planted = _algebra_from_rows(S, rows)
+                    monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=planted: p)
+                    rep = ti.verify_fgrho(B)
+                    assert not rep.passed, (B.size, x)
+                    F, G = rep["equivalence"].witness
+                    assert _is_mismatch(B, rows, top, F, G, ti.covers), (B.size, x)
+                    assert _is_largest(B, rows, top, F), (B.size, x)
+
+                wrong = list(S.rho_index)
+                wrong[x] ^= 1
+                planted = S._replace(rho_index=tuple(wrong))
+                monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=planted: p)
+                assert not ti.verify_fgrho(B).passed, (B.size, x)
+            monkeypatch.setattr(ti, "enveloping_algebra", envelope)
+
+    def test_transversals_equal_exactly_when_minimal_members_are(self):
+        # the blocker lemma against a brute-force comparison of the
+        # transversals, on seeded random families of subsets of 5 points,
+        # the empty set and the empty family among them; half the second
+        # families are the first with random supersets of members added
+        import random
+
+        rng = random.Random(47)
+        universe = full_mask(5)
+
+        def transversals(fam):
+            return {G for G in range(1 << 5) if all(G & m for m in fam)}
+
+        same = 0
+        for _ in range(3000):
+            one = [rng.getrandbits(5) for _ in range(rng.randrange(5))]
+            if rng.random() < 0.5 and one:
+                other = one + [rng.choice(one) | rng.getrandbits(5) for _ in range(3)]
+                rng.shuffle(other)
+            else:
+                other = [rng.getrandbits(5) for _ in range(rng.randrange(5))]
+            G = ti._transversal_mismatch(one, other, universe)
+            tr_one, tr_other = transversals(one), transversals(other)
+            assert (G is None) == (tr_one == tr_other), (one, other)
+            if G is None:
+                same += 1
+            else:
+                assert (G in tr_one) != (G in tr_other), (one, other, G)
+        assert 1000 < same < 2000
 
 
 class TestFactorTight:
