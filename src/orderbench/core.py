@@ -440,6 +440,25 @@ def separation_table(B: P0Set) -> tuple[int, ...]:
     return tuple(meet_rows(mp, d & ~zb, fm) for d in derived_relations(B).preceq_down)
 
 
+@structure_table
+def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
+    """Maximal subsets whose every finite part has a nonzero lower bound.
+
+    Bounds shrink as the set grows, so a set is centred exactly when some
+    nonzero z lies below all of it, that is when it is contained in the
+    up-set of z.  The maximal centred sets are the maximal such up-sets:
+    up(w) holds up(z) exactly when w <= z, so they are the up-sets of the
+    nonzero z to which every nonzero w <= z is equivalent.
+    """
+    der = derived_relations(B)
+    nonzero = full_mask(B.size) & ~(1 << B.zero)
+    return tuple(sorted({
+        up
+        for z, (up, down) in enumerate(zip(der.preceq, der.preceq_down))
+        if z != B.zero and down & nonzero & ~up == 0
+    }))
+
+
 # ---------------------------------------------------------------------------
 # subset tables: each folds one row table over every subset of the carrier
 

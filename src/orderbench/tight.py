@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from .core import (
     FAMILY_BOUND,
+    MAX_SIZE,
     P0Set,
     SubsetMask,
     bits,
@@ -29,11 +30,10 @@ from .core import (
     full_mask,
     lattice_tables,
     load_linked,
-    lower_bound_table,
     mask_from,
+    maximal_centred_sets,
     meets_preceq,
     meet_rows,
-    meets_preceq_table,
     order_predicates,
     p0set,
     separation_table,
@@ -52,9 +52,6 @@ from .errors import (
     ZeroNotPreserved,
 )
 from .report import Check, Report, report
-
-MAP_CAP = 10
-
 
 # ---------------------------------------------------------------------------
 # covers
@@ -126,55 +123,12 @@ def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
 
 
 @structure_table
-def _minimal_covers(B: P0Set):
-    """The source's minimal covering pairs, one row (F, members, entries)
-    per F in ascending order, entries being (G, members) ascending.
-
-    Covering is upward closed in F and in G, so a covering pair is minimal
-    exactly when dropping any one member of F or of G breaks it.  Row 0
-    holds the minimal G covered by F = 0; a nonzero row holds the G for
-    which (F, G) is minimal among the covering pairs with F nonzero: G is
-    minimal in F's row, and no nonzero F minus one member still covers G.
-    A row's minimal Gs depend only on the nonzero lower bounds of F, so
-    they are computed once per distinct bound set.
-    """
-    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
-    zb = 1 << B.zero
-    nsub = 1 << B.size
-    by_need: dict[int, tuple[int, ...]] = {}
-
-    def minimal_gs(need: int) -> tuple[int, ...]:
-        gs = by_need.get(need)
-        if gs is None:
-            covered = [need & ~m == 0 for m in mut]
-            gs = by_need[need] = tuple(
-                G
-                for G in range(nsub)
-                if covered[G] and not any(covered[G ^ 1 << g] for g in bits(G))
-            )
-        return gs
-
-    rows = []
-    for F in range(nsub):
-        smaller = [lbt[F ^ 1 << x] for x in bits(F) if F ^ 1 << x]
-        entries = tuple(
-            (G, tuple(bits(G)))
-            for G in minimal_gs(lbt[F] & ~zb)
-            if all(lb & ~(mut[G] | zb) for lb in smaller)
-        )
-        if entries:
-            rows.append((F, tuple(bits(F)), entries))
-    return tuple(rows)
-
-
-@structure_table
 def _target_rows(A: P0Set):
     """What map classification reads of a target, in one lookup:
-    (preceq_down, meets_preceq, carrier minus zero, algebra flag)."""
+    (maximal centred sets, preceq_down, algebra flag)."""
     return (
+        maximal_centred_sets(A),
         derived_relations(A).preceq_down,
-        meets_preceq(A),
-        full_mask(A.size) & ~(1 << A.zero),
         order_predicates(A).holds("generalized_boolean"),
     )
 
@@ -183,46 +137,52 @@ def map_properties(beta: StructMapTotal) -> Report:
     """Tight / tightish / coinitial / representation / character flags.
 
     A source pair (F, G) fails when F covers G in the source but beta[F]
-    does not cover beta[G] in the target.  Covering is upward closed in
-    both arguments on either side, so every failing pair lies above a
-    failing minimal covering pair, and only the source's minimal covering
-    pairs (`_minimal_covers`, one table per source) get a target test.
-    The witnesses are those of the sweep over all pairs in ascending
-    (F, G) order: a subset of F is a smaller integer, so the first failing
-    pair with F nonzero is itself minimal, and tight's witness is the
-    first failing G of row 0, or else tightish's.  The target side is a
-    fold over the assignment, so its cost does not depend on the target's
-    size; the source carrier is capped.
+    does not cover beta[G] in the target; beta is tight when no pair
+    fails, and tightish when no pair with F nonempty does.  Both are read
+    off the maximal centred sets U of the target: beta is tight exactly
+    when every preimage M = beta^-1(U) is a maximal centred set of the
+    source, and tightish exactly when every nonempty one is.
+
+    F covers G exactly when G meets `meets_preceq[e]` for every nonzero
+    lower bound e of F, so a pair fails in the target through a nonzero a
+    below every beta(x), x in F, that meets no beta(g), g in G.  Let
+    F_a = {x : a <= beta(x)} and P_a = {g : beta(g) meets a}.  Covering is
+    upward closed in F (lower bounds shrink as F grows) and in G, so a
+    failing pair through a exists exactly when (F_a, carrier - P_a)
+    covers.  If a <= a' then F_a holds F_a' and P_a lies in P_a', so a
+    minimal nonzero a fails whenever one above it does, and for a minimal
+    a, P_a = F_a = beta^-1(up a), with up a a maximal centred set U.
+    M = beta^-1(U) fails to cover carrier - M exactly when some nonzero
+    lower bound e of M has `meets_preceq[e]` inside M.  As M lies in
+    `preceq[e]`, which lies in `meets_preceq[e]`, the three are equal,
+    which makes e minimal: M passes exactly when it is a maximal centred
+    set of the source, also when a nonzero element lies below zero.  A
+    failing pair with F nonempty has F inside M, so M is nonempty.
+
+    The witness is (M, carrier - M) of the first U that fails, for
+    tightish the first with M nonempty.  The cost is one pass over the
+    assignment per maximal centred set of the target, at every size.
     """
     B, A = beta.source, beta.target
     img = beta.assignment
     if img[B.zero] != A.zero:
         raise ZeroNotPreserved(f"zero maps to {img[B.zero]}")
-    if B.size > MAP_CAP:
-        raise CapExceeded(f"map classification capped at source carrier {MAP_CAP}")
-    downA, mpA, primeA, rep = _target_rows(A)
+    centredA, downA, rep = _target_rows(A)
+    centredB = maximal_centred_sets(B)
+    carrier = full_mask(B.size)
 
     tight_w = tightish_w = None
-    for F, fs, entries in _minimal_covers(B):
-        low = primeA
-        for x in fs:
-            low &= downA[img[x]]
-        if not low:
-            continue
-        for G, gs in entries:
-            up = 0
-            for g in gs:
-                up |= mpA[img[g]]
-            if low & ~up:
-                if F:
-                    tightish_w = (F, G)
-                else:
-                    tight_w = (F, G)
+    for U in centredA:
+        M = 0
+        for x, t in enumerate(img):
+            if U >> t & 1:
+                M |= 1 << x
+        if M not in centredB:
+            w = (M, carrier & ~M)
+            tight_w = tight_w or w
+            if M:
+                tightish_w = w
                 break
-        if tightish_w:
-            break
-    if tight_w is None:
-        tight_w = tightish_w
 
     nonzero_img = 0
     for t in img:
@@ -285,8 +245,12 @@ class RegularOpenAlgebra(NamedTuple):
     rho_index: tuple[int, ...]
 
     def as_p0set(self) -> P0Set:
-        """The algebra indexed by T and ordered by inclusion of atom masks."""
-        return _powerset_p0set(len(self.signatures))
+        """The algebra indexed by T and ordered by inclusion of atom masks,
+        refused past MAX_SIZE elements (6 atoms) before any 2**k work."""
+        k = len(self.signatures)
+        if 1 << k > MAX_SIZE:
+            raise CapExceeded(f"enveloping algebra of {k} atoms exceeds the carrier cap {MAX_SIZE}")
+        return _powerset_p0set(k)
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +359,8 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
     The map is a homomorphism when the atom values are pairwise disjoint,
     and it restricts to beta when it sends each rho(x) to beta(x).  The
     factoring theorem guarantees both; a failure raises
-    ConstructionIncomplete.
+    ConstructionIncomplete.  An algebra of more than 6 atoms, past
+    MAX_SIZE elements, is refused before any work on its 2**k elements.
     """
     B, A = beta.source, beta.target
     props = map_properties(beta)
@@ -404,6 +369,7 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
     if not props.holds("representation"):
         raise PreconditionFailed("factoring needs an algebra target")
     S = enveloping_algebra(B)
+    algebra = S.as_p0set()
     mtA, jtA = lattice_tables(A)
     img = beta.assignment
     values = [reduce(lambda a, b: mtA[a][b], (img[x] for x in bits(sig)))
@@ -412,9 +378,7 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
         for j, v in enumerate(values[:i]):
             if mtA[u][v] != A.zero:
                 raise ConstructionIncomplete(f"atoms {j} and {i} have overlapping values")
-    pi = StructMapTotal(
-        S.as_p0set(), A, subset_fold(values, lambda a, b: jtA[a][b], A.zero)
-    )
+    pi = StructMapTotal(algebra, A, subset_fold(values, lambda a, b: jtA[a][b], A.zero))
     for x in range(B.size):
         if pi.assignment[S.rho_index[x]] != img[x]:
             raise ConstructionIncomplete("factored map disagrees with the input")

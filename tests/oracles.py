@@ -28,6 +28,7 @@ from orderbench.core import (
     prec_down,
     preceq_down_table,
     relative_complement,
+    structure_table,
     subset_fold,
     union_rows,
 )
@@ -672,6 +673,38 @@ def _sweep_pairs(lowB, meetB, lowA, meetA):
         if tightish_w:
             break
     return tight_w or tightish_w, tightish_w
+
+
+def pointwise_map_witnesses(beta):
+    """(tight witness, tightish witness) of a map, or None for each, with
+    one candidate pair per nonzero target element, in polynomial time.
+
+    A pair (F, G) fails through a nonzero target element a when a lies
+    below the image of every member of F and meets the image of no member
+    of G.  Covering is upward closed in F and in G, so a failing pair
+    through a exists exactly when F_a = {x : a <= beta(x)} covers
+    G_a = {g : beta(g) does not meet a}, and one with F nonempty exactly
+    when F_a is also nonempty.  Every nonzero a is tried, in ascending
+    order, with no reduction to minimal ones; the witness is the first
+    failing (F_a, G_a).  `le` and `meets_refl` are read from their tables
+    in `_matrices`, and `_fast_covers` is `naive_covers` on them, so a
+    63-element source takes a fraction of a second.
+    """
+    B, A = beta.source, beta.target
+    le_, mr = _matrices(A)
+    tight_w = tightish_w = None
+    for a in range(A.size):
+        if a == A.zero:
+            continue
+        F = {x for x, t in enumerate(beta.assignment) if le_[a][t]}
+        G = {g for g, t in enumerate(beta.assignment) if not mr[t][a]}
+        if _fast_covers(B, F, G):
+            w = (sum(1 << x for x in F), sum(1 << g for g in G))
+            tight_w = tight_w or w
+            if F:
+                tightish_w = w
+                break
+    return tight_w, tightish_w
 
 
 def coinitial_witness(beta):
@@ -1561,6 +1594,102 @@ def sweep_fgrho(B: P0Set) -> Report:
 
 
 # ---------------------------------------------------------------------------
+# map classification by ascending minimal covering pairs
+#
+# The route `tight.map_properties` took before it read maximal centred
+# sets: one table per source of its minimal covering pairs, built from two
+# 2**n subset tables, and a target test of each, with the first failing
+# pair in ascending (F, G) order as the witness.
+
+ASCENDING_CAP = 10
+
+
+@structure_table
+def minimal_cover_pairs(B: P0Set):
+    """The source's minimal covering pairs, one row (F, members, entries)
+    per F in ascending order, entries being (G, members) ascending.
+
+    Covering is upward closed in F and in G, so a covering pair is minimal
+    exactly when dropping any one member of F or of G breaks it.  Row 0
+    holds the minimal G covered by F = 0; a nonzero row holds the G for
+    which (F, G) is minimal among the covering pairs with F nonzero: G is
+    minimal in F's row, and no nonzero F minus one member still covers G.
+    A row's minimal Gs depend only on the nonzero lower bounds of F, so
+    they are computed once per distinct bound set.
+    """
+    lbt, mut = lower_bound_table(B), meets_preceq_table(B)
+    zb = 1 << B.zero
+    nsub = 1 << B.size
+    by_need: dict[int, tuple[int, ...]] = {}
+
+    def minimal_gs(need: int) -> tuple[int, ...]:
+        gs = by_need.get(need)
+        if gs is None:
+            covered = [need & ~m == 0 for m in mut]
+            gs = by_need[need] = tuple(
+                G
+                for G in range(nsub)
+                if covered[G] and not any(covered[G ^ 1 << g] for g in bits(G))
+            )
+        return gs
+
+    rows = []
+    for F in range(nsub):
+        smaller = [lbt[F ^ 1 << x] for x in bits(F) if F ^ 1 << x]
+        entries = tuple(
+            (G, tuple(bits(G)))
+            for G in minimal_gs(lbt[F] & ~zb)
+            if all(lb & ~(mut[G] | zb) for lb in smaller)
+        )
+        if entries:
+            rows.append((F, tuple(bits(F)), entries))
+    return tuple(rows)
+
+
+def ascending_map_witnesses(beta):
+    """(tight witness, tightish witness) of a map, or None for each, from
+    the source's minimal covering pairs.
+
+    Every failing pair lies above a failing minimal covering pair, so only
+    those (`minimal_cover_pairs`, one table per source) get a target test.
+    The witnesses are those of the sweep over all pairs in ascending
+    (F, G) order: a subset of F is a smaller integer, so the first failing
+    pair with F nonzero is itself minimal, and tight's witness is the
+    first failing G of row 0, or else tightish's.  The target side is a
+    fold over the assignment; the source carrier is capped.
+    """
+    B, A = beta.source, beta.target
+    img = beta.assignment
+    if B.size > ASCENDING_CAP:
+        raise CapExceeded(f"map classification capped at source carrier {ASCENDING_CAP}")
+    downA, mpA = derived_relations(A).preceq_down, meets_preceq(A)
+    primeA = full_mask(A.size) & ~(1 << A.zero)
+
+    tight_w = tightish_w = None
+    for F, fs, entries in minimal_cover_pairs(B):
+        low = primeA
+        for x in fs:
+            low &= downA[img[x]]
+        if not low:
+            continue
+        for G, gs in entries:
+            up = 0
+            for g in gs:
+                up |= mpA[img[g]]
+            if low & ~up:
+                if F:
+                    tightish_w = (F, G)
+                else:
+                    tight_w = (F, G)
+                break
+        if tightish_w:
+            break
+    if tight_w is None:
+        tight_w = tightish_w
+    return tight_w, tightish_w
+
+
+# ---------------------------------------------------------------------------
 # the package's own routes that only the tests call
 #
 # Not oracles: views of the package's results, and routes the gate and the
@@ -1662,7 +1791,7 @@ def verify_tight_equivalences(beta):
 
     # (a) covering the empty set is upward closed in G on both sides, so
     # some G is a matched total cover iff the whole carrier is one
-    _, mpA, primeA, _ = ti._target_rows(A)
+    mpA, primeA = meets_preceq(A), full_mask(A.size) & ~(1 << A.zero)
     up = 0
     for t in beta.assignment:
         up |= mpA[t]

@@ -213,6 +213,33 @@ class TestWideCarriers:
         assert cli.run(["saturate", path]) == 0
         assert f"saturated sets: {count}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,n,code", [("chain", 63, 0), ("antichain", 63, 2)])
+    def test_envelope_map_at_the_cap(self, family, n, code, tmp_path, capsys, deadline):
+        # into powerset 1: the chain's nonzero elements all go to 1, a tight
+        # map that factors; the antichain's all go to 0, a tightish map whose
+        # 63-atom algebra is refused before any 2**63 work
+        B = lab.make_family(family, n)
+        self.write(tmp_path, family, n)
+        (tmp_path / "P1.json").write_text(dump_structure(lab.make_family("powerset", 1)))
+        value = 1 if code == 0 else 0
+        doc = {"from": "B.json", "to": "P1.json",
+               "map": [0 if x == B.zero else value for x in range(B.size)]}
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        start = time.perf_counter()
+        argv = ["envelope", str(tmp_path / "B.json"), "--map", str(tmp_path / "map.json"),
+                "--format", "json"]
+        assert cli.run(argv) == code
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        if code:
+            assert out.out == ""
+            assert "error: enveloping algebra of 63 atoms exceeds the carrier cap 64" in out.err
+        else:
+            doc = json.loads(out.out)
+            assert [c["holds"] for c in doc["map_properties"]] == [True] * 5
+            assert doc["factoring"] == [
+                {"axiom": "factors_through_embedding", "holds": True, "witness": None}]
+
     @pytest.mark.parametrize("family,n", [
         ("antichain", 15), ("diamond", 62), ("antichain", 63),
     ])

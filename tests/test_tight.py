@@ -1,13 +1,15 @@
 import json
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 import oracles
-from conftest import cap_structures, fresh, oracle_corpus, separation_corpus, small_structures
+from conftest import cap_structures, oracle_corpus, separation_corpus, small_structures
 from orderbench import lab, tight as ti
 from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
 from orderbench.errors import (
+    CapExceeded,
     ConstructionIncomplete,
     FormatError,
     NotTightish,
@@ -168,19 +170,59 @@ class TestMapProperties:
 
 
 def _oracle_report(beta, rep):
-    """The report the sweep oracles give for beta, taking the algebra flag
-    of the target from rep."""
+    """The report the sweep oracles give for beta, with rep's witnesses of
+    tight and tightish and the algebra flag of rep's target: equal to rep
+    exactly when the flags and the coinitial witness agree."""
     tight_w, tightish_w = oracles.sweep_map_witnesses(beta)
     coin_w = oracles.coinitial_witness(beta)
     algebra = rep.holds("representation")
     checks = (
-        Check("tight", tight_w is None, tight_w),
-        Check("tightish", tightish_w is None, tightish_w),
+        Check("tight", tight_w is None, rep["tight"].witness),
+        Check("tightish", tightish_w is None, rep["tightish"].witness),
         Check("coinitial", coin_w is None, coin_w),
         Check("representation", algebra),
         Check("character", algebra and beta.target.size == 2),
     )
     return Report("map_properties", checks, passed=tight_w is None)
+
+
+@lru_cache(maxsize=None)
+def _naive_covers(B, F, G):
+    return oracles.naive_covers(B, set(bits(F)), set(bits(G)))
+
+
+def _tabulated_covers(B, F, G):
+    """`naive_covers` on the tables of `le` and `meets_refl`, for sources
+    where the literal loops take seconds."""
+    return oracles._fast_covers(B, list(bits(F)), list(bits(G)))
+
+
+def _fails(beta, w, covers=_naive_covers):
+    """w = (F, G) is a failing pair of beta: F covers G in the source, and
+    the image of F does not cover that of G."""
+    F, G = w
+    img = beta.assignment
+    return covers(beta.source, F, G) and not covers(
+        beta.target, mask_from(img[x] for x in bits(F)), mask_from(img[g] for g in bits(G)))
+
+
+def _assert_witnesses_fail(beta, rep, covers=_naive_covers):
+    """Tightish's witness is a failing pair with F nonempty; tight's is a
+    failing pair, tightish's or one with F empty."""
+    tight_w, tightish_w = rep["tight"].witness, rep["tightish"].witness
+    if tightish_w is not None:
+        assert tightish_w[0] and _fails(beta, tightish_w, covers), beta
+    if tight_w is not None:
+        assert tight_w in (tightish_w, (0, tight_w[1])), beta
+        assert _fails(beta, tight_w, covers), beta
+
+
+def _assert_matches_oracles(beta, rep):
+    """rep against the sweep over all pairs, with valid witnesses, and the
+    ascending route against the sweep's witnesses."""
+    assert rep == _oracle_report(beta, rep), beta
+    _assert_witnesses_fail(beta, rep)
+    assert oracles.ascending_map_witnesses(beta) == oracles.sweep_map_witnesses(beta), beta
 
 
 def _zero_preserving(B, A):
@@ -204,8 +246,10 @@ def test_zero_preserving_maps():
 
 
 class TestMinimalCoverPairs:
-    """map_properties tests only the source's minimal covering pairs; the
-    reports must equal those of the sweep over all pairs."""
+    """map_properties reads the maximal centred sets: its flags must equal
+    those of the sweep over all pairs, and its witnesses must fail.  The
+    route it replaced, through the source's minimal covering pairs, must
+    give the sweep's ascending witnesses."""
 
     def test_all_small_maps_match_sweep(self):
         objs = small_structures(3) + [
@@ -219,7 +263,10 @@ class TestMinimalCoverPairs:
             for A in objs:
                 for beta in _zero_preserving(B, A):
                     rep = ti.map_properties(beta)
-                    assert rep == _oracle_report(beta, rep), beta
+                    _assert_matches_oracles(beta, rep)
+                    pointwise = oracles.pointwise_map_witnesses(beta)
+                    assert [w is None for w in pointwise] == [
+                        rep.holds("tight"), rep.holds("tightish")], beta
                     count += 1
         assert count == 7627
 
@@ -241,7 +288,7 @@ class TestMinimalCoverPairs:
                 assign[B.zero] = T.zero
                 beta = ti.struct_map(B, T, assign)
                 rep = ti.map_properties(beta)
-                assert rep == _oracle_report(beta, rep), beta
+                _assert_matches_oracles(beta, rep)
                 outcomes.add((rep.holds("tight"), rep.holds("tightish")))
         assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -255,7 +302,7 @@ class TestMinimalCoverPairs:
             ):
                 beta = ti.struct_map(B, T, assign)
                 rep = ti.map_properties(beta)
-                assert rep == _oracle_report(beta, rep), beta
+                _assert_matches_oracles(beta, rep)
 
     def test_table_is_the_minimal_covering_pairs(self):
         # minimal elements of the naive covering pairs, by literal
@@ -279,7 +326,7 @@ class TestMinimalCoverPairs:
                 for G in range(nsub)
                 if oracles.naive_covers(B, set(bits(F)), set(bits(G)))
             }
-            rows = ti._minimal_covers(B)
+            rows = oracles.minimal_cover_pairs(B)
             assert [(F, G) for F, _, entries in rows for G, _ in entries] == (
                 minimal({p for p in cov if p[0] == 0})
                 + minimal({p for p in cov if p[0] != 0})
@@ -289,16 +336,38 @@ class TestMinimalCoverPairs:
                 for G, gs in entries:
                     assert gs == tuple(bits(G))
 
-    def test_one_table_per_source(self, p3):
-        # every map out of one source reuses one table: a count, not a time
-        B = fresh(lab.make_family("diamond", 2))
-        before = ti._minimal_covers.cache_info()
-        maps = list(_zero_preserving(B, p3))
-        for beta in maps:
-            ti.map_properties(beta)
-        after = ti._minimal_covers.cache_info()
-        assert len(maps) == 512
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 511)
+
+class TestMapsAtTheCap:
+    """Past the sweep's reach, map_properties against the pointwise oracle,
+    which tries every nonzero target element with no reduction to the
+    minimal ones."""
+
+    def test_flags_match_pointwise_oracle(self):
+        import random
+
+        rng = random.Random(11)
+        targets = [lab.make_family("powerset", k) for k in range(1, 7)] + [
+            lab.random_p0set(rng.randint(2, 12), rng.getrandbits(32), rng.random() < 0.6,
+                             rng.uniform(0.1, 0.5))
+            for _ in range(2)
+        ]
+        outcomes = set()
+        for B in cap_structures():
+            for A in targets:
+                nonzero = [t for t in range(A.size) if t != A.zero]
+                # every nonzero element to one value, to one of two, or anywhere
+                for values in ([rng.choice(nonzero)], rng.sample(nonzero, min(2, len(nonzero))),
+                               range(A.size)):
+                    assign = [rng.choice(values) for _ in range(B.size)]
+                    assign[B.zero] = A.zero
+                    beta = ti.struct_map(B, A, assign)
+                    rep = ti.map_properties(beta)
+                    tight_w, tightish_w = oracles.pointwise_map_witnesses(beta)
+                    flags = (rep.holds("tight"), rep.holds("tightish"))
+                    assert flags == (tight_w is None, tightish_w is None), beta
+                    _assert_witnesses_fail(beta, rep, _tabulated_covers)
+                    outcomes.add(flags)
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def _map_sweep_maps(seed):
@@ -323,9 +392,9 @@ class TestSharedMapReports:
         verdicts = set()
         for beta in maps:
             rep = ti.map_properties(beta)
-            assert rep == _oracle_report(beta, rep), beta
+            _assert_matches_oracles(beta, rep)
             verdicts.add(rep)
-        assert len(verdicts) == 164
+        assert len(verdicts) == 69
 
     def test_same_verdict_same_object(self, p2):
         B = lab.make_family("antichain", 2)
@@ -814,6 +883,18 @@ class TestFactorTight:
         with pytest.raises(PreconditionFailed):
             ti.factor_tight(beta)
 
+    def test_refused_past_six_atoms(self):
+        # the all-zero map out of antichain k is tightish; its algebra has
+        # 2**k elements, refused past 6 atoms before any of them is built
+        two = lab.make_family("powerset", 1)
+        pi = ti.factor_tight(ti.struct_map(lab.make_family("antichain", 6), two, [0] * 7))
+        assert pi.assignment == (0,) * 64
+        for k in (7, 63):
+            beta = ti.struct_map(lab.make_family("antichain", k), two, [0] * (k + 1))
+            assert ti.map_properties(beta).holds("tightish")
+            with pytest.raises(CapExceeded, match=f"enveloping algebra of {k} atoms"):
+                ti.factor_tight(beta)
+
     def test_random_medium_sources(self, p2, p3):
         # factor through larger envelopes than the exhaustive sweep reaches
         import random
@@ -920,7 +1001,8 @@ class TestFactoringSuite:
     def test_coordinates_against_map_enumeration(self, p2, p3):
         # every map of catalog(4) into powerset 2 and 3: its tight and
         # tightish flags are its coordinate characters' conjunctions, its
-        # witnesses their first, and its factor the tuple of theirs
+        # witnesses those of its first failing coordinate, and its factor
+        # the tuple of theirs
         from orderbench import suites
 
         two = lab.make_family("powerset", 1)
@@ -939,7 +1021,7 @@ class TestFactoringSuite:
                 for flag in ("tight", "tightish"):
                     found = [r[flag].witness for r in reports if not r.holds(flag)]
                     assert (props.holds(flag), props[flag].witness) == (
-                        not found, min(found, default=None)), beta
+                        not found, found[0] if found else None), beta
                 if pi is not None:
                     tightish += 1
                     tight += props.holds("tight")
