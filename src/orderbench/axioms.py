@@ -78,8 +78,9 @@ def interpolation(B: P0Set, C: P0Set, rel, cols) -> Check:
     return Check("interpolation", True)
 
 
-def _pair_law(name: str, tB, tC, rel) -> Check:
-    """x R x2 and y R y2 give tB[x][y] R tC[x2][y2].
+def _pair_law(name: str, tB, tC, rel, concl=None) -> Check:
+    """x R x2 and y R y2 give tB[x][y] R tC[x2][y2], or, given the rows
+    `concl` of a second relation, tB[x][y] related to tC[x2][y2] by it.
 
     One side folds first: fold[x2][k] masks the tC[x2][y2] over y2 in the
     k-th distinct nonzero row, and the law holds at (x, y) when the
@@ -89,6 +90,7 @@ def _pair_law(name: str, tB, tC, rel) -> Check:
     O(n^4).  The first x that fails is rescanned edge by edge, so the
     witness is the first (x, x2, y, y2) in edge order.
     """
+    concl = rel if concl is None else concl
     rows = list(dict.fromkeys(row for row in rel if row))
     kind = {row: k for k, row in enumerate(rows)}
     members = [bit_list(row) for row in rows]
@@ -104,10 +106,10 @@ def _pair_law(name: str, tB, tC, rel) -> Check:
     ys = [(y, kind[row]) for y, row in enumerate(rel) if row]
     for x, _ in ys:
         r, t = reached[rel[x]], tB[x]
-        if any(r[k] & ~rel[t[y]] for y, k in ys):
+        if any(r[k] & ~concl[t[y]] for y, k in ys):
             return Check(name, False, next(
                 (x, x2, y, y2) for x2 in bits(rel[x]) for y, _ in ys for y2 in bits(rel[y])
-                if not rel[t[y]] >> tC[x2][y2] & 1))
+                if not concl[t[y]] >> tC[x2][y2] & 1))
     return Check(name, True)
 
 

@@ -464,24 +464,6 @@ def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
 
 
 @structure_table
-def prec_down_table(B: P0Set) -> tuple[int, ...]:
-    """[D] = union of the strict down-sets of the members of D."""
-    return subset_fold(prec_down(B), or_, 0)
-
-
-@structure_table
-def meets_table(B: P0Set) -> tuple[int, ...]:
-    """[D] = union of the meet-relation rows of the members of D."""
-    return subset_fold(derived_relations(B).meets, or_, 0)
-
-
-@structure_table
-def preceq_down_table(B: P0Set) -> tuple[int, ...]:
-    """[C] = down-closure of C under the reflexivization."""
-    return subset_fold(derived_relations(B).preceq_down, or_, 0)
-
-
-@structure_table
 def lower_bound_table(B: P0Set) -> tuple[int, ...]:
     """[C] = common lower bounds of C under the reflexivization; the empty
     set's bounds are the whole carrier."""

@@ -5,30 +5,30 @@ strict domination (every element of C strictly below some element of D),
 the cover-like relation (everything strictly below C meets D), and the
 way-below relation (the cover-like relation through a finite interpolant).
 Saturating a set collects every element whose singleton is way below it.
-A set enters its saturation only through the union of zero and one
+A set A enters its saturation only through T_A, the union of zero and one
 generator row per member a, the meet rows of the elements below a, so the
 saturated family is read from the unions of at most n generator rows
 instead of from all 2**n subsets.
 
 In a finite carrier the maximal admissible interpolant is the strict
-down-closure of D itself, which gives an O(1) evaluation of way-below
-after table setup; the literal search over all finite interpolants is
-kept as a test oracle so the two routes can be cross-checked.
+down-closure of D itself, which gives way-below from two unions of rows;
+the literal search over all finite interpolants is kept as a test oracle
+so the two routes can be cross-checked.
 
-Each relation says that a set built from C lies inside a value built
-from D, so its table of rows {D : C rel D}, one per C, comes from one
-superset fold over the subset lattice (the fast zeta transform): each D
-is set at its own value and carried down to every subset of it, and row
-C is read at C's set.  The subset laws are then decided on the classes
-of subsets that share a row, and the frame laws on whole rows of the
-saturation table.
+Each relation says that the union of the rows of C's members lies inside
+a value of D that grows with D, so a quantified subset law fails, if at
+all, at singletons C and at the largest sets D that keep one element out
+of a value: `verify_subset_laws` decides every clause on those
+polynomially many instances.  The frame laws read the saturation table
+up to FRAME_CAP, except the two that read only singletons.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import reduce
 from itertools import product, repeat
-from operator import and_, invert, ne, or_, rshift, xor
+from operator import and_, or_
 from typing import NamedTuple
 
 from . import axioms
@@ -38,79 +38,73 @@ from .core import (
     SubsetMask,
     bits,
     derived_relations,
-    first_pair,
     full_mask,
     lattice_tables,
-    meets_table,
     order_predicates,
     p0set,
     prec_down,
-    prec_down_table,
-    preceq_down_table,
     structure_table,
     subset_fold,
     superset_fold,
+    transpose,
+    union_rows,
 )
 from .errors import CapExceeded, OrderbenchError, PreconditionFailed
 from .report import Check, Report, report
 
 SUBSET_CAP = 12
 FRAME_CAP = 8
-#: The laws of `verify_subset_laws` and `verify_frame`, in report order:
-#: past FRAME_CAP, `saturate` prints them as skipped.
-SUBSET_LAWS = (
-    "prec_transitive", "precsim_transitive", "prec_left_union", "precsim_left_union",
-    "wayb_left_union", "prec_right_monotone", "precsim_right_monotone", "wayb_right_monotone",
-    "prec_multiplicative", "precsim_multiplicative", "wayb_multiplicative",
-    "below_implies_precsim", "precsim_reflexivized_form", "wayb_transitive",
-    "finite_prec_implies_wayb", "wayb_through_interpolant_back", "wayb_through_interpolant",
-    "precsim_wayb_absorb", "wayb_implies_precsim", "saturation_members",
-    "strict_down_in_saturation", "saturation_down_closed", "saturation_of_down_closure",
-    "saturation_of_strict_down", "saturation_idempotent", "saturation_monotone",
-    "saturation_precsim_source", "wayb_saturation_invariant",
-)
 FRAME_LAWS = (
     "basic_semilattice", "families_coincide", "join_rule", "meet_rule", "intersection_closed",
     "frame_distributivity", "waybelow_matches", "singleton_isomorphism",
     "finite_family_basic_lattice", "singletons_join_dense", "finite_sup_dense",
 )
+#: The frame laws read from the saturation table or from the saturated
+#: sets one by one: past FRAME_CAP they hold None, and `saturate` names
+#: them as skipped.
+FRAME_TABLE_LAWS = (
+    "families_coincide", "join_rule", "meet_rule", "intersection_closed",
+    "frame_distributivity", "waybelow_matches", "finite_family_basic_lattice",
+    "singletons_join_dense", "finite_sup_dense",
+)
+
+
+@structure_table
+def _generator_rows(B: P0Set) -> tuple[SubsetMask, ...]:
+    """g[a] = zero together with the meet rows of the elements below a."""
+    meets, zb = derived_relations(B).meets, 1 << B.zero
+    return tuple(union_rows(meets, d, zb) for d in prec_down(B))
+
+
+def _inside(rows, target: SubsetMask) -> SubsetMask:
+    """{y : rows[y] inside target}."""
+    return sum(1 << y for y, r in enumerate(rows) if not r & ~target)
 
 
 def subset_wayb(B: P0Set, C: SubsetMask, D: SubsetMask) -> bool:
     """Way-below via the maximal interpolant: the down-closure of D always
     dominates D pointwise, and the cover-like relation is monotone in its
-    interpolant, so it suffices as the witness."""
-    dc = prec_down_table(B)
-    return dc[C] & ~(meets_table(B)[dc[D]] | 1 << B.zero) == 0
-
-
-def _generator_rows(B: P0Set) -> list[SubsetMask]:
-    """g[a] = zero together with the meet rows of the elements below a."""
-    meets, zb = derived_relations(B).meets, 1 << B.zero
-    return [reduce(or_, map(meets.__getitem__, bits(d)), zb) for d in prec_down(B)]
-
-
-def _saturated_part(down, target: SubsetMask) -> SubsetMask:
-    """{y : down[y] inside target}."""
-    return sum(1 << y for y, d in enumerate(down) if not d & ~target)
+    interpolant, so it suffices as the witness.  So C is way below D when
+    the strict down-closure of C lies inside T_D."""
+    zb = 1 << B.zero
+    return union_rows(prec_down(B), C) & ~union_rows(_generator_rows(B), D, zb) == 0
 
 
 def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
     """Elements whose singleton is way below A: those whose strict down-set
-    lies inside the union of zero and the generator rows of A's members."""
-    target = reduce(or_, map(_generator_rows(B).__getitem__, bits(A)), 1 << B.zero)
-    return _saturated_part(prec_down(B), target)
+    lies inside T_A, the union of zero and the generator rows of A's
+    members."""
+    return _inside(prec_down(B), union_rows(_generator_rows(B), A, 1 << B.zero))
 
 
 @structure_table
 def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
-    """[A] = the saturation of A, for every subset A of the carrier, read
-    from the subset tables: the saturated part of the union of zero and
-    the meet rows of the strict down-closure of A."""
+    """[A] = the saturation of A, for every subset A of the carrier: the
+    saturated part of T_A, folded over the generator rows."""
     if B.size > SUBSET_CAP:
         raise CapExceeded(f"saturation tables capped at carrier {SUBSET_CAP}")
-    zb, mu, down = 1 << B.zero, meets_table(B), prec_down(B)
-    return tuple(_saturated_part(down, mu[S] | zb) for S in prec_down_table(B))
+    down = prec_down(B)
+    return tuple(_inside(down, t) for t in subset_fold(_generator_rows(B), or_, 1 << B.zero))
 
 
 @structure_table
@@ -157,7 +151,7 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
                     f"saturated families capped at {FAMILY_BOUND} unions of generator rows"
                 )
         down = prec_down(B)
-        raw = {_saturated_part(down, t) for t in unions}
+        raw = {_inside(down, t) for t in unions}
     elif generators == "all":
         raw = set(superset_fold(saturation_table(B)[::-1], or_))
     else:
@@ -166,210 +160,277 @@ def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
 
 
 # ---------------------------------------------------------------------------
-# quantified laws on relation rows
+# subset laws by reduction
 #
-# rows[C] is the bitset {D : C rel D} over the subsets D of the carrier.
-# Each helper decides one universally quantified law and returns its first
-# witness in ascending quantifier order, the one the literal clause loops
-# (kept as oracles in tests/oracles.py) return, or None when the law holds.
-# A table has few distinct rows, so the helpers that pair rows work on the
-# classes of subsets sharing a row and look for the witness in the first
-# failing class.
+# Every relation below has the form: C rel D iff the union of rows left[c]
+# over C lies inside value(D) = base | the union of rows r[d] over D.  Two
+# facts follow, and every reduction rests on them alone:
+#
+# (U) C rel D iff {c} rel D for every c in C: a union lies inside a set
+#     iff each part does.  So C rel D iff C lies inside good(D) = {c :
+#     {c} rel D}, and good grows with D, as value does.
+# (K) An element x outside base is outside value(D) iff D lies inside the
+#     key of x, {d : x not in r[d]}, the largest set that keeps x out.  So
+#     {c} rel D fails iff D lies inside some key M with c outside good(M).
+#
+# Saturation is good(A) of the way-below relation, whose value is T_A.
+# Each decider returns the witness of a failing instance, in the format of
+# the literal clause loop (kept with the 2**n table route in
+# tests/oracles.py), or None when the clause holds.
 
 
-def _rows_within(values) -> list[int]:
-    """rows[S] = {D : S inside values[D]} for every subset S, as bitsets
-    over the subsets D: each D is set at its own value, and the superset
-    fold carries it down to every subset of that value."""
-    table = [0] * len(values)
-    for D, v in enumerate(values):
-        table[v] |= 1 << D
-    return superset_fold(table, or_)
+class _Relation(NamedTuple):
+    """C rel D iff the union of left[c] over C lies inside value(D);
+    good(D) = {c : {c} rel D}, and keys are the keys of (K) that some
+    left row needs."""
+
+    left: tuple[SubsetMask, ...]
+    value: Callable[[SubsetMask], SubsetMask]
+    good: Callable[[SubsetMask], SubsetMask]
+    keys: tuple[SubsetMask, ...]
 
 
-class SubsetRows(NamedTuple):
-    """The relation tables of `verify_subset_laws`, each row C the bitset
-    {D : C rel D}: C prec D, C precsim D, C wayb D, precsim read from the
-    down-closure of C under the reflexivization, C inside the down-closure
-    of D, and C inside the saturation of D."""
+def _relation(left, rows, base: SubsetMask) -> _Relation:
+    """The relation of `left` rows and value base | the union of `rows`."""
+    n = len(left)
+    cols = transpose(rows, n)  # cols[x] = {d : x in rows[d]}
+    keys = dict.fromkeys(full_mask(n) & ~cols[x] for x in bits(reduce(or_, left, 0) & ~base))
+    cache = {}
 
-    prec: list[int]
-    precsim: list[int]
-    wayb: list[int]
-    precsim_refl: list[int]
-    below: list[int]
-    saturated: list[int]
+    def value(D: SubsetMask) -> SubsetMask:
+        return union_rows(rows, D, base)
 
+    def good(D: SubsetMask) -> SubsetMask:
+        g = cache.get(D)
+        if g is None:
+            g = cache[D] = _inside(left, union_rows(rows, D, base))
+        return g
 
-def _subset_rows(B: P0Set) -> SubsetRows:
-    dc = prec_down_table(B)
-    mu = meets_table(B)
-    dcp = preceq_down_table(B)
-    zb = 1 << B.zero
-    # precsim: dc[C] inside mu[D] | zero; wayb: dc[C] inside mu[dc[D]] | zero
-    sim_within = _rows_within([m | zb for m in mu])
-    wayb_within = _rows_within([mu[S] | zb for S in dc])
-    return SubsetRows(
-        prec=_rows_within(dc),
-        precsim=[*map(sim_within.__getitem__, dc)],
-        wayb=[*map(wayb_within.__getitem__, dc)],
-        precsim_refl=[*map(sim_within.__getitem__, dcp)],
-        below=_rows_within(dcp),
-        saturated=_rows_within(saturation_table(B)),
-    )
+    return _Relation(left, value, good, tuple(keys))
 
 
-def _first(flags):
-    """(i,) for the first true flag, or None."""
-    return next(((i,) for i, f in enumerate(flags) if f), None)
+def _composition(r1: _Relation, r2: _Relation, r3: _Relation):
+    """(C, G, D) with C r1 G and G r2 D but not C r3 D, or None.
 
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _classes(rows) -> dict[int, int]:
-    """{row: the bitset of the indices holding it}."""
-    out = {}
-    for i, r in enumerate(rows):
-        out[r] = out.get(r, 0) | 1 << i
-    return out
-
-
-def _transitive_witness(rows):
-    """First (C, D, E) with C rel D and D rel E but not C rel E, walking
-    the middle subset D first.
-
-    A D with row rd fails under each C whose row holds D but not all of
-    rd, so each pair of row classes names its failing Ds at once.
+    Say such (C, G, D) exists.  By (U) some c in C has {c} r1 G and not
+    {c} r3 D, so by (K) D lies in a key M of r3 with c outside good3(M).
+    G r2 M since values grow, so G lies inside good2(M), and c is in
+    good1(good2(M)).  Conversely each such c fails at ({c}, good2(M), M),
+    since good2(M) r2 M by (U).  So the keys of r3 are the instances.
     """
-    classes = _classes(rows).items()
-    bad = 0
-    for rd, ds in classes:
-        for rc, _ in classes:
-            if rd & ~rc:
-                bad |= ds & rc
-    if not bad:
+    for M in r3.keys:
+        G = r2.good(M)
+        bad = r1.good(G) & ~r3.good(M)
+        if bad:
+            return (bad & -bad, G, M)
+    return None
+
+
+def _inclusion(r1: _Relation, r2: _Relation):
+    """(C, D) with C r1 D but not C r2 D, or None.  If C r1 D fails r2,
+    some c in C fails it at D (U), so at a key M of r2 holding D (K),
+    while {c} r1 M still holds, since values grow."""
+    for M in r2.keys:
+        bad = r1.good(M) & ~r2.good(M)
+        if bad:
+            return (bad & -bad, M)
+    return None
+
+
+def _left_union(r: _Relation):
+    """(C, D) where C rel D differs from: {c} rel D for every c in C, or
+    None.  By (U) the two agree on every instance; the check reads, at
+    each key and at the carrier, the largest C the singletons allow,
+    good(D), through the union of its rows."""
+    for D in r.keys + (full_mask(len(r.left)),):
+        C = r.good(D)
+        if union_rows(r.left, C) & ~r.value(D):
+            return (C, D)
+    return None
+
+
+def _least_outside(M: SubsetMask) -> int:
+    return (~M & (M + 1)).bit_length() - 1
+
+
+def _right_monotone(r: _Relation):
+    """(C, D, b) with C rel D, b not in D, but not C rel D + {b}, or None.
+    Values are unions of rows, so they grow with D and the clause holds;
+    the check reads the largest C at each key and its least one-element
+    extension."""
+    full = full_mask(len(r.left))
+    for M in r.keys:
+        if M != full:
+            b = _least_outside(M)
+            C = r.good(M)
+            if C & ~r.good(M | 1 << b):
+                return (C, M, b)
+    return None
+
+
+def _multiplicative(B: P0Set, r: _Relation):
+    """(C, D) where wedge(dc C, dc D) rel wedge(C, D) fails, or None;
+    requires pairwise meets.
+
+    A wedge is the union of the meets c ^ d of members, and dc(C) the
+    union of the down[c].  So by (U), and as values grow, the clause
+    fails exactly when some {x ^ y} rel {c ^ d} fails with x < c and
+    y < d, and then it fails at ({c}, {d}): the pair law of the strict
+    relation with conclusion rows {m : {w} rel {m}}, O(n^3).  For prec it
+    is the multiplicativity axiom.  That axiom puts wedge(dc C, dc D)
+    inside dc(wedge(C, D)), so when down[e] rel {e} for every e too, which
+    gives dc(E) rel E, the clause holds without the pair law.
+    """
+    dn = prec_down(B)
+    if axioms._sweep_multiplicativity(B).holds and not any(
+        d & ~r.good(1 << e) for e, d in enumerate(dn)
+    ):
         return None
-    D = _low_bit(bad)
-    rd = rows[D]
-    C = min(_low_bit(cs) for rc, cs in classes if rc >> D & 1 and rd & ~rc)
-    return (C, D, _low_bit(rd & ~rows[C]))
+    meet, n = lattice_tables(B)[0], B.size
+    concl = transpose([r.good(1 << m) for m in range(n)], n)
+    check = axioms._pair_law("multiplicativity", meet, meet, B.prec, concl)
+    return None if check.holds else (1 << check.witness[1], 1 << check.witness[3])
 
 
-def _composition_witness(r1_rows, r2_rows, rows):
-    """First (C, G, D) with C r1 G and G r2 D but not C rel D.
+def _interpolant(wayb: _Relation, down):
+    """(C, D) with C wayb D but no G with C wayb G and G prec D, or None.
 
-    Whether G fails under C depends only on r2[G] and rows[C]: under a
-    row r the failing Gs are the r2 classes whose row is not inside r.
+    The largest G prec D is dc(D), and wayb grows with G, so the clause
+    fails exactly when C wayb D but not C wayb dc(D).  Then by (U) and (K)
+    some c in C fails at a key M holding dc(D), so D lies inside N =
+    {d : down[d] inside M}; c is still in good(N), and dc(N) lies inside
+    M.  So the instances are ({c}, N), one per key.
     """
-    r2_classes = _classes(r2_rows).items()
-    failing = {}
-    for C, r in enumerate(rows):
-        if r not in failing:
-            failing[r] = sum(gs for s, gs in r2_classes if s & ~r)
-        bad = r1_rows[C] & failing[r]
+    for M in wayb.keys:
+        N = _inside(down, M)
+        bad = wayb.good(N) & ~wayb.good(M)
         if bad:
-            G = _low_bit(bad)
-            return (C, G, _low_bit(r2_rows[G] & ~r))
+            return (bad & -bad, N)
     return None
 
 
-def _interpolant_witness(wayb_rows, prec_rows):
-    """First (C, D) with C wayb D but no G with C wayb G and G prec D.
+def _first_changed(candidates, sat, f):
+    """(A,) for the first candidate A with f(A) != sat(A), or None."""
+    return next(((A,) for A in candidates if f(A) != sat(A)), None)
 
-    The Ds reached through some G depend only on the wayb row: the union
-    of the prec rows of the classes it meets.
+
+def _saturation_invariant(wayb: _Relation, n: int):
+    """(C, A) where C wayb sat(A), C wayb A and sat(C) wayb A do not all
+    agree, or None.
+
+    As sat is good of wayb, the three say: C inside sat(sat(A)), C
+    inside sat(A), and sat(C) inside sat(A).  The first two agree for
+    every C exactly when sat(sat(A)) = sat(A), that is when sat(sat(A))
+    lies inside sat(A), which can fail only at keys (idempotence in
+    `_subset_clauses`).  The last two differ when C
+    lies inside sat(A) but sat(C) does not, so sat(sat(A)) is not inside
+    sat(A) either; or when sat(C) lies inside sat(A) but C does not.  Then
+    some c in C is outside sat(A) with sat({c}) inside it, and by (K), as
+    sat grows, the same holds at a key holding A.
     """
-    prec_classes = _classes(prec_rows).items()
-    reach = {
-        r: reduce(or_, (s for s, gs in prec_classes if r & gs), 0)
-        for r in set(wayb_rows)
-    }
-    return first_pair(r & ~reach[r] for r in wayb_rows)
-
-
-def _left_union_witness(rows):
-    """First (C, D) where C rel D differs from: every {c} in C has {c} rel D.
-
-    The right side is the intersection of the singleton rows, folded over
-    the subsets (the empty intersection is every D).
-    """
-    nsub = len(rows)
-    singles = [rows[1 << c] for c in range(nsub.bit_length() - 1)]
-    return first_pair(map(xor, rows, subset_fold(singles, and_, (1 << nsub) - 1)))
-
-
-def _right_monotone_witness(rows):
-    """First (C, D, b) with C rel D, b not in D, but not C rel D + {b}.
-
-    Shifting the members of a row that lack bit b up by 2**b lands on
-    their one-bit successors D + {b}; a successor missing from the row is
-    a failure, and the least (D, b) over all b is the first witness.
-    """
-    nsub = len(rows)
-    # the Ds lacking bit b: the low 2**b of every 2**(b + 1) consecutive Ds
-    lacks = [
-        ((1 << nsub) - 1) // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1)
-        for b in range(nsub.bit_length() - 1)
-    ]
-    for C, r in enumerate(rows):
-        fails = [
-            (_low_bit(bad) - (1 << b), b)
-            for b, mask in enumerate(lacks)
-            if (bad := (r & mask) << (1 << b) & ~r)
-        ]
-        if fails:
-            return (C,) + min(fails)
-    return None
-
-
-def _multiplicative_witnesses(tables, wedge, dc):
-    """For each rows table, the first (C, D) where wedge(dc C, dc D) rel
-    wedge(C, D) fails, or None.
-
-    The tables are packed into one row per subset, table i at bit offset
-    i * 2**n, so one shift per (C, D) reads every table's bit.  The rows
-    wedge(dc C, dc D) depend on C only through dc C, so each class of
-    subsets sharing dc C looks them up once, for every D; its members,
-    ascending, test only the tables whose witness could still come first.
-    """
-    nsub = len(dc)
-    out = [None] * len(tables)
-    packed = [sum(r << i * nsub for i, r in enumerate(rs)) for rs in zip(*tables)]
-    for k, cs in _classes(dc).items():
-        need = [*map(packed.__getitem__, map(wedge[k].__getitem__, dc))]
-        for C in bits(cs):
-            pending = [i for i, w in enumerate(out) if w is None or C < w[0]]
-            if not pending:
-                break
-            mask = sum(1 << i * nsub for i in pending)
-            held = [*map(and_, map(rshift, need, wedge[C]), repeat(mask))]
-            if held.count(mask) == nsub:
-                continue
-            for i in pending:
-                D = next((D for D, h in enumerate(held) if not h >> i * nsub & 1), None)
-                if D is not None:
-                    out[i] = (C, D)
-    return out
-
-
-def _saturation_invariant_witness(wayb_rows, sat):
-    """First (C, A) where C wayb sat(A), C wayb A and sat(C) wayb A do
-    not all agree.
-
-    The As with sat(A) in a row r are the saturation classes of the
-    saturated sets r holds: one pull-back per distinct row.
-    """
-    sat_classes = _classes(sat).items()
-    pulled = {}
-    for C, r in enumerate(wayb_rows):
-        if r not in pulled:
-            pulled[r] = sum(As for t, As in sat_classes if r >> t & 1)
-        bad = r ^ pulled[r] | r ^ wayb_rows[sat[C]]
+    sat = wayb.good
+    singles = [sat(1 << c) for c in range(n)]
+    for M in wayb.keys:
+        S = sat(M)
+        moved = sat(S) & ~S
+        if moved:
+            return (moved & -moved, M)
+        bad = sum(1 << c for c, s in enumerate(singles) if not (S >> c & 1 or s & ~S))
         if bad:
-            return (C, _low_bit(bad))
+            return (bad & -bad, M)
     return None
+
+
+def _subset_clauses(B: P0Set):
+    """(name, gate, decide) for each clause of `verify_subset_laws`, in
+    report order.  decide() gives the clause's witness, or None when it
+    holds, on any structure; the multiplicative clauses need pairwise
+    meets.  Gates: 0 none, 1 coinitiality, 2 coinitiality, pairwise meets
+    and multiplicativity, 3 the basic-semilattice check.
+
+    The saturation clauses compare sat(X(A)) with sat(A).  If y is in
+    one and not the other, then y is outside sat(S) for S = A or X(A):
+    some z < y is outside T_S, so S lies in the key M of z, and sat(M)
+    misses y too.  When S = A, the clause fails at A = M, as the other
+    side grows with A; when S = X(A) and X is a union of rows x[a], it
+    fails at {a : x[a] inside M}.  Three more facts:
+    - saturation_down_closed and saturation_of_down_closure: every x has
+      x <= x, so the down-closure of a set holds it, the down-closure of
+      sat(A) holds sat(A), sat(dcp(A)) holds sat(A), and only the keys
+      can show a difference.
+    - saturation_idempotent: sat(A) lies inside sat(sat(A)) on every
+      structure, so the check is sat(sat(A)) inside sat(A), at the keys.
+      An element z of T_A other than zero meets some d, so it has a
+      nonzero element below it and lies in its own meet row.  So if y is
+      in sat(A), every z < y lies in g[y], and y is in sat({y}), inside
+      sat(sat(A)).
+    The other four read keys or singletons too: monotonicity at each key
+    and its least extension, dc(A) inside sat(A) at singletons (a union
+    on the left), sat(A) precsim A at the keys of precsim (K), and
+    membership, F inside sat(A) against F wayb A, which are one test by
+    (U), at the keys of way-below.
+    """
+    n, zb = B.size, 1 << B.zero
+    full = full_mask(n)
+    down = prec_down(B)
+    der = derived_relations(B)
+    ident = tuple(1 << x for x in range(n))
+    prec = _relation(ident, down, 0)
+    sim = _relation(down, der.meets, zb)
+    refl = _relation(der.preceq_down, der.meets, zb)
+    below = _relation(ident, der.preceq_down, 0)
+    wayb = _relation(down, _generator_rows(B), zb)
+    sat, keys = wayb.good, wayb.keys
+    saturated = _Relation(ident, sat, sat, keys)
+
+    def equal(r1, r2):
+        return lambda: _inclusion(r1, r2) or _inclusion(r2, r1)
+
+    def dc(A):
+        return union_rows(down, A)
+
+    def dcp(A):
+        return union_rows(der.preceq_down, A)
+
+    def sat_monotone():
+        return next(((M, b) for M in keys if M != full
+                     for b in [_least_outside(M)] if sat(M) & ~sat(M | 1 << b)), None)
+
+    return (
+        ("prec_transitive", 0, lambda: _composition(prec, prec, prec)),
+        ("precsim_transitive", 2, lambda: _composition(sim, sim, sim)),
+        ("prec_left_union", 0, lambda: _left_union(prec)),
+        ("precsim_left_union", 0, lambda: _left_union(sim)),
+        ("wayb_left_union", 0, lambda: _left_union(wayb)),
+        ("prec_right_monotone", 0, lambda: _right_monotone(prec)),
+        ("precsim_right_monotone", 0, lambda: _right_monotone(sim)),
+        ("wayb_right_monotone", 0, lambda: _right_monotone(wayb)),
+        ("prec_multiplicative", 2, lambda: _multiplicative(B, prec)),
+        ("precsim_multiplicative", 2, lambda: _multiplicative(B, sim)),
+        ("wayb_multiplicative", 2, lambda: _multiplicative(B, wayb)),
+        ("below_implies_precsim", 1, lambda: _inclusion(below, sim)),
+        ("precsim_reflexivized_form", 1, equal(sim, refl)),
+        ("wayb_transitive", 2, lambda: _composition(wayb, wayb, wayb)),
+        ("finite_prec_implies_wayb", 1, lambda: _inclusion(prec, wayb)),
+        ("wayb_through_interpolant_back", 0, lambda: _composition(wayb, prec, wayb)),
+        ("wayb_through_interpolant", 3, lambda: _interpolant(wayb, down)),
+        ("precsim_wayb_absorb", 2, lambda: _composition(sim, wayb, wayb)),
+        ("wayb_implies_precsim", 2, lambda: _inclusion(wayb, sim)),
+        ("saturation_members", 0, equal(saturated, wayb)),
+        ("strict_down_in_saturation", 1,
+         lambda: next(((1 << a,) for a in range(n) if down[a] & ~sat(1 << a)), None)),
+        ("saturation_down_closed", 2, lambda: _first_changed(keys, sat, lambda A: dcp(sat(A)))),
+        ("saturation_of_down_closure", 0,
+         lambda: _first_changed(keys, sat, lambda A: sat(dcp(A)))),
+        ("saturation_of_strict_down", 3, lambda: _first_changed(
+            keys + tuple(_inside(down, M) for M in keys), sat, lambda A: sat(dc(A)))),
+        ("saturation_idempotent", 3,
+         lambda: next(((M,) for M in keys if sat(sat(M)) & ~sat(M)), None)),
+        ("saturation_monotone", 0, sat_monotone),
+        ("saturation_precsim_source", 2,
+         lambda: next(((M,) for M in sim.keys if sat(M) & ~sim.good(M)), None)),
+        ("wayb_saturation_invariant", 3, lambda: _saturation_invariant(wayb, n)),
+    )
 
 
 def verify_subset_laws(B: P0Set) -> Report:
@@ -381,111 +442,25 @@ def verify_subset_laws(B: P0Set) -> Report:
     semilattice with multiplicativity; the full basic-semilattice check
     (the clauses marked with it lean on type omission).
 
-    Universally quantified union/multiplicativity clauses are decided
-    through their largest instances: the relations decompose over unions
-    in the left argument and are monotone in the right one, and the
-    pointwise wedge is monotone in both, so the extreme instance implies
-    the rest (each reduction is itself among the checks).
-
-    The relations are tabulated once as rows over all subsets by superset
-    folds (`_subset_rows`), and every clause quantifying over subsets is
-    decided by bitset operations on those rows (the helpers above), which
-    report the witness a literal loop, walking its quantifiers in
-    ascending order, would report first.
+    Each clause is decided on polynomially many instances, singletons and
+    the keys of the relations, by the reductions proved in the deciders'
+    docstrings (see `_subset_clauses`), at every carrier size; the 2**n
+    table route is the test oracle.
 
     Saturation is deliberately not asserted to be extensive: sets need
     not be contained in their saturations.
     """
-    if B.size > FRAME_CAP:
-        raise CapExceeded(f"subset-law verification capped at carrier {FRAME_CAP}")
-    n = B.size
-    dc = prec_down_table(B)
-    dcp = preceq_down_table(B)
-    sat = saturation_table(B)
-    rows = _subset_rows(B)
-    prec_rows, sim_rows, wayb_rows = rows.prec, rows.precsim, rows.wayb
-
     g1 = bool(axioms._sweep_coinitiality(B).holds)
-    msl = bool(order_predicates(B).holds("meet_semilattice"))
-    g2 = g1 and msl and bool(axioms._sweep_multiplicativity(B).holds)
-    g3 = axioms.is_basic_semilattice(B)
-
+    g2 = g1 and bool(order_predicates(B).holds("meet_semilattice")) and bool(
+        axioms._sweep_multiplicativity(B).holds)
+    gates = (True, g1, g2, axioms.is_basic_semilattice(B))
     checks = []
-
-    def clause(name, gate, fn):
-        if not gate:
+    for name, gate, decide in _subset_clauses(B):
+        if not gates[gate]:
             checks.append(Check(name, None))
-            return
-        w = fn()
+            continue
+        w = decide()
         checks.append(Check(name, w is None, w))
-
-    mult = None
-
-    def multiplicative(i):
-        # extreme-instance reduction: the wedge of the full down-closures
-        # is the largest left side, and rel shrinks as its left grows
-        nonlocal mult
-        if mult is None:
-            tables = (prec_rows, sim_rows, wayb_rows)
-            mult = _multiplicative_witnesses(tables, _wedge_table(B), dc)
-        return mult[i]
-
-    clause("prec_transitive", True, lambda: _transitive_witness(prec_rows))
-    clause("precsim_transitive", g2, lambda: _transitive_witness(sim_rows))
-    clause("prec_left_union", True, lambda: _left_union_witness(prec_rows))
-    clause("precsim_left_union", True, lambda: _left_union_witness(sim_rows))
-    clause("wayb_left_union", True, lambda: _left_union_witness(wayb_rows))
-    clause("prec_right_monotone", True, lambda: _right_monotone_witness(prec_rows))
-    clause("precsim_right_monotone", True, lambda: _right_monotone_witness(sim_rows))
-    clause("wayb_right_monotone", True, lambda: _right_monotone_witness(wayb_rows))
-    clause("prec_multiplicative", g2, lambda: multiplicative(0))
-    clause("precsim_multiplicative", g2, lambda: multiplicative(1))
-    clause("wayb_multiplicative", g2, lambda: multiplicative(2))
-
-    clause("below_implies_precsim", g1,
-           lambda: first_pair(a & ~b for a, b in zip(rows.below, sim_rows)))
-    clause("precsim_reflexivized_form", g1,
-           lambda: first_pair(map(xor, sim_rows, rows.precsim_refl)))
-
-    clause("wayb_transitive", g2, lambda: _transitive_witness(wayb_rows))
-    clause("finite_prec_implies_wayb", g1,
-           lambda: first_pair(a & ~b for a, b in zip(prec_rows, wayb_rows)))
-    clause("wayb_through_interpolant_back", True,
-           lambda: _composition_witness(wayb_rows, prec_rows, wayb_rows))
-    clause("wayb_through_interpolant", g3,
-           lambda: _interpolant_witness(wayb_rows, prec_rows))
-    clause("precsim_wayb_absorb", g2,
-           lambda: _composition_witness(sim_rows, wayb_rows, wayb_rows))
-    clause("wayb_implies_precsim", g2,
-           lambda: first_pair(a & ~b for a, b in zip(wayb_rows, sim_rows)))
-
-    clause("saturation_members", True,
-           lambda: first_pair(map(xor, rows.saturated, wayb_rows)))
-    clause("strict_down_in_saturation", g1,
-           lambda: _first(map(and_, dc, map(invert, sat))))
-    # each of these compares outer[inner[A]] with sat[A] for every A
-    for name, gate, outer, inner in (
-        ("saturation_down_closed", g2, dcp, sat),
-        ("saturation_of_down_closure", True, sat, dcp),
-        ("saturation_of_strict_down", g3, sat, dc),
-        ("saturation_idempotent", g3, sat, sat),
-    ):
-        clause(name, gate,
-               lambda o=outer, i=inner: _first(map(ne, map(o.__getitem__, i), sat)))
-
-    def sat_monotone():
-        for A in range(1 << n):
-            for b in bits(full_mask(n) & ~A):
-                if sat[A] & ~sat[A | 1 << b]:
-                    return (A, b)
-        return None
-
-    clause("saturation_monotone", True, sat_monotone)
-    clause("saturation_precsim_source", g2,
-           lambda: _first(not sim_rows[S] >> A & 1 for A, S in enumerate(sat)))
-    clause("wayb_saturation_invariant", g3,
-           lambda: _saturation_invariant_witness(wayb_rows, sat))
-
     return report("subset_laws", checks)
 
 
@@ -503,21 +478,10 @@ def _first_mismatch(pairs):
     return None
 
 
-def verify_frame(B: P0Set) -> Report:
-    """Frame laws of the saturated family, the way-below comparison, and
-    the density/isomorphism corollaries.
-
-    The laws are theorems for basic semilattices; the semilattice verdict
-    leads the report so a structure outside that class shows its frame
-    verdicts but cannot pass overall.  Checks needing pairwise meets are
-    not applicable without a meet semilattice.
-    """
-    if B.size > FRAME_CAP:
-        raise CapExceeded(f"frame verification capped at carrier {FRAME_CAP}")
-    if not order_predicates(B).holds("meet_semilattice"):
-        raise PreconditionFailed("frame verification needs pairwise meets")
-    cbs_ok = axioms.is_basic_semilattice(B)
-
+def _table_laws(B: P0Set, sing) -> dict:
+    """The FRAME_TABLE_LAWS, read from the saturation table and the
+    pointwise wedges, as checks by name; sing[x] is the saturation of
+    {x}."""
     n = B.size
     # the laws read the saturation table and its distinct values; the
     # union route and the finite-parts formula must give the same family
@@ -541,7 +505,6 @@ def verify_frame(B: P0Set) -> Report:
         (_lookup(sat, or_, A, range(nsub)), _lookup(lub, or_, sat[A], sat))
         for A in range(nsub)
     )
-    sup_ok = sup_w is None
 
     # meet rule: saturation of the pointwise meets is the intersection
     wedge = _wedge_table(B)
@@ -549,7 +512,6 @@ def verify_frame(B: P0Set) -> Report:
         ([*map(sat.__getitem__, wedge[A])], [*map(and_, sat, repeat(sat[A]))])
         for A in range(nsub)
     )
-    meet_ok = meet_w is None
 
     # intersections stay in the family (meets are total)
     closed_w = next(
@@ -575,18 +537,6 @@ def verify_frame(B: P0Set) -> Report:
         None,
     )
 
-    sing = [sat[1 << x] for x in range(n)]
-    iso_w = None
-    if len(set(sing)) != n:
-        dup = [x for x in range(n) if sing.index(sat[1 << x]) != x]
-        iso_w = (dup[0],)
-    else:
-        iso_w = next(
-            ((x, y) for x, y in product(range(n), repeat=2)
-             if B.has(x, y) != subset_wayb(B, sing[x], sing[y])),
-            None,
-        )
-
     prec_pairs = [
         (i, j)
         for i, s in enumerate(sets)
@@ -602,25 +552,59 @@ def verify_frame(B: P0Set) -> Report:
 
     dense_w = None
     for m in sets:
-        gens = 0
-        for x in range(n):
-            if sing[x] & ~m == 0:
-                gens |= 1 << x
+        gens = sum(1 << x for x in range(n) if sing[x] & ~m == 0)
         if sat[gens] != m:
             dense_w = (m,)
             break
 
-    checks = [
-        Check("basic_semilattice", cbs_ok),
+    checks = (
         Check("families_coincide", coincide),
-        Check("join_rule", sup_ok, sup_w),
-        Check("meet_rule", meet_ok, meet_w),
+        Check("join_rule", sup_w is None, sup_w),
+        Check("meet_rule", meet_w is None, meet_w),
         Check("intersection_closed", closed_w is None, closed_w),
         Check("frame_distributivity", dist_w is None, dist_w),
         Check("waybelow_matches", wb_w is None, wb_w),
-        Check("singleton_isomorphism", iso_w is None, iso_w),
         Check("finite_family_basic_lattice", fbl_ok),
         Check("singletons_join_dense", dense_w is None, dense_w),
         Check("finite_sup_dense", coincide),
-    ]
-    return report("frame", checks)
+    )
+    return {c.name: c for c in checks}
+
+
+def verify_frame(B: P0Set) -> Report:
+    """Frame laws of the saturated family, the way-below comparison, and
+    the density/isomorphism corollaries.
+
+    The laws are theorems for basic semilattices; the semilattice verdict
+    leads the report so a structure outside that class shows its frame
+    verdicts but cannot pass overall.  Checks needing pairwise meets are
+    not applicable without a meet semilattice.
+
+    Two laws are read at every size: the semilattice check and the
+    singleton isomorphism, n saturations and n**2 way-below tests.  The
+    FRAME_TABLE_LAWS read the table of all 2**n saturations or every
+    saturated set; past FRAME_CAP they hold None.
+    """
+    if not order_predicates(B).holds("meet_semilattice"):
+        raise PreconditionFailed("frame verification needs pairwise meets")
+    n, zb = B.size, 1 << B.zero
+    sing = [saturate(B, 1 << x) for x in range(n)]
+    if len(set(sing)) != n:
+        dup = [x for x in range(n) if sing.index(sing[x]) != x]
+        iso_w = (dup[0],)
+    else:
+        # `subset_wayb` of sing[x] and sing[y], its two unions built once
+        below = [union_rows(prec_down(B), s) for s in sing]
+        reach = [union_rows(_generator_rows(B), s, zb) for s in sing]
+        iso_w = next(
+            ((x, y) for x, y in product(range(n), repeat=2)
+             if B.has(x, y) != (below[x] & ~reach[y] == 0)),
+            None,
+        )
+    checks = {
+        "basic_semilattice": Check("basic_semilattice", axioms.is_basic_semilattice(B)),
+        "singleton_isomorphism": Check("singleton_isomorphism", iso_w is None, iso_w),
+    }
+    if n <= FRAME_CAP:
+        checks.update(_table_laws(B, sing))
+    return report("frame", [checks.get(name) or Check(name, None) for name in FRAME_LAWS])

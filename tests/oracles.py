@@ -7,18 +7,19 @@ and the only reader of the package imports below: views of the package's
 own results, and routes of the package that only the tests call.
 """
 
-from functools import lru_cache
-from itertools import chain, combinations, product
-from operator import and_
+from functools import lru_cache, reduce
+from itertools import chain, combinations, product, repeat
+from operator import and_, invert, ne, or_, rshift, xor
 from typing import NamedTuple
 
-from orderbench import axioms, spectrum
+from orderbench import axioms, saturation, spectrum
 from orderbench import tight as ti
 from orderbench.core import (
     P0Set,
     SubsetMask,
     bits,
     derived_relations,
+    first_pair,
     full_mask,
     lattice_tables,
     lower_bound_table,
@@ -26,10 +27,10 @@ from orderbench.core import (
     meets_preceq_table,
     order_predicates,
     prec_down,
-    preceq_down_table,
     relative_complement,
     structure_table,
     subset_fold,
+    superset_fold,
     union_rows,
 )
 from orderbench.errors import CapExceeded
@@ -61,8 +62,15 @@ def preceq(B):
     return rel
 
 
+@lru_cache(maxsize=None)
+def _down_sets(B):
+    """down(B, x) for every x, built once per structure."""
+    return tuple(frozenset(down(B, x)) for x in range(B.size))
+
+
 def le(B, x, y):
-    return down(B, x) <= down(B, y)
+    downs = _down_sets(B)
+    return downs[x] <= downs[y]
 
 
 def meets(B, x, y):
@@ -1435,14 +1443,15 @@ def loop_recover_prec(B):
                  for x in range(B.size))
 
 
-def loop_pair_law(name, tB, tC, rel):
+def loop_pair_law(name, tB, tC, rel, concl=None):
     """The pair law as the edge-pair loop the fold replaced: x R x2 and
-    y R y2 give tB[x][y] R tC[x2][y2], first failure in edge order, as
-    (name, verdict, witness)."""
+    y R y2 give tB[x][y] R tC[x2][y2] (related by `concl` when given),
+    first failure in edge order, as (name, verdict, witness)."""
+    concl = rel if concl is None else concl
     edges = [(x, y) for x in range(len(rel)) for y in _members(rel[x])]
     for x, x2 in edges:
         for y, y2 in edges:
-            if not rel[tB[x][y]] >> tC[x2][y2] & 1:
+            if not concl[tB[x][y]] >> tC[x2][y2] & 1:
                 return name, False, (x, x2, y, y2)
     return name, True, None
 
@@ -1868,7 +1877,7 @@ def verify_tight_equivalences(beta):
     else:
         lbt = lower_bound_table(B)
         mut = meets_preceq_table(B)
-        dct = preceq_down_table(B)
+        dct = subset_fold(derived_relations(B).preceq_down, or_, 0)
         fm = full_mask(B.size)
         pt = subset_fold([fm & ~m for m in meets_preceq(B)], and_, fm)
         zb = 1 << B.zero
@@ -1906,3 +1915,275 @@ def factoring_by_maps(structures, targets):
             for beta in ti.zero_preserving_maps(B, A):
                 props = ti.map_properties(beta)
                 yield beta, props, ti.factor_tight(beta) if props.holds("tightish") else None
+
+
+# ---------------------------------------------------------------------------
+# the subset laws by the 2**n table route
+#
+# `saturation.verify_subset_laws` decides each clause on polynomially many
+# instances.  The route it replaced tabulates each relation as rows over
+# all subsets by superset folds, and decides every clause by bitset
+# operations on those rows.  rows[C] is the bitset {D : C rel D} over the
+# subsets D of the carrier.  Each helper decides one universally
+# quantified law and returns its first witness in ascending quantifier
+# order, the one the literal clause loops return, or None when the law
+# holds.  A table has few distinct rows, so the helpers that pair rows
+# work on the classes of subsets sharing a row and look for the witness in
+# the first failing class.
+
+TABLE_LAWS_CAP = 8
+
+
+def _rows_within(values) -> list[int]:
+    """rows[S] = {D : S inside values[D]} for every subset S, as bitsets
+    over the subsets D: each D is set at its own value, and the superset
+    fold carries it down to every subset of that value."""
+    table = [0] * len(values)
+    for D, v in enumerate(values):
+        table[v] |= 1 << D
+    return superset_fold(table, or_)
+
+
+class SubsetRows(NamedTuple):
+    """The relation tables of the table route, each row C the bitset
+    {D : C rel D}: C prec D, C precsim D, C wayb D, precsim read from the
+    down-closure of C under the reflexivization, C inside the down-closure
+    of D, and C inside the saturation of D."""
+
+    prec: list[int]
+    precsim: list[int]
+    wayb: list[int]
+    precsim_refl: list[int]
+    below: list[int]
+    saturated: list[int]
+
+
+def _subset_tables(B: P0Set):
+    """(dc, mu, dcp, sat) over every subset: the strict down-closure, the
+    union of meet rows, the down-closure under the reflexivization, and
+    the saturation, the saturated part of mu[dc[A]] | zero."""
+    der = derived_relations(B)
+    dc = subset_fold(prec_down(B), or_, 0)
+    mu = subset_fold(der.meets, or_, 0)
+    dcp = subset_fold(der.preceq_down, or_, 0)
+    down, zb = prec_down(B), 1 << B.zero
+    sat = tuple(sum(1 << y for y, d in enumerate(down) if not d & ~(mu[S] | zb)) for S in dc)
+    return dc, mu, dcp, sat
+
+
+def subset_rows(B: P0Set) -> SubsetRows:
+    dc, mu, dcp, sat = _subset_tables(B)
+    zb = 1 << B.zero
+    # precsim: dc[C] inside mu[D] | zero; wayb: dc[C] inside mu[dc[D]] | zero
+    sim_within = _rows_within([m | zb for m in mu])
+    wayb_within = _rows_within([mu[S] | zb for S in dc])
+    return SubsetRows(
+        prec=_rows_within(dc),
+        precsim=[*map(sim_within.__getitem__, dc)],
+        wayb=[*map(wayb_within.__getitem__, dc)],
+        precsim_refl=[*map(sim_within.__getitem__, dcp)],
+        below=_rows_within(dcp),
+        saturated=_rows_within(sat),
+    )
+
+
+def _first(flags):
+    """(i,) for the first true flag, or None."""
+    return next(((i,) for i, f in enumerate(flags) if f), None)
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _classes(rows) -> dict[int, int]:
+    """{row: the bitset of the indices holding it}."""
+    out = {}
+    for i, r in enumerate(rows):
+        out[r] = out.get(r, 0) | 1 << i
+    return out
+
+
+def _transitive_witness(rows):
+    """First (C, D, E) with C rel D and D rel E but not C rel E, walking
+    the middle subset D first.
+
+    A D with row rd fails under each C whose row holds D but not all of
+    rd, so each pair of row classes names its failing Ds at once.
+    """
+    classes = _classes(rows).items()
+    bad = 0
+    for rd, ds in classes:
+        for rc, _ in classes:
+            if rd & ~rc:
+                bad |= ds & rc
+    if not bad:
+        return None
+    D = _low_bit(bad)
+    rd = rows[D]
+    C = min(_low_bit(cs) for rc, cs in classes if rc >> D & 1 and rd & ~rc)
+    return (C, D, _low_bit(rd & ~rows[C]))
+
+
+def _composition_witness(r1_rows, r2_rows, rows):
+    """First (C, G, D) with C r1 G and G r2 D but not C rel D.
+
+    Whether G fails under C depends only on r2[G] and rows[C]: under a
+    row r the failing Gs are the r2 classes whose row is not inside r.
+    """
+    r2_classes = _classes(r2_rows).items()
+    failing = {}
+    for C, r in enumerate(rows):
+        if r not in failing:
+            failing[r] = sum(gs for s, gs in r2_classes if s & ~r)
+        bad = r1_rows[C] & failing[r]
+        if bad:
+            G = _low_bit(bad)
+            return (C, G, _low_bit(r2_rows[G] & ~r))
+    return None
+
+
+def _interpolant_witness(wayb_rows, prec_rows):
+    """First (C, D) with C wayb D but no G with C wayb G and G prec D.
+
+    The Ds reached through some G depend only on the wayb row: the union
+    of the prec rows of the classes it meets.
+    """
+    prec_classes = _classes(prec_rows).items()
+    reach = {
+        r: reduce(or_, (s for s, gs in prec_classes if r & gs), 0)
+        for r in set(wayb_rows)
+    }
+    return first_pair(r & ~reach[r] for r in wayb_rows)
+
+
+def _left_union_witness(rows):
+    """First (C, D) where C rel D differs from: every {c} in C has {c} rel D.
+
+    The right side is the intersection of the singleton rows, folded over
+    the subsets (the empty intersection is every D).
+    """
+    nsub = len(rows)
+    singles = [rows[1 << c] for c in range(nsub.bit_length() - 1)]
+    return first_pair(map(xor, rows, subset_fold(singles, and_, (1 << nsub) - 1)))
+
+
+def _right_monotone_witness(rows):
+    """First (C, D, b) with C rel D, b not in D, but not C rel D + {b}.
+
+    Shifting the members of a row that lack bit b up by 2**b lands on
+    their one-bit successors D + {b}; a successor missing from the row is
+    a failure, and the least (D, b) over all b is the first witness.
+    """
+    nsub = len(rows)
+    # the Ds lacking bit b: the low 2**b of every 2**(b + 1) consecutive Ds
+    lacks = [
+        ((1 << nsub) - 1) // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1)
+        for b in range(nsub.bit_length() - 1)
+    ]
+    for C, r in enumerate(rows):
+        fails = [
+            (_low_bit(bad) - (1 << b), b)
+            for b, mask in enumerate(lacks)
+            if (bad := (r & mask) << (1 << b) & ~r)
+        ]
+        if fails:
+            return (C,) + min(fails)
+    return None
+
+
+def _multiplicative_witnesses(tables, wedge, dc):
+    """For each rows table, the first (C, D) where wedge(dc C, dc D) rel
+    wedge(C, D) fails, or None.
+
+    The tables are packed into one row per subset, table i at bit offset
+    i * 2**n, so one shift per (C, D) reads every table's bit.  The rows
+    wedge(dc C, dc D) depend on C only through dc C, so each class of
+    subsets sharing dc C looks them up once, for every D; its members,
+    ascending, test only the tables whose witness could still come first.
+    """
+    nsub = len(dc)
+    out = [None] * len(tables)
+    packed = [sum(r << i * nsub for i, r in enumerate(rs)) for rs in zip(*tables)]
+    for k, cs in _classes(dc).items():
+        need = [*map(packed.__getitem__, map(wedge[k].__getitem__, dc))]
+        for C in bits(cs):
+            pending = [i for i, w in enumerate(out) if w is None or C < w[0]]
+            if not pending:
+                break
+            mask = sum(1 << i * nsub for i in pending)
+            held = [*map(and_, map(rshift, need, wedge[C]), repeat(mask))]
+            if held.count(mask) == nsub:
+                continue
+            for i in pending:
+                D = next((D for D, h in enumerate(held) if not h >> i * nsub & 1), None)
+                if D is not None:
+                    out[i] = (C, D)
+    return out
+
+
+def _saturation_invariant_witness(wayb_rows, sat):
+    """First (C, A) where C wayb sat(A), C wayb A and sat(C) wayb A do
+    not all agree.
+
+    The As with sat(A) in a row r are the saturation classes of the
+    saturated sets r holds: one pull-back per distinct row.
+    """
+    sat_classes = _classes(sat).items()
+    pulled = {}
+    for C, r in enumerate(wayb_rows):
+        if r not in pulled:
+            pulled[r] = sum(As for t, As in sat_classes if r >> t & 1)
+        bad = r ^ pulled[r] | r ^ wayb_rows[sat[C]]
+        if bad:
+            return (C, _low_bit(bad))
+    return None
+
+
+def table_subset_clauses(B: P0Set) -> dict:
+    """{clause: first witness or None} for every clause of
+    `saturation.verify_subset_laws`, ungated, by the table route; the
+    multiplicative clauses only on a meet semilattice."""
+    if B.size > TABLE_LAWS_CAP:
+        raise CapExceeded(f"table route capped at carrier {TABLE_LAWS_CAP}")
+    n = B.size
+    dc, _, dcp, sat = _subset_tables(B)
+    rows = subset_rows(B)
+    prec_rows, sim_rows, wayb_rows = rows.prec, rows.precsim, rows.wayb
+    out = {}
+    for name, r in (("prec", prec_rows), ("precsim", sim_rows), ("wayb", wayb_rows)):
+        out[f"{name}_transitive"] = _transitive_witness(r)
+        out[f"{name}_left_union"] = _left_union_witness(r)
+        out[f"{name}_right_monotone"] = _right_monotone_witness(r)
+    if order_predicates(B).holds("meet_semilattice"):
+        mult = _multiplicative_witnesses(
+            (prec_rows, sim_rows, wayb_rows), saturation._wedge_table(B), dc)
+        for name, w in zip(("prec", "precsim", "wayb"), mult):
+            out[f"{name}_multiplicative"] = w
+    out["below_implies_precsim"] = first_pair(a & ~b for a, b in zip(rows.below, sim_rows))
+    out["precsim_reflexivized_form"] = first_pair(map(xor, sim_rows, rows.precsim_refl))
+    out["finite_prec_implies_wayb"] = first_pair(a & ~b for a, b in zip(prec_rows, wayb_rows))
+    out["wayb_through_interpolant_back"] = _composition_witness(wayb_rows, prec_rows, wayb_rows)
+    out["wayb_through_interpolant"] = _interpolant_witness(wayb_rows, prec_rows)
+    out["precsim_wayb_absorb"] = _composition_witness(sim_rows, wayb_rows, wayb_rows)
+    out["wayb_implies_precsim"] = first_pair(a & ~b for a, b in zip(wayb_rows, sim_rows))
+    out["saturation_members"] = first_pair(map(xor, rows.saturated, wayb_rows))
+    out["strict_down_in_saturation"] = _first(map(and_, dc, map(invert, sat)))
+    # each of these compares outer[inner[A]] with sat[A] for every A
+    for name, outer, inner in (
+        ("saturation_down_closed", dcp, sat),
+        ("saturation_of_down_closure", sat, dcp),
+        ("saturation_of_strict_down", sat, dc),
+        ("saturation_idempotent", sat, sat),
+    ):
+        out[name] = _first(map(ne, map(outer.__getitem__, inner), sat))
+    out["saturation_monotone"] = next(
+        ((A, b) for A in range(1 << n) for b in bits(full_mask(n) & ~A)
+         if sat[A] & ~sat[A | 1 << b]),
+        None,
+    )
+    out["saturation_precsim_source"] = _first(
+        not sim_rows[S] >> A & 1 for A, S in enumerate(sat))
+    out["wayb_saturation_invariant"] = _saturation_invariant_witness(wayb_rows, sat)
+    return out
+

@@ -276,33 +276,46 @@ class TestWideCarriers:
             assert out.out.split()[-1] == "PASS"
 
     def test_capped_checks_print_as_skipped(self, tmp_path, capsys, deadline):
-        # past FRAME_CAP (8 elements) each saturate report keeps the laws it
-        # has at 8 elements, every one with holds null, and stderr says
-        # why; the exit code is that of a report with no failure.  envelope
-        # has no cap: it prints a verdict at every size and skips nothing
-        def write(n):
-            path = tmp_path / f"chain{n}.json"
-            path.write_text(dump_structure(lab.make_family("chain", n)))
+        # past FRAME_CAP (8 elements) saturate answers every subset law and
+        # the frame laws that read only singletons, with the verdicts they
+        # have at the cap; the frame laws read from the saturation table
+        # hold null, and stderr names them.  envelope has no cap: it prints
+        # a verdict at every size and skips nothing
+        from orderbench.saturation import FRAME_TABLE_LAWS
+
+        def write(family, n):
+            path = tmp_path / f"{family}{n}.json"
+            path.write_text(dump_structure(lab.make_family(family, n)))
             return str(path)
 
-        at_cap, past = write(7), write(9)
+        at_cap, past = write("chain", 7), write("chain", 9)
         assert cli.run(["saturate", at_cap, "--format", "json"]) == 0
         checked = json.loads(capsys.readouterr().out)
         assert cli.run(["saturate", past, "--format", "json"]) == 0
         out = capsys.readouterr()
         doc = json.loads(out.out)
-        assert len(doc) == 2
         assert {name: [c["axiom"] for c in rep] for name, rep in doc.items()} == {
             name: [c["axiom"] for c in rep] for name, rep in checked.items()}
-        assert all(c["holds"] is None and c["witness"] is None
-                   for rep in doc.values() for c in rep)
-        for name in doc:
-            assert f"carrier 10 exceeds 8; {name} skipped\n" in out.err
+        assert doc["subset_laws"] == checked["subset_laws"]
+        assert "subset_laws skipped" not in out.err
+        skipped = [c["axiom"] for c in doc["frame"] if c["holds"] is None]
+        assert skipped == list(FRAME_TABLE_LAWS)
+        assert all(c == d for c, d in zip(doc["frame"], checked["frame"])
+                   if c["holds"] is not None)
+        names = ", ".join(FRAME_TABLE_LAWS)
+        assert f"carrier 10 exceeds 8; frame laws {names} skipped\n" in out.err
         assert cli.run(["saturate", past]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.startswith("[")] == [f"[{n}]" for n in doc]
-        laws = [line.split() for line in lines if not line.startswith("[")]
-        assert laws == [[c["axiom"], "n/a"] for rep in doc.values() for c in rep]
+        assert [line for line in lines if line.startswith("[")] == ["[subset_laws]", "[frame]"]
+        verdicts = {"pass": True, "FAIL": False, "n/a": None}
+        laws = [line.split()[:2] for line in lines if line.startswith("  ") and "=>" not in line]
+        assert laws == [[c["axiom"], next(k for k, v in verdicts.items() if v is c["holds"])]
+                        for rep in doc.values() for c in rep]
+
+        # a 16-element basic lattice: every gate holds, every subset law too
+        assert cli.run(["saturate", write("powerset", 4), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(c["holds"] is True for c in doc["subset_laws"])
 
         assert cli.run(["envelope", past, "--format", "json"]) == 0
         out = capsys.readouterr()

@@ -24,12 +24,9 @@ from orderbench.core import (
     mask_from,
     meet,
     meets_preceq_table,
-    meets_table,
     order_predicates,
     p0set,
     prec_down,
-    prec_down_table,
-    preceq_down_table,
     relative_complement,
     separation_table,
     structure_table,
@@ -364,17 +361,13 @@ class TestSupersetFold:
 
 
 def _table_oracles(B):
-    """The five subset tables from their literal definitions."""
+    """The two subset tables from their literal definitions."""
     n = B.size
-    le = [[oracles.le(B, z, c) for c in range(n)] for z in range(n)]
 
     def union(C, related):
         return mask_from(z for z in range(n) if any(related(z, c) for c in _members(C)))
 
     return {
-        prec_down_table: lambda C: union(C, B.has),
-        meets_table: lambda C: union(C, lambda z, c: oracles.meets(B, z, c)),
-        preceq_down_table: lambda C: union(C, lambda z, c: le[z][c]),
         lower_bound_table: lambda C: mask_from(oracles.naive_lower_bounds(B, _members(C))),
         meets_preceq_table: lambda C: union(C, lambda z, c: oracles.meets_refl(B, z, c)),
     }
@@ -418,12 +411,12 @@ class TestStructureTables:
 
     def test_equal_structure_reads_the_earlier_table(self, p3):
         B = fresh(p3)
-        table = prec_down_table(B)
+        table = lower_bound_table(B)
         twin = P0Set(B.size, B.zero, B.prec, B.names)
         assert twin == B and twin is not B
-        before = prec_down_table.cache_info()
-        assert prec_down_table(twin) is table
-        after = prec_down_table.cache_info()
+        before = lower_bound_table.cache_info()
+        assert lower_bound_table(twin) is table
+        after = lower_bound_table.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     def test_same_name_in_another_module_is_another_table(self, p3):
