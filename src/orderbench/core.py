@@ -132,23 +132,6 @@ def subset_fold(rows, op, init) -> tuple:
     return tuple(table)
 
 
-def superset_fold(table, op) -> list:
-    """[S] = table[T] combined by `op` over every T containing S, for every
-    subset S (bitmask indices): the fast zeta transform.
-
-    The pass for bit b folds each block of entries holding b into the
-    block just below it, the same subsets without b.  `op` must be
-    commutative and associative.
-    """
-    t = list(table)
-    b = 1
-    while b < len(t):
-        for lo in range(0, len(t), 2 * b):
-            t[lo:lo + b] = map(op, t[lo:lo + b], t[lo + b:lo + 2 * b])
-        b *= 2
-    return t
-
-
 # ---------------------------------------------------------------------------
 # structures
 

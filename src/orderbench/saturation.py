@@ -19,16 +19,17 @@ Each relation says that the union of the rows of C's members lies inside
 a value of D that grows with D, so a quantified subset law fails, if at
 all, at singletons C and at the largest sets D that keep one element out
 of a value: `verify_subset_laws` decides every clause on those
-polynomially many instances.  The frame laws read the saturation table
-up to FRAME_CAP, except the two that read only singletons.
+polynomially many instances.  On a meet semilattice the saturated family
+is the powerset of the characters, the maximal centred sets, and
+`verify_frame` reads the frame laws through them, at every size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import reduce
-from itertools import product, repeat
-from operator import and_, or_
+from functools import cache, reduce
+from itertools import product
+from operator import or_
 from typing import NamedTuple
 
 from . import axioms
@@ -40,32 +41,21 @@ from .core import (
     derived_relations,
     full_mask,
     lattice_tables,
+    maximal_centred_sets,
     order_predicates,
-    p0set,
     prec_down,
     structure_table,
-    subset_fold,
-    superset_fold,
     transpose,
     union_rows,
 )
-from .errors import CapExceeded, OrderbenchError, PreconditionFailed
+from .errors import CapExceeded, PreconditionFailed
 from .report import Check, Report, report
 
-SUBSET_CAP = 12
-FRAME_CAP = 8
 FRAME_LAWS = (
-    "basic_semilattice", "families_coincide", "join_rule", "meet_rule", "intersection_closed",
-    "frame_distributivity", "waybelow_matches", "singleton_isomorphism",
-    "finite_family_basic_lattice", "singletons_join_dense", "finite_sup_dense",
-)
-#: The frame laws read from the saturation table or from the saturated
-#: sets one by one: past FRAME_CAP they hold None, and `saturate` names
-#: them as skipped.
-FRAME_TABLE_LAWS = (
-    "families_coincide", "join_rule", "meet_rule", "intersection_closed",
-    "frame_distributivity", "waybelow_matches", "finite_family_basic_lattice",
-    "singletons_join_dense", "finite_sup_dense",
+    "basic_semilattice", "character_representation", "families_coincide", "join_rule",
+    "meet_rule", "intersection_closed", "frame_distributivity", "waybelow_matches",
+    "singleton_isomorphism", "finite_family_basic_lattice", "singletons_join_dense",
+    "finite_sup_dense",
 )
 
 
@@ -97,66 +87,20 @@ def saturate(B: P0Set, A: SubsetMask) -> SubsetMask:
     return _inside(prec_down(B), union_rows(_generator_rows(B), A, 1 << B.zero))
 
 
-@structure_table
-def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
-    """[A] = the saturation of A, for every subset A of the carrier: the
-    saturated part of T_A, folded over the generator rows."""
-    if B.size > SUBSET_CAP:
-        raise CapExceeded(f"saturation tables capped at carrier {SUBSET_CAP}")
+def saturated_family(B: P0Set) -> tuple[SubsetMask, ...]:
+    """The distinct saturations of the subsets, ascending.  A subset
+    enters its saturation only through the union of zero and its members'
+    generator rows, so the family is the saturated parts of those unions,
+    grown one generator at a time and refused past `FAMILY_BOUND` of them."""
+    unions = {1 << B.zero}
+    for g in set(_generator_rows(B)):
+        unions |= {t | g for t in unions}
+        if len(unions) > FAMILY_BOUND:
+            raise CapExceeded(
+                f"saturated families capped at {FAMILY_BOUND} unions of generator rows"
+            )
     down = prec_down(B)
-    return tuple(_inside(down, t) for t in subset_fold(_generator_rows(B), or_, 1 << B.zero))
-
-
-@structure_table
-def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
-    """W[C][D] = {c meet d : c in C, d in D}; requires a meet semilattice.
-
-    Two subset folds: first the row of each element c over every D, then
-    the union of those rows over the members of C.
-    """
-    mt, _ = lattice_tables(B)
-    if any(m is None for row in mt for m in row):
-        raise PreconditionFailed("pairwise meets must exist")
-    single = [subset_fold([1 << m for m in row], or_, 0) for row in mt]
-    return subset_fold(single, lambda a, b: [*map(or_, a, b)], [0] * (1 << B.size))
-
-
-class SaturatedFamily(NamedTuple):
-    """The distinct saturated sets of one generator class, ascending."""
-
-    sets: tuple[SubsetMask, ...]
-
-
-def saturated_family(B: P0Set, generators: str = "all") -> SaturatedFamily:
-    """Saturations of the chosen generator class.
-
-    singletons: one saturation per carrier element.  finite: the
-    saturation of every subset, which reads the subset only through the
-    union of zero and its members' generator rows, so the family is the
-    saturated parts of those unions, grown one generator at a time and
-    refused past `FAMILY_BOUND` of them.  all: the union of the
-    saturations of the finite parts of each subset, a superset fold of the
-    reversed saturation table (reversal complements the subsets); in a
-    finite carrier the two generator classes coincide and the modes exist
-    to cross-check each other.
-    """
-    if generators == "singletons":
-        raw = {saturate(B, 1 << x) for x in range(B.size)}
-    elif generators == "finite":
-        unions = {1 << B.zero}
-        for g in set(_generator_rows(B)):
-            unions |= {t | g for t in unions}
-            if len(unions) > FAMILY_BOUND:
-                raise CapExceeded(
-                    f"saturated families capped at {FAMILY_BOUND} unions of generator rows"
-                )
-        down = prec_down(B)
-        raw = {_inside(down, t) for t in unions}
-    elif generators == "all":
-        raw = set(superset_fold(saturation_table(B)[::-1], or_))
-    else:
-        raise ValueError(f"unknown generator class {generators!r}")
-    return SaturatedFamily(tuple(sorted(raw)))
+    return tuple(sorted({_inside(down, t) for t in unions}))
 
 
 # ---------------------------------------------------------------------------
@@ -464,111 +408,166 @@ def verify_subset_laws(B: P0Set) -> Report:
     return report("subset_laws", checks)
 
 
-def _lookup(table, op, x, ys) -> list:
-    """[table[op(x, y)] for y in ys]."""
-    return [*map(table.__getitem__, map(op, repeat(x), ys))]
+# ---------------------------------------------------------------------------
+# frame laws through the characters
+#
+# The characters are the maximal centred sets.  Write a(y) for the mask
+# of characters holding y, a(A) for its union over A, and R(K) = {y :
+# a(y) inside K}.  When the reflexivization is a partial order, the
+# characters are the up-sets of the atoms (minimal nonzero elements), and:
+# (I) sat(A) = R(a(A)).  An atom z has z < z, or it would equal zero, so
+#     the atoms below a nonzero x are those of a(x), and every nonzero
+#     element has one.  So a nonzero x is in T_A (some nonzero e < d < a
+#     in A has e < x) iff a(x) meets a(A), and y is in sat(A) iff every
+#     nonzero x < y has a(x) meeting a(A), that is iff a(y) is inside a(A).
+# (P) Each character holds an element no other holds: its atom.
+# (M) a(x ^ y) = a(x) & a(y): an atom is below the meet iff below both.
+# Consequences: (R1) a(R(K)) = K, as R(K) holds the private element of
+# each character in K.  (R2) So K -> R(K) is an order isomorphism from the
+# sets of characters onto the saturated family, inverse a, and R(K) =
+# sat(P_K) for P_K the private elements of K: 2**k members.  (R3) For any
+# S, sat(S) = R(a(S)) holds S and lies inside each member R(K) holding S,
+# as a(S) is inside K; so the members are the S with sat(S) = S.
 
 
-def _first_mismatch(pairs):
-    """First (i, j) such that the i-th pair of lists is the first to
-    differ, first at index j."""
-    for i, (a, b) in enumerate(pairs):
-        if a != b:
-            return (i, next(j for j, (x, y) in enumerate(zip(a, b)) if x != y))
-    return None
+def _private_witness(held, k: int):
+    """("private", i) for the first of the k characters holding no
+    element that no other holds, or None; held[y] = a(y)."""
+    private = reduce(or_, (h for h in held if not h & (h - 1)), 0)
+    missing = full_mask(k) & ~private
+    return ("private", (missing & -missing).bit_length() - 1) if missing else None
 
 
-def _table_laws(B: P0Set, sing) -> dict:
-    """The FRAME_TABLE_LAWS, read from the saturation table and the
-    pointwise wedges, as checks by name; sing[x] is the saturation of
-    {x}."""
-    n = B.size
-    # the laws read the saturation table and its distinct values; the
-    # union route and the finite-parts formula must give the same family
-    sat = saturation_table(B)
-    sets = tuple(sorted(set(sat)))
-    coincide = (
-        saturated_family(B, "finite").sets == sets == saturated_family(B, "all").sets
-    )
-    index = {s: i for i, s in enumerate(sets)}
+def _representation_witness(B: P0Set, held, k: int):
+    """The first of (I), (P), (M) to fail, as ("identity", A), ("private",
+    i) or ("meet", x, y), or None.  Both sides of (I) are good of a
+    relation of the subset laws' form, way-below and the relation with
+    rows a(y) on both sides, so (I) holds for all A iff each relation is
+    included in the other, which `_inclusion` decides at the keys: at most
+    n of way-below and the complements of the k characters.  (M) follows
+    from (I) and (P) on a meet semilattice: i in a(x) & a(y) puts p_i in
+    sat({x}) & sat({y}) = sat({x ^ y}) by (I), so i is in a(x ^ y); it is
+    read all the same, as the laws' premise."""
+    wayb = _relation(prec_down(B), _generator_rows(B), 1 << B.zero)
+    chars = _relation(held, held, 0)
+    w = _inclusion(wayb, chars) or _inclusion(chars, wayb)
+    if w:
+        return ("identity", w[1])
+    n, meet = B.size, lattice_tables(B)[0]
+    return _private_witness(held, k) or next(
+        (("meet", x, y) for x in range(n) for y in range(x, n)
+         if held[meet[x][y]] != held[x] & held[y]), None)
 
-    nsub = 1 << n
-    # lub[X] = the intersection of the members containing X, the carrier
-    # when none does: each member stands at its own index, and the
-    # superset fold meets it into every subset below
-    lub = superset_fold([S if S in index else full_mask(n) for S in range(nsub)], and_)
 
-    # join rule: the saturated union is the least member above both
-    # saturations.  It is itself a member, so it is above both and below
-    # every member above both exactly when it equals lub of their union.
-    sup_w = _first_mismatch(
-        (_lookup(sat, or_, A, range(nsub)), _lookup(lub, or_, sat[A], sat))
-        for A in range(nsub)
-    )
+class _Frame(NamedTuple):
+    """What the deciders read: sat, the library's `saturate` on B kept per
+    set; sing[x] = sat({x}); members, the distinct saturations of the
+    singletons and the carrier; atoms[i] = R({i}), the saturation of the
+    first element y with a(y) = {i}; held[y] = a(y)."""
 
-    # meet rule: saturation of the pointwise meets is the intersection
-    wedge = _wedge_table(B)
-    meet_w = _first_mismatch(
-        ([*map(sat.__getitem__, wedge[A])], [*map(and_, sat, repeat(sat[A]))])
-        for A in range(nsub)
-    )
+    B: P0Set
+    sat: Callable[[SubsetMask], SubsetMask]
+    sing: list[SubsetMask]
+    members: tuple[SubsetMask, ...]
+    atoms: tuple[SubsetMask, ...]
+    held: tuple[SubsetMask, ...]
 
-    # intersections stay in the family (meets are total)
-    closed_w = next(
-        ((s, t) for s, t in product(sets, repeat=2) if s & t not in index), None
-    )
 
-    k = len(sets)
-    w = _first_mismatch(
-        (
-            [*map(and_, repeat(s), _lookup(sat, or_, t, sets))],
-            _lookup(sat, or_, s & t, [*map(and_, repeat(s), sets)]),
-        )
-        for s, t in product(sets, repeat=2)
-    )
-    dist_w = None if w is None else (sets[w[0] // k], sets[w[0] % k], sets[w[1]])
+def _families_coincide(f: _Frame):
+    """(A,) where sat(A) is not the union of sat(U) over U inside A, the
+    member the finite parts of A give, or None.  sat = R o a is monotone
+    by (I), so the union is sat(A).  Read at A = {x}, against sat({}), and
+    at the carrier X, against each sat({x})."""
+    full = full_mask(f.B.size)
+    return next(((1 << x,) for x, s in enumerate(f.sing) if f.sat(0) & ~s), None) or next(
+        ((full,) for s in f.sing if s & ~f.sat(full)), None)
 
-    # way-below in the finite complete lattice: every directed subfamily has
-    # a greatest member, so the directed-join definition collapses to plain
-    # containment; compare that against the relation computed from covers.
-    wb_w = next(
-        ((s, t) for s, t in product(sets, repeat=2)
-         if (s & ~t == 0) != subset_wayb(B, s, t)),
-        None,
-    )
 
-    prec_pairs = [
-        (i, j)
-        for i, s in enumerate(sets)
-        for j, t in enumerate(sets)
-        if subset_wayb(B, s, t)
-    ]
-    fbl_ok = None
-    try:
-        fam_struct = p0set(len(sets), index[sat[0]], prec_pairs)
-        fbl_ok = axioms.is_basic_lattice(fam_struct)
-    except OrderbenchError:  # e.g. NotTransitive: the family is no structure
-        fbl_ok = False
+def _join_rule(f: _Frame):
+    """(A, C) where sat(A | C) is not the least member holding sat(A) and
+    sat(C), or None.  By (I) and (R1) sat(A | C) = R(a(A) | a(C)) =
+    R(a(sat(A) | sat(C))), the least member holding both by (R3).  Read at
+    each pair of singletons: sat({x, y}) holds sat({x}) and sat({y}) and
+    lies inside m = sat(sat({x}) | sat({y})) when m holds them."""
+    n, sing, sat = f.B.size, f.sing, f.sat
+    return next(((1 << x, 1 << y) for x in range(n) for y in range(x + 1, n)
+                 for both, j in [(sing[x] | sing[y], sat(1 << x | 1 << y))]
+                 if both & ~j or not both & ~sat(both) and j & ~sat(both)), None)
 
-    dense_w = None
-    for m in sets:
-        gens = sum(1 << x for x in range(n) if sing[x] & ~m == 0)
-        if sat[gens] != m:
-            dense_w = (m,)
-            break
 
-    checks = (
-        Check("families_coincide", coincide),
-        Check("join_rule", sup_w is None, sup_w),
-        Check("meet_rule", meet_w is None, meet_w),
-        Check("intersection_closed", closed_w is None, closed_w),
-        Check("frame_distributivity", dist_w is None, dist_w),
-        Check("waybelow_matches", wb_w is None, wb_w),
-        Check("finite_family_basic_lattice", fbl_ok),
-        Check("singletons_join_dense", dense_w is None, dense_w),
-        Check("finite_sup_dense", coincide),
-    )
-    return {c.name: c for c in checks}
+def _meet_rule(f: _Frame):
+    """(A, C) where sat(wedge(A, C)) is not sat(A) & sat(C), or None.  By
+    (M) a(wedge(A, C)), the union of the a(c ^ d), is a(A) & a(C), and R
+    turns & into &, so by (I) both sides are R(a(A) & a(C)).  Read at each
+    pair of singletons, whose wedge is their meet."""
+    n, sing, meet = f.B.size, f.sing, lattice_tables(f.B)[0]
+    return next(((1 << x, 1 << y) for x in range(n) for y in range(x, n)
+                 if sing[meet[x][y]] != sing[x] & sing[y]), None)
+
+
+def _intersection_closed(f: _Frame):
+    """(s, t) for saturated sets, each its own saturation, whose
+    intersection is not, or None.  By (R3) these are the members, and
+    R(K) & R(L) = R(K & L) is one.  Read at each pair of members held."""
+    ms = [m for m in f.members if f.sat(m) == m]
+    return next(((s, t) for i, s in enumerate(ms) for t in ms[i + 1:]
+                 if f.sat(s & t) != s & t), None)
+
+
+def _frame_distributivity(f: _Frame):
+    """(s, t, u) for members with s & sat(t | u) != sat(s & t | s & u), or
+    None.  For s = R(K), t = R(L), u = R(M), the join rule and R(K) & R(L)
+    = R(K & L) make the sides R(K & (L | M)) and R((K & L) | (K & M)).
+    Read at each member held against each pair of atoms, of which every
+    member is the join."""
+    atoms, sat = f.atoms, f.sat
+    return next(((s, t, u) for j, t in enumerate(atoms) for u in atoms[j + 1:]
+                 for tu in [sat(t | u)] for s in f.members
+                 if s & tu != sat(s & t | s & u)), None)
+
+
+def _waybelow_matches(f: _Frame):
+    """(s, t) for members where s inside t and s way below t disagree, or
+    None.  s is way below t iff s lies inside sat(t), by (U), and sat(t)
+    = t (R3).  Read with `subset_wayb` at each pair of members held."""
+    return next(((s, t) for s, t in product(f.members, repeat=2)
+                 if (s & ~t == 0) != subset_wayb(f.B, s, t)), None)
+
+
+def _family_basic_lattice(f: _Frame) -> bool:
+    """Whether the family under way-below is a basic lattice.  Way-below
+    is inclusion on members and K -> R(K) is an order isomorphism (R2), so
+    the family is the powerset of the characters, a basic lattice by
+    theorem 1.  Read with `subset_wayb`: the atoms way below each member
+    held are those of its characters."""
+    return all(subset_wayb(f.B, s, m) == bool(chars >> i & 1)
+               for m in f.members for chars in [union_rows(f.held, m)]
+               for i, s in enumerate(f.atoms))
+
+
+def _singletons_join_dense(f: _Frame):
+    """(m,) for a member that is not the saturation of the union of the
+    singletons whose saturations it holds, or None.  For m = R(K),
+    sat({x}) = R(a(x)) is inside m iff a(x) is inside K (R1), so those x
+    make up m, and sat(m) = m (R3).  Read at each member held."""
+    return next(((m,) for m in f.members
+                 if f.sat(sum(1 << x for x, s in enumerate(f.sing) if not s & ~m)) != m), None)
+
+
+def _finite_sup_dense(f: _Frame):
+    """(m,) for a member that is not the join of the saturations of
+    finite sets inside it, or None.  In a finite carrier those are the
+    members inside m, m among them, so the join is sat(m) = m (R3).  Read
+    at each member held."""
+    return next(((m,) for m in f.members if f.sat(m) != m), None)
+
+
+_FRAME_DECIDERS = (
+    ("families_coincide", _families_coincide), ("join_rule", _join_rule),
+    ("meet_rule", _meet_rule), ("intersection_closed", _intersection_closed),
+    ("frame_distributivity", _frame_distributivity), ("waybelow_matches", _waybelow_matches),
+    ("singletons_join_dense", _singletons_join_dense), ("finite_sup_dense", _finite_sup_dense),
+)
 
 
 def verify_frame(B: P0Set) -> Report:
@@ -580,31 +579,35 @@ def verify_frame(B: P0Set) -> Report:
     verdicts but cannot pass overall.  Checks needing pairwise meets are
     not applicable without a meet semilattice.
 
-    Two laws are read at every size: the semilattice check and the
-    singleton isomorphism, n saturations and n**2 way-below tests.  The
-    FRAME_TABLE_LAWS read the table of all 2**n saturations or every
-    saturated set; past FRAME_CAP they hold None.
+    Every check is decided at every carrier size.  The singleton
+    isomorphism reads n**2 way-below tests, `character_representation` the
+    facts (I), (P), (M) of the section comment, true on meet semilattices.
+    Given them each other law is read through `saturate` and `subset_wayb`
+    at the polynomially many instances its decider's proof names; where
+    they fail, those laws hold None.
     """
     if not order_predicates(B).holds("meet_semilattice"):
         raise PreconditionFailed("frame verification needs pairwise meets")
-    n, zb = B.size, 1 << B.zero
+    n = B.size
     sing = [saturate(B, 1 << x) for x in range(n)]
-    if len(set(sing)) != n:
-        dup = [x for x in range(n) if sing.index(sing[x]) != x]
-        iso_w = (dup[0],)
-    else:
-        # `subset_wayb` of sing[x] and sing[y], its two unions built once
-        below = [union_rows(prec_down(B), s) for s in sing]
-        reach = [union_rows(_generator_rows(B), s, zb) for s in sing]
-        iso_w = next(
-            ((x, y) for x, y in product(range(n), repeat=2)
-             if B.has(x, y) != (below[x] & ~reach[y] == 0)),
-            None,
-        )
+    iso_w = next(((x,) for x in range(n) if sing.index(sing[x]) != x), None) or next(
+        ((x, y) for x, y in product(range(n), repeat=2)
+         if B.has(x, y) != subset_wayb(B, sing[x], sing[y])), None)
+    chars = maximal_centred_sets(B)
+    k, held = len(chars), tuple(transpose(chars, n))
+    rep_w = _representation_witness(B, held, k)
     checks = {
         "basic_semilattice": Check("basic_semilattice", axioms.is_basic_semilattice(B)),
+        "character_representation": Check("character_representation", rep_w is None, rep_w),
         "singleton_isomorphism": Check("singleton_isomorphism", iso_w is None, iso_w),
     }
-    if n <= FRAME_CAP:
-        checks.update(_table_laws(B, sing))
+    if rep_w is None:
+        sat = cache(lambda A: saturate(B, A))
+        f = _Frame(B, sat, sing, tuple(sorted({*sing, sat(full_mask(n))})),
+                   tuple(sing[held.index(1 << i)] for i in range(k)), held)
+        checks["finite_family_basic_lattice"] = Check(
+            "finite_family_basic_lattice", _family_basic_lattice(f))
+        for name, decide in _FRAME_DECIDERS:
+            w = decide(f)
+            checks[name] = Check(name, w is None, w)
     return report("frame", [checks.get(name) or Check(name, None) for name in FRAME_LAWS])

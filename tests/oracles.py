@@ -15,6 +15,7 @@ from typing import NamedTuple
 from orderbench import axioms, saturation, spectrum
 from orderbench import tight as ti
 from orderbench.core import (
+    MAX_SIZE,
     P0Set,
     SubsetMask,
     bits,
@@ -23,17 +24,19 @@ from orderbench.core import (
     full_mask,
     lattice_tables,
     lower_bound_table,
+    maximal_centred_sets,
     meets_preceq,
     meets_preceq_table,
     order_predicates,
+    p0set,
     prec_down,
     relative_complement,
     structure_table,
+    submasks,
     subset_fold,
-    superset_fold,
     union_rows,
 )
-from orderbench.errors import CapExceeded
+from orderbench.errors import CapExceeded, MissingMinimum, NotTransitive, PreconditionFailed
 from orderbench.report import Check, Report, report
 
 
@@ -1934,6 +1937,23 @@ def factoring_by_maps(structures, targets):
 TABLE_LAWS_CAP = 8
 
 
+def superset_fold(table, op) -> list:
+    """[S] = table[T] combined by `op` over every T containing S, for every
+    subset S (bitmask indices): the fast zeta transform.
+
+    The pass for bit b folds each block of entries holding b into the
+    block just below it, the same subsets without b.  `op` must be
+    commutative and associative.
+    """
+    t = list(table)
+    b = 1
+    while b < len(t):
+        for lo in range(0, len(t), 2 * b):
+            t[lo:lo + b] = map(op, t[lo:lo + b], t[lo + b:lo + 2 * b])
+        b *= 2
+    return t
+
+
 def _rows_within(values) -> list[int]:
     """rows[S] = {D : S inside values[D]} for every subset S, as bitsets
     over the subsets D: each D is set at its own value, and the superset
@@ -2157,7 +2177,7 @@ def table_subset_clauses(B: P0Set) -> dict:
         out[f"{name}_right_monotone"] = _right_monotone_witness(r)
     if order_predicates(B).holds("meet_semilattice"):
         mult = _multiplicative_witnesses(
-            (prec_rows, sim_rows, wayb_rows), saturation._wedge_table(B), dc)
+            (prec_rows, sim_rows, wayb_rows), _wedge_table(B), dc)
         for name, w in zip(("prec", "precsim", "wayb"), mult):
             out[f"{name}_multiplicative"] = w
     out["below_implies_precsim"] = first_pair(a & ~b for a, b in zip(rows.below, sim_rows))
@@ -2187,3 +2207,281 @@ def table_subset_clauses(B: P0Set) -> dict:
     out["wayb_saturation_invariant"] = _saturation_invariant_witness(wayb_rows, sat)
     return out
 
+
+
+# ---------------------------------------------------------------------------
+# the frame laws by the 2**n table route
+#
+# `saturation.verify_frame` decides the frame laws through the characters
+# at every carrier size.  The route it replaced reads the saturation of
+# every subset and the pointwise wedges of every pair of subsets, tables
+# folded over the subsets, and decides each law on whole rows of them.
+# The character identity is checked here over every subset too.  The
+# package's generator rows and characters are read at call time, so rows
+# planted in `saturation` reach both routes.
+
+SUBSET_CAP = 12
+
+
+@structure_table
+def saturation_table(B: P0Set) -> tuple[SubsetMask, ...]:
+    """[A] = the saturation of A, for every subset A of the carrier: the
+    saturated part of T_A, folded over the generator rows."""
+    if B.size > SUBSET_CAP:
+        raise CapExceeded(f"saturation tables capped at carrier {SUBSET_CAP}")
+    down = prec_down(B)
+    rows = saturation._generator_rows(B)
+    return tuple(saturation._inside(down, t) for t in subset_fold(rows, or_, 1 << B.zero))
+
+
+@structure_table
+def _wedge_table(B: P0Set) -> tuple[list[SubsetMask], ...]:
+    """W[C][D] = {c meet d : c in C, d in D}; requires a meet semilattice.
+
+    Two subset folds: first the row of each element c over every D, then
+    the union of those rows over the members of C.
+    """
+    mt, _ = lattice_tables(B)
+    if any(m is None for row in mt for m in row):
+        raise PreconditionFailed("pairwise meets must exist")
+    single = [subset_fold([1 << m for m in row], or_, 0) for row in mt]
+    return subset_fold(single, lambda a, b: [*map(or_, a, b)], [0] * (1 << B.size))
+
+
+def saturated_family(B: P0Set, generators: str = "finite"):
+    """The distinct saturations of the chosen generator class, ascending.
+
+    finite: the package's family, from the unions of generator rows.
+    singletons: one saturation per carrier element.  all: the union of
+    the saturations of the finite parts of each subset, a superset fold of
+    the reversed saturation table (reversal complements the subsets).  In
+    a finite carrier `finite` and `all` coincide, and the modes exist to
+    cross-check each other.
+    """
+    if generators == "finite":
+        return saturation.saturated_family(B)
+    if generators == "singletons":
+        raw = {saturation.saturate(B, 1 << x) for x in range(B.size)}
+    elif generators == "all":
+        raw = set(superset_fold(saturation_table(B)[::-1], or_))
+    else:
+        raise ValueError(f"unknown generator class {generators!r}")
+    return tuple(sorted(raw))
+
+
+def _lookup(table, op, x, ys) -> list:
+    """[table[op(x, y)] for y in ys]."""
+    return [*map(table.__getitem__, map(op, repeat(x), ys))]
+
+
+def _first_mismatch(pairs):
+    """First (i, j) such that the i-th pair of lists is the first to
+    differ, first at index j."""
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return (i, next(j for j, (x, y) in enumerate(zip(a, b)) if x != y))
+    return None
+
+
+def _family_basic_lattice(B, sets, index, zero):
+    """Whether the sets ordered by way-below form a basic lattice.  The
+    family structure is built only when it has at most MAX_SIZE members,
+    the carrier cap: past it the verdict is None.  A relation that is not
+    transitive or has no minimum makes no structure, and the verdict is
+    False."""
+    if len(sets) > MAX_SIZE:
+        return None
+    pairs = [(i, j) for i, s in enumerate(sets) for j, t in enumerate(sets)
+             if saturation.subset_wayb(B, s, t)]
+    try:
+        return axioms.is_basic_lattice(p0set(len(sets), index[zero], pairs))
+    except (NotTransitive, MissingMinimum):
+        return False
+
+
+def _table_laws(B: P0Set) -> dict:
+    """The nine frame laws that `verify_frame` reads through the
+    characters, read from the saturation table and the pointwise wedges,
+    as checks by name."""
+    n = B.size
+    # the laws read the saturation table and its distinct values; the
+    # union route and the finite-parts formula must give the same family
+    sat = saturation_table(B)
+    sing = [sat[1 << x] for x in range(n)]
+    sets = tuple(sorted(set(sat)))
+    coincide = (
+        saturated_family(B, "finite") == sets == saturated_family(B, "all")
+    )
+    index = {s: i for i, s in enumerate(sets)}
+
+    nsub = 1 << n
+    # lub[X] = the intersection of the members containing X, the carrier
+    # when none does: each member stands at its own index, and the
+    # superset fold meets it into every subset below
+    lub = superset_fold([S if S in index else full_mask(n) for S in range(nsub)], and_)
+
+    # join rule: the saturated union is the least member above both
+    # saturations.  It is itself a member, so it is above both and below
+    # every member above both exactly when it equals lub of their union.
+    sup_w = _first_mismatch(
+        (_lookup(sat, or_, A, range(nsub)), _lookup(lub, or_, sat[A], sat))
+        for A in range(nsub)
+    )
+
+    # meet rule: saturation of the pointwise meets is the intersection
+    wedge = _wedge_table(B)
+    meet_w = _first_mismatch(
+        ([*map(sat.__getitem__, wedge[A])], [*map(and_, sat, repeat(sat[A]))])
+        for A in range(nsub)
+    )
+
+    # intersections stay in the family (meets are total)
+    closed_w = next(
+        ((s, t) for s, t in product(sets, repeat=2) if s & t not in index), None
+    )
+
+    k = len(sets)
+    w = _first_mismatch(
+        (
+            [*map(and_, repeat(s), _lookup(sat, or_, t, sets))],
+            _lookup(sat, or_, s & t, [*map(and_, repeat(s), sets)]),
+        )
+        for s, t in product(sets, repeat=2)
+    )
+    dist_w = None if w is None else (sets[w[0] // k], sets[w[0] % k], sets[w[1]])
+
+    # way-below in the finite complete lattice: every directed subfamily has
+    # a greatest member, so the directed-join definition collapses to plain
+    # containment; compare that against the relation computed from covers.
+    wb_w = next(
+        ((s, t) for s, t in product(sets, repeat=2)
+         if (s & ~t == 0) != saturation.subset_wayb(B, s, t)),
+        None,
+    )
+
+    dense_w = None
+    for m in sets:
+        gens = sum(1 << x for x in range(n) if sing[x] & ~m == 0)
+        if sat[gens] != m:
+            dense_w = (m,)
+            break
+
+    checks = (
+        Check("families_coincide", coincide),
+        Check("join_rule", sup_w is None, sup_w),
+        Check("meet_rule", meet_w is None, meet_w),
+        Check("intersection_closed", closed_w is None, closed_w),
+        Check("frame_distributivity", dist_w is None, dist_w),
+        Check("waybelow_matches", wb_w is None, wb_w),
+        Check("finite_family_basic_lattice",
+              _family_basic_lattice(B, sets, index, sat[0])),
+        Check("singletons_join_dense", dense_w is None, dense_w),
+        Check("finite_sup_dense", coincide),
+    )
+    return {c.name: c for c in checks}
+
+
+def _held(B):
+    """[y] = the indices of the characters holding y, as a set."""
+    chars = maximal_centred_sets(B)
+    return [{i for i, c in enumerate(chars) if c >> y & 1} for y in range(B.size)]
+
+
+def _by_characters(held, A):
+    """{y : every character holding y holds a member of A}, as a mask."""
+    reached = set().union(*(held[a] for a in _members(A)))
+    return sum(1 << y for y, h in enumerate(held) if h <= reached)
+
+
+def table_character_representation(B: P0Set):
+    """The first failure of the character identity, read over every
+    subset A of the saturation table, ("identity", A); of a private
+    element, ("private", i) for the first character that holds no element
+    alone; or of the meet rows, ("meet", x, y) for the first x <= y (by
+    index) whose meet is held by other characters than both hold; or None.
+    Meets are the oracle's."""
+    held, sat, n = _held(B), saturation_table(B), B.size
+    A = next((A for A in range(1 << n) if sat[A] != _by_characters(held, A)), None)
+    if A is not None:
+        return ("identity", A)
+    alone = {min(h) for h in held if len(h) == 1}
+    i = next((i for i in range(len(maximal_centred_sets(B))) if i not in alone), None)
+    if i is not None:
+        return ("private", i)
+    return next((("meet", x, y) for x in range(n) for y in range(x, n)
+                 if held[naive_meet(B, x, y)] != held[x] & held[y]), None)
+
+
+def table_frame_checks(B: P0Set) -> dict:
+    """Every check of `saturation.verify_frame` by the table route, by
+    name: the semilattice check, the character identity over every
+    subset, the singleton isomorphism from the table's singleton rows, and
+    the nine table laws."""
+    sat, n = saturation_table(B), B.size
+    sing = [sat[1 << x] for x in range(n)]
+    iso_w = next(((x,) for x in range(n) if sing.index(sing[x]) != x), None) or next(
+        ((x, y) for x, y in product(range(n), repeat=2)
+         if B.has(x, y) != saturation.subset_wayb(B, sing[x], sing[y])), None)
+    rep_w = table_character_representation(B)
+    checks = {
+        "basic_semilattice": Check("basic_semilattice", axioms.is_basic_semilattice(B)),
+        "character_representation": Check("character_representation", rep_w is None, rep_w),
+        "singleton_isomorphism": Check("singleton_isomorphism", iso_w is None, iso_w),
+    }
+    checks.update(_table_laws(B))
+    return checks
+
+
+def frame_instance_fails(B: P0Set, name: str, w) -> bool:
+    """Whether w is a failing instance of the frame check `name`, read
+    from the law's statement with the package's `saturate` and
+    `subset_wayb`; the family is the saturations of every subset, so the
+    carrier must be small.  A set is saturated when it is its own
+    saturation."""
+    n = B.size
+
+    def sat(A):
+        return saturation.saturate(B, A)
+
+    def wayb(s, t):
+        return saturation.subset_wayb(B, s, t)
+
+    family = {sat(A) for A in range(1 << n)}
+    sing = [sat(1 << x) for x in range(n)]
+    if name == "character_representation":
+        held = _held(B)
+        if w[0] == "identity":
+            return sat(w[1]) != _by_characters(held, w[1])
+        if w[0] == "private":
+            return {w[1]} not in held
+        x, y = w[1:]
+        return held[naive_meet(B, x, y)] != held[x] & held[y]
+    if name == "singleton_isomorphism":
+        if len(w) == 1:
+            return sing.index(sing[w[0]]) != w[0]
+        return B.has(*w) != wayb(sing[w[0]], sing[w[1]])
+    if name == "families_coincide":
+        return sat(w[0]) != reduce(or_, map(sat, submasks(w[0])))
+    if name == "join_rule":
+        A, C = w
+        j, both = sat(A | C), sat(A) | sat(C)
+        return bool(both & ~j) or any(not both & ~m and j & ~m for m in family)
+    if name == "meet_rule":
+        A, C = w
+        wedge = sum(1 << naive_meet(B, a, c) for a in _members(A) for c in _members(C))
+        return sat(wedge) != sat(A) & sat(C)
+    if name == "intersection_closed":
+        s, t = w
+        return sat(s) == s and sat(t) == t and sat(s & t) != s & t
+    if name == "frame_distributivity":
+        s, t, u = w
+        return {s, t, u} <= family and s & sat(t | u) != sat(s & t | s & u)
+    if name == "waybelow_matches":
+        s, t = w
+        return {s, t} <= family and (s & ~t == 0) != wayb(s, t)
+    (m,) = w
+    if name == "singletons_join_dense":
+        return m in family and sat(sum(1 << x for x in range(n) if not sing[x] & ~m)) != m
+    if name == "finite_sup_dense":
+        return m in family and sat(reduce(or_, (s for s in family if not s & ~m), 0)) != m
+    raise KeyError(name)

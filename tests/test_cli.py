@@ -205,13 +205,28 @@ class TestWideCarriers:
 
     @pytest.mark.parametrize("family,n,count", [
         ("antichain", 12, 4096), ("powerset", 6, 64), ("chain", 13, 2),
+        ("antichain", 15, 2**15), ("diamond", 62, 2**62), ("antichain", 63, 2**63),
+        ("antichain", 7, 2**7),
     ])
     def test_saturate_answers_past_carrier_ten(self, family, n, count, tmp_path,
                                                 capsys, deadline):
-        # antichain n and powerset n have 2**n saturated sets, a chain 2
+        # antichain n, diamond n and powerset n have 2**n saturated sets, a
+        # chain 2: one per set of characters, on a meet semilattice.  No
+        # subset law fails (the chain's type-omission gate leaves some n/a),
+        # and every frame law holds but the chain's semilattice check and
+        # singleton isomorphism
         path = self.write(tmp_path, family, n)
-        assert cli.run(["saturate", path]) == 0
-        assert f"saturated sets: {count}\n" in capsys.readouterr().err
+        start = time.perf_counter()
+        assert cli.run(["saturate", path, "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert f"saturated sets: {count}\n" in out.err
+        assert "skipped" not in out.err
+        doc = json.loads(out.out)
+        assert all(c["holds"] is not False for c in doc["subset_laws"])
+        assert all(c["holds"] for c in doc["subset_laws"]) == (family != "chain")
+        chain_fails = {"basic_semilattice", "singleton_isomorphism"} if family == "chain" else set()
+        assert {c["axiom"] for c in doc["frame"] if c["holds"] is not True} == chain_fails
 
     @pytest.mark.parametrize("family,n,code", [("chain", 63, 0), ("antichain", 63, 2)])
     def test_envelope_map_at_the_cap(self, family, n, code, tmp_path, capsys, deadline):
@@ -240,13 +255,22 @@ class TestWideCarriers:
             assert doc["factoring"] == [
                 {"axiom": "factors_through_embedding", "holds": True, "witness": None}]
 
-    @pytest.mark.parametrize("family,n", [
-        ("antichain", 15), ("diamond", 62), ("antichain", 63),
-    ])
-    def test_saturate_refused_at_once(self, family, n, tmp_path, capsys, deadline):
-        path = self.write(tmp_path, family, n)
+    @staticmethod
+    def fork(k):
+        # zero under k atoms, and two tops over the first two atoms: the
+        # tops have no meet, so the family is counted by unions of the k
+        # distinct generator rows
+        n = k + 3
+        return p0set(n, 0, [(0, x) for x in range(n)] + [(x, x) for x in range(n)]
+                     + [(a, t) for a in (1, 2) for t in (n - 2, n - 1)])
+
+    @pytest.mark.parametrize("k", [13, 61])
+    def test_saturate_refused_at_once(self, k, tmp_path, capsys, deadline):
+        # a structure that is no meet semilattice keeps the union route
+        path = tmp_path / "fork.json"
+        path.write_text(dump_structure(self.fork(k)))
         start = time.perf_counter()
-        assert cli.run(["saturate", path]) == 2
+        assert cli.run(["saturate", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "saturated families capped at 4096 unions of generator rows" in err
@@ -275,35 +299,26 @@ class TestWideCarriers:
         else:
             assert out.out.split()[-1] == "PASS"
 
-    def test_capped_checks_print_as_skipped(self, tmp_path, capsys, deadline):
-        # past FRAME_CAP (8 elements) saturate answers every subset law and
-        # the frame laws that read only singletons, with the verdicts they
-        # have at the cap; the frame laws read from the saturation table
-        # hold null, and stderr names them.  envelope has no cap: it prints
-        # a verdict at every size and skips nothing
-        from orderbench.saturation import FRAME_TABLE_LAWS
-
+    def test_every_frame_law_answers_past_eight(self, tmp_path, capsys, deadline):
+        # past 8 elements saturate gives every frame law a verdict and every
+        # subset law the verdict it has at 8 elements, and stderr names
+        # nothing as skipped.  envelope has no cap either: it prints a
+        # verdict at every size and skips nothing
         def write(family, n):
             path = tmp_path / f"{family}{n}.json"
             path.write_text(dump_structure(lab.make_family(family, n)))
             return str(path)
 
-        at_cap, past = write("chain", 7), write("chain", 9)
-        assert cli.run(["saturate", at_cap, "--format", "json"]) == 0
+        at_eight, past = write("chain", 7), write("chain", 9)
+        assert cli.run(["saturate", at_eight, "--format", "json"]) == 0
         checked = json.loads(capsys.readouterr().out)
         assert cli.run(["saturate", past, "--format", "json"]) == 0
         out = capsys.readouterr()
         doc = json.loads(out.out)
-        assert {name: [c["axiom"] for c in rep] for name, rep in doc.items()} == {
-            name: [c["axiom"] for c in rep] for name, rep in checked.items()}
-        assert doc["subset_laws"] == checked["subset_laws"]
-        assert "subset_laws skipped" not in out.err
-        skipped = [c["axiom"] for c in doc["frame"] if c["holds"] is None]
-        assert skipped == list(FRAME_TABLE_LAWS)
-        assert all(c == d for c, d in zip(doc["frame"], checked["frame"])
-                   if c["holds"] is not None)
-        names = ", ".join(FRAME_TABLE_LAWS)
-        assert f"carrier 10 exceeds 8; frame laws {names} skipped\n" in out.err
+        assert {name: [(c["axiom"], c["holds"]) for c in rep] for name, rep in doc.items()} == {
+            name: [(c["axiom"], c["holds"]) for c in rep] for name, rep in checked.items()}
+        assert all(c["holds"] is not None for c in doc["frame"])
+        assert "skipped" not in out.err
         assert cli.run(["saturate", past]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("[")] == ["[subset_laws]", "[frame]"]
@@ -312,10 +327,10 @@ class TestWideCarriers:
         assert laws == [[c["axiom"], next(k for k, v in verdicts.items() if v is c["holds"])]
                         for rep in doc.values() for c in rep]
 
-        # a 16-element basic lattice: every gate holds, every subset law too
+        # a 16-element basic lattice: every gate holds, every law too
         assert cli.run(["saturate", write("powerset", 4), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert all(c["holds"] is True for c in doc["subset_laws"])
+        assert all(c["holds"] is True for rep in doc.values() for c in rep)
 
         assert cli.run(["envelope", past, "--format", "json"]) == 0
         out = capsys.readouterr()

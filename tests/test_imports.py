@@ -168,12 +168,11 @@ def test_verb_executes_only_its_layers(verb, tmp_path):
     assert json.loads(run_python(code)) == want
 
 
-#: Calls that run no check or only some: (arguments, the lazy layers
-#: executed, the other orderbench modules loaded).  `gen` builds its
-#: structure in `lab` alone; past the frame cap `saturate` skips the frame
-#: laws read from the saturation table, but its subset laws still read
-#: the gates in `axioms`; a suite result is a named tuple, so `verify`
-#: loads no `dataclasses`.
+#: Calls on other inputs: (arguments, the lazy layers executed, the other
+#: orderbench modules loaded).  `gen` builds its structure in `lab` alone;
+#: on a chain of 10 elements, which no frame cap limits, `saturate` reads
+#: the characters from `core` and the subset laws' gates from `axioms`;
+#: a suite result is a named tuple, so `verify` loads no `dataclasses`.
 PARTIAL_CALLS = {
     "gen": (["gen", "powerset", "5", "--out", "{tmp}/P.json"], [], ["lab"]),
     "saturate-chain-9": (["saturate", "{tmp}/C.json"], ["axioms", "saturation"], []),

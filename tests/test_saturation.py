@@ -12,6 +12,7 @@ from orderbench.core import (
     derived_relations,
     first_pair,
     mask_from,
+    maximal_centred_sets,
     order_predicates,
     p0set,
     prec_down,
@@ -71,7 +72,7 @@ class TestSaturate:
 
     def test_matches_oracle(self, e0, c2, w5):
         for B in (e0, c2, w5):
-            table = sa.saturation_table(B)
+            table = oracles.saturation_table(B)
             for A in range(1 << B.size):
                 expected = mask_from(oracles.naive_saturate(B, set(bits(A))))
                 assert sa.saturate(B, A) == expected
@@ -95,46 +96,43 @@ class TestSaturate:
 
 class TestSaturatedFamily:
     def test_powerset_family_is_ideal_lattice(self, p2):
-        fam = sa.saturated_family(p2, "all")
-        assert fam.sets == (0b0001, 0b0011, 0b0101, 0b1111)
+        fam = oracles.saturated_family(p2, "all")
+        assert fam == (0b0001, 0b0011, 0b0101, 0b1111)
 
     def test_two_atoms_boolean_completion(self, e0):
-        fam = sa.saturated_family(e0, "all")
-        assert fam.sets == (0b001, 0b011, 0b101, 0b111)
+        fam = oracles.saturated_family(e0, "all")
+        assert fam == (0b001, 0b011, 0b101, 0b111)
         # join/meet tables are total here
-        join, meet = oracles.family_tables(e0, fam.sets)
+        join, meet = oracles.family_tables(e0, fam)
         assert all(v is not None for row in join for v in row)
         assert all(v is not None for row in meet for v in row)
 
     def test_one_point(self, one):
-        assert sa.saturated_family(one, "all").sets == (1,)
+        assert oracles.saturated_family(one, "all") == (1,)
 
     def test_modes_agree(self, e0, c2, p2, w5):
         for B in (e0, c2, p2, w5):
-            assert (
-                sa.saturated_family(B, "finite").sets
-                == sa.saturated_family(B, "all").sets
-            )
+            assert sa.saturated_family(B) == oracles.saturated_family(B, "all")
 
     def test_singleton_mode(self, e0):
-        fam = sa.saturated_family(e0, "singletons")
-        assert fam.sets == (0b001, 0b011, 0b101)
+        fam = oracles.saturated_family(e0, "singletons")
+        assert fam == (0b001, 0b011, 0b101)
 
     def test_unknown_mode(self, e0):
         with pytest.raises(ValueError):
-            sa.saturated_family(e0, "bogus")
+            oracles.saturated_family(e0, "bogus")
 
 
 class TestUnionRoute:
     """The finite family from the unions of generator rows against the
-    table routes: the package's saturation table, its superset fold, and
-    the oracle's saturation of every subset."""
+    table routes: the oracle's saturation table, its superset fold, and the
+    oracle's saturation of every subset."""
 
     @staticmethod
     def _agree(B):
-        fam = sa.saturated_family(B, "finite").sets
-        assert fam == tuple(sorted(set(sa.saturation_table(B)))), B.pairs()
-        assert fam == sa.saturated_family(B, "all").sets, B.pairs()
+        fam = sa.saturated_family(B)
+        assert fam == tuple(sorted(set(oracles.saturation_table(B)))), B.pairs()
+        assert fam == oracles.saturated_family(B, "all"), B.pairs()
         assert fam == oracles.table_saturated_family(B), B.pairs()
 
     def test_catalog_five(self):
@@ -152,13 +150,13 @@ class TestUnionRoute:
 
     def test_output_bound(self):
         # antichain n has 2**n saturated sets, one per set of atoms
-        assert len(sa.saturated_family(lab.make_family("antichain", 12), "finite").sets) == 4096
+        assert len(sa.saturated_family(lab.make_family("antichain", 12))) == 4096
         with pytest.raises(CapExceeded, match="capped at 4096 unions"):
-            sa.saturated_family(lab.make_family("antichain", 13), "finite")
+            sa.saturated_family(lab.make_family("antichain", 13))
 
     def test_table_routes_keep_the_carrier_cap(self):
         with pytest.raises(CapExceeded, match="carrier 12"):
-            sa.saturated_family(lab.make_family("antichain", 12), "all")
+            oracles.saturated_family(lab.make_family("antichain", 12), "all")
 
 
 class TestFrame:
@@ -166,21 +164,23 @@ class TestFrame:
         rep = sa.verify_frame(e0)
         assert rep.passed
         # the finite family is the four-element algebra
-        fam = sa.saturated_family(e0, "finite")
-        assert len(fam.sets) == 4
+        fam = sa.saturated_family(e0)
+        assert len(fam) == 4
 
     def test_powerset(self, p2):
         assert sa.verify_frame(p2).passed
 
     def test_wedge_table_built_once_per_structure(self, p3):
-        # the subset laws build no wedge table; the frame laws build one,
-        # and a second frame report reads it
+        # the subset laws and the frame laws through the characters build no
+        # wedge table; the oracle's frame laws build one, and a second
+        # oracle report reads it
         B = fresh(p3)
-        before = sa._wedge_table.cache_info()
-        assert sa.verify_subset_laws(B).passed
-        assert sa._wedge_table.cache_info() == before
-        assert sa.verify_frame(B).passed and sa.verify_frame(B).passed
-        after = sa._wedge_table.cache_info()
+        before = oracles._wedge_table.cache_info()
+        assert sa.verify_subset_laws(B).passed and sa.verify_frame(B).passed
+        assert oracles._wedge_table.cache_info() == before
+        assert all(c.holds for c in oracles.table_frame_checks(B).values())
+        assert all(c.holds for c in oracles.table_frame_checks(B).values())
+        after = oracles._wedge_table.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     def test_witness_structure_reports_with_failure(self, w5):
@@ -196,13 +196,16 @@ class TestFrame:
         assert sa.verify_frame(d3).passed
 
     def test_bug_in_family_check_propagates(self, e0, monkeypatch):
-        # only the library's own errors may become a False verdict
+        # only the library's own named refusals may become a False verdict
+        # in the oracle's family check; the route through the characters
+        # builds no family structure at all
         def broken(B):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(axioms, "is_basic_lattice", broken)
+        assert sa.verify_frame(fresh(e0)).passed
         with pytest.raises(RuntimeError):
-            sa.verify_frame(e0)
+            oracles.table_frame_checks(fresh(e0))
 
     def test_needs_meets(self):
         # two atoms under two incomparable tops: no greatest lower bound of
@@ -228,23 +231,23 @@ class TestFrame:
     def test_frame_of_two_atoms_isomorphic_to_powerset(self, e0, p2):
         # the finite saturated family of the two-atom example, ordered by
         # way-below, is the four-element algebra
-        fam = sa.saturated_family(e0, "finite")
+        fam = sa.saturated_family(e0)
         pairs = [
             (i, j)
-            for i, s in enumerate(fam.sets)
-            for j, t in enumerate(fam.sets)
+            for i, s in enumerate(fam)
+            for j, t in enumerate(fam)
             if sa.subset_wayb(e0, s, t)
         ]
-        S = p0set(len(fam.sets), 0, pairs)
+        S = p0set(len(fam), 0, pairs)
         assert axioms.is_basic_lattice(S)
         assert S.prec == p2.prec
 
 
 def _frame_oracle(B):
     """The frame witnesses by the literal loops, on whatever saturation
-    table sa.saturation_table gives for B."""
+    table oracles.saturation_table gives for B."""
     nsub = 1 << B.size
-    sat = sa.saturation_table(B)
+    sat = oracles.saturation_table(B)
     meet = {
         (x, y): oracles.naive_meet(B, x, y)
         for x in range(B.size)
@@ -260,12 +263,12 @@ def _frame_oracle(B):
 
 
 class TestFrameWitnesses:
-    """verify_frame decides its join, meet, distributivity and way-below
-    checks on rows of the saturation table; the literal loops in oracles
+    """The oracle's table route decides its join, meet, distributivity and
+    way-below checks on rows of the saturation table; the literal loops
     must give the same verdicts and witnesses."""
 
     def _compare(self, B):
-        rep = sa.verify_frame(B)
+        rep = oracles.table_frame_checks(B)
         expected = _frame_oracle(B)
         for name, w in expected.items():
             assert (rep[name].holds, rep[name].witness) == (w is None, w), (B.pairs(), name)
@@ -283,14 +286,14 @@ class TestFrameWitnesses:
         rng = random.Random(5)
         semis = [B for B in small_structures(4) if axioms.is_basic_semilattice(B)]
         semis += [lab.make_family("diamond", 3), lab.make_family("powerset", 2)]
-        true_table = sa.saturation_table
+        true_table = oracles.saturation_table
         failures = dict.fromkeys(_frame_oracle(semis[0]), 0)
         for _ in range(120):
             B = rng.choice(semis)
             table = list(true_table(B))
             for _ in range(rng.randint(1, 3)):
                 table[rng.randrange(len(table))] ^= 1 << rng.randrange(B.size)
-            monkeypatch.setattr(sa, "saturation_table", lambda B, t=tuple(table): t)
+            monkeypatch.setattr(oracles, "saturation_table", lambda B, t=tuple(table): t)
             for name, w in self._compare(B).items():
                 failures[name] += w is not None
         assert min(failures.values()) >= 10, failures
@@ -580,7 +583,7 @@ class TestSubsetLawRows:
             if not order_predicates(B).holds("meet_semilattice"):
                 continue
             ran += 1
-            wedge = sa._wedge_table(B)
+            wedge = oracles._wedge_table(B)
             dc = subset_fold(prec_down(B), or_, 0)
             full = (1 << len(dc)) - 1
             rows = oracles.subset_rows(B)
@@ -774,3 +777,220 @@ class TestSubsetLawReductions:
             rep = sa.verify_subset_laws(B)
             assert time.perf_counter() - start < 1.0
             assert rep.passed and rep.failures() == [], B.size
+
+
+def _meet_semilattices(max_n):
+    return [B for B in small_structures(max_n) if order_predicates(B).holds("meet_semilattice")]
+
+
+def _random_meet_semilattices(count, sizes, seed):
+    rng = random.Random(seed)
+    pool = (lab.random_p0set(sizes[i % len(sizes)], rng.getrandbits(32), i % 2 == 0,
+                             rng.uniform(0.05, 0.7)) for i in range(count))
+    return [B for B in pool if order_predicates(B).holds("meet_semilattice")]
+
+
+class TestFrameThroughCharacters:
+    """verify_frame decides the character identity at the keys and each
+    frame law at polynomially many instances; its verdicts must be the
+    table route's, each witness must fail again under the law's literal
+    statement, and each planted defect must fail on both routes."""
+
+    @staticmethod
+    def _frame_verdicts(B):
+        rep, table = sa.verify_frame(B), oracles.table_frame_checks(B)
+        undecided = {k for k, c in table.items() if c.holds is None}
+        # the oracle builds the family structure only up to MAX_SIZE sets
+        assert undecided <= {"finite_family_basic_lattice"}, B.pairs()
+        assert undecided == set() or len(sa.saturated_family(B)) > 64, B.pairs()
+        got = {c.name: c.holds for c in rep.checks}
+        assert {k: v for k, v in got.items() if k not in undecided} == {
+            k: table[k].holds for k in got if k not in undecided}, B.pairs()
+        return got
+
+    def test_verdicts_match_the_table_route(self):
+        pool = _meet_semilattices(5) + _random_meet_semilattices(240, range(2, 9), 43) + [
+            lab.make_family(f, n) for f, n in
+            (("powerset", 3), ("antichain", 7), ("diamond", 6), ("chain", 7))]
+        assert len(pool) > 352 + 100
+        for B in pool:
+            got = self._frame_verdicts(B)
+            # the identity and every law hold on every meet semilattice
+            assert all(v for k, v in got.items()
+                       if k not in ("basic_semilattice", "singleton_isomorphism")), B.pairs()
+
+    def test_family_count_matches_union_route(self):
+        # the union route's count, where it finishes, is 2**k for the k
+        # characters, the count `saturate` prints on a meet semilattice
+        pool = _meet_semilattices(5) + _random_meet_semilattices(300, range(6, 13), 47) + [
+            lab.make_family(f, n) for f, n in
+            (("antichain", 12), ("powerset", 6), ("chain", 13), ("diamond", 8))]
+        for B in pool:
+            k = len(maximal_centred_sets(B))
+            assert len(sa.saturated_family(B)) == 2**k, B.pairs()
+
+    def test_answers_at_the_cap(self):
+        for B in cap_structures():
+            start = time.perf_counter()
+            rep = sa.verify_frame(B)
+            assert time.perf_counter() - start < 1.0
+            assert all(c.holds is not None for c in rep.checks)
+            assert rep.passed == axioms.is_basic_semilattice(B), B.size
+
+    # planted defects: rows and characters seen by both routes
+
+    @staticmethod
+    def _plant_pool():
+        return _meet_semilattices(4) + [lab.make_family("diamond", 3),
+                                        lab.make_family("powerset", 2)]
+
+    def _both_fail(self, B):
+        """Both routes on the current plant: equal verdicts wherever the
+        route through the characters decides; whether both fail."""
+        rep, table = sa.verify_frame(B), oracles.table_frame_checks(B)
+        for c in rep.checks:
+            assert c.holds is None or c.holds == table[c.name].holds, (B.pairs(), c.name)
+        assert rep.passed == all(c.holds for c in table.values()), B.pairs()
+        return not rep.passed
+
+    def test_planted_generator_rows(self, monkeypatch):
+        rng = random.Random(53)
+        pool, rows = self._plant_pool(), sa._generator_rows
+        failed = 0
+        for _ in range(150):
+            B = fresh(rng.choice(pool))
+            planted = list(rows(B))
+            planted[rng.randrange(B.size)] ^= 1 << rng.randrange(B.size)
+            monkeypatch.setattr(sa, "_generator_rows", lambda _, r=tuple(planted): r)
+            failed += self._both_fail(B)
+        assert failed >= 100, failed
+
+    @staticmethod
+    def _plant_characters(monkeypatch, chars):
+        for module in (sa, oracles):
+            monkeypatch.setattr(module, "maximal_centred_sets", lambda _, c=tuple(chars): c)
+
+    def test_planted_character_rows(self, monkeypatch):
+        rng = random.Random(59)
+        pool = [B for B in self._plant_pool() if maximal_centred_sets(B)]
+        failed = 0
+        for _ in range(150):
+            B = fresh(rng.choice(pool))
+            chars = list(maximal_centred_sets(B))
+            chars[rng.randrange(len(chars))] ^= 1 << rng.randrange(1, B.size)
+            self._plant_characters(monkeypatch, chars)
+            failed += self._both_fail(B)
+        assert failed >= 140, failed
+
+    def test_dropped_key(self, monkeypatch):
+        # planted generator rows on which both routes fail: a route that
+        # skips the first key of each relation misses some of them
+        rng = random.Random(61)
+        pool, rows, relation = self._plant_pool(), sa._generator_rows, sa._relation
+        missed = 0
+        for _ in range(150):
+            B = fresh(rng.choice(pool))
+            planted = list(rows(B))
+            planted[rng.randrange(B.size)] ^= 1 << rng.randrange(B.size)
+            monkeypatch.setattr(sa, "_generator_rows", lambda _, r=tuple(planted): r)
+            if not self._both_fail(B):
+                continue
+            monkeypatch.setattr(sa, "_relation", lambda *a: relation(*a)._replace(
+                keys=relation(*a).keys[1:]))
+            missed += sa.verify_frame(B)["character_representation"].holds
+            monkeypatch.setattr(sa, "_relation", relation)
+        assert missed >= 40, missed
+
+    def test_dropped_private_element_check(self, monkeypatch):
+        # a character row repeated: the identity and the meet rows still
+        # hold, and no character of the pair holds an element of its own.
+        # Both routes fail; without the private-element check the
+        # representation would read as holding, and the laws would find no
+        # atom for the pair
+        for B in self._plant_pool():
+            chars = maximal_centred_sets(B)
+            if not chars:
+                continue
+            B = fresh(B)
+            self._plant_characters(monkeypatch, chars + chars[:1])
+            assert self._both_fail(B), B.pairs()
+            assert sa.verify_frame(B)["character_representation"].witness == ("private", 0)
+            monkeypatch.setattr(sa, "_private_witness", lambda held, k: None)
+            with pytest.raises(ValueError):
+                sa.verify_frame(B)
+            monkeypatch.undo()
+
+    # witnesses against the literal statements
+
+    def test_witnesses_fail_literally(self, monkeypatch):
+        # real structures, planted rows and characters, and a planted
+        # `saturate` that changes one bit of one saturation: every witness
+        # any frame check gives must fail under the law's literal statement,
+        # and every law must fail somewhere, so that none is a constant
+        rng = random.Random(67)
+        pool = self._plant_pool()
+        rows, real_saturate, real_wayb = sa._generator_rows, sa.saturate, sa.subset_wayb
+        seen = dict.fromkeys(sa.FRAME_LAWS, 0)
+
+        def recheck(B):
+            for c in sa.verify_frame(B).checks:
+                if c.holds is False and c.witness is not None:
+                    assert oracles.frame_instance_fails(B, c.name, c.witness), (
+                        B.pairs(), c.name, c.witness)
+                seen[c.name] += c.holds is False
+
+        for B in _meet_semilattices(4):
+            recheck(B)
+        for i in range(600):
+            B = fresh(rng.choice(pool))
+            n = B.size
+            if i % 4 == 0:
+                planted = list(rows(B))
+                planted[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                monkeypatch.setattr(sa, "_generator_rows", lambda _, r=tuple(planted): r)
+            elif i % 4 == 1 and maximal_centred_sets(B):
+                chars = list(maximal_centred_sets(B))
+                chars[rng.randrange(len(chars))] ^= 1 << rng.randrange(1, n)
+                self._plant_characters(monkeypatch, chars)
+            elif i % 4 == 2:
+                at, flip = rng.randrange(1 << n), 1 << rng.randrange(n)
+                monkeypatch.setattr(sa, "saturate", lambda B, A, at=at, flip=flip: (
+                    real_saturate(B, A) ^ (flip if A == at else 0)))
+            else:
+                at = tuple(real_saturate(B, rng.randrange(1 << n)) for _ in range(2))
+                monkeypatch.setattr(sa, "subset_wayb", lambda B, C, D, at=at: (
+                    real_wayb(B, C, D) != ((C, D) == at)))
+            recheck(B)
+            monkeypatch.undo()
+        assert min(seen.values()) >= 3, seen
+
+    #: (law, planted saturations {A: sat(A)}, planted way-below answers
+    #: {(C, D): answer}) on antichain 3, zero 0 under atoms 1, 2 and 3: each
+    #: plant makes its law fail at an instance its decider reads
+    TARGETED = [
+        ("families_coincide", {0b0000: 0b0011}, {}),  # sat({}) outside sat({0})
+        ("families_coincide", {0b1111: 0b1101}, {}),  # sat({1}) outside sat(X)
+        ("join_rule", {0b0110: 0b0011}, {}),  # sat({1, 2}) misses sat({2})
+        ("join_rule", {0b0110: 0b1111}, {}),  # sat({1, 2}) above the least member
+        ("meet_rule", {0b0001: 0b0011}, {}),  # sat({1 ^ 2}) = sat({0}) holds 1
+        ("intersection_closed", {0b0001: 0b0011}, {}),  # {0} is no longer saturated
+        ("frame_distributivity", {0b0111: 0b1111}, {}),  # sat of two atoms holds 3
+        ("waybelow_matches", {0b0010: 0b0010}, {}),  # a member without zero
+        ("finite_family_basic_lattice", {}, {(0b0011, 0b0001): True}),  # atom below {0}
+        ("singletons_join_dense", {0b0011: 0b0111}, {}),
+        ("finite_sup_dense", {0b0101: 0b0100}, {}),
+    ]
+
+    @pytest.mark.parametrize("law,sats,waybs", TARGETED)
+    def test_each_law_reads_its_instances(self, law, sats, waybs, monkeypatch):
+        # a law that skipped the planted instance, or read some other
+        # function than the library's saturate and subset_wayb, would hold
+        B = fresh(lab.make_family("antichain", 3))
+        real_saturate, real_wayb = sa.saturate, sa.subset_wayb
+        monkeypatch.setattr(sa, "saturate", lambda B, A: sats.get(A, real_saturate(B, A)))
+        monkeypatch.setattr(sa, "subset_wayb",
+                            lambda B, C, D: waybs.get((C, D), real_wayb(B, C, D)))
+        rep = sa.verify_frame(B)
+        assert rep["character_representation"].holds
+        w = rep[law].witness
+        assert rep[law].holds is False and (w is None or oracles.frame_instance_fails(B, law, w))
