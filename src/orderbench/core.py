@@ -38,7 +38,6 @@ from .report import Report, shared_report
 #: that derived families (open-set posets, enveloping algebras over carriers
 #: of size <= 7) still fit while keeping everything at desk scale.
 MAX_SIZE = 64
-FAMILY_BOUND = 1 << 12  # refusal bound on closures: saturated unions, cover keys
 
 SubsetMask = int
 

@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from . import axioms
 from .core import (
-    FAMILY_BOUND,
     P0Set,
     SubsetMask,
     bits,
@@ -50,6 +49,8 @@ from .core import (
 )
 from .errors import CapExceeded, PreconditionFailed
 from .report import Check, Report, report
+
+FAMILY_BOUND = 1 << 12  # unions of generator rows before `saturated_family` refuses
 
 FRAME_LAWS = (
     "basic_semilattice", "character_representation", "families_coincide", "join_rule",
@@ -439,24 +440,27 @@ def _private_witness(held, k: int):
 
 
 def _representation_witness(B: P0Set, held, k: int):
-    """The first of (I), (P), (M) to fail, as ("identity", A), ("private",
-    i) or ("meet", x, y), or None.  Both sides of (I) are good of a
-    relation of the subset laws' form, way-below and the relation with
-    rows a(y) on both sides, so (I) holds for all A iff each relation is
-    included in the other, which `_inclusion` decides at the keys: at most
-    n of way-below and the complements of the k characters.  (M) follows
-    from (I) and (P) on a meet semilattice: i in a(x) & a(y) puts p_i in
-    sat({x}) & sat({y}) = sat({x ^ y}) by (I), so i is in a(x ^ y); it is
-    read all the same, as the laws' premise."""
+    """The first of (I) and (P) to fail, as ("identity", A) or ("private",
+    i), or None.  Both sides of (I) are good of a relation of the subset
+    laws' form, way-below and the relation with rows a(y) on both sides,
+    so (I) holds for all A iff each relation is included in the other,
+    which `_inclusion` decides at the keys: at most n of way-below and the
+    complements of the k characters.
+
+    (M) needs no check: on a meet semilattice, a partial order, the
+    characters a satisfy (I), (P) and (M), and rows `held` satisfying (I)
+    and (P) are a relabelled.  By (I) for both, held[y] lies inside
+    held[x] iff y is in sat({x}) iff a(y) lies inside a(x); by (P),
+    held[x] = {i : p_i in sat({x})}, p_i the private element of i.  As
+    held[p_i] = {i} is minimal among nonempty rows, so is a(p_i), which is
+    then a singleton {s(i)}: a nonempty a(y) holds the {j} of an atom.  s
+    is one-to-one, as rows equal in one table are equal in the other, and
+    onto, as the atom of j has a minimal nonempty row holding some i.  So
+    held[x] = {i : s(i) in a(x)}, and (M) carries over."""
     wayb = _relation(prec_down(B), _generator_rows(B), 1 << B.zero)
     chars = _relation(held, held, 0)
     w = _inclusion(wayb, chars) or _inclusion(chars, wayb)
-    if w:
-        return ("identity", w[1])
-    n, meet = B.size, lattice_tables(B)[0]
-    return _private_witness(held, k) or next(
-        (("meet", x, y) for x in range(n) for y in range(x, n)
-         if held[meet[x][y]] != held[x] & held[y]), None)
+    return ("identity", w[1]) if w else _private_witness(held, k)
 
 
 class _Frame(NamedTuple):
@@ -581,7 +585,8 @@ def verify_frame(B: P0Set) -> Report:
 
     Every check is decided at every carrier size.  The singleton
     isomorphism reads n**2 way-below tests, `character_representation` the
-    facts (I), (P), (M) of the section comment, true on meet semilattices.
+    facts (I) and (P) of the section comment, true on meet semilattices,
+    which give (M).
     Given them each other law is read through `saturate` and `subset_wayb`
     at the polynomially many instances its decider's proof names; where
     they fail, those laws hold None.

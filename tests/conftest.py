@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from orderbench import lab
-from orderbench.core import P0Set
+from orderbench.core import P0Set, p0set
 
 
 @pytest.fixture(scope="session")
@@ -115,6 +115,15 @@ def cap_structures():
     """The named families at the carrier cap."""
     return [lab.make_family(name, n)
             for name, n in (("powerset", 6), ("antichain", 63), ("diamond", 62), ("chain", 63))]
+
+
+def crown(k):
+    """Zero, k middle elements and k tops, top j above every middle
+    element but the j-th (reflexive): the lower bounds of a set of tops are
+    the middle elements it does not name, one image-cover key per set."""
+    n = 1 + 2 * k
+    return p0set(n, 0, [(0, x) for x in range(n)] + [(x, x) for x in range(n)]
+                 + [(1 + i, 1 + k + j) for i in range(k) for j in range(k) if i != j])
 
 
 def topology_corpus():

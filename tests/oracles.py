@@ -34,6 +34,7 @@ from orderbench.core import (
     structure_table,
     submasks,
     subset_fold,
+    transpose,
     union_rows,
 )
 from orderbench.errors import CapExceeded, MissingMinimum, NotTransitive, PreconditionFailed
@@ -1606,6 +1607,70 @@ def sweep_fgrho(B: P0Set) -> Report:
 
 
 # ---------------------------------------------------------------------------
+# the image-cover equivalence by a closure over keys
+#
+# The route `tight.verify_fgrho` took before it reduced to n + k instances:
+# both sides say that G is a transversal of a family fixed by F's key
+# (lower bounds, atom mask of the meet), so each key reached from the empty
+# F compares two minimal families.  A crown has one key per set of its
+# middle elements, so the closure is refused past KEY_CAP keys.
+
+KEY_CAP = 1 << 12
+
+
+def transversal_mismatch(one, other, universe: SubsetMask) -> SubsetMask | None:
+    """None when the families of masks `one` and `other` have the same
+    transversals in `universe` (the G meeting every member), or else a G
+    that is a transversal of exactly one of them.
+
+    Two families have the same transversals exactly when they have the same
+    minimal members (Edmonds and Fulkerson, "Bottleneck extrema", 1970).  A
+    set meets every member when it meets every minimal one.  Conversely,
+    let M be the least mask in the symmetric difference of the minimal
+    families, say minimal in `one`: G = universe - M misses M.  A member of
+    `other` inside M would hold a minimal one M', not M, which is not
+    minimal in `other`.  Either M' is not minimal in `one`, a smaller mask
+    of the difference, or it is, and nested in M; both contradict the
+    choice of M, so G meets all of `other`.
+    """
+    def minimal(rows):
+        rows = set(rows)
+        return {r for r in rows if not any(s != r and s & ~r == 0 for s in rows)}
+
+    diff = minimal(one) ^ minimal(other)
+    return universe & ~min(diff) if diff else None
+
+
+def key_closure_fgrho(B: P0Set) -> Report:
+    """The image-cover equivalence at every key reached from the empty F.
+
+    The families are the `meets_preceq` rows of the nonzero lower bounds
+    and the columns {g : bit i of `rho_index[g]`} of the meet's atoms.
+    Keys are meets of the pairs (`preceq_down[x]`, `rho_index[x]`); the
+    witness is the largest F of the first key found failing, and its G.
+    """
+    S = ti.enveloping_algebra(B)
+    mp, carrier = meets_preceq(B), full_mask(B.size)
+    cols = transpose(S.rho_index, len(S.signatures))
+    gens = tuple(zip(derived_relations(B).preceq_down, S.rho_index))
+    keys = [(carrier, full_mask(len(S.signatures)))]  # F = {}, then each new meet
+    seen = set(keys)
+    for lb, cap in keys:
+        rows = (mp[e] for e in bits(lb & ~(1 << B.zero)))
+        G = transversal_mismatch(rows, (cols[i] for i in bits(cap)), carrier)
+        if G is not None:
+            F = sum(1 << x for x, (d, r) in enumerate(gens) if not (lb & ~d | cap & ~r))
+            return report("image_cover_equivalence", [Check("equivalence", False, (F, G))])
+        for key in ((lb & d, cap & r) for d, r in gens):
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+        if len(keys) > KEY_CAP:
+            raise CapExceeded(f"image cover equivalence capped at {KEY_CAP} keys")
+    return report("image_cover_equivalence", [Check("equivalence", True)])
+
+
+# ---------------------------------------------------------------------------
 # map classification by ascending minimal covering pairs
 #
 # The route `tight.map_properties` took before it read maximal centred
@@ -2452,10 +2517,7 @@ def frame_instance_fails(B: P0Set, name: str, w) -> bool:
         held = _held(B)
         if w[0] == "identity":
             return sat(w[1]) != _by_characters(held, w[1])
-        if w[0] == "private":
-            return {w[1]} not in held
-        x, y = w[1:]
-        return held[naive_meet(B, x, y)] != held[x] & held[y]
+        return {w[1]} not in held
     if name == "singleton_isomorphism":
         if len(w) == 1:
             return sing.index(sing[w[0]]) != w[0]

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import crown
 from orderbench import cli, lab
 from orderbench.core import dump_structure, load_structure, p0set
 
@@ -265,39 +266,32 @@ class TestWideCarriers:
                      + [(a, t) for a in (1, 2) for t in (n - 2, n - 1)])
 
     @pytest.mark.parametrize("k", [13, 61])
-    def test_saturate_refused_at_once(self, k, tmp_path, capsys, deadline):
-        # a structure that is no meet semilattice keeps the union route
+    def test_saturate_answers_a_fork(self, k, tmp_path, capsys, deadline):
+        # a structure that is no meet semilattice keeps the union route,
+        # whose count alone is refused past 4,096 unions: every subset law
+        # still answers, and holds
         path = tmp_path / "fork.json"
         path.write_text(dump_structure(self.fork(k)))
         start = time.perf_counter()
-        assert cli.run(["saturate", str(path)]) == 2
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert "saturated families capped at 4096 unions of generator rows" in err
-
-    @staticmethod
-    def crown(k):
-        # zero, k middle elements and k tops, top j above every middle
-        # element but the j-th: the lower bounds of a set of tops are the
-        # middle elements it does not name, so there are 2**k image-cover keys,
-        # answered up to 4,096
-        n = 1 + 2 * k
-        return p0set(n, 0, [(0, x) for x in range(n)] + [(x, x) for x in range(n)]
-                     + [(1 + i, 1 + k + j) for i in range(k) for j in range(k) if i != j])
-
-    @pytest.mark.parametrize("k,code", [(12, 0), (13, 2), (31, 2)])
-    def test_envelope_refuses_a_wide_crown(self, k, code, tmp_path, capsys, deadline):
-        path = tmp_path / "crown.json"
-        path.write_text(dump_structure(self.crown(k)))
-        start = time.perf_counter()
-        assert cli.run(["envelope", str(path)]) == code
+        assert cli.run(["saturate", str(path), "--format", "json"]) == 0
         assert time.perf_counter() - start < 1.0
         out = capsys.readouterr()
-        if code:
-            assert out.out == ""
-            assert "error: image cover equivalence capped at 4096 keys" in out.err
-        else:
-            assert out.out.split()[-1] == "PASS"
+        assert ("saturated sets: not counted (more than 4096 unions of generator rows)\n"
+                in out.err)
+        doc = json.loads(out.out)
+        assert list(doc) == ["subset_laws"] and len(doc["subset_laws"]) == 28
+        assert all(c["holds"] is not False for c in doc["subset_laws"])
+
+    @pytest.mark.parametrize("k", [12, 13, 31])
+    def test_envelope_answers_a_wide_crown(self, k, tmp_path, capsys, deadline):
+        # 2**k image-cover keys, and n + k instances: the equivalence holds
+        path = tmp_path / "crown.json"
+        path.write_text(dump_structure(crown(k)))
+        start = time.perf_counter()
+        assert cli.run(["envelope", str(path), "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out) == {"image_cover_equivalence": [
+            {"axiom": "equivalence", "holds": True, "witness": None}]}
 
     def test_every_frame_law_answers_past_eight(self, tmp_path, capsys, deadline):
         # past 8 elements saturate gives every frame law a verdict and every

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import cap_structures, oracle_corpus, separation_corpus, small_structures
+from conftest import cap_structures, crown, oracle_corpus, separation_corpus, small_structures
 from orderbench import lab, tight as ti
 from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
 from orderbench.errors import (
@@ -663,6 +663,32 @@ def _gained_atom(S, x):
     return rows
 
 
+def _one_bit(S, x, i):
+    """S with bit i of `rho_index[x]` alone toggled, the signatures kept."""
+    rows = list(S.rho_index)
+    rows[x] ^= 1 << i
+    return S._replace(rho_index=tuple(rows))
+
+
+def _moved_atom(S, x, y):
+    """The rows of S with the lowest atom of rho(x) moved to rho(y), or
+    None when rho(x) is empty."""
+    rows = _lost_atom(S, x)
+    if rows is None:
+        return None
+    rows[y] |= S.rho_index[x] & -S.rho_index[x]
+    return rows
+
+
+def _extra_atom(S, x, y):
+    """S with one more atom, held by rho(x) and rho(y) alone."""
+    rows = list(S.rho_index)
+    k = len(S.signatures)
+    rows[x] |= 1 << k
+    rows[y] |= 1 << k
+    return S._replace(signatures=S.signatures + (1 << x | 1 << y,), rho_index=tuple(rows))
+
+
 def _algebra_from_rows(S, rows):
     """S with `rho_index` = rows and the signatures read from them."""
     return S._replace(
@@ -781,9 +807,10 @@ class TestFgrho:
 
     def test_planted_defects_caught_at_the_cap(self, monkeypatch):
         # at 64 elements, for every nonzero x: rho(x) losing its lowest
-        # atom or gaining the lowest it lacks, each with the signatures
-        # read from the rows and a witness that must be a real mismatch at
-        # the largest F of its key, and rho_index[x] alone toggling atom 0
+        # atom or gaining the lowest it lacks, with the signatures read
+        # from the rows, and rho_index[x] alone toggling atom 0.  Each
+        # witness must be a mismatch under the literal covers and image
+        # order, at the largest F of its key
         envelope = ti.enveloping_algebra
         for B in cap_structures():
             S = envelope(B)
@@ -800,21 +827,71 @@ class TestFgrho:
                     rep = ti.verify_fgrho(B)
                     assert not rep.passed, (B.size, x)
                     F, G = rep["equivalence"].witness
-                    assert _is_mismatch(B, rows, top, F, G, ti.covers), (B.size, x)
+                    assert _is_mismatch(B, rows, top, F, G, _naive), (B.size, x)
                     assert _is_largest(B, rows, top, F), (B.size, x)
 
-                wrong = list(S.rho_index)
-                wrong[x] ^= 1
-                planted = S._replace(rho_index=tuple(wrong))
+                planted = _one_bit(S, x, 0)
                 monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=planted: p)
-                assert not ti.verify_fgrho(B).passed, (B.size, x)
+                rep = ti.verify_fgrho(B)
+                assert not rep.passed, (B.size, x)
+                F, G = rep["equivalence"].witness
+                assert _is_mismatch(B, planted.rho_index, top, F, G, _naive), (B.size, x)
+                assert _is_largest(B, planted.rho_index, top, F), (B.size, x)
             monkeypatch.setattr(ti, "enveloping_algebra", envelope)
 
+    def test_matches_key_closure(self, monkeypatch):
+        # the verdicts of the n + k instances equal those of the key
+        # closure on every structure of size <= 5 and on the crowns up to
+        # 12 middle elements (4,096 keys).  Then on planted algebras of
+        # every structure of size <= 4 and a seeded size-5 sample: rho(x)
+        # losing its lowest atom, gaining the lowest it lacks, or moving
+        # it to rho(y), with the signatures read from the rows; one bit of
+        # rho_index[x] alone toggled; and an extra atom held by rho(x) and
+        # rho(y).  Every witness of either route must be a pair at which
+        # the literal covers and the literal image order disagree, and the
+        # library's F the largest of its key.  Some plants fail only at a
+        # nonzero e, and some (an extra atom on two disjoint elements) only
+        # at an atom, so each half of the reduction is needed
+        import random
+
+        for B in small_structures(5) + [crown(k) for k in range(1, 13)]:
+            assert ti.verify_fgrho(B) == oracles.key_closure_fgrho(B), B.pairs()
+
+        rng = random.Random(43)
+        pool = small_structures(4) + rng.sample(lab.enumerate_structures(5), 150)
+        envelope = ti.enveloping_algebra
+        failing = 0
+        for B in pool:
+            S = envelope(B)
+            k = len(S.signatures)
+            for x in range(B.size):
+                rows = [_lost_atom(S, x), _gained_atom(S, x)]
+                rows += [_moved_atom(S, x, y) for y in range(B.size) if y != x]
+                planted = [_algebra_from_rows(S, r) for r in rows if r is not None]
+                planted += [_one_bit(S, x, i) for i in range(k)]
+                planted += [_extra_atom(S, x, y) for y in range(x + 1, B.size)]
+                for P in planted:
+                    monkeypatch.setattr(ti, "enveloping_algebra", lambda _, p=P: p)
+                    reps = ti.verify_fgrho(B), oracles.key_closure_fgrho(B)
+                    assert reps[0].passed == reps[1].passed, (B.pairs(), P)
+                    top = full_mask(len(P.signatures))
+                    for rep in reps:
+                        if not rep.passed:
+                            F, G = rep["equivalence"].witness
+                            assert _is_mismatch(B, P.rho_index, top, F, G, _naive), (B.pairs(), P)
+                    if not reps[0].passed:
+                        F = reps[0]["equivalence"].witness[0]
+                        assert _is_largest(B, P.rho_index, top, F), (B.pairs(), P)
+                        failing += 1
+            monkeypatch.setattr(ti, "enveloping_algebra", envelope)
+        assert failing == 11784
+
     def test_transversals_equal_exactly_when_minimal_members_are(self):
-        # the blocker lemma against a brute-force comparison of the
-        # transversals, on seeded random families of subsets of 5 points,
-        # the empty set and the empty family among them; half the second
-        # families are the first with random supersets of members added
+        # the blocker lemma of the key-closure oracle against a brute-force
+        # comparison of the transversals, on seeded random families of
+        # subsets of 5 points, the empty set and the empty family among
+        # them; half the second families are the first with random
+        # supersets of members added
         import random
 
         rng = random.Random(47)
@@ -831,7 +908,7 @@ class TestFgrho:
                 rng.shuffle(other)
             else:
                 other = [rng.getrandbits(5) for _ in range(rng.randrange(5))]
-            G = ti._transversal_mismatch(one, other, universe)
+            G = oracles.transversal_mismatch(one, other, universe)
             tr_one, tr_other = transversals(one), transversals(other)
             assert (G is None) == (tr_one == tr_other), (one, other)
             if G is None:
