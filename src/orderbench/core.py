@@ -332,6 +332,7 @@ def structure_table(fn):
     cache_info() counts lookups that build nothing as hits and builds as
     misses; currsize is the tables built, each alive while a structure
     holds it.  Two threads may both build a table: they store equal values.
+    A table of None is kept too, but each lookup of it takes the slow path.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
     calls = misses = 0
@@ -340,10 +341,10 @@ def structure_table(fn):
     def table(B: P0Set):
         nonlocal calls, misses
         calls += 1
-        try:
-            return B.__dict__[key]
-        except KeyError:
-            first = _first_equal(B).__dict__
+        got = B.__dict__.get(key)
+        if got is not None:
+            return got
+        first = _first_equal(B).__dict__
         if key not in first:
             misses += 1
             first[key] = fn(B)

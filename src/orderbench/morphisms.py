@@ -9,6 +9,7 @@ stored as bitmask rows over the target.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import xor
 from pathlib import Path
 from typing import NamedTuple
@@ -53,9 +54,11 @@ def interpolator(source: P0Set, target: P0Set, pairs) -> Interpolator:
     return Interpolator(source, target, tuple(rows))
 
 
+@lru_cache(maxsize=1024)
 def is_interpolator(R: Interpolator) -> Report:
     """Per-axiom verdicts; passes on the defining axioms, with the two
-    derived auxiliarity laws reported alongside.
+    derived auxiliarity laws reported alongside.  The report is decided
+    once per relation: `induced_stone_map` reads it again as its guard.
 
     The laws an interpolator shares with the identity interpolator are the
     basic-lattice sweeps of `axioms`, run on this relation; target

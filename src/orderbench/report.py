@@ -44,7 +44,10 @@ class Report(NamedTuple):
         raise KeyError(name)
 
     def holds(self, name: str) -> bool | None:
-        return self[name].holds
+        for c in self.checks:
+            if c.name == name:
+                return c.holds
+        raise KeyError(name)
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.holds is False]

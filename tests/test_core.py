@@ -418,6 +418,40 @@ class TestStructureTables:
         after = lower_bound_table.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
+    def test_lookup_counts(self, p3):
+        # a build is a miss; a structure's own table and an equal
+        # structure's are hits
+        built = []
+
+        def rows(B):
+            built.append(B)
+            return B.prec
+
+        table = structure_table(rows)
+        B, other = fresh(p3), fresh(p3)
+        twin = P0Set(B.size, B.zero, B.prec, B.names)
+        for C in (B, B, twin, other, twin, B, other):
+            assert table(C) == p3.prec
+        assert table.cache_info() == (5, 2, None, 2)
+        assert len(built) == 2 and built[0] is B and built[1] is other
+
+    def test_key_error_of_a_builder_propagates(self, p3):
+        B = fresh(p3)
+        attempts = []
+
+        def flaky(B):
+            attempts.append(B)
+            if len(attempts) == 1:
+                raise KeyError("raised by the builder")
+            return "built"
+
+        table = structure_table(flaky)
+        with pytest.raises(KeyError, match="raised by the builder"):
+            table(B)
+        assert f"{flaky.__module__}.{flaky.__qualname__}" not in B.__dict__
+        assert table(B) == table(B) == "built"
+        assert len(attempts) == 2
+
     def test_same_name_in_another_module_is_another_table(self, p3):
         B = fresh(p3)
         other = structure_table(_elsewhere)

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import small_structures, with_edge_loops
+from conftest import fresh, small_structures, with_edge_loops
 from orderbench import axioms, lab, morphisms as mo, stone
 from orderbench.core import bits, dump_structure, full_mask
 from orderbench.errors import (
@@ -268,6 +268,23 @@ class TestStoneMaps:
     def test_invalid_rejected(self, p2):
         with pytest.raises(NotInterpolator):
             mo.induced_stone_map(mo.Interpolator(p2, p2, (0, 0, 0, 0)))
+
+    def test_guard_reads_the_decided_report(self, p2, monkeypatch):
+        # the caller's is_interpolator decides the relation; the guard of
+        # induced_stone_map runs no axiom again
+        R = mo.identity_interpolator(fresh(p2))
+        rep = mo.is_interpolator(R)
+        before = mo.is_interpolator.cache_info()
+
+        def decided_again(*args):
+            raise AssertionError("the axioms ran twice")
+
+        monkeypatch.setattr(axioms, "minimum", decided_again)
+        assert mo.induced_stone_map(R).report.passed
+        assert mo.is_interpolator(R) is rep
+        after = mo.is_interpolator.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        assert after.maxsize == 1024
 
     def test_functoriality(self):
         # pushing forward a composite equals composing the pushforwards

@@ -50,6 +50,8 @@ class TestValueSemantics:
         assert r.failures() == [Check("second", False, (1, 2))]
         with pytest.raises(KeyError):
             r["missing"]
+        with pytest.raises(KeyError):
+            r.holds("missing")
 
 
 class TestOutput:

@@ -332,15 +332,28 @@ class TestMapsAtTheCap:
     which tries every nonzero target element with no reduction to the
     minimal ones."""
 
+    @staticmethod
+    def _check(beta):
+        rep = ti.map_properties(beta)
+        tight_w, tightish_w = oracles.pointwise_map_witnesses(beta)
+        flags = (rep.holds("tight"), rep.holds("tightish"))
+        assert flags == (tight_w is None, tightish_w is None), beta
+        assert rep["coinitial"].witness == oracles.coinitial_witness(beta), beta
+        _assert_witnesses_fail(beta, rep)
+        return flags
+
     def test_flags_match_pointwise_oracle(self):
         import random
 
         rng = random.Random(11)
+        # the cap families and the 63-element crown have up to 63 maximal
+        # centred sets: the lifted assignment reaches 63 fields, 4,032 bits
+        wide = cap_structures()[1:] + [crown(31)]
         targets = [lab.make_family("powerset", k) for k in range(1, 7)] + [
             lab.random_p0set(rng.randint(2, 12), rng.getrandbits(32), rng.random() < 0.6,
                              rng.uniform(0.1, 0.5))
             for _ in range(2)
-        ]
+        ] + wide
         outcomes = set()
         for B in cap_structures():
             for A in targets:
@@ -350,14 +363,10 @@ class TestMapsAtTheCap:
                                range(A.size)):
                     assign = [rng.choice(values) for _ in range(B.size)]
                     assign[B.zero] = A.zero
-                    beta = ti.struct_map(B, A, assign)
-                    rep = ti.map_properties(beta)
-                    tight_w, tightish_w = oracles.pointwise_map_witnesses(beta)
-                    flags = (rep.holds("tight"), rep.holds("tightish"))
-                    assert flags == (tight_w is None, tightish_w is None), beta
-                    _assert_witnesses_fail(beta, rep)
-                    outcomes.add(flags)
+                    outcomes.add(self._check(ti.struct_map(B, A, assign)))
         assert outcomes == {(True, True), (False, True), (False, False)}
+        for A in wide:
+            assert self._check(ti.identity_map(A)) == (True, True)
 
 
 def _map_sweep_maps(seed):
