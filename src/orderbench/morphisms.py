@@ -54,7 +54,7 @@ def interpolator(source: P0Set, target: P0Set, pairs) -> Interpolator:
     return Interpolator(source, target, tuple(rows))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1)
 def is_interpolator(R: Interpolator) -> Report:
     """Per-axiom verdicts; passes on the defining axioms, with the two
     derived auxiliarity laws reported alongside.  The report is decided

@@ -44,10 +44,7 @@ class Report(NamedTuple):
         raise KeyError(name)
 
     def holds(self, name: str) -> bool | None:
-        for c in self.checks:
-            if c.name == name:
-                return c.holds
-        raise KeyError(name)
+        return self[name].holds
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.holds is False]

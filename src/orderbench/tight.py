@@ -120,30 +120,17 @@ def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
     return struct_map(source, target, assignment)
 
 
-#: One field of a lifted assignment: a subset of the source.
-_FIELD = full_mask(MAX_SIZE)
-
-
 @structure_table
 def _target_rows(A: P0Set):
-    """What map classification reads of a target, in one lookup: (k, the
-    lift, the up-rows of the nonzero elements, the nonzero mask, the
-    algebra flag), where lift[t] sets bit MAX_SIZE * u for every one of
-    the k maximal centred sets U_u that holds t."""
-    centred = maximal_centred_sets(A)
-    lift = [0] * A.size
-    for u, U in enumerate(centred):
-        for t in bits(U):
-            lift[t] |= 1 << MAX_SIZE * u
-    nonzero = full_mask(A.size) & ~(1 << A.zero)
-    ups = tuple(0 if t == A.zero else row for t, row in enumerate(derived_relations(A).preceq))
-    return len(centred), tuple(lift), ups, nonzero, order_predicates(A).holds("generalized_boolean")
-
-
-@structure_table
-def _source_centred(B: P0Set) -> frozenset[SubsetMask]:
-    """The maximal centred sets of a map's source, as a set to probe."""
-    return frozenset(maximal_centred_sets(B))
+    """What map classification reads of a target, in one lookup: (maximal
+    centred sets, the up-rows of the nonzero elements, the nonzero mask,
+    algebra flag)."""
+    return (
+        maximal_centred_sets(A),
+        tuple(0 if t == A.zero else row for t, row in enumerate(derived_relations(A).preceq)),
+        full_mask(A.size) & ~(1 << A.zero),
+        order_predicates(A).holds("generalized_boolean"),
+    )
 
 
 def map_properties(beta: StructMapTotal) -> Report:
@@ -175,39 +162,37 @@ def map_properties(beta: StructMapTotal) -> Report:
     The witness is (M, carrier - M) of the first U that fails, for
     tightish the first with M nonempty.  beta is coinitial when every
     nonzero a lies above a nonzero value; the witness is the least a
-    outside the union of the nonzero values' up-rows.
-
-    All preimages come from one pass over the assignment.  The lift of
-    the target sets bit MAX_SIZE * u of lift[t] exactly when t lies in
-    U_u, so lift[beta(x)] << x sets bit MAX_SIZE * u + x exactly when x
-    lies in M_u.  As x < MAX_SIZE, no shift reaches the next field: bits
-    MAX_SIZE * u to MAX_SIZE * (u + 1) - 1 of the OR over x are M_u.  The
-    same pass ORs the up-rows.  The cost is that pass and one set probe
-    per maximal centred set of the target, at every size.
+    outside the union of the nonzero values' up-rows.  The cost is one
+    pass over the assignment per maximal centred set of the target and
+    one for that union, at every size.
     """
     B, A = beta.source, beta.target
     img = beta.assignment
     if img[B.zero] != A.zero:
         raise ZeroNotPreserved(f"zero maps to {img[B.zero]}")
-    k, lift, ups, nonzero, rep = _target_rows(A)
-    centredB = _source_centred(B)
+    centredA, ups, nonzero, rep = _target_rows(A)
+    centredB = maximal_centred_sets(B)
+    carrier = full_mask(B.size)
 
-    lifted = above = 0
-    for x, t in enumerate(img):
-        lifted |= lift[t] << x
-        above |= ups[t]
     tight_w = tightish_w = None
-    for u in range(k):
-        M = lifted >> MAX_SIZE * u & _FIELD
+    for U in centredA:
+        M = 0
+        for x, t in enumerate(img):
+            if U >> t & 1:
+                M |= 1 << x
         if M not in centredB:
-            w = (M, (1 << B.size) - 1 & ~M)
+            w = (M, carrier & ~M)
             tight_w = tight_w or w
             if M:
                 tightish_w = w
                 break
 
+    above = 0
+    for t in img:
+        above |= ups[t]
     lonely = nonzero & ~above
     coin_w = ((lonely & -lonely).bit_length() - 1,) if lonely else None
+
     return _map_report(tight_w, tightish_w, coin_w, rep, rep and A.size == 2)
 
 

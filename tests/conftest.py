@@ -66,7 +66,7 @@ def with_edge_loops(monkeypatch):
     reach and Riesz interpolation by the loops its folds replaced.  The
     loop reach is cached per (structure, columns), as the package caches
     its fold.  `morphisms.is_interpolator` decides each relation afresh
-    instead of reading the reports it cached before."""
+    instead of reading the report it cached last."""
     import oracles
     from orderbench import axioms, morphisms
     from orderbench.report import Check

@@ -207,17 +207,23 @@ def test_cache_counters_see_every_layer():
 
 
 #: The lru_caches that may key on a structure: the sharing index itself,
-#: and a cache keyed on (structure, relation) that decomposition and
-#: vee-interpolation share.
+#: a cache keyed on (structure, relation) that decomposition and
+#: vee-interpolation share, and the last interpolator's report, which
+#: `induced_stone_map` reads as its guard.
 STRUCTURE_CACHES = {
     ("core", "_first_equal"),
     ("axioms", "_join_reach"),
+    ("morphisms", "is_interpolator"),
 }
+
+#: Annotations of a value that is or holds a structure.
+HOLDS_A_STRUCTURE = {"P0Set", "Interpolator"}
 
 
 def decorated(source: str, decorators: set[str]) -> list[tuple[str, bool]]:
-    """(name, first parameter annotated P0Set) for every function with one
-    of these decorators, called or not, bare or as a module attribute."""
+    """(name, first parameter annotated with a type that holds a structure)
+    for every function with one of these decorators, called or not, bare
+    or as a module attribute."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.FunctionDef):
@@ -229,8 +235,8 @@ def decorated(source: str, decorators: set[str]) -> list[tuple[str, bool]]:
         if names & decorators:
             params = node.args.posonlyargs + node.args.args
             ann = params[0].annotation if params else None
-            on_structure = isinstance(ann, ast.Name) and ann.id == "P0Set" or (
-                isinstance(ann, ast.Constant) and ann.value == "P0Set")
+            on_structure = isinstance(ann, ast.Name) and ann.id in HOLDS_A_STRUCTURE or (
+                isinstance(ann, ast.Constant) and ann.value in HOLDS_A_STRUCTURE)
             out.append((node.name, on_structure))
     return out
 
@@ -240,8 +246,10 @@ def test_detects_structure_caches():
         "@lru_cache(maxsize=3)\ndef f(B: P0Set, x): ...\n"
         "@functools.cache\ndef g(A: 'P0Set'): ...\n"
         "@lru_cache\ndef h(n: int): ...\n"
+        "@lru_cache(maxsize=1)\ndef i(R: Interpolator): ...\n"
     )
-    assert decorated(source, {"lru_cache", "cache"}) == [("f", True), ("g", True), ("h", False)]
+    assert decorated(source, {"lru_cache", "cache"}) == [
+        ("f", True), ("g", True), ("h", False), ("i", True)]
 
 
 def test_no_lru_cache_keyed_on_a_structure():

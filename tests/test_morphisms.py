@@ -284,7 +284,7 @@ class TestStoneMaps:
         assert mo.is_interpolator(R) is rep
         after = mo.is_interpolator.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
-        assert after.maxsize == 1024
+        assert after.maxsize == 1
 
     def test_functoriality(self):
         # pushing forward a composite equals composing the pushforwards

@@ -347,7 +347,7 @@ class TestMapsAtTheCap:
 
         rng = random.Random(11)
         # the cap families and the 63-element crown have up to 63 maximal
-        # centred sets: the lifted assignment reaches 63 fields, 4,032 bits
+        # centred sets
         wide = cap_structures()[1:] + [crown(31)]
         targets = [lab.make_family("powerset", k) for k in range(1, 7)] + [
             lab.random_p0set(rng.randint(2, 12), rng.getrandbits(32), rng.random() < 0.6,
