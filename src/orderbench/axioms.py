@@ -34,7 +34,7 @@ from .core import (
     structure_table,
     union_rows,
 )
-from .errors import NotLattice, PreconditionFailed
+from .errors import PreconditionFailed
 from .report import Check, Report, report
 
 #: The defining axioms beyond lattice-hood; the overall verdict is their
@@ -360,7 +360,7 @@ def recover_prec(B: P0Set) -> tuple[int, ...]:
     basic lattice this returns the stored relation exactly.
     """
     if not order_predicates(B).holds("lattice"):
-        raise NotLattice("recovery needs a lattice order")
+        raise PreconditionFailed("recovery needs a lattice order")
     return _covered_rows(B, derived_relations(B).preceq_down)
 
 

@@ -10,12 +10,16 @@ saturate counts the saturated sets as 2**k for the k characters of a
 meet semilattice, else from the unions of generator rows (not counted
 past 4,096), and checks every subset law and frame law at every size.
 
-Exit codes: 2 for malformed input, 1 when a verified property that should
-hold fails (witnesses are in the report), 0 otherwise.  Classification
-results (a structure simply not being a basic lattice, say) are not
-failures.  Reports default to readable text; --format json emits the
-serialization with one entry per check, one object per suite for verify
-and the structure found (or null) for search.  gen always writes JSON.
+Exit codes are read from the type of what a verb raises: 2 for an
+`InputError` (malformed input, a value past a cap, an unreadable file,
+an unknown name, a map that moves zero or whose source is not the
+structure argument), 1 for any other `OrderbenchError` and when a
+verified property that should hold fails (witnesses are in the report),
+0 otherwise.  Classification results (a structure simply not being a
+basic lattice, say) are not failures.  Reports default to readable
+text; --format json emits the serialization with one entry per check,
+one object per suite for verify and the structure found (or null) for
+search.  gen always writes JSON.
 """
 
 from __future__ import annotations
@@ -30,29 +34,8 @@ from pathlib import Path
 from . import axioms, saturation, spectrum, stone, tight
 from .core import (P0Set, bit_list, dump_structure, load_structure, maximal_centred_sets,
                    order_predicates, read_input)
-from .errors import (
-    CapExceeded,
-    FormatError,
-    IndexOutOfRange,
-    MissingMinimum,
-    NotTransitive,
-    OrderbenchError,
-    UnknownFamily,
-    UnknownSuite,
-    UnusableFile,
-)
+from .errors import CapExceeded, InputError, OrderbenchError
 from .report import Check, Report, report, reports_to_json
-
-INPUT_ERRORS = (
-    FormatError,
-    IndexOutOfRange,
-    MissingMinimum,
-    NotTransitive,
-    UnknownFamily,
-    UnknownSuite,
-    CapExceeded,
-    UnusableFile,
-)
 
 
 def _load(path: str, max_size: int | None = None) -> P0Set:
@@ -116,6 +99,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_envelope(args) -> int:
     B = _load(args.structure, args.max_size)
+    beta = None
+    if args.map:  # read and checked before any work on B
+        beta = tight.load_struct_map(read_input(args.map), Path(args.map).parent)
+        if beta.source != B:
+            raise InputError(f"the map's source is not {args.structure}")
     S = tight.enveloping_algebra(B)
     print(
         f"enveloping algebra: {1 << len(S.signatures)} elements, {len(S.signatures)} atoms",
@@ -123,8 +111,7 @@ def cmd_envelope(args) -> int:
     )
     reports = [tight.verify_fgrho(B)]
     code = 0 if reports[0].passed else 1
-    if args.map:
-        beta = tight.load_struct_map(read_input(args.map), Path(args.map).parent)
+    if beta is not None:
         props = tight.map_properties(beta)
         reports.append(props)
         if props.holds("tightish") and props.holds("representation"):
@@ -188,7 +175,7 @@ def cmd_gen(args) -> int:
         try:
             Path(args.out).write_text(text + "\n")
         except OSError as exc:
-            raise UnusableFile(str(exc)) from exc
+            raise InputError(str(exc)) from exc
     else:
         print(text)
     return 0
@@ -268,7 +255,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OrderbenchError as exc:

@@ -23,15 +23,7 @@ from operator import and_, attrgetter, getitem, or_
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    FormatError,
-    IndexOutOfRange,
-    MissingMinimum,
-    NotAntisymmetric,
-    NotGBA,
-    NotTransitive,
-    UnusableFile,
-)
+from .errors import InputError, PreconditionFailed
 from .report import Report, shared_report
 
 #: Hard carrier cap.  Bitmasks stay cheap well beyond this; the cap exists so
@@ -218,42 +210,42 @@ def p0set(size: int, zero: int, pairs, names=None) -> P0Set:
     and the indices must be ints: a bool, though an int subclass, is
     refused."""
     if type(size) is not int or size < 1:
-        raise IndexOutOfRange(f"size must be a positive integer, got {size!r}")
+        raise InputError(f"size must be a positive integer, got {size!r}")
     if size > MAX_SIZE:
-        raise IndexOutOfRange(f"carrier size {size} exceeds the cap {MAX_SIZE}")
+        raise InputError(f"carrier size {size} exceeds the cap {MAX_SIZE}")
     if type(zero) is not int or not 0 <= zero < size:
-        raise IndexOutOfRange(f"zero index {zero!r} outside carrier 0..{size - 1}")
+        raise InputError(f"zero index {zero!r} outside carrier 0..{size - 1}")
     rows = [0] * size
     for x, y in pairs:
         if not (type(x) is int and type(y) is int):
-            raise IndexOutOfRange(f"pair ({x!r}, {y!r}) is not an index pair")
+            raise InputError(f"pair ({x!r}, {y!r}) is not an index pair")
         if not (0 <= x < size and 0 <= y < size):
-            raise IndexOutOfRange(f"pair ({x}, {y}) outside carrier 0..{size - 1}")
+            raise InputError(f"pair ({x}, {y}) outside carrier 0..{size - 1}")
         rows[x] |= 1 << y
     for x in range(size):
         for y in bits(rows[x]):
             gap = rows[y] & ~rows[x]
             if gap:
-                z = next(bits(gap))
-                raise NotTransitive((x, y, z))
+                w = (x, y, next(bits(gap)))
+                raise InputError(f"relation not transitive, witness {w}", w)
     if rows[zero] != full_mask(size):
         missing = next(bits(full_mask(size) & ~rows[zero]))
-        raise MissingMinimum(f"pair ({zero}, {missing}) required for the minimum is absent")
+        raise InputError(f"pair ({zero}, {missing}) required for the minimum is absent")
     if names is not None:
         names = tuple(str(s) for s in names)
         if len(names) != size:
-            raise FormatError("names length must equal size")
+            raise InputError("names length must equal size")
     return P0Set(size, zero, tuple(rows), names)
 
 
 def read_input(path) -> str:
     """The text of an input file.  A file that cannot be read is an input
-    error (`UnusableFile`); an OSError on output, such as a closed stdout,
+    error (`InputError`); an OSError on output, such as a closed stdout,
     is not."""
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UnusableFile(str(exc)) from exc
+        raise InputError(str(exc)) from exc
 
 
 def load_structure(text: str) -> P0Set:
@@ -265,23 +257,23 @@ def load_structure(text: str) -> P0Set:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise FormatError("structure document must be a JSON object")
+        raise InputError("structure document must be a JSON object")
     allowed = {"size", "zero", "prec", "names"}
     unknown = set(doc) - allowed
     if unknown:
-        raise FormatError(f"unknown keys {sorted(unknown)}")
+        raise InputError(f"unknown keys {sorted(unknown)}")
     for key in ("size", "zero", "prec"):
         if key not in doc:
-            raise FormatError(f"missing key {key!r}")
+            raise InputError(f"missing key {key!r}")
     if not isinstance(doc["prec"], list) or not all(
         isinstance(p, list) and len(p) == 2 for p in doc["prec"]
     ):
-        raise FormatError("prec must be a list of [int, int] pairs")
+        raise InputError("prec must be a list of [int, int] pairs")
     names = doc.get("names")
     if names is not None and not isinstance(names, list):
-        raise FormatError("names must be a list of strings")
+        raise InputError("names must be a list of strings")
     return p0set(doc["size"], doc["zero"], [tuple(p) for p in doc["prec"]], names)
 
 
@@ -291,11 +283,11 @@ def load_linked(text: str, base_dir, payload: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"from", "to", payload}:
-        raise FormatError(f"document needs exactly from/to/{payload}")
+        raise InputError(f"document needs exactly from/to/{payload}")
     if not (isinstance(doc["from"], str) and isinstance(doc["to"], str)):
-        raise FormatError("from and to must be file paths")
+        raise InputError("from and to must be file paths")
     base = Path(base_dir)
     source = load_structure(read_input(base / doc["from"]))
     target = load_structure(read_input(base / doc["to"]))
@@ -331,7 +323,8 @@ def structure_table(fn):
 
     cache_info() counts lookups that build nothing as hits and builds as
     misses; currsize is the tables built, each alive while a structure
-    holds it.  Two threads may both build a table: they store equal values.
+    holds it.  A builder that raises stores and counts no table.  Two
+    threads may both build a table: they store equal values.
     A table of None is kept too, but each lookup of it takes the slow path.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
@@ -346,8 +339,8 @@ def structure_table(fn):
             return got
         first = _first_equal(B).__dict__
         if key not in first:
-            misses += 1
             first[key] = fn(B)
+            misses += 1
         B.__dict__[key] = first[key]
         return first[key]
 
@@ -478,20 +471,21 @@ def _bound(rows: tuple[int, ...], x: int, y: int) -> int | None:
     L = rows[x] & rows[y] is a down-set of the derived order (an up-set
     for `preceq` rows), so a member of L whose row holds L has a row
     exactly equal to L: the candidates are the owners of the row L.
-    Raises NotAntisymmetric when several order-equivalent ones exist,
+    Raises PreconditionFailed when several order-equivalent ones exist,
     surfacing the offending pair instead of picking one.
     """
     cands = _row_owners(rows).get(rows[x] & rows[y])
     if not cands:
         return None
     if len(cands) > 1:
-        raise NotAntisymmetric((cands[0], cands[1]))
+        w = (cands[0], cands[1])
+        raise PreconditionFailed(f"order not antisymmetric, witness {w}", w)
     return cands[0]
 
 
 def meet(B: P0Set, x: int, y: int) -> int | None:
     """Greatest lower bound under the reflexivization, or None; raises
-    NotAntisymmetric when several order-equivalent ones exist."""
+    PreconditionFailed when several order-equivalent ones exist."""
     return _bound(derived_relations(B).preceq_down, x, y)
 
 
@@ -617,10 +611,10 @@ def order_predicates(B: P0Set) -> Report:
 def relative_complement(B: P0Set, x: int, y: int) -> int:
     """The unique z with z meet (x and y) = 0 and z join (x and y) = x."""
     if not order_predicates(B).holds("generalized_boolean"):
-        raise NotGBA("relative complement needs a generalized Boolean algebra")
+        raise PreconditionFailed("relative complement needs a generalized Boolean algebra")
     mt, jt = lattice_tables(B)
     m = mt[x][y]
     cands = [z for z in range(B.size) if mt[z][m] == B.zero and jt[z][m] == x]
     if len(cands) != 1:  # ruled out on a generalized Boolean algebra
-        raise NotGBA(f"complement of {m} in [0, {x}] not unique: {cands}")
+        raise PreconditionFailed(f"complement of {m} in [0, {x}] not unique: {cands}")
     return cands[0]

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import axioms, spectrum
 from .core import P0Set, bits, full_mask, mask_from, meet_rows, order_predicates, p0set, union_rows
-from .errors import CapExceeded, UnknownFamily, UnknownSuite
+from .errors import CapExceeded, InputError
 
 RANDOM_CAP = 12
 ENUM_CAP = 5
@@ -36,7 +36,7 @@ def make_family(name: str, n: int) -> P0Set:
     """
     if name == "chain":
         if n < 0:
-            raise UnknownFamily("chain needs n >= 0")
+            raise InputError("chain needs n >= 0")
         size = n + 1
         return p0set(
             size,
@@ -46,7 +46,7 @@ def make_family(name: str, n: int) -> P0Set:
         )
     if name == "powerset":
         if not 0 <= n <= 6:
-            raise UnknownFamily("powerset needs 0 <= n <= 6")
+            raise InputError("powerset needs 0 <= n <= 6")
         size = 1 << n
         return p0set(
             size,
@@ -56,7 +56,7 @@ def make_family(name: str, n: int) -> P0Set:
         )
     if name == "diamond":
         if n < 1:
-            raise UnknownFamily("diamond needs n >= 1")
+            raise InputError("diamond needs n >= 1")
         size = n + 2
         top = size - 1
         pairs = (
@@ -67,7 +67,7 @@ def make_family(name: str, n: int) -> P0Set:
         return p0set(size, 0, pairs, names=["0"] + [f"m{i}" for i in range(1, top)] + ["1"])
     if name == "antichain":
         if n < 0:
-            raise UnknownFamily("antichain needs n >= 0")
+            raise InputError("antichain needs n >= 0")
         size = n + 1
         pairs = [(0, j) for j in range(size)] + [(i, i) for i in range(1, size)]
         return p0set(size, 0, pairs, names=["0"] + [f"a{i}" for i in range(1, size)])
@@ -82,7 +82,7 @@ def make_family(name: str, n: int) -> P0Set:
             (2, 4),
         ]
         return p0set(5, 0, pairs, names=["0", "p", "q", "x", "y"])
-    raise UnknownFamily(f"unknown family {name!r}")
+    raise InputError(f"unknown family {name!r}")
 
 
 FAMILY_NAMES = ("chain", "powerset", "diamond", "antichain", "interpolation_witness")
@@ -251,7 +251,7 @@ def search_counterexample(
     structures of sizes up to the bound until the budget is spent.
     """
     if suite not in SUITES:
-        raise UnknownSuite(f"no suite named {suite!r}; known: {sorted(SUITES)}")
+        raise InputError(f"no suite named {suite!r}; known: {sorted(SUITES)}")
     if min(bound, budget) < 1:
         raise CapExceeded(f"search needs bound >= 1 and budget >= 1, not {bound} and {budget}")
     predicate, curated = SUITES[suite]

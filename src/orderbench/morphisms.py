@@ -23,14 +23,7 @@ from .core import (
     transpose,
     union_rows,
 )
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    NotContinuous,
-    NotInterpolator,
-    NotUltrafilter,
-    PreconditionFailed,
-)
+from .errors import InputError, InternalCheckFailed, PreconditionFailed
 from .report import Check, Report, report
 
 
@@ -49,7 +42,7 @@ def interpolator(source: P0Set, target: P0Set, pairs) -> Interpolator:
     rows = [0] * source.size
     for x, y in pairs:
         if not (0 <= x < source.size and 0 <= y < target.size):
-            raise FormatError(f"pair ({x}, {y}) outside the carriers")
+            raise InputError(f"pair ({x}, {y}) outside the carriers")
         rows[x] |= 1 << y
     return Interpolator(source, target, tuple(rows))
 
@@ -95,7 +88,7 @@ def is_interpolator(R: Interpolator) -> Report:
 def compose_interpolators(R: Interpolator, S: Interpolator) -> Interpolator:
     """Relational composition: x (R;S) y iff x R z S y for some z."""
     if R.target != S.source:
-        raise DimensionMismatch("inner carriers differ")
+        raise PreconditionFailed("inner carriers differ")
     return Interpolator(R.source, S.target, tuple(union_rows(S.rel, row) for row in R.rel))
 
 
@@ -118,7 +111,7 @@ def induced_stone_map(R: Interpolator) -> StoneMap:
     verify the result is an ultrafilter, the map is continuous, and the
     relation is recovered by closure containment."""
     if not is_interpolator(R).passed:
-        raise NotInterpolator("relation fails the interpolator axioms")
+        raise PreconditionFailed("relation fails the interpolator axioms")
     B, C = R.source, R.target
     X, Y = stone.stone_space(B), stone.stone_space(C)
     index_c = {U: i for i, U in enumerate(stone.enumerate_ultrafilters(C))}
@@ -126,7 +119,7 @@ def induced_stone_map(R: Interpolator) -> StoneMap:
     for U in stone.enumerate_ultrafilters(B):
         img = union_rows(R.rel, U)
         if img not in index_c:
-            raise NotUltrafilter(f"pushforward {img:#b} is not an ultrafilter")
+            raise InternalCheckFailed(f"pushforward {img:#b} is not an ultrafilter")
         mapping.append(index_c[img])
     mapping = tuple(mapping)
 
@@ -151,14 +144,14 @@ def interpolator_from_map(
     """
     f = tuple(f)
     if len(f) != X.points or any(not 0 <= t < Y.points for t in f):
-        raise FormatError("point map has wrong shape")
+        raise InputError("point map has wrong shape")
     # opens are unions of minimal neighbourhoods and preimages keep unions,
     # so the smallest open with a preimage that is not open is one of them;
     # the preimage of o is the union of the fibres over its points
     fibres = transpose((1 << t for t in f), Y.points)
     for u in sorted(set(Y.nbhd)):
         if not X.is_open(union_rows(fibres, u)):
-            raise NotContinuous(f"preimage of {u:#b} is not open")
+            raise PreconditionFailed(f"preimage of {u:#b} is not open")
     source = stone.basis_to_structure(X, BX)
     target = stone.basis_to_structure(Y, BY)
     return Interpolator(source, target, tuple(stone.closure_rows(X, BX, f, BY)))
@@ -175,5 +168,5 @@ def load_interpolator(text: str, base_dir: str | Path = ".") -> Interpolator:
         isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
         for p in pairs
     ):
-        raise FormatError("pairs must be a list of [int, int]")
+        raise InputError("pairs must be a list of [int, int]")
     return interpolator(source, target, [tuple(p) for p in pairs])

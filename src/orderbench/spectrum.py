@@ -36,13 +36,7 @@ from .core import (
     structure_table,
     transpose,
 )
-from .errors import (
-    CapExceeded,
-    InternalCheckFailed,
-    NotClopen,
-    NotOpen,
-    NotPseudobasis,
-)
+from .errors import CapExceeded, InternalCheckFailed, PreconditionFailed
 from .report import Check, Report, report, shared_report
 
 VS_STONE_CAP = 8
@@ -92,7 +86,7 @@ def is_pseudobasis(X: stone.FiniteTopology, family) -> PseudobasisReport:
     family = list(family)
     if not all(map(X.is_open, family)):
         o = next(o for o in family if not X.is_open(o))
-        raise NotOpen(f"family member {o:#b} is not open")
+        raise PreconditionFailed(f"family member {o:#b} is not open")
     fm = full_mask(X.points)
 
     minimum = 0 in family
@@ -147,9 +141,9 @@ def spectrum_homeomorphism(X: stone.FiniteTopology, family):
     family = list(family)
     pb = is_pseudobasis(X, family)
     if not pb.passed:
-        raise NotPseudobasis("family fails the pseudobasis conditions")
+        raise PreconditionFailed("family fails the pseudobasis conditions")
     if not pb.all_clopen():
-        raise NotClopen("family has a non-clopen member")
+        raise PreconditionFailed("family has a non-clopen member")
     # clopen members are their own closures, so this is the inclusion order
     struct = stone.basis_to_structure(X, family)
     chars = tight_characters(struct).chars

@@ -39,13 +39,7 @@ from .core import (
     structure_table,
     union_rows,
 )
-from .errors import (
-    FormatError,
-    InternalCheckFailed,
-    NotAFilter,
-    NotOpen,
-    PreconditionFailed,
-)
+from .errors import InputError, InternalCheckFailed, PreconditionFailed
 from .report import Check, Report, report
 
 
@@ -97,21 +91,21 @@ def topology_from_basis(points: int, basis) -> FiniteTopology:
     for a, b in the family and p in both, some member containing p lies
     inside a & b.  Over finitely many members that holds exactly when the
     meet of the members containing p is itself a member, which is then
-    U_p.  Otherwise the family is not a basis and NotOpen is raised.
+    U_p.  Otherwise the family is not a basis: PreconditionFailed.
     """
     basis = tuple(basis)
     fm = full_mask(points)
     if any(b & ~fm for b in basis):
-        raise NotOpen("basis member outside the point set")
+        raise PreconditionFailed("basis member outside the point set")
     members = set(basis)
     nbhd = []
     for p in range(points):
         above = [b for b in basis if b >> p & 1]
         if not above:
-            raise NotOpen(f"basis does not cover point {p}")
+            raise PreconditionFailed(f"basis does not cover point {p}")
         u = reduce(and_, above)
         if u not in members:
-            raise NotOpen(f"family is not a basis: {u:#b} not a union of members")
+            raise PreconditionFailed(f"family is not a basis: {u:#b} not a union of members")
         nbhd.append(u)
     return FiniteTopology(points, tuple(nbhd), basis)
 
@@ -133,36 +127,36 @@ def load_topology(text: str) -> FiniteTopology:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"points", "opens", "basis"}:
-        raise FormatError("topology document needs exactly points/opens/basis")
+        raise InputError("topology document needs exactly points/opens/basis")
     points = doc["points"]
     if type(points) is not int or points < 0:
-        raise FormatError("points must be a nonnegative integer")
+        raise InputError("points must be a nonnegative integer")
     def to_mask(lst):
         if not isinstance(lst, list) or not all(
             type(p) is int and 0 <= p < points for p in lst
         ):
-            raise FormatError(f"bad point list {lst!r}")
+            raise InputError(f"bad point list {lst!r}")
         return mask_from(lst)
     opens = sorted({to_mask(o) for o in doc["opens"]})
     basis = [to_mask(b) for b in doc["basis"]]
     lookup = set(opens)
     if 0 not in lookup or full_mask(points) not in lookup:
-        raise FormatError("opens must contain the empty set and every point")
+        raise InputError("opens must contain the empty set and every point")
     for a in opens:
         for b in opens:
             if a | b not in lookup or a & b not in lookup:
-                raise FormatError("opens not closed under union/intersection")
+                raise InputError("opens not closed under union/intersection")
     if any(b not in lookup for b in basis):
-        raise FormatError("basis member is not open")
+        raise InputError("basis member is not open")
     for o in opens:
         span = 0
         for b in basis:
             if b & ~o == 0:
                 span |= b
         if span != o:
-            raise FormatError("an open is not a union of basis members")
+            raise InputError("an open is not a union of basis members")
     return topology_from_basis(points, basis)
 
 
@@ -229,7 +223,7 @@ def ultrafilter_properties(B: P0Set, U: SubsetMask) -> Report:
     (asserted only over basic lattices, where it is a theorem)."""
     fm = full_mask(B.size)
     if U == 0 or U == fm or not is_filter(B, U):
-        raise NotAFilter("need a nonempty proper filter")
+        raise PreconditionFailed("need a nonempty proper filter")
     der = derived_relations(B)
     down = prec_down(B)
 
@@ -294,7 +288,7 @@ def stone_space(B: P0Set) -> FiniteTopology:
     basis = [mask_from(i for i, U in enumerate(ults) if U >> x & 1) for x in range(B.size)]
     try:
         return topology_from_basis(len(ults), basis)
-    except NotOpen as exc:  # directedness of filters guarantees a basis
+    except PreconditionFailed as exc:  # directedness of filters guarantees a basis
         raise InternalCheckFailed(f"ultrafilter opens failed to form a basis: {exc}")
 
 
@@ -370,7 +364,7 @@ def basis_to_structure(X: FiniteTopology, family) -> P0Set:
     family = list(family)
     for o in family:
         if not X.is_open(o):
-            raise NotOpen(f"family member {o:#b} is not open")
+            raise PreconditionFailed(f"family member {o:#b} is not open")
     if 0 not in family:
         raise PreconditionFailed("family must contain the empty open")
     if len(set(family)) != len(family):

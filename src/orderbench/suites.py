@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import axioms, lab, saturation, spectrum, stone, tight
 from .core import P0Set, antisymmetry_violation, full_mask, order_predicates, subset_fold
-from .errors import ConstructionIncomplete, PreconditionFailed, UnknownSuite
+from .errors import InputError, InternalCheckFailed, PreconditionFailed
 
 
 class SuiteResult(NamedTuple):
@@ -451,7 +451,7 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
                     chis[rng.randrange(k)] = rng.choice(others)
                     if tight.map_properties(_tuple_map(chis, powersets[k])).holds("tightish"):
                         bad.append((B, chis, "a non-tightish coordinate left the tuple tightish"))
-    except ConstructionIncomplete as exc:
+    except InternalCheckFailed as exc:
         bad.append((None, None, f"factoring raised {exc!r}"))
     details = [
         f"{factored} tightish characters factored over {len(catalog(4))} structures of "
@@ -636,7 +636,7 @@ CRITERIA = list(SUITES)
 
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
-        raise UnknownSuite(f"no suite named {name!r}; known: {sorted(SUITES)}")
+        raise InputError(f"no suite named {name!r}; known: {sorted(SUITES)}")
     t0 = time.perf_counter()
     result = SUITES[name](seed)
     return result._replace(seconds=time.perf_counter() - t0)

@@ -41,14 +41,7 @@ from .core import (
     transpose,
     union_rows,
 )
-from .errors import (
-    CapExceeded,
-    ConstructionIncomplete,
-    FormatError,
-    NotTightish,
-    PreconditionFailed,
-    ZeroNotPreserved,
-)
+from .errors import CapExceeded, InputError, InternalCheckFailed, PreconditionFailed
 from .report import Check, Report, report
 
 # ---------------------------------------------------------------------------
@@ -82,11 +75,15 @@ class StructMapTotal(NamedTuple):
 
 
 def struct_map(source: P0Set, target: P0Set, assignment) -> StructMapTotal:
+    """A structure map from an assignment, refused as input unless it sends
+    every element into the target and zero to zero."""
     assignment = tuple(assignment)
     if len(assignment) != source.size or any(
         not 0 <= t < target.size for t in assignment
     ):
-        raise FormatError("assignment has wrong shape")
+        raise InputError("assignment has wrong shape")
+    if assignment[source.zero] != target.zero:
+        raise InputError(f"zero maps to {assignment[source.zero]}")
     return StructMapTotal(source, target, assignment)
 
 
@@ -104,7 +101,7 @@ def identity_map(B: P0Set) -> StructMapTotal:
 
 def compose_maps(first: StructMapTotal, then: StructMapTotal) -> StructMapTotal:
     if first.target != then.source:
-        raise FormatError("inner carriers differ")
+        raise InputError("inner carriers differ")
     return StructMapTotal(
         first.source,
         then.target,
@@ -116,7 +113,7 @@ def load_struct_map(text: str, base_dir: str | Path = ".") -> StructMapTotal:
     """Parse {"from": path, "to": path, "map": [int, ...]}."""
     source, target, assignment = load_linked(text, base_dir, "map")
     if not isinstance(assignment, list) or not all(type(t) is int for t in assignment):
-        raise FormatError("map must be a list of target indices")
+        raise InputError("map must be a list of target indices")
     return struct_map(source, target, assignment)
 
 
@@ -169,7 +166,7 @@ def map_properties(beta: StructMapTotal) -> Report:
     B, A = beta.source, beta.target
     img = beta.assignment
     if img[B.zero] != A.zero:
-        raise ZeroNotPreserved(f"zero maps to {img[B.zero]}")
+        raise PreconditionFailed(f"zero maps to {img[B.zero]}")
     centredA, ups, nonzero, rep = _target_rows(A)
     centredB = maximal_centred_sets(B)
     carrier = full_mask(B.size)
@@ -338,13 +335,13 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
     The map is a homomorphism when the atom values are pairwise disjoint,
     and it restricts to beta when it sends each rho(x) to beta(x).  The
     factoring theorem guarantees both; a failure raises
-    ConstructionIncomplete.  An algebra of more than 6 atoms, past
+    InternalCheckFailed.  An algebra of more than 6 atoms, past
     MAX_SIZE elements, is refused before any work on its 2**k elements.
     """
     B, A = beta.source, beta.target
     props = map_properties(beta)
     if not props.holds("tightish"):
-        raise NotTightish("factoring needs a tightish map")
+        raise PreconditionFailed("factoring needs a tightish map")
     if not props.holds("representation"):
         raise PreconditionFailed("factoring needs an algebra target")
     S = enveloping_algebra(B)
@@ -356,11 +353,11 @@ def factor_tight(beta: StructMapTotal) -> StructMapTotal:
     for i, u in enumerate(values):
         for j, v in enumerate(values[:i]):
             if mtA[u][v] != A.zero:
-                raise ConstructionIncomplete(f"atoms {j} and {i} have overlapping values")
+                raise InternalCheckFailed(f"atoms {j} and {i} have overlapping values")
     pi = StructMapTotal(algebra, A, subset_fold(values, lambda a, b: jtA[a][b], A.zero))
     for x in range(B.size):
         if pi.assignment[S.rho_index[x]] != img[x]:
-            raise ConstructionIncomplete("factored map disagrees with the input")
+            raise InternalCheckFailed("factored map disagrees with the input")
     return pi
 
 
@@ -370,7 +367,7 @@ def naturality_square(beta: StructMapTotal) -> tuple[StructMapTotal, Report]:
     B, A = beta.source, beta.target
     props = map_properties(beta)
     if not props.holds("tightish"):
-        raise NotTightish("naturality needs a tightish map")
+        raise PreconditionFailed("naturality needs a tightish map")
     SA = enveloping_algebra(A)
     SB = enveloping_algebra(B)
     rho_beta = StructMapTotal(
@@ -399,7 +396,7 @@ def functor_identity(B: P0Set) -> Report:
 def functor_composition(beta: StructMapTotal, beta2: StructMapTotal) -> Report:
     """Factoring a composite equals composing the factored maps."""
     if beta.target != beta2.source:
-        raise FormatError("maps do not compose")
+        raise InputError("maps do not compose")
     pi1, r1 = naturality_square(beta)
     pi2, r2 = naturality_square(beta2)
     pic, rc = naturality_square(compose_maps(beta, beta2))

@@ -37,7 +37,7 @@ from orderbench.core import (
     transpose,
     union_rows,
 )
-from orderbench.errors import CapExceeded, MissingMinimum, NotTransitive, PreconditionFailed
+from orderbench.errors import CapExceeded, InputError, PreconditionFailed
 from orderbench.report import Check, Report, report
 
 
@@ -2360,7 +2360,7 @@ def _family_basic_lattice(B, sets, index, zero):
              if saturation.subset_wayb(B, s, t)]
     try:
         return axioms.is_basic_lattice(p0set(len(sets), index[zero], pairs))
-    except (NotTransitive, MissingMinimum):
+    except InputError:
         return False
 
 

@@ -94,6 +94,47 @@ class TestExitCodes:
         assert cli.run(["envelope", files["e0"], "--map", str(mp)]) == 1
         assert "factored map disagrees with the input" in capsys.readouterr().err
 
+    def test_envelope_refuses_a_map_from_another_structure(self, files, tmp_path, capsys):
+        doc = {"from": "e0.json", "to": "p2.json", "map": [0, 1, 2]}
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(doc))
+        assert cli.run(["envelope", files["p2"], "--map", str(mp)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: the map's source is not {files['p2']}\n"
+
+    @pytest.mark.parametrize("case,code", [
+        ("malformed_json", 2),
+        ("not_transitive", 2),
+        ("random_past_cap", 2),
+        ("map_moves_zero", 2),
+        ("factor_mismatch", 1),
+    ])
+    def test_exit_code_follows_the_error_type(self, case, code, files, tmp_path, capsys,
+                                              monkeypatch):
+        # an InputError exits 2 and any other OrderbenchError 1, each with
+        # an error: line last
+        from orderbench import tight
+
+        (tmp_path / "garbled.json").write_text("{not json")
+        (tmp_path / "loop.json").write_text('{"size": 3, "zero": 0, "prec": [[0, 1], [1, 2]]}')
+        mp = tmp_path / "map.json"
+        zero_moved = case == "map_moves_zero"
+        mp.write_text(json.dumps(
+            {"from": "e0.json", "to": "p2.json", "map": [1, 1, 2] if zero_moved else [0, 1, 2]}))
+        if case == "factor_mismatch":
+            monkeypatch.setattr(tight, "subset_fold",
+                                lambda rows, op, init: (init,) * (1 << len(rows)))
+        argv = {
+            "malformed_json": ["check", str(tmp_path / "garbled.json")],
+            "not_transitive": ["check", str(tmp_path / "loop.json")],
+            "random_past_cap": ["gen", "random", "13"],
+            "map_moves_zero": ["envelope", files["e0"], "--map", str(mp)],
+            "factor_mismatch": ["envelope", files["e0"], "--map", str(mp)],
+        }[case]
+        assert cli.run(argv) == code
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
     def test_saturate(self, files, capsys):
         assert cli.run(["saturate", files["e0"]]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Every module-level import in the package is read somewhere in its
-module, every public function has a caller outside the tests, a
-command-line verb executes only the layers it uses, and per-structure
-tables live on their structure."""
+module, every public function has a caller outside the tests, every
+error type is caught by name, a command-line verb executes only the
+layers it uses, and per-structure tables live on their structure."""
 
 import ast
 import importlib
@@ -112,6 +112,42 @@ def test_every_public_definition_has_a_caller():
     assert sorted(q for name, q in found.items()
                   if name not in set(orderbench.__all__) | PENDING_CALLERS) == []
     assert sorted(PENDING_CALLERS - set(found)) == []
+
+
+def error_uses(sources) -> tuple[set[str], set[str]]:
+    """The names that `raise` statements and `except` clauses of the
+    sources name: (raised, caught)."""
+    raised, caught = set(), set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.id for t in types if isinstance(t, ast.Name)}
+    return raised, caught
+
+
+def test_detects_raised_and_caught_errors():
+    source = "try:\n    raise A('x')\nexcept (B, C):\n    raise D\nexcept E as e:\n    pass\n"
+    assert error_uses([source]) == ({"A", "D"}, {"B", "C", "E"})
+
+
+def test_every_error_class_is_raised_and_caught():
+    # an error type earns its place by being caught by name in the package
+    # (the command line's exit rule reads the type), and is raised by name
+    # unless it is only a base; a type raised at one site and caught
+    # nowhere says no more than its message
+    from orderbench import errors
+
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.__name__ for name in classes for base in getattr(errors, name).__bases__}
+    raised, caught = error_uses(p.read_text() for p in PACKAGE.glob("*.py"))
+    assert [c for c in classes if c not in caught] == []
+    assert [c for c in classes if c not in raised | bases] == []
 
 
 #: The layers registered with the package and executed on first use.

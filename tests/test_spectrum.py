@@ -10,7 +10,7 @@ from conftest import (
 )
 from orderbench import lab, spectrum as sp, stone, tight as ti
 from orderbench.core import antisymmetry_violation, bits, mask_from, p0set
-from orderbench.errors import NotClopen, NotOpen, NotPseudobasis
+from orderbench.errors import PreconditionFailed
 
 
 class TestTightCharacters:
@@ -95,7 +95,7 @@ class TestPseudobasis:
 
     def test_rejects_non_open(self):
         X = stone.topology_from_basis(2, [0b01, 0b11])
-        with pytest.raises(NotOpen):
+        with pytest.raises(PreconditionFailed, match="family member 0b10 is not open"):
             sp.is_pseudobasis(X, [0b10])
 
     def test_against_opens_list(self):
@@ -151,12 +151,12 @@ class TestSpectrumHomeomorphism:
 
     def test_rejects_non_pseudobasis(self):
         X = stone.discrete_topology(2, [0, 3])
-        with pytest.raises(NotPseudobasis):
+        with pytest.raises(PreconditionFailed, match="fails the pseudobasis conditions"):
             sp.spectrum_homeomorphism(X, [0, 3])
 
     def test_rejects_non_clopen(self):
         X = stone.topology_from_basis(2, [0b01, 0b11])
-        with pytest.raises(NotClopen):
+        with pytest.raises(PreconditionFailed, match="non-clopen member"):
             sp.spectrum_homeomorphism(X, [0, 0b01, 0b11])
 
 

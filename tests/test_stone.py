@@ -7,12 +7,7 @@ import oracles
 from conftest import small_structures, topology_corpus
 from orderbench import axioms, lab, stone
 from orderbench.core import bit_list, bits, full_mask, p0set
-from orderbench.errors import (
-    FormatError,
-    NotAFilter,
-    NotOpen,
-    PreconditionFailed,
-)
+from orderbench.errors import InputError, PreconditionFailed
 
 
 def masks_to_sets(masks):
@@ -116,11 +111,11 @@ class TestFilterCharacterizations:
         assert rep.holds("equivalent") is None
 
     def test_rejects_non_filters(self, p2):
-        with pytest.raises(NotAFilter):
+        with pytest.raises(PreconditionFailed, match="nonempty proper filter"):
             stone.ultrafilter_properties(p2, 0b0110)
-        with pytest.raises(NotAFilter):
+        with pytest.raises(PreconditionFailed, match="nonempty proper filter"):
             stone.ultrafilter_properties(p2, 0)
-        with pytest.raises(NotAFilter):
+        with pytest.raises(PreconditionFailed, match="nonempty proper filter"):
             stone.ultrafilter_properties(p2, 0b1111)
 
     def test_maximal_against_naive_ultrafilters(self):
@@ -243,12 +238,12 @@ class TestBasisToStructure:
 
     def test_requires_empty(self):
         X = stone.discrete_topology(2, [0, 1, 2, 3])
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(PreconditionFailed, match="empty open"):
             stone.basis_to_structure(X, [1, 2])
 
     def test_requires_open(self):
         X = stone.topology_from_basis(2, [0, 1, 3])
-        with pytest.raises(NotOpen):
+        with pytest.raises(PreconditionFailed, match="family member 0b10 is not open"):
             stone.basis_to_structure(X, [0, 2])
 
     def test_point_filter(self):
@@ -269,12 +264,12 @@ class TestBasisToStructure:
 
 class TestTopologyFromBasis:
     def test_refuses_uncovered_point(self):
-        with pytest.raises(NotOpen, match="cover point 2"):
+        with pytest.raises(PreconditionFailed, match="cover point 2"):
             stone.topology_from_basis(3, [0, 0b01, 0b11])
 
     def test_refuses_incompatible_family(self):
         # the members holding point 1 meet in {1}, which is no union of them
-        with pytest.raises(NotOpen):
+        with pytest.raises(PreconditionFailed, match="not a basis"):
             stone.topology_from_basis(3, [0b011, 0b110])
 
     def test_minimal_neighbourhoods(self):
@@ -329,13 +324,13 @@ class TestTopologyFormat:
         assert again == X
 
     def test_rejects_unclosed(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="empty set and every point"):
             stone.load_topology(
                 '{"points": 2, "opens": [[], [0], [1]], "basis": [[0], [1]]}'
             )
 
     def test_rejects_uncovered_points(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="every point"):
             stone.load_topology('{"points": 2, "opens": [[], [0]], "basis": [[0]]}')
 
     @pytest.mark.parametrize("doc", [
@@ -343,9 +338,9 @@ class TestTopologyFormat:
         '{"points": 1, "opens": [[], [false]], "basis": [[0]]}',
     ])
     def test_rejects_booleans(self, doc):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="nonnegative integer|bad point list"):
             stone.load_topology(doc)
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="needs exactly points/opens/basis"):
             stone.load_topology('{"points": 2}')

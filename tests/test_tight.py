@@ -8,14 +8,7 @@ import oracles
 from conftest import cap_structures, crown, oracle_corpus, separation_corpus, small_structures
 from orderbench import lab, tight as ti
 from orderbench.core import bits, dump_structure, mask_from, full_mask, p0set, submasks
-from orderbench.errors import (
-    CapExceeded,
-    ConstructionIncomplete,
-    FormatError,
-    NotTightish,
-    PreconditionFailed,
-    ZeroNotPreserved,
-)
+from orderbench.errors import CapExceeded, InputError, InternalCheckFailed, PreconditionFailed
 from orderbench.report import Check, Report
 
 
@@ -141,8 +134,10 @@ class TestMapProperties:
         assert rep.holds("character") is True
 
     def test_zero_preservation(self, e0, p2):
-        with pytest.raises(ZeroNotPreserved):
-            ti.map_properties(ti.struct_map(e0, p2, (1, 1, 2)))
+        with pytest.raises(InputError, match="zero maps to 1"):
+            ti.struct_map(e0, p2, (1, 1, 2))
+        with pytest.raises(PreconditionFailed, match="zero maps to 1"):
+            ti.map_properties(ti.StructMapTotal(e0, p2, (1, 1, 2)))
 
     def test_chain_of_implications(self):
         # tightish and coinitial imply tight; tight implies tightish; over
@@ -948,7 +943,7 @@ class TestFactorTight:
     def test_rejects_non_tightish(self, p2):
         # collapsing the atoms of the powerset onto one atom breaks a cover
         beta = ti.struct_map(p2, p2, (0, 1, 1, 1))
-        with pytest.raises(NotTightish):
+        with pytest.raises(PreconditionFailed, match="factoring needs a tightish map"):
             ti.factor_tight(beta)
 
     def test_rejects_non_algebra_target(self, e0, d3):
@@ -956,7 +951,7 @@ class TestFactorTight:
         # and the diamond is not an algebra
         beta = ti.struct_map(e0, d3, (0, 1, 2))
         assert ti.map_properties(beta).holds("tightish")
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(PreconditionFailed, match="factoring needs an algebra target"):
             ti.factor_tight(beta)
 
     def test_refused_past_six_atoms(self):
@@ -1028,7 +1023,7 @@ class TestNaturality:
         assert ti.functor_composition(beta, swap).passed
 
     def test_rejects_non_tightish(self, p2):
-        with pytest.raises(NotTightish):
+        with pytest.raises(PreconditionFailed, match="naturality needs a tightish map"):
             ti.naturality_square(ti.struct_map(p2, p2, (0, 1, 1, 1)))
 
 
@@ -1045,13 +1040,13 @@ class TestMapFormat:
         (tmp_path / "e0.json").write_text(dump_structure(e0))
         (tmp_path / "p2.json").write_text(dump_structure(p2))
         doc = json.dumps({"from": "e0.json", "to": "p2.json", "map": [False, True, 2]})
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match="map must be a list of target indices"):
             ti.load_struct_map(doc, tmp_path)
 
 
 class TestFactoringSuite:
     def test_bug_in_factoring_propagates(self, monkeypatch):
-        # the factoring theorem rules out ConstructionIncomplete only; any
+        # the factoring theorem rules out InternalCheckFailed only; any
         # other error is a bug and must not become a failure line
         from orderbench import suites
 
@@ -1066,7 +1061,7 @@ class TestFactoringSuite:
         from orderbench import suites
 
         def clash(beta):
-            raise ConstructionIncomplete("planted clash")
+            raise InternalCheckFailed("planted clash")
 
         monkeypatch.setattr(ti, "factor_tight", clash)
         result = suites.suite_universal_factoring()
