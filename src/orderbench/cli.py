@@ -153,8 +153,7 @@ def cmd_verify(args) -> int:
 
     names = suites.CRITERIA if args.suite == "all" else [args.suite]
     ok = True
-    for name in names:
-        result = suites.run_suite(name, seed=args.seed)
+    for result in suites.run_suites(names, args.seed):
         ok &= result.passed
         if args.format == "json":
             print(json.dumps(result.to_json()), flush=True)

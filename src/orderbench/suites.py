@@ -4,20 +4,23 @@ Each suite sweeps a documented class of structures and returns a
 SuiteResult with one detail line per sub-property.  All sweeps are
 deterministic given the seed.
 
-The "size up to six" pools run the exhaustive catalog through size five
+The "size up to six" pool holds the exhaustive catalog through size five
 (the full enumeration cap), every partial order with bottom on six
 elements, and a seeded batch of random size-six structures; full labeled
 enumeration of general relations on six elements is beyond desk scale.
+The catalog through size k is the pool's structures of size at most k,
+in enumeration order.  `run_suites` builds the pool when a suite first
+reads it and drops it when the run ends, so nothing outlives a run.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from functools import lru_cache
+from functools import reduce
 from itertools import product
 from operator import or_
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import axioms, lab, saturation, spectrum, stone, tight
 from .core import P0Set, antisymmetry_violation, full_mask, order_predicates, subset_fold
@@ -28,7 +31,7 @@ class SuiteResult(NamedTuple):
     name: str
     passed: bool
     details: list[str]
-    seconds: float = 0.0  # set by run_suite
+    seconds: float = 0.0  # set by run_suites
 
     def render(self) -> str:
         head = f"[suite {self.name}] {'PASS' if self.passed else 'FAIL'} ({self.seconds:.2f}s)"
@@ -39,21 +42,11 @@ class SuiteResult(NamedTuple):
                 "details": list(self.details), "seconds": self.seconds}
 
 
-@lru_cache(maxsize=None)
-def catalog(max_n: int) -> tuple[P0Set, ...]:
-    """Every structure of size <= max_n from the labeled enumeration."""
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(lab.enumerate_structures(n))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def pool_size6(seed: int = 0) -> tuple[P0Set, ...]:
+def pool_size6(seed: int) -> tuple[P0Set, ...]:
     """The documented stand-in for "every structure of size <= 6": the
     catalog through size five, every partial order of size six, and 500
     seeded random structures of size six."""
-    out = list(catalog(5))
+    out = [B for n in range(1, 6) for B in lab.enumerate_structures(n)]
     out.extend(lab.enumerate_structures(6, reflexive_only=True))
     rng = random.Random(seed)
     seen = set(out)
@@ -63,6 +56,39 @@ def pool_size6(seed: int = 0) -> tuple[P0Set, ...]:
             seen.add(B)
             out.append(B)
     return tuple(out)
+
+
+Pool = Callable[[], tuple[P0Set, ...]]
+
+
+def _catalog(pool: Pool, max_n: int) -> list[P0Set]:
+    """The catalog through size max_n: the pool's structures of that
+    size or less, in enumeration order."""
+    return [B for B in pool() if B.size <= max_n]
+
+
+def _basic_lattices(pool: Pool) -> list[P0Set]:
+    return [B for B in _catalog(pool, 5) if axioms.is_basic_lattice(B)]
+
+
+def _failures(check, items) -> int:
+    """How many of the items fail the check's report."""
+    return sum(not check(item).passed for item in items)
+
+
+def _random_batch(seed: int, max_n: int):
+    """500 seeded random structures of sizes 2..max_n in turn, every
+    other one reflexive."""
+    rng = random.Random(seed)
+    for i in range(500):
+        n = 2 + i % (max_n - 1)
+        yield lab.random_p0set(n, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.05, 0.6))
+
+
+def _families(k: int):
+    """Every family of subsets of a discrete k-set, members ascending."""
+    for code in range(1 << (1 << k)):
+        yield [s for s in range(1 << k) if code >> s & 1]
 
 
 def _named():
@@ -80,7 +106,7 @@ def _named():
 # criterion 1
 
 
-def suite_example_tightness(seed: int = 0) -> SuiteResult:
+def suite_example_tightness(seed: int, pool: Pool) -> SuiteResult:
     """The two-atom example: its single nontrivial cover and the tightness
     of the atom embedding depending on the codomain.
 
@@ -143,20 +169,12 @@ def _discrete_families(k: int):
     separate points in the Hausdorff sense, and are union- and
     intersection-closed; plus, flagged, the plain bases (empty set and all
     singletons present) whose point-filter claim holds without closure."""
-    fm = full_mask(k)
-    subsets = list(range(1 << k))
     closed_fams = []
     basis_fams = []
-    for code in range(1 << len(subsets)):
-        if not code & 1:  # empty set required
-            continue
-        fam = [s for s in subsets if code >> s & 1]
+    for fam in _families(k):
+        if 0 not in fam or reduce(or_, fam, 0) != full_mask(k):
+            continue  # the empty set is required, and the family must cover
         famset = set(fam)
-        cover = 0
-        for s in fam:
-            cover |= s
-        if cover != fm:
-            continue
         is_basis = all(1 << p in famset for p in range(k))
         closed = not any(
             a | b not in famset or a & b not in famset for a in fam for b in fam
@@ -207,7 +225,7 @@ def _roundtrip_ok(k: int, fam) -> bool:
     return _points_bijection_ok(k, fam)
 
 
-def suite_duality_round_trip(seed: int = 0) -> SuiteResult:
+def suite_duality_round_trip(seed: int, pool: Pool) -> SuiteResult:
     """Round trip through basis_to_structure and the Stone space.
 
     Exhaustive over discrete sets of at most three points: every
@@ -221,21 +239,19 @@ def suite_duality_round_trip(seed: int = 0) -> SuiteResult:
     ok = True
     for k in range(0, 4):
         closed_fams, basis_fams = _discrete_families(k)
-        bad = [f for f in closed_fams if not _roundtrip_ok(k, f)]
-        bad_basis = [f for f in basis_fams if not _points_bijection_ok(k, f)]
+        bad = sum(not _roundtrip_ok(k, f) for f in closed_fams)
+        bad_basis = sum(not _points_bijection_ok(k, f) for f in basis_fams)
         ok &= not bad and not bad_basis
         details.append(
-            f"|X|={k}: {len(closed_fams)} closed families ({len(bad)} failures), "
-            f"{len(basis_fams)} further bases ({len(bad_basis)} failures)"
+            f"|X|={k}: {len(closed_fams)} closed families ({bad} failures), "
+            f"{len(basis_fams)} further bases ({bad_basis} failures)"
         )
     rng = random.Random(seed)
     bad4 = 0
     for i in range(200):
         closed = i % 2 == 0
         fam = _random_basis(4, rng, closed)
-        good = _roundtrip_ok(4, fam) if closed else _points_bijection_ok(4, fam)
-        if not good:
-            bad4 += 1
+        bad4 += not (_roundtrip_ok(4, fam) if closed else _points_bijection_ok(4, fam))
     ok &= bad4 == 0
     details.append(f"|X|=4: 200 random bases, {bad4} failures")
     return SuiteResult("duality_round_trip", bool(ok), details)
@@ -245,31 +261,19 @@ def suite_duality_round_trip(seed: int = 0) -> SuiteResult:
 # criteria 3 and 4
 
 
-@lru_cache(maxsize=None)
-def _basic_lattices_upto5() -> tuple[P0Set, ...]:
-    return tuple(B for B in catalog(5) if axioms.is_basic_lattice(B))
+def suite_duality_equations(seed: int, pool: Pool) -> SuiteResult:
+    lats = _basic_lattices(pool)
+    bad = _failures(stone.verify_duality, lats)
+    details = [f"basic lattices of size <= 5: {len(lats)}; duality failures: {bad}"]
+    return SuiteResult("duality_equations", bad == 0, details)
 
 
-def suite_duality_equations(seed: int = 0) -> SuiteResult:
-    lats = _basic_lattices_upto5()
-    bad = [B for B in lats if not stone.verify_duality(B).passed]
-    details = [f"basic lattices of size <= 5: {len(lats)}; duality failures: {len(bad)}"]
-    return SuiteResult("duality_equations", not bad, details)
-
-
-def suite_ultrafilter_characterizations(seed: int = 0) -> SuiteResult:
-    lats = _basic_lattices_upto5()
-    checked = 0
-    bad = 0
-    for B in lats:
-        fm = full_mask(B.size)
-        for U in stone.enumerate_filters(B):
-            if U == 0 or U == fm:
-                continue
-            checked += 1
-            if not stone.ultrafilter_properties(B, U).passed:
-                bad += 1
-    details = [f"{checked} nonempty proper filters over {len(lats)} basic lattices; {bad} disagreements"]
+def suite_ultrafilter_characterizations(seed: int, pool: Pool) -> SuiteResult:
+    lats = _basic_lattices(pool)
+    filters = [(B, U) for B in lats for U in stone.enumerate_filters(B)
+               if U not in (0, full_mask(B.size))]
+    bad = _failures(lambda BU: stone.ultrafilter_properties(*BU), filters)
+    details = [f"{len(filters)} nonempty proper filters over {len(lats)} basic lattices; {bad} disagreements"]
     return SuiteResult("ultrafilter_characterizations", bad == 0, details)
 
 
@@ -277,28 +281,22 @@ def suite_ultrafilter_characterizations(seed: int = 0) -> SuiteResult:
 # criterion 5
 
 
-def suite_reflexive_collapse(seed: int = 0) -> SuiteResult:
-    bad = []
-    count = 0
-    for n in range(1, 6):
-        for B in lab.enumerate_structures(n, reflexive_only=True):
-            count += 1
-            if axioms.is_basic_lattice(B) != bool(
-                order_predicates(B).holds("generalized_boolean")
-            ):
-                bad.append(B)
-    details = [f"{count} partial orders with bottom; {len(bad)} collapse failures"]
-    return SuiteResult("reflexive_collapse", not bad, details)
+def suite_reflexive_collapse(seed: int, pool: Pool) -> SuiteResult:
+    posets = [B for n in range(1, 6) for B in lab.enumerate_structures(n, reflexive_only=True)]
+    bad = sum(axioms.is_basic_lattice(B) != bool(order_predicates(B).holds("generalized_boolean"))
+              for B in posets)
+    details = [f"{len(posets)} partial orders with bottom; {bad} collapse failures"]
+    return SuiteResult("reflexive_collapse", bad == 0, details)
 
 
 # ---------------------------------------------------------------------------
 # criterion 6
 
 
-def suite_alternate_axioms(seed: int = 0) -> SuiteResult:
+def suite_alternate_axioms(seed: int, pool: Pool) -> SuiteResult:
     checked = 0
     bad = 0
-    for B in catalog(5):
+    for B in _catalog(pool, 5):
         preds = order_predicates(B)
         if not preds.holds("lattice"):
             continue
@@ -317,7 +315,7 @@ def suite_alternate_axioms(seed: int = 0) -> SuiteResult:
 # criterion 7
 
 
-def suite_semilattice_frames(seed: int = 0) -> SuiteResult:
+def suite_semilattice_frames(seed: int, pool: Pool) -> SuiteResult:
     nm = _named()
     details = []
     ok = True
@@ -331,16 +329,14 @@ def suite_semilattice_frames(seed: int = 0) -> SuiteResult:
     ok &= c2_ok
     details.append(f"three-chain fails exactly at the first type sentence: {c2_ok}")
 
-    lat_bad = [
-        B for B in _basic_lattices_upto5() if not axioms.is_basic_semilattice(B)
-    ]
+    lat_bad = sum(not axioms.is_basic_semilattice(B) for B in _basic_lattices(pool))
     ok &= not lat_bad
-    details.append(f"basic lattices that fail the semilattice check: {len(lat_bad)}")
+    details.append(f"basic lattices that fail the semilattice check: {lat_bad}")
 
-    semis = [B for B in catalog(5) if axioms.is_basic_semilattice(B)]
-    frame_bad = [B for B in semis if not saturation.verify_frame(B).passed]
+    semis = [B for B in _catalog(pool, 5) if axioms.is_basic_semilattice(B)]
+    frame_bad = _failures(saturation.verify_frame, semis)
     ok &= not frame_bad
-    details.append(f"basic semilattices of size <= 5: {len(semis)}; frame failures: {len(frame_bad)}")
+    details.append(f"basic semilattices of size <= 5: {len(semis)}; frame failures: {frame_bad}")
     return SuiteResult("semilattice_frames", bool(ok), details)
 
 
@@ -348,7 +344,7 @@ def suite_semilattice_frames(seed: int = 0) -> SuiteResult:
 # criterion 8
 
 
-def suite_type_witness(seed: int = 0) -> SuiteResult:
+def suite_type_witness(seed: int, pool: Pool) -> SuiteResult:
     w5 = _named()["w5"]
     one = axioms.phi_holds(w5, 3, 4, 1)
     two = axioms.phi_holds(w5, 3, 4, 2)
@@ -361,18 +357,13 @@ def suite_type_witness(seed: int = 0) -> SuiteResult:
 # criterion 9
 
 
-def suite_cover_envelope(seed: int = 0) -> SuiteResult:
-    bad = [B for B in catalog(5) if not tight.verify_fgrho(B).passed]
-    details = [f"exhaustive size <= 5: {len(catalog(5))} structures, {len(bad)} failures"]
-    rng = random.Random(seed)
-    rbad = 0
-    for i in range(500):
-        n = 2 + i % 6  # sizes 2..7
-        B = lab.random_p0set(n, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.05, 0.6))
-        if not tight.verify_fgrho(B).passed:
-            rbad += 1
+def suite_cover_envelope(seed: int, pool: Pool) -> SuiteResult:
+    structures = _catalog(pool, 5)
+    bad = _failures(tight.verify_fgrho, structures)
+    details = [f"exhaustive size <= 5: {len(structures)} structures, {bad} failures"]
+    rbad = _failures(tight.verify_fgrho, _random_batch(seed, 7))
     details.append(f"500 random structures of size <= 7: {rbad} failures")
-    return SuiteResult("cover_envelope", not bad and rbad == 0, details)
+    return SuiteResult("cover_envelope", bad == 0 and rbad == 0, details)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +391,25 @@ def _tuple_map(maps, A: P0Set) -> tight.StructMapTotal:
         sum(m.assignment[x] << j for j, m in enumerate(maps)) for x in range(B.size)))
 
 
-def suite_universal_factoring(seed: int = 0) -> SuiteResult:
+def suite_universal_factoring(seed: int, pool: Pool) -> SuiteResult:
     """The universal property at every powerset target, through characters.
 
     In a powerset, some nonzero element lies below every image of F and
     misses every image of G exactly when some atom does, so a map into
     `powerset k` is tightish (or tight) exactly when its k coordinate
     characters are, and its factor is the tuple of theirs.  Every tightish
-    character of catalog(4) and of a seeded size-5 sample is factored and
-    checked, and seeded k-tuples of them, k = 2..6, against their
-    coordinates.
+    character of the catalog through size 4 and of a seeded size-5 sample
+    is factored and checked, and seeded k-tuples of them, k = 2..6,
+    against their coordinates.
     """
     rng = random.Random(seed)
-    sample = rng.sample(lab.enumerate_structures(5), 200)
+    small = _catalog(pool, 4)
+    sample = rng.sample([B for B in pool() if B.size == 5], 200)
     powersets = [lab.make_family("powerset", k) for k in range(7)]
     factored = tight_count = tuples = mixed = 0
     bad = []
     try:
-        for B in catalog(4) + tuple(sample):
+        for B in small + sample:
             S = tight.enveloping_algebra(B)
             good, others, tight_chars = [], [], []
             for chi in tight.zero_preserving_maps(B, powersets[1]):
@@ -454,7 +446,7 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
     except InternalCheckFailed as exc:
         bad.append((None, None, f"factoring raised {exc!r}"))
     details = [
-        f"{factored} tightish characters factored over {len(catalog(4))} structures of "
+        f"{factored} tightish characters factored over {len(small)} structures of "
         f"size <= 4 and {len(sample)} of size 5, uniqueness checked on each",
         f"tight characters checked for a tight factor and against the spectrum: {tight_count}",
         f"k-tuples into powerset 2..6: {tuples} of tightish characters, {mixed} with a non-tightish one",
@@ -467,7 +459,7 @@ def suite_universal_factoring(seed: int = 0) -> SuiteResult:
 # criterion 11
 
 
-def suite_naturality(seed: int = 0) -> SuiteResult:
+def suite_naturality(seed: int, pool: Pool) -> SuiteResult:
     nm = _named()
     objs = [nm["e0"], nm["p2"], nm["c2"]]
     tight_maps = {}
@@ -478,26 +470,17 @@ def suite_naturality(seed: int = 0) -> SuiteResult:
                 for beta in tight.zero_preserving_maps(B, A)
                 if tight.map_properties(beta).holds("tight")
             ]
-    ok = True
-    squares = 0
-    laws = 0
-    bad = 0
-    for B in objs:
-        if not tight.functor_identity(B).passed:
-            bad += 1
+    squares = laws = 0
+    bad = _failures(tight.functor_identity, objs)
     for B in objs:
         for A in objs:
-            for beta in tight_maps[(id(B), id(A))]:
-                squares += 1
-                _, rep = tight.naturality_square(beta)
-                if not rep.passed:
-                    bad += 1
+            maps = tight_maps[(id(B), id(A))]
+            squares += len(maps)
+            bad += _failures(lambda beta: tight.naturality_square(beta)[1], maps)
             for Z in objs:
-                for beta in tight_maps[(id(B), id(A))]:
-                    for beta2 in tight_maps[(id(A), id(Z))]:
-                        laws += 1
-                        if not tight.functor_composition(beta, beta2).passed:
-                            bad += 1
+                pairs = list(product(maps, tight_maps[(id(A), id(Z))]))
+                laws += len(pairs)
+                bad += _failures(lambda pair: tight.functor_composition(*pair), pairs)
     details = [
         f"{squares} squares, {laws} composition laws, identities on 3 objects; {bad} failures"
     ]
@@ -508,7 +491,7 @@ def suite_naturality(seed: int = 0) -> SuiteResult:
 # criteria 12, 13, 14
 
 
-def suite_spectrum_counts(seed: int = 0) -> SuiteResult:
+def suite_spectrum_counts(seed: int, pool: Pool) -> SuiteResult:
     """Characters = maximal centred sets = algebra ultrafilters, with the
     explicit identifications, over the size-6 pool.
 
@@ -517,39 +500,32 @@ def suite_spectrum_counts(seed: int = 0) -> SuiteResult:
     to zero the principal embedding does not even preserve zero, so
     non-poset reflexivizations are outside the sweep (and are counted).
     """
-    pool = pool_size6(seed)
-    scoped = [B for B in pool if antisymmetry_violation(B) is None]
-    bad = 0
-    for B in scoped:
-        rep = spectrum.spectrum_vs_stone(B, cross_check=B.size <= 4)
-        if not rep.passed:
-            bad += 1
+    scoped = [B for B in pool() if antisymmetry_violation(B) is None]
+    bad = _failures(lambda B: spectrum.spectrum_vs_stone(B, cross_check=B.size <= 4), scoped)
     details = [
-        f"{len(scoped)} of {len(pool)} pool structures have partial-order "
+        f"{len(scoped)} of {len(pool())} pool structures have partial-order "
         f"reflexivizations; {bad} identification failures"
     ]
     return SuiteResult("spectrum_counts", bad == 0, details)
 
 
-def suite_pseudobasis(seed: int = 0) -> SuiteResult:
-    pool = pool_size6(seed)
+def suite_pseudobasis(seed: int, pool: Pool) -> SuiteResult:
     details = []
     bad = 0
     seps = 0
-    for B in pool:
+    for B in pool():
         rep = spectrum.verify_pseudochar(B)
         if rep.holds("separative"):
             seps += 1
         if not rep.passed:
             bad += 1
     details.append(
-        f"{len(pool)} structures ({seps} separative); class-outcome failures: {bad}"
+        f"{len(pool())} structures ({seps} separative); class-outcome failures: {bad}"
     )
     hbad = 0
     hcount = 0
     for k in range(0, 4):
-        for code in range(1 << (1 << k)):
-            fam = [s for s in range(1 << k) if code >> s & 1]
+        for fam in _families(k):
             X = stone.discrete_topology(k, fam)
             pb = spectrum.is_pseudobasis(X, fam)
             if not (pb.passed and pb.all_clopen()):
@@ -562,12 +538,11 @@ def suite_pseudobasis(seed: int = 0) -> SuiteResult:
     return SuiteResult("pseudobasis", bad == 0 and hbad == 0, details)
 
 
-def suite_separativity_chain(seed: int = 0) -> SuiteResult:
-    pool = pool_size6(seed)
+def suite_separativity_chain(seed: int, pool: Pool) -> SuiteResult:
     chain_bad = 0
     equi_bad = 0
     msl_count = 0
-    for B in pool:
+    for B in pool():
         rep = spectrum.separativity_chain(B)
         if not rep.holds("chain_respected"):
             chain_bad += 1
@@ -576,7 +551,7 @@ def suite_separativity_chain(seed: int = 0) -> SuiteResult:
             if rep.holds("semilattice_equivalence") is False:
                 equi_bad += 1
     details = [
-        f"{len(pool)} structures: {chain_bad} chain violations; "
+        f"{len(pool())} structures: {chain_bad} chain violations; "
         f"{msl_count} meet semilattices with {equi_bad} equivalence violations"
     ]
     cex = lab.search_counterexample("chain_respected", 8, 10_000, seed)
@@ -592,19 +567,11 @@ def suite_separativity_chain(seed: int = 0) -> SuiteResult:
 # criterion 15
 
 
-def suite_saturation_laws(seed: int = 0) -> SuiteResult:
-    bad = 0
-    for B in catalog(4):
-        if not saturation.verify_subset_laws(B).passed:
-            bad += 1
-    details = [f"exhaustive size <= 4: {len(catalog(4))} structures, {bad} clause failures"]
-    rng = random.Random(seed)
-    rbad = 0
-    for i in range(500):
-        n = 2 + i % 5  # sizes 2..6
-        B = lab.random_p0set(n, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.05, 0.6))
-        if not saturation.verify_subset_laws(B).passed:
-            rbad += 1
+def suite_saturation_laws(seed: int, pool: Pool) -> SuiteResult:
+    structures = _catalog(pool, 4)
+    bad = _failures(saturation.verify_subset_laws, structures)
+    details = [f"exhaustive size <= 4: {len(structures)} structures, {bad} clause failures"]
+    rbad = _failures(saturation.verify_subset_laws, _random_batch(seed, 6))
     details.append(f"500 random structures of size <= 6: {rbad} clause failures")
     return SuiteResult("saturation_laws", bad == 0 and rbad == 0, details)
 
@@ -634,9 +601,21 @@ SUITES = {
 CRITERIA = list(SUITES)
 
 
-def run_suite(name: str, seed: int = 0) -> SuiteResult:
-    if name not in SUITES:
-        raise InputError(f"no suite named {name!r}; known: {sorted(SUITES)}")
-    t0 = time.perf_counter()
-    result = SUITES[name](seed)
-    return result._replace(seconds=time.perf_counter() - t0)
+def run_suites(names, seed: int = 0):
+    """Run the named suites in order, yielding each timed result as it
+    finishes.  The pool is built when a suite first reads it, shared by
+    the later suites, and dropped when the run ends."""
+    for name in names:
+        if name not in SUITES:
+            raise InputError(f"no suite named {name!r}; known: {sorted(SUITES)}")
+    built = []
+
+    def pool() -> tuple[P0Set, ...]:
+        if not built:
+            built.append(pool_size6(seed))
+        return built[0]
+
+    for name in names:
+        t0 = time.perf_counter()
+        result = SUITES[name](seed, pool)
+        yield result._replace(seconds=time.perf_counter() - t0)

@@ -128,6 +128,15 @@ def crown(k):
                  + [(1 + i, 1 + k + j) for i in range(k) for j in range(k) if i != j])
 
 
+def ladder(k):
+    """Zero, k reflexive atoms and one irreflexive top above them: theta
+    first fails at level k, at the top against itself, since k + 1 atoms
+    lie below it and any k of them miss one."""
+    n = k + 2
+    return p0set(n, 0, [(0, x) for x in range(n)] + [(x, x) for x in range(1, n - 1)]
+                 + [(a, n - 1) for a in range(1, n - 1)])
+
+
 def topology_corpus():
     """(points, basis) pairs: every topology on at most 4 points, with all
     its opens as the basis, and seeded random bases on 5 to 7 points,

@@ -52,7 +52,7 @@ assert set(BUDGETS) == set(suites.CRITERIA) == set(PINNED)
 
 @pytest.mark.parametrize("index,name", list(enumerate(suites.CRITERIA, start=1)))
 def test_criterion(index, name):
-    result = suites.run_suite(name, seed=0)
+    [result] = suites.run_suites([name], 0)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"criterion {index:02d} {name}: {verdict} ({result.seconds:.2f}s)")
     for line in result.details:

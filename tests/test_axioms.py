@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import cap_structures, fresh, separation_corpus, small_structures, with_edge_loops
+from conftest import cap_structures, fresh, ladder, separation_corpus, small_structures, with_edge_loops
 from orderbench import axioms, lab
 from orderbench.core import order_predicates, p0set
 from orderbench.errors import PreconditionFailed
@@ -98,7 +98,7 @@ class TestAlternateAxioms:
 
         monkeypatch.setattr(axioms, "check_alternate_axioms", broken)
         with pytest.raises(RuntimeError):
-            suites.suite_alternate_axioms()
+            list(suites.run_suites(["alternate_axioms"], 0))
 
 
 class TestRecoverPrec:
@@ -238,6 +238,20 @@ class TestLevelSweepOracle:
             assert got == oracles.sweep_type_witnesses(B), B.pairs()
             levels.add(got[0] and got[0][0])
         assert levels == {None, 1, 2, 3}
+
+    def test_ladder_levels(self):
+        # the ladder L_k fails theta alone, first at level k; the literal
+        # sweep finds nothing at level k - 1 and theta's pair at level k
+        for k in range(2, 13):
+            B = ladder(k)
+            rep = axioms.check_basic_semilattice(B)
+            assert [c.name for c in rep.failures()] == ["theta"], k
+            level, *pair = rep["theta"].witness
+            assert level == k
+            assert oracles.sweep_theta_witness(B, k - 1) is None, k
+            assert oracles.sweep_theta_witness(B, k) == tuple(pair), k
+        for k in (20, 40, 62):
+            assert axioms.check_basic_semilattice(ladder(k))["theta"].witness[0] == k
 
     def test_psi_witness_from_cover_rows(self):
         # the psi witness read from one cover row per (x, z), against the

@@ -323,10 +323,28 @@ class TestTopologyFormat:
         again = stone.load_topology(stone.dump_topology(X))
         assert again == X
 
-    def test_rejects_unclosed(self):
+    def test_rejects_missing_whole_set(self):
         with pytest.raises(InputError, match="empty set and every point"):
             stone.load_topology(
                 '{"points": 2, "opens": [[], [0], [1]], "basis": [[0], [1]]}'
+            )
+
+    def test_rejects_unclosed(self):
+        # {0} | {1} is missing
+        with pytest.raises(InputError, match="not closed under union/intersection"):
+            stone.load_topology(
+                '{"points": 3, "opens": [[], [0], [1], [0, 1, 2]], "basis": [[0], [1], [0, 1, 2]]}'
+            )
+
+    def test_rejects_basis_member_not_open(self):
+        with pytest.raises(InputError, match="basis member is not open"):
+            stone.load_topology('{"points": 2, "opens": [[], [0, 1]], "basis": [[0]]}')
+
+    def test_rejects_open_not_spanned(self):
+        # {0} and {1} hold no basis member
+        with pytest.raises(InputError, match="an open is not a union of basis members"):
+            stone.load_topology(
+                '{"points": 2, "opens": [[], [0], [1], [0, 1]], "basis": [[0, 1]]}'
             )
 
     def test_rejects_uncovered_points(self):

@@ -1055,7 +1055,7 @@ class TestFactoringSuite:
 
         monkeypatch.setattr(ti, "factor_tight", broken)
         with pytest.raises(RuntimeError):
-            suites.suite_universal_factoring()
+            list(suites.run_suites(["universal_factoring"], 0))
 
     def test_construction_failure_is_reported(self, monkeypatch):
         from orderbench import suites
@@ -1064,16 +1064,16 @@ class TestFactoringSuite:
             raise InternalCheckFailed("planted clash")
 
         monkeypatch.setattr(ti, "factor_tight", clash)
-        result = suites.suite_universal_factoring()
+        [result] = suites.run_suites(["universal_factoring"], 0)
         assert not result.passed
         assert result.details[0].startswith("0 tightish characters factored")
         assert result.details[-1] != "failures: 0"
 
     def test_coordinates_against_map_enumeration(self, p2, p3):
-        # every map of catalog(4) into powerset 2 and 3: its tight and
-        # tightish flags are its coordinate characters' conjunctions, its
-        # witnesses those of its first failing coordinate, and its factor
-        # the tuple of theirs
+        # every map of the catalog through size 4 into powerset 2 and 3:
+        # its tight and tightish flags are its coordinate characters'
+        # conjunctions, its witnesses those of its first failing
+        # coordinate, and its factor the tuple of theirs
         from orderbench import suites
 
         two = lab.make_family("powerset", 1)
