@@ -2,8 +2,10 @@
 type-omission conditions defining basic semilattices.
 
 Every verifier returns a Report whose False entries carry a witness tuple,
-the first failing instance of its quantifiers in ascending order.  The
-sweeps read bitmask rows, so that whole-catalog runs stay cheap.
+the first failing instance of its quantifiers in ascending order, except
+distributivity, whose witness is derived from the order flags' (see
+`_sweep_distributivity`).  The sweeps read bitmask rows, so that
+whole-catalog runs stay cheap.
 
 The strict relation of a basic lattice is its identity interpolator, and
 seven of the lattice axioms are interpolator axioms read on that relation.
@@ -16,7 +18,7 @@ and `morphisms.is_interpolator` passes an interpolator's relation.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement, count
+from itertools import combinations_with_replacement, count
 from operator import or_
 
 from .core import (
@@ -28,7 +30,6 @@ from .core import (
     first_pair,
     full_mask,
     lattice_tables,
-    mask_from,
     order_predicates,
     prec_down,
     structure_table,
@@ -242,16 +243,16 @@ def _sweep_complementation(B: P0Set) -> Check:
 
 
 def _sweep_distributivity(B: P0Set) -> Check:
-    der = derived_relations(B)
+    """z <= x v y iff z <= (x ^ z) v (y ^ z) for all (z, x, y): on a
+    lattice, distributivity (which makes the right side z ^ (x v y);
+    conversely, take z = w ^ (x v y)).  The order flag's witness (x, y, z)
+    fails it at (x ^ (y v z), y, z), whose meets with y, z are x ^ y, x ^ z."""
+    dist = order_predicates(B)["distributive"]
+    if dist.holds:
+        return Check("distributivity", True)
+    x, y, z = dist.witness
     mt, jt = lattice_tables(B)
-    n = B.size
-    for z in range(n):
-        zr = der.preceq[z]
-        for x in range(n):
-            for y in range(n):
-                if (zr >> jt[x][y] & 1) != (zr >> jt[mt[x][z]][mt[y][z]] & 1):
-                    return Check("distributivity", False, (z, x, y))
-    return Check("distributivity", True)
+    return Check("distributivity", False, (mt[x][jt[y][z]], y, z))
 
 
 def _covered_rows(B: P0Set, rows) -> tuple[int, ...]:
@@ -368,49 +369,18 @@ def recover_prec(B: P0Set) -> tuple[int, ...]:
 # type formulas
 
 
-def type_bound(B: P0Set) -> int:
-    """Stabilization bound for the type formulas.
-
-    A choice tuple contributes only its set of chosen pairs, and there are
-    at most size**2 distinct pairs, so verdicts are constant from this
-    bound on.  The tests re-check stability at the bound plus one.
-    """
-    return B.size * B.size
-
-
 def _level(n: int) -> int:
     if n < 1:
         raise ValueError("type level must be >= 1")
     return n
 
 
-def _supports(mask: SubsetMask, n: int):
-    """The sets a level-n sentence can choose from `mask`, as masks.
-
-    Quantified variables need not be distinct, and each formula's failure
-    is monotone under enlarging the chosen set, so the n-element parts of
-    `mask` suffice, or `mask` itself once it has at most n elements.
-    """
-    if mask.bit_count() <= n:
-        return (mask,)
-    return (mask_from(vs) for vs in combinations(bit_list(mask), n))
-
-
-def phi_holds(B: P0Set, x: int, y: int, n: int) -> bool:
-    """Level-n interpolation-failure formula at (x, y).
-
-    Literally: x < y and every choice of n pairs v_i < w_i < y admits a
-    nonzero x' < x disjoint from all v_i.  Only the set V of chosen v_i
-    matters: some x' works exactly when the nonzero x' < x are not all
-    among the elements meeting a member of V.
-    """
-    _level(n)
-    if not B.has(x, y):
-        return False
-    down = prec_down(B)
+def _hit_rows(B: P0Set, x: int, pool: SubsetMask) -> tuple[SubsetMask, ...]:
+    """The rows pool & meets[v] over the nonzero v < x: a set chosen from
+    `pool` leaves no nonzero v < x disjoint from all its members exactly
+    when it hits every row."""
     meets = derived_relations(B).meets
-    lows = down[x] & ~(1 << B.zero)
-    return all(lows & ~union_rows(meets, V) for V in _supports(union_rows(down, down[y]), n))
+    return tuple(pool & meets[v] for v in bits(prec_down(B)[x] & ~(1 << B.zero)))
 
 
 def _hits_within(rows, k: int) -> bool:
@@ -424,27 +394,38 @@ def _hits_within(rows, k: int) -> bool:
                for w in bits(first))
 
 
+def phi_holds(B: P0Set, x: int, y: int, n: int) -> bool:
+    """Level-n interpolation-failure formula at (x, y).
+
+    Literally: x < y and every choice of n pairs v_i < w_i < y admits a
+    nonzero x' < x disjoint from all v_i.  Only the set V of chosen v_i
+    matters, a set of at most n elements of the two-step down-set of y,
+    and some x' works exactly when V misses one of x's hit rows.
+    """
+    _level(n)
+    down = prec_down(B)
+    return B.has(x, y) and not _hits_within(_hit_rows(B, x, union_rows(down, down[y])), n)
+
+
 def _theta_failures(B: P0Set) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The pairs failing the type sentence at full support, in sweep order.
 
     The level-n sentence fails at (x, y) when not x < y and some n-tuple
     w_i < y leaves no nonzero v < x disjoint from all w_i, that is when at
-    most n elements of down[y] hit every row down[y] & meets[v], v a
-    nonzero element below x.  Hitting is monotone in the chosen set, so
-    the pairs failing at some level are those where W = down[y] hits every
-    row.  Each comes with its rows; the smallest hitting set is its first
-    failing level.
+    most n elements of down[y] hit every row of `_hit_rows(B, x, down[y])`.
+    Hitting is monotone in the chosen set, so the pairs failing at some
+    level are those where W = down[y] hits every row.  Each comes with its
+    rows; the smallest hitting set is its first failing level.
     """
-    der = derived_relations(B)
     down = prec_down(B)
     zb = 1 << B.zero
-    reach = [union_rows(der.meets, down[y]) for y in range(B.size)]
+    reach = [union_rows(derived_relations(B).meets, down[y]) for y in range(B.size)]
     out = []
     for x in range(B.size):
         lows = down[x] & ~zb
         for y in range(B.size):
             if not B.has(x, y) and lows & ~reach[y] == 0:
-                out.append((x, y, tuple(down[y] & der.meets[v] for v in bits(lows))))
+                out.append((x, y, _hit_rows(B, x, down[y])))
     return tuple(out)
 
 
@@ -453,9 +434,9 @@ def _first_hit(failures, n: int) -> tuple[int, int] | None:
 
 
 def _psi_verdict(B: P0Set) -> tuple[bool, tuple[int, int, int] | None]:
-    """psi's verdict at `type_bound` and its first (x, y, z), ascending.  At
-    the bound psi chooses every v < w with w disjoint from x: the support
-    V, the union of those down[w].  It holds at (x, y, z) when x < y and
+    """psi's verdict at the bound size**2 and its first (x, y, z),
+    ascending.  At the bound psi chooses every v < w with w disjoint from
+    x: the support V, the union of those down[w].  It holds at (x, y, z) when x < y and
     down[y] lies in cover row z, the elements disjoint from some nonzero
     z' < z disjoint from all of V; with nothing disjoint from x, V is
     empty and it holds whenever x < y.  Each distinct support's cover
@@ -479,11 +460,14 @@ def _psi_verdict(B: P0Set) -> tuple[bool, tuple[int, int, int] | None]:
 @structure_table
 def check_basic_semilattice(B: P0Set) -> Report:
     """Meet semilattice + the core axioms + every type sentence up to the
-    stabilization bound, with both failure types omitted.
+    stabilization bound size**2, with both failure types omitted.
 
-    Each type sentence is decided once, at its full support.  The theta
-    check reports the first failing level and, at that level, the first
-    failing pair; phi and psi report their first instance at the bound.
+    A sentence reads only the set it chooses, and fails monotonically in
+    it, so each is decided once, at its full support.  The theta check
+    reports the first failing level and, at that level, the first failing
+    pair; phi and psi report their first instance at the bound, where phi
+    holds at (x, y) when x < y and some nonzero x' < x meets no element of
+    the two-step down-set of y.
     """
     preds = order_predicates(B)
     msl = preds.holds("meet_semilattice")
@@ -504,9 +488,9 @@ def check_basic_semilattice(B: P0Set) -> Report:
         lev = next(lev for lev in count(1) if _first_hit(failures, lev))
         theta = Check("theta", False, (lev,) + _first_hit(failures, lev))
     checks.append(theta)
-    bound = type_bound(B)
-    pairs = B.pairs()
-    phi_w = next(((x, y) for x, y in pairs if phi_holds(B, x, y, bound)), None)
+    down, meets, zb = prec_down(B), derived_relations(B).meets, 1 << B.zero
+    reach = [union_rows(meets, union_rows(down, down[y])) for y in range(B.size)]
+    phi_w = next(((x, y) for x, y in B.pairs() if down[x] & ~zb & ~reach[y]), None)
     checks.append(Check("phi_omitted", phi_w is None, phi_w))
     checks.append(Check("psi_omitted", *_psi_verdict(B)))
 

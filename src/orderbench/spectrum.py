@@ -212,11 +212,13 @@ def verify_pseudochar(B: P0Set) -> Report:
 
 def separativity_chain(B: P0Set) -> Report:
     """Separative implies an injective principal embedding implies section
-    semicomplementedness, with all three equivalent on meet semilattices."""
+    semicomplementedness, with all three equivalent on meet semilattices.
+    The embedding x -> rho(x) is injective exactly when the atom masks
+    `rho_index` are distinct (see `tight.RegularOpenAlgebra`)."""
     preds = order_predicates(B)
     sep = preds.holds("separative")
     ssc = preds.holds("ssc")
-    inj = len(set(tight.rho(B))) == B.size
+    inj = len(set(tight.enveloping_algebra(B).rho_index)) == B.size
     chain = (not sep or inj) and (not inj or ssc)
     if preds.holds("meet_semilattice"):
         sem_eq = sep == inj == ssc

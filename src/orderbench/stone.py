@@ -23,6 +23,7 @@ from operator import and_, xor
 
 from . import axioms
 from .core import (
+    MAX_SIZE,
     P0Set,
     Record,
     SubsetMask,
@@ -39,7 +40,7 @@ from .core import (
     structure_table,
     union_rows,
 )
-from .errors import InputError, InternalCheckFailed, PreconditionFailed
+from .errors import CapExceeded, InputError, InternalCheckFailed, PreconditionFailed
 from .report import Check, Report, report
 
 
@@ -123,7 +124,11 @@ def all_opens(X: FiniteTopology) -> list[SubsetMask]:
 
 
 def load_topology(text: str) -> FiniteTopology:
-    """Parse {"points": int, "opens": [[int,...],...], "basis": [[int,...],...]}."""
+    """Parse {"points": int, "opens": [[int,...],...], "basis": [[int,...],...]}.
+
+    No Stone space or spectrum has more points than its structure's
+    carrier, so past MAX_SIZE points the document is refused before any
+    mask is built."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,6 +138,10 @@ def load_topology(text: str) -> FiniteTopology:
     points = doc["points"]
     if type(points) is not int or points < 0:
         raise InputError("points must be a nonnegative integer")
+    if points > MAX_SIZE:
+        raise CapExceeded(f"{points} points exceed the carrier cap {MAX_SIZE}")
+    if not isinstance(doc["opens"], list) or not isinstance(doc["basis"], list):
+        raise InputError("opens and basis must be lists of point lists")
     def to_mask(lst):
         if not isinstance(lst, list) or not all(
             type(p) is int and 0 <= p < points for p in lst

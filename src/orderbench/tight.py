@@ -34,7 +34,6 @@ from .core import (
     meet_rows,
     order_predicates,
     p0set,
-    separation_table,
     structure_table,
     submasks,
     subset_fold,
@@ -215,15 +214,6 @@ def _map_report(tight_w, tightish_w, coin_w, rep, character) -> Report:
 # the punctured carrier and its regular opens
 
 
-@structure_table
-def rho(B: P0Set) -> tuple[SubsetMask, ...]:
-    """[x] = the regularization of the punctured principal down-set of x:
-    the nonzero v with x in `separation_table(B)[v]`, that is, x meets every
-    nonzero w <= v (see the README design note on separation)."""
-    sep = separation_table(B)
-    return tuple(transpose((0 if v == B.zero else s for v, s in enumerate(sep)), B.size))
-
-
 class RegularOpenAlgebra(NamedTuple):
     """The generalized Boolean subalgebra of the regular opens generated by
     the principal regularizations, as the powerset of its k atoms.
@@ -232,8 +222,11 @@ class RegularOpenAlgebra(NamedTuple):
     T | U, relative complement T & ~U, the top 2**k - 1, and ultrafilter
     i is {T : bit i of T is set}.  Atom i has the carrier mask
     `signatures[i]` = {x : atom i lies in rho(x)} and the open points
-    `opens[i]`; atoms are sorted by signature.  `rho_index[x]` is the atom
-    mask of rho(x).
+    `opens[i]`; atoms are sorted by signature.  rho(x) is the
+    regularization of the punctured principal down-set of x, and
+    `rho_index[x]` is its atom mask: the classes of the minimal opens it
+    contains, which fix it.  So rho(x) = rho(x') exactly when
+    `rho_index[x] == rho_index[x']`.
     """
 
     signatures: tuple[SubsetMask, ...]

@@ -1476,6 +1476,22 @@ def loop_riesz(B):
     return Check("riesz_interpolation", True)
 
 
+def loop_distributivity(B):
+    """The lattice sentence z <= x v y iff z <= (x ^ z) v (y ^ z) by the
+    loop over every triple (z, x, y), first failure in that order, as a
+    Check; distributivity on a lattice, with the candidate bound
+    tables."""
+    _, preceq_rows, _, _, mt, jt = _axiom_tables(B)
+    n = B.size
+    for z in range(n):
+        zr = preceq_rows[z]
+        for x in range(n):
+            for y in range(n):
+                if (zr >> jt[x][y] & 1) != (zr >> jt[mt[x][z]][mt[y][z]] & 1):
+                    return Check("distributivity", False, (z, x, y))
+    return Check("distributivity", True)
+
+
 def loop_join_reach(B, cols):
     """reach[x][y] = {a v b : a R x, b R y}, joins in B, as masks, by the
     loop over pairs (a, b) that the fold replaced."""
@@ -1792,10 +1808,14 @@ def psi_holds(B, x, y, z, n):
     x < y and for every y' < y and every choice of n pairs v_i < w_i with
     w_i disjoint from x, some nonzero z' < z is disjoint from y' and all
     v_i.  When nothing at all is disjoint from x the inner quantifier is
-    vacuous and the formula reduces to x < y.  The chosen sets V come from
-    the package's `axioms._supports`; their covers are built here.
+    vacuous and the formula reduces to x < y.  Only the set V of chosen
+    v_i matters, and failure is monotone under enlarging it, so V ranges
+    over the n-element sets of candidates, or all of them when there are
+    at most n.  The rows are the package's; the sets and their covers are
+    built here.
     """
-    axioms._level(n)
+    if n < 1:
+        raise ValueError("type level must be >= 1")
     if not B.has(x, y):
         return False
     perp, low = derived_relations(B).perp, prec_down(B)
@@ -1804,7 +1824,9 @@ def psi_holds(B, x, y, z, n):
     support = 0
     for w in _members(perp[x]):
         support |= low[w]
-    return all(low[y] & ~_psi_cover(B, V, z) == 0 for V in axioms._supports(support, n))
+    pool = _members(support)
+    return all(low[y] & ~_psi_cover(B, sum(1 << v for v in vs), z) == 0
+               for vs in combinations(pool, min(n, len(pool))))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import product
 
 import pytest
 
@@ -126,24 +126,20 @@ class TestTypeFormulas:
     def test_phi_requires_prec(self, w5):
         assert axioms.phi_holds(w5, 4, 3, 1) is False
 
-    def test_supports_drawn_lazily(self, monkeypatch):
-        # On powerset 6, {1} is not below {2,...,6}, whose two-step down-set
-        # has 32 elements: the verdict needs none of its 4-element parts.
-        # Below the top, phi fails on the first part drawn.
+    def test_phi_matches_sweep_on_wide_pools(self):
+        # phi's hitting-set search against the enumeration of every chosen
+        # set, where the two-step down-set has more than n elements
+        for B in [lab.make_family("powerset", 4)] + [ladder(k) for k in range(2, 7)]:
+            for x, y in product(range(B.size), repeat=2):
+                for n in (1, 2, 3, 4):
+                    assert axioms.phi_holds(B, x, y, n) == oracles.sweep_phi(B, x, y, n), (
+                        B.pairs(), x, y, n)
+        # on powerset 6, {0} is not below {1,...,5}; below the top the
+        # two-step down-set has 64 elements, and the search answers at once
         B = lab.make_family("powerset", 6)
-        drawn = []
-
-        def counted(pool, n):
-            for vs in combinations(pool, n):
-                drawn.append(vs)
-                yield vs
-
-        monkeypatch.setattr(axioms, "combinations", counted)
         assert axioms.phi_holds(B, 1, 62, 4) is False
         assert oracles.psi_holds(B, 1, 62, 0, 4) is False
-        assert drawn == []
         assert axioms.phi_holds(B, 1, 63, 4) is False
-        assert len(drawn) == 1
 
     def test_phi_matches_tuple_oracle(self, e0, c2, w5):
         for B in (e0, c2, w5):
@@ -202,7 +198,7 @@ class TestTypeFormulas:
     def test_stability_beyond_bound(self):
         # verdicts are stable one level past the documented bound
         for B in small_structures(3):
-            nstar = axioms.type_bound(B)
+            nstar = B.size ** 2
             for x in range(B.size):
                 for y in range(B.size):
                     assert axioms.phi_holds(B, x, y, nstar) == axioms.phi_holds(
@@ -261,7 +257,7 @@ class TestLevelSweepOracle:
             got = axioms.check_basic_semilattice(B)["psi_omitted"].witness
             assert got == oracles.sweep_psi_witness(B), B.pairs()
         for B in cap_structures():
-            bound = axioms.type_bound(B)
+            bound = B.size ** 2
             want = next(((x, y, z) for x, y in B.pairs() for z in range(B.size)
                          if oracles.psi_holds(B, x, y, z, bound)), None)
             assert axioms.check_basic_semilattice(B)["psi_omitted"].witness == want
@@ -327,8 +323,6 @@ class TestSweepInstanceAgreement:
     def test_sweeps_equal_literal_quantification(self):
         # the optimized sweeps and the slow instance predicate decide the
         # same verdict on every structure of size <= 3
-        from itertools import product as iproduct
-
         for B in small_structures(3):
             rep = axioms.check_basic_lattice(B)
             for chk in rep.checks:
@@ -337,7 +331,7 @@ class TestSweepInstanceAgreement:
                 arity = self.ARITIES[chk.name]
                 literal = all(
                     oracles.axiom_instance(B, chk.name, tup)
-                    for tup in iproduct(range(B.size), repeat=arity)
+                    for tup in product(range(B.size), repeat=arity)
                 )
                 assert literal == chk.holds, (B.pairs(), chk.name)
 
@@ -403,6 +397,41 @@ class TestSharedLaws:
             assert axioms.check_basic_lattice(B) == want, B.pairs()
         # both verdicts of the Riesz sweep occur
         assert {r.holds("riesz_interpolation") for r in reports} == {True, False}
+
+
+class TestDistributivity:
+    def test_verdict_from_order_flag(self):
+        # the report's verdict against the loop over every triple it
+        # replaced, and each witness, derived from the order flag's, fails
+        # the sentence literally
+        rng = random.Random(32)
+        inputs = small_structures(5) + cap_structures() + [
+            lab.random_p0set(2 + i % 11, rng.getrandbits(32), i % 2 == 0, rng.uniform(0.05, 0.6))
+            for i in range(200)]
+        seen = set()
+        for B in inputs:
+            if not order_predicates(B).holds("lattice"):
+                continue
+            got = axioms.check_basic_lattice(B)["distributivity"]
+            assert got.holds == oracles.loop_distributivity(B).holds, B.pairs()
+            if not got.holds:
+                assert not oracles.axiom_instance(B, "distributivity", got.witness), B.pairs()
+            seen.add(got.holds)
+        assert seen == {True, False}
+
+    def test_witness_off_the_join(self):
+        # the pentagon 0 < a < b < m, 0 < c < m, with x above b and a top T
+        # above x and m, labelled 0, x, a, b, c, m, T: the flag's witness
+        # (x, a, c) has x not below a v c = m, so read as an instance it
+        # holds, and the report moves it to (x ^ m, a, c) = (b, a, c)
+        above = {0: range(7), 1: (1, 6), 2: (1, 2, 3, 5, 6), 3: (1, 3, 5, 6),
+                 4: (4, 5, 6), 5: (5, 6), 6: (6,)}
+        B = p0set(7, 0, [(x, y) for x, ys in above.items() for y in ys])
+        assert order_predicates(B)["distributive"].witness == (1, 2, 4)
+        assert oracles.axiom_instance(B, "distributivity", (1, 2, 4))
+        got = axioms.check_basic_lattice(B)["distributivity"]
+        assert got.witness == (3, 2, 4)
+        assert not oracles.axiom_instance(B, "distributivity", got.witness)
 
 
 class TestFalsifiability:

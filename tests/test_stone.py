@@ -6,8 +6,8 @@ import pytest
 import oracles
 from conftest import small_structures, topology_corpus
 from orderbench import axioms, lab, stone
-from orderbench.core import bit_list, bits, full_mask, p0set
-from orderbench.errors import InputError, PreconditionFailed
+from orderbench.core import MAX_SIZE, bit_list, bits, full_mask, p0set
+from orderbench.errors import CapExceeded, InputError, PreconditionFailed
 
 
 def masks_to_sets(masks):
@@ -362,3 +362,20 @@ class TestTopologyFormat:
     def test_rejects_bad_shape(self):
         with pytest.raises(InputError, match="needs exactly points/opens/basis"):
             stone.load_topology('{"points": 2}')
+
+    @pytest.mark.parametrize("opens, basis", [
+        ("5", "[]"), ("[[], [0, 1]]", "3"), ("[[], [0, 1]]", '{"0": [0, 1]}'), ('"[]"', "[]"),
+    ])
+    def test_rejects_non_list_families(self, opens, basis):
+        with pytest.raises(InputError, match="opens and basis must be lists"):
+            stone.load_topology(f'{{"points": 2, "opens": {opens}, "basis": {basis}}}')
+
+    def test_points_capped_before_any_mask(self):
+        doc = {"points": MAX_SIZE + 1, "opens": [[]], "basis": []}
+        with pytest.raises(CapExceeded, match=f"{MAX_SIZE + 1} points exceed the carrier cap"):
+            stone.load_topology(json.dumps(doc))
+        # the cap itself is accepted: the indiscrete space on MAX_SIZE points
+        whole = list(range(MAX_SIZE))
+        X = stone.load_topology(json.dumps(
+            {"points": MAX_SIZE, "opens": [[], whole], "basis": [whole]}))
+        assert X.points == MAX_SIZE and X.nbhd == (full_mask(MAX_SIZE),) * MAX_SIZE

@@ -456,8 +456,8 @@ class TestMatchedTotalCover:
 
 
 class TestAlexandroff:
-    # the per-element route that `tight.rho` replaced, kept as the oracle
-    # for the carriers where the set-based regularization is too slow
+    # the per-element regularization, the oracle of rho for the carriers
+    # where the set-based one is too slow
     def test_chain_regularization(self, c2):
         assert oracles.alex_closure(c2, 0b010) == 0b110
         assert oracles.regularize(c2, 0b010) == 0b110
@@ -482,20 +482,39 @@ class TestAlexandroff:
                 )
 
 
+def _atoms_within(B, rows):
+    """[x] = the atom mask of the atoms whose open points lie in rows[x]."""
+    opens = ti.enveloping_algebra(B).opens
+    return tuple(mask_from(i for i, o in enumerate(opens) if o & ~row == 0) for row in rows)
+
+
+def _assert_rho_index(B, rows):
+    # rho_index is the atom mask of each rho(x), and two rows are equal
+    # exactly when their atom masks are, which `separativity_chain` reads
+    index = ti.enveloping_algebra(B).rho_index
+    assert index == _atoms_within(B, rows), B.pairs()
+    assert len(set(zip(rows, index))) == len(set(rows)) == len(set(index)), B.pairs()
+
+
 class TestRho:
     def test_chain_collapses(self, c2):
-        assert ti.rho(c2)[1] == ti.rho(c2)[2] == 0b110
-        assert ti.rho(c2)[0] == 0
+        rows = oracles.regularized_rows(c2)
+        assert rows[1] == rows[2] == 0b110 and rows[0] == 0
+        _assert_rho_index(c2, rows)
+        index = ti.enveloping_algebra(c2).rho_index
+        assert index[1] == index[2] == 1 and index[0] == 0
 
     def test_two_atoms(self, e0):
-        assert ti.rho(e0)[1] == 0b010
+        rows = oracles.regularized_rows(e0)
+        assert rows[1] == 0b010
+        _assert_rho_index(e0, rows)
 
     def test_zero_always_empty_on_posets(self):
         from orderbench.core import antisymmetry_violation
 
         for B in small_structures(4):
             if antisymmetry_violation(B) is None:
-                assert ti.rho(B)[B.zero] == 0
+                assert ti.enveloping_algebra(B).rho_index[B.zero] == 0
 
     def test_rows_match_regularization(self):
         # the regularized punctured down-sets, by the set-based closure and
@@ -511,11 +530,11 @@ class TestRho:
                 )
             else:
                 want = oracles.regularized_rows(B)
-            assert ti.rho(B) == want, B.pairs()
+            _assert_rho_index(B, want)
 
     def test_rows_at_the_cap(self):
         for B in cap_structures():
-            assert ti.rho(B) == oracles.regularized_rows(B)
+            _assert_rho_index(B, oracles.regularized_rows(B))
 
 
 def _masks(B, S):
