@@ -292,7 +292,6 @@ _LATTICE_NAMES = ("multiplicativity", "additivity", "decomposition",
                   "prec_below", "vee_interpolation")
 
 
-@structure_table
 def check_basic_lattice(B: P0Set) -> Report:
     """Full axiom report; passes iff the derived order is a lattice and the
     seven defining axioms hold.  Derived properties (distributivity,
@@ -457,7 +456,6 @@ def _psi_verdict(B: P0Set) -> tuple[bool, tuple[int, int, int] | None]:
     return True, None
 
 
-@structure_table
 def check_basic_semilattice(B: P0Set) -> Report:
     """Meet semilattice + the core axioms + every type sentence up to the
     stabilization bound size**2, with both failure types omitted.

@@ -5,8 +5,9 @@ carrier are plain ints used as bitmasks (element x is bit ``1 << x``);
 this is the universal currency for filters, opens, covers and saturated
 sets throughout the package.  The strict relation is primary; the
 reflexivization and the meet/disjointness relations are always derived
-from it.  The subset tables, one relation's rows folded over every subset
-of the carrier by `subset_fold`, are built here for every module.
+from it.  The subset tables fold one relation's rows over every subset
+of the carrier by `subset_fold`; `spectrum`'s scans are their only
+readers, and build them once per call.
 
 Structures are immutable apart from the tables that `structure_table`
 keeps on them, and every function here is pure, so values can be shared
@@ -198,9 +199,6 @@ class P0Set(Record):
     def pairs(self) -> list[tuple[int, int]]:
         return [(x, y) for x in range(self.size) for y in bits(self.prec[x])]
 
-    def name(self, x: int) -> str:
-        return self.names[x] if self.names else str(x)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"P0Set(size={self.size}, zero={self.zero}, pairs={self.pairs()})"
 
@@ -326,6 +324,16 @@ def structure_table(fn):
     holds it.  A builder that raises stores and counts no table.  Two
     threads may both build a table: they store equal values.
     A table of None is kept too, but each lookup of it takes the slow path.
+
+    A function is a table only when a caller rereads it per structure:
+    a table read once per structure would only hold memory until its
+    structure goes, so such a function stays plain and is built per call.
+    Two other caches stay because they are reread.  `axioms._join_reach`,
+    keyed on a structure and a relation's columns, is read twice by the
+    lattice report, for decomposition and for vee interpolation.  The
+    sharing index `_first_equal` lets the point maps, which rebuild equal
+    structures through `stone.basis_to_structure`, read the tables of
+    the first.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
     calls = misses = 0
@@ -406,7 +414,6 @@ def meets_preceq(B: P0Set) -> tuple[int, ...]:
     return tuple(union_rows(der.preceq, d & ~zb) for d in der.preceq_down)
 
 
-@structure_table
 def separation_table(B: P0Set) -> tuple[int, ...]:
     """sep[x] = the elements meeting every nonzero z <= x: the meet of the
     `meets_preceq` rows of those z (the whole carrier when there are none).
@@ -439,14 +446,12 @@ def maximal_centred_sets(B: P0Set) -> tuple[SubsetMask, ...]:
 # subset tables: each folds one row table over every subset of the carrier
 
 
-@structure_table
 def lower_bound_table(B: P0Set) -> tuple[int, ...]:
     """[C] = common lower bounds of C under the reflexivization; the empty
     set's bounds are the whole carrier."""
     return subset_fold(derived_relations(B).preceq_down, and_, full_mask(B.size))
 
 
-@structure_table
 def meets_preceq_table(B: P0Set) -> tuple[int, ...]:
     """[D] = union of the `meets_preceq` rows of the members of D."""
     return subset_fold(meets_preceq(B), or_, 0)

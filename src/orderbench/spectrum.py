@@ -42,17 +42,8 @@ from .report import Check, Report, report, shared_report
 VS_STONE_CAP = 8
 
 
-class CharacterSet(NamedTuple):
-    chars: tuple[SubsetMask, ...]
-
-    def __len__(self) -> int:
-        # the number of characters; `_make` and `_replace` check the
-        # field count with len() and so do not apply
-        return len(self.chars)
-
-
 @structure_table
-def tight_characters(B: P0Set) -> CharacterSet:
+def tight_characters(B: P0Set) -> tuple[SubsetMask, ...]:
     """All nonzero tight characters, as sorted one-set masks.
 
     A nonzero element below zero meets every element, so the empty set
@@ -60,8 +51,8 @@ def tight_characters(B: P0Set) -> CharacterSet:
     maximal centred sets, the up-sets of the minimal nonzero elements.
     """
     if derived_relations(B).preceq_down[B.zero] & ~(1 << B.zero):
-        return CharacterSet(())
-    return CharacterSet(maximal_centred_sets(B))
+        return ()
+    return maximal_centred_sets(B)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +107,12 @@ def is_pseudobasis(X: stone.FiniteTopology, family) -> PseudobasisReport:
     return PseudobasisReport(shared_report("pseudobasis", checks), clopen)
 
 
-@structure_table
 def _principal_opens(B: P0Set) -> tuple[stone.FiniteTopology, PseudobasisReport]:
     """The spectrum with its principal opens, and their pseudobasis report.
     When the reflexivization is a partial order the conditions are a
     theorem, and a failure signals a bug; outside that scope (elements
     order-equivalent to zero, say) they genuinely fail."""
-    chars = tight_characters(B).chars
+    chars = tight_characters(B)
     X = stone.discrete_topology(len(chars), transpose(chars, B.size))
     pb = is_pseudobasis(X, X.basis)
     if not pb.passed and antisymmetry_violation(B) is None:
@@ -146,7 +136,7 @@ def spectrum_homeomorphism(X: stone.FiniteTopology, family):
         raise PreconditionFailed("family has a non-clopen member")
     # clopen members are their own closures, so this is the inclusion order
     struct = stone.basis_to_structure(X, family)
-    chars = tight_characters(struct).chars
+    chars = tight_characters(struct)
     index = {m: i for i, m in enumerate(chars)}
 
     # a point's character is its point filter; the witness is the last
@@ -185,7 +175,7 @@ def verify_pseudochar(B: P0Set) -> Report:
     sep = order_predicates(B).holds("separative")
     X, pb = _principal_opens(B)
     basis = X.basis
-    chars = tight_characters(B).chars
+    chars = tight_characters(B)
     fm = full_mask(B.size)
     # y's principal open holds x's when every character holding x holds y
     iso_w = first_pair(
@@ -234,15 +224,16 @@ def separativity_chain(B: P0Set) -> Report:
     return shared_report("separativity_chain", checks, chain and sem_eq is not False)
 
 
-def _scan_characters(B: P0Set) -> tuple[SubsetMask, ...]:
-    """Tight characters by a scan of every candidate one-set M.
+def _scan_characters(B: P0Set, lower: tuple[int, ...]) -> tuple[SubsetMask, ...]:
+    """Tight characters by a scan of every candidate one-set M, given the
+    `lower_bound_table` of B.
 
     M fails when some F inside M covers into the complement of M; lower
     bounds shrink as F grows, so F = M alone decides it.
     """
     zb = 1 << B.zero
     # the complement of M indexes the reversed table
-    rows = zip(range(1 << B.size), lower_bound_table(B), reversed(meets_preceq_table(B)))
+    rows = zip(range(1 << B.size), lower, reversed(meets_preceq_table(B)))
     return tuple(M for M, lb, mu in rows if M and not M & zb and lb & ~(mu | zb))
 
 
@@ -259,15 +250,15 @@ def _index_masks(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _scan_centred(B: P0Set) -> tuple[SubsetMask, ...]:
+def _scan_centred(B: P0Set, lower: tuple[int, ...]) -> tuple[SubsetMask, ...]:
     """Maximal centred sets by a scan of every subset, as one bitset read
-    from one flag byte per subset.
+    from one flag byte per subset, given the `lower_bound_table` of B.
 
     A subset of a centred set is centred, so a centred set is maximal when
     adding any one element b breaks it; shifting the centred sets holding
     b down by 2**b marks the sets that b extends.
     """
-    flags = bytes(map(bool, map((~(1 << B.zero)).__and__, lower_bound_table(B))))
+    flags = bytes(map(bool, map((~(1 << B.zero)).__and__, lower)))
     centred = int(flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
     extendable = 0
     for b, h in enumerate(_index_masks(B.size)):
@@ -321,21 +312,22 @@ def spectrum_vs_stone(B: P0Set, cross_check: bool = True) -> Report:
     pullbacks = [
         mask_from(x for x in range(B.size) if U >> S.rho_index[x] & 1) for U in ults
     ]
-    chars = _scan_characters(B)
+    lower = lower_bound_table(B)
+    chars = _scan_characters(B, lower)
     bij = (
         len(set(pullbacks)) == len(pullbacks)
         and sorted(pullbacks) == list(chars)
-        and tight_characters(B).chars == chars
+        and tight_characters(B) == chars
     )
 
-    centred_match = maximal_centred_sets(B) == _scan_centred(B) == chars
+    centred_match = maximal_centred_sets(B) == _scan_centred(B, lower) == chars
 
     if cross_check and k <= 3:
         sp = S.as_p0set()
         scan_ok = (
             sorted(ults)
             == list(stone.enumerate_ultrafilters(sp))
-            == list(tight_characters(sp).chars)
+            == list(tight_characters(sp))
         )
     else:
         scan_ok = None

@@ -23,7 +23,8 @@ from operator import or_
 from typing import Callable, NamedTuple
 
 from . import axioms, lab, saturation, spectrum, stone, tight
-from .core import P0Set, antisymmetry_violation, full_mask, order_predicates, subset_fold
+from .core import (P0Set, antisymmetry_violation, full_mask, lower_bound_table, order_predicates,
+                   subset_fold)
 from .errors import InputError, InternalCheckFailed, PreconditionFailed
 
 
@@ -427,7 +428,7 @@ def suite_universal_factoring(seed: int, pool: Pool) -> SuiteResult:
                     if not tight.map_properties(pi).holds("tight"):
                         bad.append((B, chi, "tight character factored to a non-tight map"))
             tight_count += len(tight_chars)
-            if tuple(sorted(tight_chars)) != spectrum._scan_characters(B):
+            if tuple(sorted(tight_chars)) != spectrum._scan_characters(B, lower_bound_table(B)):
                 bad.append((B, None, "tight characters differ from the subset scan's"))
             for k in range(2, 7) if good else ():
                 chis, pis, flags = zip(*(rng.choice(good) for _ in range(k)))

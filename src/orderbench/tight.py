@@ -69,9 +69,6 @@ class StructMapTotal(NamedTuple):
     target: P0Set
     assignment: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.assignment[x]
-
 
 def struct_map(source: P0Set, target: P0Set, assignment) -> StructMapTotal:
     """A structure map from an assignment, refused as input unless it sends

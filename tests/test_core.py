@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import cap_structures, fresh, separation_corpus, small_structures
-from orderbench import lab
+from orderbench import axioms, lab, spectrum
 from orderbench.spectrum import tight_characters
 from orderbench.tight import enveloping_algebra
 from orderbench.core import (
@@ -403,13 +403,30 @@ class TestStructureTables:
 
     def test_equal_structure_reads_the_earlier_table(self, p3):
         B = fresh(p3)
-        table = lower_bound_table(B)
+        table = prec_down(B)
         twin = P0Set(B.size, B.zero, B.prec, B.names)
         assert twin == B and twin is not B
-        before = lower_bound_table.cache_info()
-        assert lower_bound_table(twin) is table
-        after = lower_bound_table.cache_info()
+        before = prec_down.cache_info()
+        assert prec_down(twin) is table
+        after = prec_down.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_tables_read_once_per_structure_are_not_kept(self, p3):
+        # the gate's per-structure calls leave on the structure only the
+        # tables some caller rereads
+        B = fresh(p3)
+        order_predicates(B)
+        axioms.check_basic_lattice(B)
+        axioms.check_basic_semilattice(B)
+        spectrum.verify_pseudochar(B)
+        assert spectrum.spectrum_vs_stone(B).passed
+        dropped = {"core.separation_table", "core.meets_preceq_table", "core.lower_bound_table",
+                   "axioms.check_basic_lattice", "axioms.check_basic_semilattice",
+                   "spectrum._principal_opens"}
+        kept = {"core.order_predicates", "core.derived_relations", "spectrum.tight_characters"}
+        keys = {key.removeprefix("orderbench.") for key in B.__dict__}
+        assert kept <= keys
+        assert keys.isdisjoint(dropped)
 
     def test_lookup_counts(self, p3):
         # a build is a miss; a structure's own table and an equal

@@ -9,20 +9,20 @@ from conftest import (
     topology_corpus,
 )
 from orderbench import lab, spectrum as sp, stone, tight as ti
-from orderbench.core import antisymmetry_violation, bits, mask_from, p0set
+from orderbench.core import antisymmetry_violation, bits, lower_bound_table, mask_from, p0set
 from orderbench.errors import PreconditionFailed
 
 
 class TestTightCharacters:
     def test_named(self, e0, c2, p2, one):
-        assert sp.tight_characters(e0).chars == (0b010, 0b100)
-        assert sp.tight_characters(c2).chars == (0b110,)
-        assert sp.tight_characters(p2).chars == (0b1010, 0b1100)
-        assert sp.tight_characters(one).chars == ()
+        assert sp.tight_characters(e0) == (0b010, 0b100)
+        assert sp.tight_characters(c2) == (0b110,)
+        assert sp.tight_characters(p2) == (0b1010, 0b1100)
+        assert sp.tight_characters(one) == ()
 
     def test_matches_oracle(self):
         for B in small_structures(3):
-            got = [frozenset(bits(m)) for m in sp.tight_characters(B).chars]
+            got = [frozenset(bits(m)) for m in sp.tight_characters(B)]
             assert sorted(got, key=sorted) == sorted(
                 oracles.naive_tight_characters(B), key=sorted
             ), B.pairs()
@@ -30,13 +30,13 @@ class TestTightCharacters:
     def test_tightish_equal_tight(self):
         # nonzero tightish characters are coinitial and hence tight
         for B in small_structures(4):
-            got = {frozenset(bits(m)) for m in sp.tight_characters(B).chars}
+            got = {frozenset(bits(m)) for m in sp.tight_characters(B)}
             assert got == set(oracles.scan_characters(B, require_empty_cover=False))
 
     def test_matches_scans(self):
         # the maximal rows against the submask and pairwise scans
         for B in oracle_corpus():
-            chars = [frozenset(bits(m)) for m in sp.tight_characters(B).chars]
+            chars = [frozenset(bits(m)) for m in sp.tight_characters(B)]
             centred = [frozenset(bits(m)) for m in sp.maximal_centred_sets(B)]
             assert len(set(chars)) == len(chars) and len(set(centred)) == len(centred)
             assert set(chars) == set(oracles.scan_characters(B)), B.pairs()
@@ -45,7 +45,7 @@ class TestTightCharacters:
     def test_characters_are_tight_maps(self, e0, c2, p2):
         two = lab.make_family("powerset", 1)
         for B in (e0, c2, p2):
-            for M in sp.tight_characters(B).chars:
+            for M in sp.tight_characters(B):
                 assign = tuple(1 if M >> x & 1 else 0 for x in range(B.size))
                 rep = ti.map_properties(ti.struct_map(B, two, assign))
                 assert rep.holds("tight"), (B.names, bin(M))
@@ -60,7 +60,7 @@ class TestTightCharacters:
             flagged = sorted(mask_from(x for x, v in enumerate(chi.assignment) if v)
                              for chi in ti.zero_preserving_maps(B, two)
                              if ti.map_properties(chi).holds("tight"))
-            assert tuple(flagged) == sp._scan_characters(B), B.pairs()
+            assert tuple(flagged) == sp._scan_characters(B, lower_bound_table(B)), B.pairs()
         assert len(structures) == 5004
 
 
@@ -73,7 +73,7 @@ class TestMaximalCentred:
     def test_equal_to_characters(self):
         for B in small_structures(4):
             if antisymmetry_violation(B) is None:
-                assert sp.maximal_centred_sets(B) == sp.tight_characters(B).chars
+                assert sp.maximal_centred_sets(B) == sp.tight_characters(B)
 
 
 class TestPseudobasis:
@@ -264,7 +264,7 @@ class TestSpectrumScans:
     def test_scan_centred_matches_pairwise_scan(self):
         for B in separation_corpus():
             if B.size <= sp.VS_STONE_CAP:
-                got = [frozenset(bits(C)) for C in sp._scan_centred(B)]
+                got = [frozenset(bits(C)) for C in sp._scan_centred(B, lower_bound_table(B))]
                 assert got == sorted(got, key=lambda C: mask_from(C))
                 assert set(got) == set(oracles.scan_maximal_centred(B)), B.pairs()
 

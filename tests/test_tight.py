@@ -1169,7 +1169,7 @@ class TestAgainstEnumeration:
             if any(x != B.zero and oracles.le(B, x, B.zero) for x in range(B.size)):
                 continue
             checked += 1
-            assert ti.enveloping_algebra(B).signatures == sp.tight_characters(B).chars
+            assert ti.enveloping_algebra(B).signatures == sp.tight_characters(B)
         assert checked == 96
 
     def test_factor_matches_enumeration(self, p2, p3):
