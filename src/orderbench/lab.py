@@ -9,7 +9,7 @@ reduction would buy little at these sizes.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from itertools import chain, islice
 
 from . import axioms, spectrum
 from .core import P0Set, bits, full_mask, mask_from, meet_rows, order_predicates, p0set, union_rows
@@ -137,11 +137,6 @@ def random_p0set(n: int, seed: int, reflexive: bool = False, density: float = 0.
 # exhaustive enumeration
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int, reflexive_only: bool) -> tuple[P0Set, ...]:
-    return tuple(_enumerate(n, reflexive_only))
-
-
 def enumerate_structures(n: int, reflexive_only: bool = False):
     """All structures on n labeled elements with zero = 0, as a list.
 
@@ -153,7 +148,7 @@ def enumerate_structures(n: int, reflexive_only: bool = False):
     cap = ENUM_REFLEXIVE_CAP if reflexive_only else ENUM_CAP
     if not 1 <= n <= cap:
         raise CapExceeded(f"enumeration capped at carrier {cap}")
-    return list(_enumerate_cached(n, reflexive_only))
+    return _enumerate(n, reflexive_only)
 
 
 def _enumerate(n: int, reflexive_only: bool):
@@ -241,40 +236,33 @@ SUITES: dict[str, tuple] = {
 }
 
 
+def random_stream(bound: int, seed: int):
+    """Seeded random structures of sizes min(2, bound)..min(bound,
+    RANDOM_CAP), without end: half of them partial orders, at densities
+    from 0.1 to 0.6."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(min(2, bound), min(bound, RANDOM_CAP))
+        yield random_p0set(n, rng.getrandbits(32), rng.random() < 0.5, rng.uniform(0.1, 0.6))
+
+
 def search_counterexample(
     suite: str, bound: int, budget: int, seed: int
 ) -> P0Set | None:
     """First structure violating the named property, or None.
 
     The stream runs the suite's curated instances, then exhaustive
-    enumeration up to min(bound, enumeration cap), then seeded random
-    structures of sizes up to the bound until the budget is spent.
+    enumeration up to min(bound, enumeration cap), then `random_stream`
+    until the budget is spent.
     """
     if suite not in SUITES:
         raise InputError(f"no suite named {suite!r}; known: {sorted(SUITES)}")
     if min(bound, budget) < 1:
         raise CapExceeded(f"search needs bound >= 1 and budget >= 1, not {bound} and {budget}")
     predicate, curated = SUITES[suite]
-    spent = 0
-    for name, k in curated:
-        if spent >= budget:
-            return None
-        spent += 1
-        B = make_family(name, k)
-        if not predicate(B):
-            return B
-    for n in range(1, min(bound, ENUM_CAP) + 1):
-        for B in enumerate_structures(n):
-            if spent >= budget:
-                return None
-            spent += 1
-            if not predicate(B):
-                return B
-    rng = random.Random(seed)
-    while spent < budget:
-        n = rng.randint(min(2, bound), min(bound, RANDOM_CAP))
-        B = random_p0set(n, rng.getrandbits(32), rng.random() < 0.5, rng.uniform(0.1, 0.6))
-        spent += 1
-        if not predicate(B):
-            return B
-    return None
+    stream = chain(
+        (make_family(name, k) for name, k in curated),
+        (B for n in range(1, min(bound, ENUM_CAP) + 1) for B in enumerate_structures(n)),
+        random_stream(bound, seed),
+    )
+    return next((B for B in islice(stream, budget) if not predicate(B)), None)

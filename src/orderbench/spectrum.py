@@ -33,7 +33,6 @@ from .core import (
     meet_rows,
     meets_preceq_table,
     order_predicates,
-    structure_table,
     transpose,
 )
 from .errors import CapExceeded, InternalCheckFailed, PreconditionFailed
@@ -42,7 +41,6 @@ from .report import Check, Report, report, shared_report
 VS_STONE_CAP = 8
 
 
-@structure_table
 def tight_characters(B: P0Set) -> tuple[SubsetMask, ...]:
     """All nonzero tight characters, as sorted one-set masks.
 

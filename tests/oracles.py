@@ -1062,6 +1062,31 @@ def every_topology(points):
     return out
 
 
+def every_family(k):
+    """Every family of subsets of a k-set, members ascending: all 2**(2**k)
+    of them."""
+    for code in range(1 << (1 << k)):
+        yield [s for s in range(1 << k) if code >> s & 1]
+
+
+def closed_hausdorff_families(k):
+    """The families of `every_family(k)` that hold the empty set, cover the
+    k points, are closed under union and intersection, and put any two
+    distinct points in disjoint members."""
+    full = (1 << k) - 1
+    out = []
+    for fam in every_family(k):
+        members = set(fam)
+        if 0 not in members or reduce(or_, fam, 0) != full:
+            continue
+        if any(a | b not in members or a & b not in members for a in fam for b in fam):
+            continue
+        if all(any(a >> p & 1 and b >> q & 1 and a & b == 0 for a in fam for b in fam)
+               for p in range(k) for q in range(k) if p != q):
+            out.append(fam)
+    return out
+
+
 def sweep_continuity(X, Y, f):
     """The first open of Y, ascending, whose preimage under f is not open."""
     for o in Y.opens:

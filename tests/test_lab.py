@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 import oracles
@@ -164,6 +166,19 @@ class TestSearch:
 
     def test_budget_respected(self):
         assert lab.search_counterexample("chain_respected", 8, 5, 0) is None
+
+    @pytest.mark.parametrize("j", [1, 2, 37])
+    def test_random_part_is_the_random_stream(self, j, monkeypatch):
+        # a property that first fails at the j-th random draw: the search
+        # returns the j-th structure of `random_stream`
+        bound, seed = 3, 5
+        enumerated = sum(len(lab.enumerate_structures(n)) for n in range(1, bound + 1))
+        seen = []
+        probe = (lambda B: seen.append(B) is None and len(seen) != enumerated + j, ())
+        monkeypatch.setitem(lab.SUITES, "probe", probe)
+        found = lab.search_counterexample("probe", bound, enumerated + 100, seed)
+        assert found is seen[-1] and len(seen) == enumerated + j
+        assert seen[enumerated:] == list(islice(lab.random_stream(bound, seed), j))
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_random_sizes_within_bound(self, bound, monkeypatch):
