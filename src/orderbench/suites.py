@@ -10,11 +10,11 @@ elements, and a seeded batch of random size-six structures; full labeled
 enumeration of general relations on six elements is beyond desk scale.
 The catalog through size k is the pool's structures of size at most k,
 in enumeration order.  `run_suites` builds the pool when a suite first
-reads it and drops it when the run ends; only the last structures of the
-sharing index (`core.SHARED_STRUCTURES`) outlive a run.  The families
-over discrete sets come in closed form from `_discrete_bases`, and the
-random structures of `separativity_chain` from `lab.random_stream`, the
-stream `search` draws from.
+reads it and drops it when the run ends; only bounded caches outlive a
+run: the sharing index, `axioms._join_reach` and `morphisms.is_interpolator`.
+The discrete families come in closed form from `_discrete_bases`, and the
+random structures of `separativity_chain` from `lab.random_stream`, which
+`search` draws from.
 """
 
 from __future__ import annotations
